@@ -16,6 +16,7 @@ import sys
 
 from .core import (
     AlgebraError,
+    UnionFind,
     is_commutative,
     is_conservative,
     is_cyclic,
@@ -50,8 +51,13 @@ def _load(spec: str):
 
 
 def _parse_gens(text: str):
-    return [tuple(int(v) for v in chunk.split(","))
-            for chunk in text.split(";") if chunk.strip()]
+    try:
+        return [tuple(int(v) for v in chunk.split(","))
+                for chunk in text.split(";") if chunk.strip()]
+    except ValueError:
+        raise AlgebraError(
+            f"bad generator list {text!r}: expected integers like 0,1;1,0"
+        ) from None
 
 
 def _var_names(k: int):
@@ -167,16 +173,7 @@ def cmd_edges(args):
         else [(a, b) for a in range(alg.domain) for b in range(a + 1, alg.domain)]
     )
     conclusive = True
-    components = None
-    if args.graph:
-        parent = list(range(alg.domain))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+    components = UnionFind(alg.domain)
     for a, b in pairs:
         recs, concl = structure.weak_edges(alg, a, b, cap=args.cap,
                                            max_steps=args.max_steps)
@@ -185,15 +182,11 @@ def cmd_edges(args):
             term = render_term(r.term, _var_names(3 if r.kind != "semilattice" else 2)) \
                 if r.term is not None else "-"
             print(f"{r.render()} term={term}")
-        if args.graph and recs:
-            parent[find(a)] = find(b)
+        if recs:
+            components.union(a, b)
     if args.graph:
-        comps = {}
-        for x in range(alg.domain):
-            comps.setdefault(find(x), []).append(x)
-        components = sorted(comps.values())
         print("components " + " ".join(
-            "{" + ",".join(map(str, c)) + "}" for c in components
+            "{" + ",".join(map(str, c)) + "}" for c in components.blocks()
         ))
     return EXIT_OK if conclusive else EXIT_INCONCLUSIVE
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Algebra, AlgebraError, OperationTable
+from .core import Algebra, AlgebraError, OperationTable, UnionFind
+from .memo import Memo, table_key
 
 
 class NotACongruenceError(AlgebraError):
@@ -112,19 +113,12 @@ class Partition:
         return all(len({idx[x] for x in b}) == 1 for b in self.blocks)
 
     def join(self, other: "Partition") -> "Partition":
-        parent = list(range(self.size))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = UnionFind(self.size)
         for part in (self, other):
             for b in part.blocks:
                 for y in b[1:]:
-                    parent[find(b[0])] = find(y)
-        return Partition.from_representatives(self.size, [find(x) for x in range(self.size)])
+                    uf.union(b[0], y)
+        return Partition(self.size, uf.blocks())
 
     def meet(self, other: "Partition") -> "Partition":
         mine, theirs = self.block_index(), other.block_index()
@@ -172,25 +166,11 @@ def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
     the union-find supplies the reflexive-symmetric-transitive closure.
     """
     n = alg.domain
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return None
-        parent[ry] = rx
-        return (x, y)
-
-    work = []
-    first = union(a, b)
-    if first:
-        work.append(first)
+    for x in (a, b):
+        if not 0 <= x < n:
+            raise AlgebraError(f"element {x} out of range for domain {n}")
+    uf = UnionFind(n)
+    work = [(a, b)] if uf.union(a, b) else []
     while work:
         u, v = work.pop()
         for op in alg.operations:
@@ -201,10 +181,13 @@ def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
                     args_v = rest[:i] + (v,) + rest[i:]
                     pu = op.values[op.index(args_u)]
                     pv = op.values[op.index(args_v)]
-                    merged = union(pu, pv)
-                    if merged:
-                        work.append(merged)
-    return Partition.from_representatives(n, [find(x) for x in range(n)])
+                    if uf.union(pu, pv):
+                        work.append((pu, pv))
+    return Partition(n, uf.blocks())
+
+
+# congruence lattices by operation tables (memo.table_key)
+_lattices = Memo(limit=1024)
 
 
 def all_congruences(alg: Algebra):
@@ -212,8 +195,18 @@ def all_congruences(alg: Algebra):
 
     Computed as the join closure of the principal congruences; sound and
     complete for finite algebras since every congruence is a join of
-    principal ones.
+    principal ones.  Memoized by the operation tables; every call returns
+    a fresh list.
     """
+    key = table_key(alg)
+    lattice = _lattices.get(key)
+    if lattice is None:
+        lattice = _congruence_lattice(alg)
+        _lattices.put(key, lattice)
+    return list(lattice)
+
+
+def _congruence_lattice(alg: Algebra) -> tuple:
     n = alg.domain
     found = {Partition.identity(n)}
     principals = set()
@@ -231,7 +224,7 @@ def all_congruences(alg: Algebra):
                     new.add(j)
         found |= new
         frontier = new
-    return sorted(found, key=lambda p: (alg.domain - len(p.blocks), str(p)))
+    return tuple(sorted(found, key=lambda p: (alg.domain - len(p.blocks), str(p))))
 
 
 def maximal_congruences(alg: Algebra):

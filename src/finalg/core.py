@@ -144,6 +144,36 @@ def is_closed(op: OperationTable, subset) -> bool:
     )
 
 
+class UnionFind:
+    """Disjoint sets over range(size), with path halving."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> bool:
+        """Merge the sets of x and y; False when they already were one set."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[ry] = rx
+        return True
+
+    def blocks(self, universe=None) -> tuple:
+        """The sets restricted to `universe` (default: all of range(size)) in
+        canonical form: elements ascending, blocks ordered by minimum."""
+        groups = {}
+        for x in sorted(universe) if universe is not None else range(len(self.parent)):
+            groups.setdefault(self.find(x), []).append(x)
+        return tuple(tuple(b) for b in groups.values())
+
+
 def is_idempotent(op: OperationTable) -> bool:
     return all(op.values[op.index((x,) * op.arity)] == x for x in range(op.domain))
 

@@ -21,12 +21,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Algebra, AlgebraError, OperationTable
+from .core import Algebra, AlgebraError, OperationTable, UnionFind, is_closed
 from .congruence import (
     all_congruences,
     maximal_congruences,
     quotient_algebra,
 )
+from .memo import Memo, table_key
 from .subpower import (
     TermTree,
     clone_membership,
@@ -70,15 +71,6 @@ def absorption_patterns(domain: int, subset, n: int):
     ]
 
 
-def _is_closed_subset(alg, subset):
-    sset = set(subset)
-    return all(
-        op.values[op.index(args)] in sset
-        for op in alg.operations
-        for args in itertools.product(sorted(sset), repeat=op.arity)
-    )
-
-
 def absorbs(alg: Algebra, subset, n: int, cap=None, max_steps=None,
             _decompose=True) -> AbsorptionResult:
     """Does some n-ary term map every almost-in-subset tuple into the subset?
@@ -95,7 +87,7 @@ def absorbs(alg: Algebra, subset, n: int, cap=None, max_steps=None,
         raise AlgebraError(f"bad subset {subset}")
     if n < 2:
         raise AlgebraError(f"absorption arity must be >= 2, got {n}")
-    closed = _is_closed_subset(alg, subset)
+    closed = all(is_closed(op, subset) for op in alg.operations)
 
     if subset == tuple(range(alg.domain)):
         # the full domain absorbs trivially (any projection witnesses)
@@ -366,14 +358,33 @@ def weak_edges(alg: Algebra, a: int, b: int, cap=None, max_steps=None):
     return records, conclusive
 
 
+# subuniverse lists by operation tables (memo.table_key), for cap=None only
+_subuniverses = Memo(limit=1024)
+
+
 def all_subuniverses(alg: Algebra, cap=None):
-    """All nonempty subuniverses Sg(S), deduplicated, sorted by (size, lex)."""
+    """All nonempty subuniverses Sg(S), deduplicated, sorted by (size, lex).
+
+    With cap=None the list is memoized by the operation tables; every call
+    returns a fresh list.
+    """
+    if cap is not None:
+        return list(_subuniverse_list(alg, cap))
+    key = table_key(alg)
+    found = _subuniverses.get(key)
+    if found is None:
+        found = _subuniverse_list(alg, None)
+        _subuniverses.put(key, found)
+    return list(found)
+
+
+def _subuniverse_list(alg: Algebra, cap) -> tuple:
     found = set()
     elems = range(alg.domain)
     for r in range(1, alg.domain + 1):
         for s in itertools.combinations(elems, r):
             found.add(sg_closure(alg, s, cap=cap))
-    return sorted(found, key=lambda t: (len(t), t))
+    return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 
 def is_taylor(alg: Algebra, cap=None, max_steps=None):
@@ -392,14 +403,7 @@ def is_taylor(alg: Algebra, cap=None, max_steps=None):
         if len(uni) < 2:
             continue
         sub = alg.restrict(uni)
-        parent = list(range(len(uni)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        components = UnionFind(len(uni))
         edges = []
         sub_conclusive = True
         for i in range(len(uni)):
@@ -407,9 +411,9 @@ def is_taylor(alg: Algebra, cap=None, max_steps=None):
                 recs, concl = weak_edges(sub, i, j, cap=cap, max_steps=max_steps)
                 sub_conclusive = sub_conclusive and concl
                 if recs:
-                    parent[find(i)] = find(j)
+                    components.union(i, j)
                     edges.extend(recs)
-        connected = len({find(x) for x in range(len(uni))}) == 1
+        connected = len(components.blocks()) == 1
         if not connected:
             verdict = False if sub_conclusive else None
         reports.append((uni, connected, edges))

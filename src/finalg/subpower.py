@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import Algebra, AlgebraError, OperationTable
+from .core import Algebra, AlgebraError, OperationTable, UnionFind
+from .memo import Memo, table_key
 
 DEFAULT_CAP = 5_000_000
 
@@ -174,6 +175,14 @@ class GeneratedSet:
         return "\n".join(lines) + "\n"
 
 
+# Closures that reached their fixpoint after at least _MEMO_MIN_STEPS
+# operation applications, keyed by operation tables, exponent and generator
+# list; at most _MEMO_MAX_ELEMENTS elements are kept over all entries.
+_MEMO_MIN_STEPS = 10_000
+_MEMO_MAX_ELEMENTS = 50_000
+_closures = Memo(limit=_MEMO_MAX_ELEMENTS, weight=lambda entry: len(entry[0]))
+
+
 def generate(
     base: Algebra,
     m: int,
@@ -195,9 +204,32 @@ def generate(
       - max_steps: budget on operation applications, for closures whose
         element count stays modest while the combination count explodes.
         Deterministic, so truncation points are reproducible.
+
+    Complete closures of at least _MEMO_MIN_STEPS applications are memoized
+    (see `_closures`).  A later call with the same tables, exponent and
+    generators is served from the memo when its budgets would have let a
+    fresh run finish; the closure order is canonical, so an early exit is a
+    prefix of the stored order, and the answer is the one a fresh run gives.
     """
     if cap is None:
         cap = DEFAULT_CAP
+    gen_list = _generator_bytes(base, m, generators)
+    stop_for = _stop_test(targets, region, stop_predicate)
+    key = (table_key(base), m, tuple(gen_list))
+    hit = _closures.get(key)
+    if hit is not None:
+        elements, witnesses, steps = hit
+        if len(elements) <= cap and (max_steps is None or max_steps > steps):
+            return _replay(base, m, gen_list, elements, witnesses, stop_for)
+    gset = _closure(base, m, gen_list, cap, stop_for, max_steps)
+    if not gset.truncated:
+        steps = _closure_steps(base, len(gset.elements))
+        if steps >= _MEMO_MIN_STEPS:
+            _closures.put(key, (tuple(gset.elements), tuple(gset.witnesses), steps))
+    return gset
+
+
+def _generator_bytes(base: Algebra, m: int, generators) -> list:
     n = base.domain
     gen_list = []
     for g in generators:
@@ -210,13 +242,12 @@ def generate(
         gen_list.append(bytes(g))
     if not gen_list:
         raise AlgebraError("no generators")
+    return gen_list
 
-    gset = GeneratedSet(base=base, exponent=m, generators=list(gen_list))
-    elements = gset.elements
-    position = gset.position
-    witnesses = gset.witnesses
-    ints = []
 
+def _stop_test(targets, region, stop_predicate):
+    """The early-exit test run on each new element: bytes -> stop reason or
+    None."""
     target_set = {bytes(t) for t in targets} if targets is not None else None
     region_set = frozenset(region) if region is not None else None
 
@@ -230,6 +261,50 @@ def generate(
         if stop_predicate is not None and stop_predicate(e):
             return "predicate"
         return None
+
+    return stop_for
+
+
+def _closure_steps(base: Algebra, size: int) -> int:
+    """Applications of a complete closure with `size` elements.
+
+    Round t applies a k-ary operation to the S_t**k - S_(t-1)**k index
+    tuples that use an element of the frontier, so the rounds sum to
+    size**k; `max_steps` lets a fresh run finish iff it exceeds this."""
+    return sum(size**op.arity for op in base.operations)
+
+
+def _replay(base, m, gen_list, elements, witnesses, stop_for) -> GeneratedSet:
+    """A memoized complete closure, cut where a fresh run's early exit stops.
+
+    The stop test meets the same elements in the same order as in
+    `_closure`: the distinct generators until one stops, then each later
+    element."""
+    stop = None
+    count = len(elements)
+    ngens = len(set(gen_list))  # the first ngens elements
+    for i, e in enumerate(elements):
+        stop = stop_for(e)
+        if stop:
+            count = max(i + 1, ngens)
+            break
+    gset = GeneratedSet(base=base, exponent=m, generators=list(gen_list))
+    gset.elements = list(elements[:count])
+    gset.witnesses = list(witnesses[:count])
+    gset.position = dict(zip(gset.elements, range(count)))
+    if stop:
+        gset.truncated = True
+        gset.stop_reason = stop
+    return gset
+
+
+def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
+    """The breadth-first closure itself (no memo); see `generate`."""
+    gset = GeneratedSet(base=base, exponent=m, generators=list(gen_list))
+    elements = gset.elements
+    position = gset.position
+    witnesses = gset.witnesses
+    ints = []
 
     stop = None
     for g in gen_list:
@@ -263,7 +338,7 @@ def generate(
             stop = "cap"
         return True
 
-    steps_left = max_steps if max_steps is not None else None
+    steps_left = max_steps
     fstart = 0
     while fstart < len(elements) and not stop:
         size = len(elements)
@@ -280,8 +355,10 @@ def generate(
                         res = (c0 * ints[i]).to_bytes(m, "big").translate(lut)
                         if insert(res, op_i, (i,)) and stop:
                             break
-                    if steps_left is not None:
-                        steps_left -= max(size - fstart, 0)
+                    if steps_left is not None and not stop:
+                        steps_left -= size - fstart
+                        if steps_left <= 0:
+                            stop = "steps"
                 elif k == 2:
                     c0, c1 = c
                     for i in range(size):
@@ -510,23 +587,13 @@ def rab_analyze(base: Algebra, a: int, b: int, cap=None) -> RabReport:
     )
 
     def closure_blocks(universe, tol):
-        parent = {x: x for x in universe}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = UnionFind(base.domain)
         for x, y in tol:
-            parent[find(x)] = find(y)
-        blocks = {}
-        for x in universe:
-            blocks.setdefault(find(x), []).append(x)
-        return tuple(tuple(sorted(bl)) for bl in sorted(blocks.values(), key=min))
+            uf.union(x, y)
+        return uf.blocks(universe)
 
-    blocks1 = closure_blocks(sorted(left), tol1)
-    blocks2 = closure_blocks(sorted(right), tol2)
+    blocks1 = closure_blocks(left, tol1)
+    blocks2 = closure_blocks(right, tol2)
 
     if rel.truncated:
         kind = None

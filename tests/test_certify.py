@@ -1,7 +1,12 @@
+import json
+import pathlib
+
 import pytest
 
 from finalg.core import AlgebraError
 from finalg import catalog, certify
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_parse_certificate_shapes():
@@ -103,8 +108,6 @@ def test_format_report_modes():
     _, results = certify.run_suite([cert])
     text = certify.format_report(results)
     assert "summary: pass=1" in text
-    import json
-
     records = json.loads(certify.format_report(results, json_mode=True))
     assert records[0]["status"] == "pass"
 
@@ -115,3 +118,7 @@ def test_full_shipped_suite_passes():
     assert ok and not failures
     assert len(results) >= 300
     assert {r.cert for r in results} == set(catalog.names()) - {"Z3aff"} | {"T5N"}
+    # `alg verify --suite paper --json` records, timings left out, must not move
+    golden = json.loads((DATA / "paper_suite_records.json").read_text())
+    records = [{k: r.record[k] for k in ("id", "status", "detail")} for r in results]
+    assert records == golden

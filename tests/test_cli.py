@@ -132,3 +132,21 @@ def test_parse_partition_argument_anywhere(capsys):
     # principal congruence output uses the canonical partition syntax
     code, out, _ = run(["cong", "@T4,10", "--principal", "0", "2"], capsys)
     assert code == 0 and out.strip() == "{0,2}{1,3}"
+
+
+def test_sg_bad_generator_text_is_an_error(capsys):
+    code, out, err = run(["sg", "@T4N", "--power", "2", "--gens", "0,x"], capsys)
+    assert code == 1 and out == ""
+    assert "error: bad generator list '0,x'" in err
+
+
+def test_cong_principal_out_of_range_is_an_error(capsys):
+    code, out, err = run(["cong", "@T4,10", "--principal", "0", "5"], capsys)
+    assert code == 1 and out == ""
+    assert "error: element 5 out of range for domain 4" in err
+
+
+def test_edges_graph_components(capsys):
+    code, out, _ = run(["edges", "@T4,7", "--graph"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "components {0,1,2,3}"

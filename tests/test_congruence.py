@@ -179,3 +179,24 @@ def test_class_algebra_t41_is_t1n(alg):
 def test_class_algebra_requires_block(alg):
     with pytest.raises(AlgebraError):
         class_algebra(alg("T4,10"), Partition.parse("{0,2}{1,3}", 4), (0, 1))
+
+
+def test_principal_congruence_rejects_out_of_range(alg):
+    for a, b in ((0, 4), (-1, 2)):
+        with pytest.raises(AlgebraError):
+            principal_congruence(alg("T4,10"), a, b)
+
+
+def test_all_congruences_memo_returns_fresh_lists(alg):
+    from finalg.congruence import _congruence_lattice
+    from finalg.core import Algebra, OperationTable
+
+    a = alg("T4,10")
+    first = all_congruences(a)
+    first.clear()
+    assert all_congruences(a) == list(_congruence_lattice(a))
+    renamed = Algebra(a.domain, [
+        OperationTable("r" + op.name, op.arity, op.domain, op.values)
+        for op in a.operations
+    ])
+    assert all_congruences(renamed) == all_congruences(a)

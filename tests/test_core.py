@@ -230,3 +230,14 @@ def restrict_to_coordinate(op, coord, sizes):
         v = op.values[op.index(tuple(lift))]
         vals.append(dec(v)[coord])
     return tuple(vals)
+
+
+def test_union_find_blocks_are_canonical():
+    from finalg.core import UnionFind
+
+    uf = UnionFind(6)
+    assert uf.union(4, 1) and uf.union(5, 3) and uf.union(3, 1)
+    assert not uf.union(5, 4)
+    assert uf.find(1) == uf.find(5) != uf.find(0)
+    assert uf.blocks() == ((0,), (1, 3, 4, 5), (2,))
+    assert uf.blocks({5, 2, 0}) == ((0,), (2,), (5,))

@@ -239,3 +239,18 @@ def test_naive_oracles_match(alg):
                     naive = naive_absorbs(a, subset, arity)
                     direct = absorbs(a, subset, arity)
                     assert naive == direct.holds
+
+
+def test_all_subuniverses_memo_returns_fresh_lists(alg):
+    from finalg.structure import _subuniverse_list
+
+    a = alg("T4N")
+    first = all_subuniverses(a)
+    first.append("junk")
+    assert all_subuniverses(a) == list(_subuniverse_list(a, None))
+    renamed = Algebra(a.domain, [
+        OperationTable("r" + op.name, op.arity, op.domain, op.values)
+        for op in a.operations
+    ])
+    assert all_subuniverses(renamed) == all_subuniverses(a)
+    assert all_subuniverses(a, cap=100) == all_subuniverses(a)

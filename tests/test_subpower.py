@@ -263,3 +263,219 @@ def test_domain_six_uses_slow_path():
     assert sg_closure(chain, (5, 3)) == (3, 5)
     g = generate(chain, 2, [(0, 5), (5, 0)])
     assert g.contains((0, 0)) is True
+
+
+def test_unary_fast_path_stops_on_steps():
+    # x -> x+1 mod 3 closes {0} in three rounds of one application each
+    succ = OperationTable("s", 1, 3, (1, 2, 0))
+    a = Algebra(3, [succ])
+    g = generate(a, 1, [(0,)], max_steps=3)
+    assert g.truncated and g.stop_reason == "steps"
+    g = generate(a, 1, [(0,)], max_steps=4)
+    assert not g.truncated and len(g) == 3
+    # a unary operation beside a binary one: each path spends the same budget
+    b = Algebra(3, [succ, OperationTable("t", 2, 3, (0,) * 9)])
+    g = generate(b, 1, [(1,)], max_steps=2)
+    assert g.truncated and g.stop_reason == "steps"
+
+
+# -- the closure memo -------------------------------------------------------
+
+from finalg import subpower  # noqa: E402
+from finalg.subpower import DEFAULT_CAP, projection_tuples  # noqa: E402
+from finalg.structure import absorption_patterns  # noqa: E402
+
+_uncached_closure = subpower._closure
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Empty closure memo; counts the closures actually run."""
+    subpower._closures.clear()
+    counter = {"n": 0}
+    inner = subpower._closure
+
+    def counting(*args):
+        counter["n"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(subpower, "_closure", counting)
+    yield counter
+    subpower._closures.clear()
+
+
+def fresh(base, m, gens, cap=None, targets=None, region=None,
+          stop_predicate=None, max_steps=None):
+    """The same closure computed without the memo."""
+    return _uncached_closure(
+        base, m, subpower._generator_bytes(base, m, gens),
+        DEFAULT_CAP if cap is None else cap,
+        subpower._stop_test(targets, region, stop_predicate), max_steps,
+    )
+
+
+def assert_same(got, want):
+    assert got.elements == want.elements
+    assert got.witnesses == want.witnesses
+    assert got.position == want.position
+    assert got.generators == want.generators
+    assert got.truncated == want.truncated
+    assert got.stop_reason == want.stop_reason
+    names = ["x", "y", "z", "w"][: len(want.generators)]
+    for e in want.elements:
+        assert render_term(got.witness_term(e), names) == \
+            render_term(want.witness_term(e), names)
+
+
+def _clo3(a):
+    return a.domain**3, projection_tuples(a.domain, 3)
+
+
+def test_memo_serves_complete_closure(alg, runs):
+    a = alg("T3C")
+    m, gens = _clo3(a)
+    first = generate(a, m, gens)
+    assert runs["n"] == 1 and not first.truncated
+    assert subpower._closure_steps(a, len(first)) >= subpower._MEMO_MIN_STEPS
+    second = generate(a, m, gens)
+    assert runs["n"] == 1
+    assert second is not first and second.elements is not first.elements
+    assert_same(second, fresh(a, m, gens))
+
+
+def test_memo_skips_small_closures(alg, runs):
+    a = alg("T4,10")
+    generate(a, 2, [(0, 1), (1, 0)])
+    generate(a, 2, [(0, 1), (1, 0)])
+    assert runs["n"] == 2 and len(subpower._closures) == 0
+
+
+def test_memo_early_exits_replay_the_stored_order(alg, runs):
+    a = alg("T3C")
+    m, gens = _clo3(a)
+    full = generate(a, m, gens)
+    middle, last = tuple(full.elements[10]), tuple(full.elements[-1])
+    absent = tuple(0 for _ in range(m))
+    for targets in ([middle], [middle, last], [gens[1]], [gens[2], gens[0]],
+                    [absent], []):
+        got = generate(a, m, gens, targets=targets)
+        assert_same(got, fresh(a, m, gens, targets=targets))
+    assert runs["n"] == 1
+
+    # a region met by a later element (T3N) and by none (T3C)
+    for name, subset in (("T3N", (0, 2)), ("T3C", (0, 2))):
+        b = alg(name)
+        pats = absorption_patterns(b.domain, subset, 3)
+        pgens = [tuple(t[j] for t in pats) for j in range(3)]
+        generate(b, len(pats), pgens)
+        n_runs = runs["n"]
+        got = generate(b, len(pats), pgens, region=set(subset))
+        assert runs["n"] == n_runs
+        assert_same(got, fresh(b, len(pats), pgens, region=set(subset)))
+    assert got.stop_reason is None
+
+    seen_served, seen_fresh = [], []
+    got = generate(a, m, gens, stop_predicate=lambda e: seen_served.append(e) or e == last)
+    want = fresh(a, m, gens, stop_predicate=lambda e: seen_fresh.append(e) or e == last)
+    assert_same(got, want)
+    assert seen_served == seen_fresh
+
+
+def test_memo_predicate_side_effects_match(alg, runs):
+    a = alg("T3C")
+    want = {}
+    for limit in (1, 2, 3, None):
+        subpower._closures.clear()
+        want[limit] = cyclic_terms(a, 3, limit=limit)
+    generate(a, *_clo3(a))
+    n_runs = runs["n"]
+    for limit in (1, 2, 3, None):
+        tables, complete = cyclic_terms(a, 3, limit=limit)
+        assert [t.values for t in tables] == [t.values for t in want[limit][0]]
+        assert complete == want[limit][1]
+    assert runs["n"] == n_runs
+    assert [len(want[k][0]) for k in (1, 2, 3)] == [1, 2, 2]
+
+
+def test_memo_serves_only_within_budgets(alg, runs):
+    a = alg("T3C")
+    m, gens = _clo3(a)
+    size = len(generate(a, m, gens))
+    steps = subpower._closure_steps(a, size)
+    for cap, served in ((size - 1, False), (size, True), (size + 1, True)):
+        n_runs = runs["n"]
+        got = generate(a, m, gens, cap=cap)
+        assert (runs["n"] == n_runs) == served
+        assert_same(got, fresh(a, m, gens, cap=cap))
+    for max_steps, served in ((steps - 1, False), (steps, False), (steps + 1, True)):
+        n_runs = runs["n"]
+        got = generate(a, m, gens, max_steps=max_steps)
+        assert (runs["n"] == n_runs) == served
+        want = fresh(a, m, gens, max_steps=max_steps)
+        assert_same(got, want)
+        assert want.truncated == (not served)
+
+
+def test_memo_witnesses_use_callers_names(alg, runs):
+    a = alg("T3C")
+    renamed = Algebra(a.domain, [
+        OperationTable(f"r{i}", op.arity, op.domain, op.values)
+        for i, op in enumerate(a.operations)
+    ])
+    m, gens = _clo3(a)
+    generate(a, m, gens)
+    got = generate(renamed, m, gens)
+    assert runs["n"] == 1 and got.base is renamed
+    assert_same(got, fresh(renamed, m, gens))
+    deepest = got.witness_term(tuple(got.elements[-1]))
+    assert render_term(deepest, ["x", "y", "z"]).startswith("r0(")
+
+
+def test_memo_bad_generators_still_raise(alg, runs):
+    a = alg("T3C")
+    m, gens = _clo3(a)
+    generate(a, m, gens)
+    for bad in ([(9,) + gens[0][1:]], [(-1,) + gens[0][1:]], [gens[0][1:]], []):
+        with pytest.raises(AlgebraError):
+            generate(a, m, bad)
+
+
+def test_memo_evicts_least_recently_used():
+    from finalg.memo import Memo
+
+    memo = Memo(limit=5, weight=len)
+    memo.put("a", "xx")
+    memo.put("b", "yy")
+    assert memo.get("a") == "xx"  # now "b" is the least recently used
+    memo.put("c", "zz")
+    assert memo.get("b") is None and memo.get("a") == "xx"
+    assert memo.total == 4
+    memo.put("d", "too long")  # heavier than the limit: never stored
+    assert memo.get("d") is None and len(memo) == 2
+
+
+def test_memo_shared_by_threads_keeps_its_total():
+    import sys
+    import threading
+
+    from finalg.memo import Memo
+
+    memo = Memo(limit=50, weight=len)
+
+    def work(t):
+        for i in range(3000):
+            memo.put((t, i % 37), "x" * (i % 7 + 1))
+            memo.get((t - 1, i % 37))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert memo.total == sum(w for _, w in memo.entries.values()) <= memo.limit
