@@ -16,6 +16,8 @@ import sys
 
 from .core import (
     AlgebraError,
+    NotClosedError,
+    ParseError,
     UnionFind,
     is_commutative,
     is_conservative,
@@ -25,7 +27,13 @@ from .core import (
     parse_algebra,
     serialize_algebra,
 )
-from .congruence import all_congruences, is_simple, principal_congruence
+from .catalog import CatalogIntegrityError
+from .congruence import (
+    NotACongruenceError,
+    all_congruences,
+    is_simple,
+    principal_congruence,
+)
 from .subpower import (
     clone_membership,
     cyclic_terms,
@@ -34,7 +42,13 @@ from .subpower import (
     rab_analyze,
     render_term,
 )
-from .search import count_ops, parse_constraint_file, search_ops
+from .search import (
+    NoCompletionError,
+    NonUniqueCompletionError,
+    count_ops,
+    parse_constraint_file,
+    search_ops,
+)
 from . import catalog, certify, structure
 
 EXIT_OK = 0
@@ -43,11 +57,28 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 
+# Errors that report a failed property of well-formed input, or a file that
+# cannot be read (exit 1); every other AlgebraError is an input error (exit 2)
+_FAILURES = (CatalogIntegrityError, NotACongruenceError, NotClosedError,
+             NoCompletionError, NonUniqueCompletionError, OSError)
+
+
+def _read_ascii(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: non-ASCII byte 0x{data[exc.start]:02x}",
+            data.count(b"\n", 0, exc.start) + 1,
+        ) from None
+
+
 def _load(spec: str):
     if spec.startswith("@"):
         return catalog.get(spec[1:]).algebra
-    with open(spec, encoding="ascii") as fh:
-        return parse_algebra(fh.read(), label=spec)
+    return parse_algebra(_read_ascii(spec), label=spec)
 
 
 def _parse_gens(text: str):
@@ -264,8 +295,7 @@ def cmd_catalog(args):
 
 
 def cmd_search(args):
-    with open(args.spec, encoding="ascii") as fh:
-        spec = parse_constraint_file(fh.read())
+    spec = parse_constraint_file(_read_ascii(args.spec))
     if args.count:
         n, truncated = count_ops(spec)
         print(f"{n}{'+' if truncated else ''}")
@@ -391,9 +421,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (AlgebraError, OSError) as exc:
+    except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except AlgebraError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

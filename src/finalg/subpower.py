@@ -3,21 +3,38 @@
 This is the engine behind subuniverse generation, free algebras / clone
 membership, cyclic-term search and the binary relation Sg{(a,b),(b,a)}.
 
-Power tuples are stored as `bytes`, one byte per coordinate.  When
-n**arity <= 256 an operation is applied pointwise with byte-lane integer
-arithmetic plus bytes.translate, which keeps the hot loop in C: the lanes
-hold the row-major cell index of each coordinate's argument tuple, and the
-translation table maps cell index to value.
-
-The closure order is canonical: breadth-first rounds, operations in
+Power tuples are stored as `bytes`, one byte per coordinate, and the
+closure order is canonical: breadth-first rounds, operations in
 declaration order, argument index tuples in lexicographic order restricted
 to those using at least one element of the current frontier.  Witness links
 always reference strictly earlier elements.
+
+When n**arity <= 256 an operation is applied with byte-lane integer
+arithmetic plus bytes.translate.  Read as a big-endian integer, an element
+holds one coordinate per byte lane; sum_j n**(k-1-j) * x_j then holds, in
+each lane, the row-major cell index of that coordinate's argument tuple
+(below 256, so no lane carries into the next), and translating by the
+operation's table maps cell index to value.  The argument tuples are walked
+as rows: each (k-1)-prefix of indices, then every last index of its row in
+one step.  The last argument's weight is 1, so the row's lanes are the
+prefix's lane sum repeated once per element (by `bytes` repetition) plus
+the concatenated elements themselves: one integer holding the whole round
+and one its frontier suffix, built once per round.  One `to_bytes`, one
+`translate` and a cached `struct` unpack then give the row's results, and
+only those not yet present go through the insert path.  Rows shorter than
+_ROW_MIN are evaluated element by element, where the whole-row conversions
+cost more than they save.  Memory stays O(size * m): per round two integers
+of the round's elements, per row one row; nothing is replicated per
+element.  The step budget is spent per completed row.  Operations with
+more than 256 cells are applied coordinate by coordinate, one application
+at a time, and spend the budget per application.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import struct
 from dataclasses import dataclass, field
 
 from .core import Algebra, AlgebraError, OperationTable, UnionFind
@@ -96,12 +113,6 @@ class _Applier:
         else:
             self.coeffs = ()
             self.lut = b""
-
-    def apply(self, arg_ints, m: int) -> bytes:
-        acc = 0
-        for c, v in zip(self.coeffs, arg_ints):
-            acc += c * v
-        return acc.to_bytes(m, "big").translate(self.lut)
 
     def apply_slow(self, arg_bytes, m: int) -> bytes:
         n, vals = self.domain, self.values
@@ -200,7 +211,9 @@ def generate(
       - region: set of allowed values; stop once some element lies entirely
         inside it (used for absorption-style tests);
       - stop_predicate: bytes -> bool, stop once it accepts a new element;
-      - cap: element-count budget ("cap" is a reported state, not an error);
+      - cap: element-count budget: at most cap elements are kept, and the
+        stop reason is "cap" once a further one turns up (a reported state,
+        not an error);
       - max_steps: budget on operation applications, for closures whose
         element count stays modest while the combination count explodes.
         Deterministic, so truncation points are reproducible.
@@ -305,118 +318,73 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
     position = gset.position
     witnesses = gset.witnesses
     ints = []
-
     stop = None
-    for g in gen_list:
-        if g not in position:
-            position[g] = len(elements)
-            elements.append(g)
-            ints.append(int.from_bytes(g, "big"))
-            witnesses.append(None)
-            stop = stop or stop_for(g)
-    if not stop and len(elements) > cap:
-        stop = "cap"
-    if stop:
-        gset.truncated = True
-        gset.stop_reason = stop
-        return gset
 
-    appliers = [_Applier(op) for op in base.operations]
-
-    def insert(res, op_i, parents):
+    def admit(res, witness):
+        # the one place an element joins the closure; the cap is checked first
         nonlocal stop
-        if res in position:
-            return False
+        if len(elements) >= cap:
+            stop = stop or "cap"
+            return
         position[res] = len(elements)
         elements.append(res)
         ints.append(int.from_bytes(res, "big"))
-        witnesses.append((op_i, parents))
-        reason = stop_for(res)
-        if reason:
-            stop = reason
-        elif len(elements) > cap:
-            stop = "cap"
-        return True
+        witnesses.append(witness)
+        stop = stop or stop_for(res)
+
+    for g in gen_list:
+        if g not in position:
+            admit(g, None)
+    appliers = [_Applier(op) for op in base.operations]
+    known = position.__contains__
 
     steps_left = max_steps
     fstart = 0
     while fstart < len(elements) and not stop:
         size = len(elements)
+        if size >= _ROW_MIN:
+            lanes = int.from_bytes(b"".join(elements), "big")
+            front_lanes = lanes & ((1 << (8 * m * (size - fstart))) - 1)
         for op_i, ap in enumerate(appliers):
             if stop:
                 break
-            k = ap.arity
             if ap.fast:
-                c = ap.coeffs
                 lut = ap.lut
-                if k == 1:
-                    c0 = c[0]
-                    for i in range(fstart, size):
-                        res = (c0 * ints[i]).to_bytes(m, "big").translate(lut)
-                        if insert(res, op_i, (i,)) and stop:
-                            break
-                    if steps_left is not None and not stop:
-                        steps_left -= size - fstart
+                for prefix, acc, lo in _prefix_rows(ap.coeffs[:-1], ints, size, fstart):
+                    width = size - lo
+                    if width < _ROW_MIN:
+                        for t in range(lo, size):
+                            res = (acc + ints[t]).to_bytes(m, "big").translate(lut)
+                            if res not in position:
+                                admit(res, (op_i, prefix + (t,)))
+                                if stop:
+                                    break
+                    else:
+                        row = _row_split(m, width)((
+                            int.from_bytes(acc.to_bytes(m, "big") * width, "big")
+                            + (front_lanes if lo else lanes)
+                        ).to_bytes(m * width, "big").translate(lut))
+                        if not all(map(known, row)):
+                            for t, res in enumerate(row, lo):
+                                if res not in position:
+                                    admit(res, (op_i, prefix + (t,)))
+                                    if stop:
+                                        break
+                    if stop:
+                        break
+                    if steps_left is not None:
+                        steps_left -= width
                         if steps_left <= 0:
                             stop = "steps"
-                elif k == 2:
-                    c0, c1 = c
-                    for i in range(size):
-                        a = c0 * ints[i]
-                        jlo = 0 if i >= fstart else fstart
-                        for j in range(jlo, size):
-                            res = (a + c1 * ints[j]).to_bytes(m, "big").translate(lut)
-                            if insert(res, op_i, (i, j)) and stop:
-                                break
-                        if stop:
                             break
-                        if steps_left is not None:
-                            steps_left -= size - jlo
-                            if steps_left <= 0:
-                                stop = "steps"
-                                break
-                elif k == 3:
-                    c0, c1, c2 = c
-                    for i in range(size):
-                        a = c0 * ints[i]
-                        fi = i >= fstart
-                        for j in range(size):
-                            ab = a + c1 * ints[j]
-                            klo = 0 if (fi or j >= fstart) else fstart
-                            for kk in range(klo, size):
-                                res = (ab + c2 * ints[kk]).to_bytes(m, "big").translate(lut)
-                                if insert(res, op_i, (i, j, kk)) and stop:
-                                    break
-                            if stop:
-                                break
-                            if steps_left is not None:
-                                steps_left -= size - klo
-                                if steps_left <= 0:
-                                    stop = "steps"
-                                    break
-                        if stop:
-                            break
-                else:
-                    nsteps = 0
-                    for args in _frontier_tuples(size, fstart, k):
-                        acc = 0
-                        for cc, idx in zip(c, args):
-                            acc += cc * ints[idx]
-                        res = acc.to_bytes(m, "big").translate(lut)
-                        if insert(res, op_i, args) and stop:
-                            break
-                        nsteps += 1
-                        if steps_left is not None and nsteps >= steps_left:
-                            stop = "steps"
-                            break
-                    if steps_left is not None:
-                        steps_left -= nsteps
             else:
                 nsteps = 0
-                for args in _frontier_tuples(size, fstart, k):
+                for args in _frontier_tuples(size, fstart, ap.arity):
                     res = ap.apply_slow([elements[idx] for idx in args], m)
-                    if insert(res, op_i, args) and stop:
-                        break
+                    if res not in position:
+                        admit(res, (op_i, args))
+                        if stop:
+                            break
                     nsteps += 1
                     if steps_left is not None and nsteps >= steps_left:
                         stop = "steps"
@@ -429,6 +397,32 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
         gset.truncated = True
         gset.stop_reason = stop
     return gset
+
+
+# Rows shorter than this are evaluated one element at a time: below it the
+# conversions of a whole-row step cost more than they save.
+_ROW_MIN = 8
+
+
+@functools.lru_cache(maxsize=64)
+def _row_split(m: int, width: int):
+    """Splits `width` concatenated m-byte elements into a tuple of bytes."""
+    return struct.Struct(f"{m}s" * width).unpack
+
+
+def _prefix_rows(coeffs, ints, size, fstart):
+    """The (k-1)-prefixes of argument indices over range(size), in lex order.
+
+    Yields (prefix, lane sum, lo): `coeffs` weighs the prefix's elements
+    `ints`, and the prefix's row is last indices lo..size-1, where lo is 0
+    if the prefix uses the frontier [fstart, size), else fstart."""
+    if not coeffs:
+        yield (), 0, fstart
+        return
+    c = coeffs[-1]
+    for prefix, acc, lo in _prefix_rows(coeffs[:-1], ints, size, fstart):
+        for i in range(size):
+            yield prefix + (i,), acc + c * ints[i], lo if i < fstart else 0
 
 
 def _frontier_tuples(size, fstart, k):

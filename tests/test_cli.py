@@ -136,14 +136,22 @@ def test_parse_partition_argument_anywhere(capsys):
 
 def test_sg_bad_generator_text_is_an_error(capsys):
     code, out, err = run(["sg", "@T4N", "--power", "2", "--gens", "0,x"], capsys)
-    assert code == 1 and out == ""
+    assert code == 2 and out == ""
     assert "error: bad generator list '0,x'" in err
 
 
 def test_cong_principal_out_of_range_is_an_error(capsys):
     code, out, err = run(["cong", "@T4,10", "--principal", "0", "5"], capsys)
-    assert code == 1 and out == ""
+    assert code == 2 and out == ""
     assert "error: element 5 out of range for domain 4" in err
+
+
+def test_non_ascii_algebra_file_is_an_error(capsys, tmp_path):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(b"domain 2\nop f 2\n0 1\n\xc3\xa9 1\n")
+    code, out, err = run(["info", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: non-ASCII byte 0xc3 (line 4)\n"
 
 
 def test_edges_graph_components(capsys):

@@ -406,7 +406,11 @@ def test_memo_serves_only_within_budgets(alg, runs):
         n_runs = runs["n"]
         got = generate(a, m, gens, cap=cap)
         assert (runs["n"] == n_runs) == served
-        assert_same(got, fresh(a, m, gens, cap=cap))
+        want = fresh(a, m, gens, cap=cap)
+        assert_same(got, want)
+        # a fresh run stops on "cap" exactly when the memo declines to serve
+        assert len(want) == min(cap, size)
+        assert want.stop_reason == (None if served else "cap")
     for max_steps, served in ((steps - 1, False), (steps, False), (steps + 1, True)):
         n_runs = runs["n"]
         got = generate(a, m, gens, max_steps=max_steps)
@@ -479,3 +483,257 @@ def test_memo_shared_by_threads_keeps_its_total():
     finally:
         sys.setswitchinterval(old)
     assert memo.total == sum(w for _, w in memo.entries.values()) <= memo.limit
+
+
+# -- the row kernel against the per-application loop ------------------------
+
+from finalg.structure import _majority_on_pair_positions  # noqa: E402
+from finalg.subpower import GeneratedSet  # noqa: E402
+
+
+def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None):
+    """The closure one operation application at a time: the kernel's loop
+    before it evaluated whole rows, kept to check the kernel.
+
+    A row is the run of last argument indices after one (k-1)-prefix.  A
+    fast operation (n**arity <= 256) spends its step budget per completed
+    row, a slow one per application; `row_ends`, if given, collects the
+    steps spent when each fast row ends."""
+    gset = GeneratedSet(base=base, exponent=m, generators=list(gen_list))
+    elements, position, witnesses = gset.elements, gset.position, gset.witnesses
+    stop = None
+
+    def insert(res, witness):
+        nonlocal stop
+        if res in position:
+            return
+        if len(elements) >= cap:
+            stop = stop or "cap"
+            return
+        position[res] = len(elements)
+        elements.append(res)
+        witnesses.append(witness)
+        stop = stop or stop_for(res)
+
+    for g in gen_list:
+        insert(g, None)
+    spent = 0
+    fstart = 0
+    while fstart < len(elements) and not stop:
+        size = len(elements)
+        ints = [int.from_bytes(e, "big") for e in elements]
+        for op_i, op in enumerate(base.operations):
+            if stop:
+                break
+            n, k = op.domain, op.arity
+            fast = n**k <= 256
+            coeffs = [n ** (k - 1 - j) for j in range(k)]
+            lut = bytes(op.values) + bytes(256 - n**k) if fast else b""
+            for prefix in itertools.product(range(size), repeat=k - 1):
+                lo = 0 if any(i >= fstart for i in prefix) else fstart
+                for t in range(lo, size):
+                    args = prefix + (t,)
+                    if fast:
+                        acc = sum(c * ints[i] for c, i in zip(coeffs, args))
+                        res = acc.to_bytes(m, "big").translate(lut)
+                    else:
+                        res = bytes(
+                            op.values[sum(c * elements[i][x] for c, i in zip(coeffs, args))]
+                            for x in range(m)
+                        )
+                    insert(res, (op_i, args))
+                    if stop:
+                        break
+                    if not fast:
+                        spent += 1
+                        if max_steps is not None and spent >= max_steps:
+                            stop = "steps"
+                            break
+                if stop:
+                    break
+                if fast:
+                    spent += size - lo
+                    if row_ends is not None:
+                        row_ends.append(spent)
+                    if max_steps is not None and spent >= max_steps:
+                        stop = "steps"
+                        break
+        fstart = size
+    if stop:
+        gset.truncated = True
+        gset.stop_reason = stop
+    return gset
+
+
+def kernel_and_reference(base, m, gens, cap=None, targets=None, region=None,
+                         predicate=None, max_steps=None):
+    """Runs one closure through `_closure` and the reference and checks that
+    they agree; a predicate must also be shown the same elements."""
+    gen_list = subpower._generator_bytes(base, m, gens)
+    cap = DEFAULT_CAP if cap is None else cap
+    runs = []
+    for closure in (_uncached_closure, reference_closure):
+        seen = []
+
+        def stop_predicate(e, seen=seen):
+            seen.append(e)
+            return predicate(e)
+
+        stop_for = subpower._stop_test(
+            targets, region, stop_predicate if predicate else None
+        )
+        runs.append((closure(base, m, gen_list, cap, stop_for, max_steps), seen))
+    (got, got_seen), (want, want_seen) = runs
+    assert got.elements == want.elements
+    assert got.witnesses == want.witnesses
+    assert got.position == want.position
+    assert got.generators == want.generators
+    assert (got.truncated, got.stop_reason) == (want.truncated, want.stop_reason)
+    assert got_seen == want_seen
+    return got
+
+
+KERNEL_BUDGET = 40_000
+
+
+def _small_entries(entries):
+    return [e.algebra for e in entries.values() if e.algebra.domain <= 4]
+
+
+def test_kernel_matches_reference_on_free_algebras(entries):
+    complete = truncated = 0
+    for a in _small_entries(entries):
+        for k in (1, 2, 3):
+            got = kernel_and_reference(a, a.domain**k, projection_tuples(a.domain, k),
+                                       max_steps=KERNEL_BUDGET)
+            truncated += got.truncated
+            complete += not got.truncated
+    assert complete > 100 and truncated > 10
+
+
+def test_kernel_matches_reference_on_relations(entries):
+    for a in _small_entries(entries):
+        for x, y in itertools.permutations(range(a.domain), 2):
+            kernel_and_reference(a, 2, [(x, y), (y, x)])
+
+
+def test_kernel_matches_reference_on_edge_and_absorption_patterns(entries):
+    for a in _small_entries(entries):
+        for x, y in itertools.combinations(range(a.domain), 2):
+            pats = _majority_on_pair_positions(x, y)
+            gens = [tuple(t[j] for t in pats) for j in range(3)]
+            kernel_and_reference(a, 6, gens, max_steps=KERNEL_BUDGET // 8)
+            kernel_and_reference(a, 6, gens, targets=[(x, x, x, y, y, y)],
+                                 max_steps=KERNEL_BUDGET // 8)
+        for subset in itertools.combinations(range(a.domain), 2):
+            pats = absorption_patterns(a.domain, subset, 3)
+            gens = [tuple(t[j] for t in pats) for j in range(3)]
+            kernel_and_reference(a, len(pats), gens, region=set(subset),
+                                 max_steps=KERNEL_BUDGET // 8)
+
+
+def test_kernel_matches_reference_on_early_exits(alg):
+    a = alg("T3C")
+    m, gens = _clo3(a)
+    full = kernel_and_reference(a, m, gens)
+    size = len(full)
+    middle, last = tuple(full.elements[10]), tuple(full.elements[-1])
+    absent = tuple(0 for _ in range(m))
+    for targets in ([middle], [middle, last], [gens[1]], [absent], []):
+        kernel_and_reference(a, m, gens, targets=targets)
+    # a stop on each element, whole rows (Clo_2(T4,16)) and single ones
+    for b, (bm, bgens) in ((a, (m, gens)), (alg("T4,16"), _clo2(alg("T4,16")))):
+        for e in kernel_and_reference(b, bm, bgens).elements:
+            kernel_and_reference(b, bm, bgens, targets=[tuple(e)])
+            kernel_and_reference(b, bm, bgens, predicate=lambda x, e=e: x == e)
+    # the first stop reason stands when the cap is reached later
+    kernel_and_reference(a, m, gens, targets=[gens[0]], cap=1)
+    for name, subset in (("T3N", (0, 2)), ("T3C", (0, 2))):
+        b = alg(name)
+        pats = absorption_patterns(b.domain, subset, 3)
+        pgens = [tuple(t[j] for t in pats) for j in range(3)]
+        kernel_and_reference(b, len(pats), pgens, region=set(subset))
+    kernel_and_reference(a, m, gens, predicate=lambda e: e == last)
+    kernel_and_reference(a, m, gens, predicate=lambda e: False)
+    for cap in (1, 2, 3, 4, 10, size - 1, size, size + 1):
+        got = kernel_and_reference(a, m, gens, cap=cap)
+        assert len(got) == min(cap, size)
+        assert got.stop_reason == ("cap" if cap < size else None)
+
+
+def test_cap_admits_at_most_cap_elements(alg):
+    g = free_algebra(alg("T4,10"), 2, cap=5)
+    assert len(g) == 5 and g.truncated and g.stop_reason == "cap"
+    full = free_algebra(alg("T4,10"), 2)
+    g = free_algebra(alg("T4,10"), 2, cap=len(full))
+    assert not g.truncated and g.elements == full.elements
+    g = generate(alg("T4,10"), 1, [(0,), (1,), (2,)], cap=2)
+    assert [tuple(e) for e in g.elements] == [(0,), (1,)]
+    assert g.stop_reason == "cap"
+
+
+def _sweep_row_ends(base, m, gens, every=1, limit=KERNEL_BUDGET):
+    """max_steps one below, at and one above the end of every `every`-th row
+    among those ending within `limit` steps."""
+    ends = []
+    gen_list = subpower._generator_bytes(base, m, gens)
+    reference_closure(base, m, gen_list, DEFAULT_CAP,
+                      subpower._stop_test(None, None, None), limit, ends)
+    assert ends
+    for end in ends[::every] + ends[-1:]:
+        for max_steps in (end - 1, end, end + 1):
+            if max_steps > 0:
+                kernel_and_reference(base, m, gens, max_steps=max_steps)
+    return ends
+
+
+def test_kernel_budget_at_row_ends(alg):
+    # Clo_2(T4,16) has 16 elements: rows of 8 and more, and shorter ones
+    ends = _sweep_row_ends(alg("T4,16"), *_clo2(alg("T4,16")), every=5)
+    assert len(ends) > 100
+    _sweep_row_ends(alg("T1C"), *_clo3(alg("T1C")), every=300, limit=10_000)
+
+
+def _clo2(a):
+    return a.domain**2, projection_tuples(a.domain, 2)
+
+
+def _table(name, n, k, f):
+    return OperationTable(name, k, n, tuple(
+        f(*args) for args in itertools.product(range(n), repeat=k)))
+
+
+def test_kernel_unary_operation():
+    # x -> 2-x and min on a 3-chain: the binary terms of a Kleene algebra
+    a = Algebra(3, [_table("s", 3, 1, lambda x: 2 - x), _table("t", 3, 2, min)])
+    got = kernel_and_reference(a, *_free(a, 2))
+    assert not got.truncated and len(got) == 82
+    _sweep_row_ends(a, *_free(a, 2), every=7)
+
+
+def test_kernel_four_ary_operation():
+    # 3**4 and 4**4 cells: both on the fast path, the second filling all 256
+    for n in (3, 4):
+        a = Algebra(n, [_table("q", n, 4, lambda x, y, z, w: (x - y + z - w + y * w) % n)])
+        for k in (1, 2):
+            kernel_and_reference(a, *_free(a, k), max_steps=KERNEL_BUDGET // 4)
+        _sweep_row_ends(a, 2, [(0, 1), (1, 0)], every=15, limit=3_000)
+        _sweep_row_ends(a, *_free(a, 2), every=7, limit=3_000)
+
+
+def test_kernel_fast_and_slow_operations_together():
+    # 9 elements: the binary max is fast (81 cells), x-y+z is slow (729)
+    a = Algebra(9, [_table("t", 9, 2, max),
+                    _table("g", 9, 3, lambda x, y, z: (x - y + z) % 9)])
+    for subset in ((0, 3), (1, 5, 7), (2, 4)):
+        kernel_and_reference(a, 1, [(x,) for x in subset])
+    for x, y in ((0, 4), (2, 7), (5, 8)):
+        kernel_and_reference(a, 2, [(x, y), (y, x)], max_steps=KERNEL_BUDGET // 4)
+        kernel_and_reference(a, 2, [(x, y), (y, x)], targets=[(y, y)])
+    kernel_and_reference(a, *_free(a, 2), max_steps=2_000)
+    for max_steps in (1, 7, 8, 9, 80, 81, 82, 500):
+        kernel_and_reference(a, 2, [(0, 4), (4, 0)], max_steps=max_steps)
+
+
+def _free(a, k):
+    return a.domain**k, projection_tuples(a.domain, k)
