@@ -32,7 +32,7 @@ from .core import (
 )
 from .congruence import Partition, all_congruences, is_congruence, quotient_algebra
 from .search import Cyclic, Idempotent, RestrictionEquals, Symmetric, unique_completion
-from .subpower import clone_membership, free_algebra, generate
+from .subpower import clone_membership, free_algebra, term_closure
 from .structure import all_subuniverses, clone_excluded
 
 
@@ -535,12 +535,6 @@ def check_facts(entry: CatalogEntry):
     return failures
 
 
-def load_from_partial(name: str) -> Algebra:
-    """Spec surface for entry construction: partial data + constraints to a
-    full table (errors if zero or multiple completions)."""
-    return build_algebra(name)
-
-
 def export_entry(name: str) -> str:
     return serialize_algebra(get(name).algebra)
 
@@ -600,8 +594,7 @@ def term_equivalent(a: Algebra, b: Algebra, cap=None, max_steps=None):
 
 def _proj_closure(alg, cells, cap=None, max_steps=None):
     """Projection of the ternary term space onto selected argument cells."""
-    gens = [tuple(cell[j] for cell in cells) for j in range(3)]
-    g = generate(alg, len(cells), gens, cap=cap, max_steps=max_steps)
+    g = term_closure(alg, 3, cells, cap=cap, max_steps=max_steps)
     if g.truncated:
         return None
     return frozenset(g.tuples())

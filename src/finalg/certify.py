@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .core import Algebra, AlgebraError, OperationTable
+from .core import Algebra, AlgebraError, OperationTable, ParseError
 from .congruence import (
     Partition,
     class_algebra,
@@ -104,7 +104,10 @@ def parse_certificate(text: str) -> Certificate:
             continue
         if name is None:
             raise AlgebraError(f"assertion before algebra header (line {ln})")
-        assertions.append(_parse_assertion(head, rest, ln))
+        try:
+            assertions.append(_parse_assertion(head, rest, ln))
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"malformed {head} assertion {rest!r}: {exc}", ln) from None
     if name is None:
         raise AlgebraError("certificate missing `algebra` header")
     return Certificate(name, assertions, notes)

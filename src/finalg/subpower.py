@@ -440,21 +440,43 @@ def _frontier_tuples(size, fstart, k):
     return rec((), False, 0)
 
 
-def sg(base: Algebra, subset, cap=None) -> GeneratedSet:
-    """Subuniverse generated by a set of domain elements (power m = 1)."""
-    return generate(base, 1, [(x,) for x in subset], cap=cap)
+def sg(base: Algebra, subset) -> GeneratedSet:
+    """Subuniverse generated by a set of domain elements (power m = 1).
+
+    No `cap`: a closure in A^1 has at most n elements, and a cut-off one is
+    not a subuniverse."""
+    return generate(base, 1, [(x,) for x in subset])
 
 
-def sg_closure(base: Algebra, subset, cap=None) -> tuple:
+def sg_closure(base: Algebra, subset) -> tuple:
     """Sorted elements of Sg(subset)."""
-    g = sg(base, subset, cap=cap)
+    g = sg(base, subset)
     return tuple(sorted(e[0] for e in g.elements))
 
 
-def projection_tuples(n: int, k: int):
-    """The k coordinate projections of A^(n^k) feeding free_algebra."""
-    cells = list(itertools.product(range(n), repeat=k))
-    return [tuple(cell[j] for cell in cells) for j in range(k)]
+def term_closure(base: Algebra, k: int, cells, **budgets) -> GeneratedSet:
+    """The values of every k-ary term on the argument cells.
+
+    The closure of the k columns of `cells` (k-tuples over the domain) in
+    A^len(cells): element j of a member is t(cells[j]) for one k-ary term t,
+    and a complete closure holds every such value vector.  This is the one
+    encoding of term conditions (Freese & Valeriote, IJAC 2009); `budgets`
+    (cap, targets, region, stop_predicate, max_steps) go to `generate`.  `k`
+    is explicit because `cells` may be empty.
+    """
+    cells = list(cells)
+    return generate(base, len(cells), [tuple(c[j] for c in cells) for j in range(k)],
+                    **budgets)
+
+
+def find_term(base: Algebra, k: int, cells, target, cap=None, max_steps=None):
+    """Is there a k-ary term t with t(cells[j]) = target[j] for every j?
+
+    Returns (True, witness term) / (False, None) / (None, None) when the
+    closure was cut short without reaching the target."""
+    gset = term_closure(base, k, cells, cap=cap, targets=[target], max_steps=max_steps)
+    found = gset.contains(target)
+    return found, gset.witness_term(target) if found else None
 
 
 def free_algebra(base: Algebra, k: int, cap=None, **kw) -> GeneratedSet:
@@ -465,7 +487,8 @@ def free_algebra(base: Algebra, k: int, cap=None, **kw) -> GeneratedSet:
     """
     if k < 1:
         raise AlgebraError(f"free_algebra arity must be >= 1, got {k}")
-    return generate(base, base.domain**k, projection_tuples(base.domain, k), cap=cap, **kw)
+    return term_closure(base, k, itertools.product(range(base.domain), repeat=k),
+                        cap=cap, **kw)
 
 
 def clone_membership(base: Algebra, op: OperationTable, cap=None, max_steps=None):
@@ -473,12 +496,8 @@ def clone_membership(base: Algebra, op: OperationTable, cap=None, max_steps=None
     / (None, None) when the search was truncated without a hit."""
     if op.domain != base.domain:
         raise AlgebraError("clone_membership: domain mismatch")
-    target = tuple(op.values)
-    gset = free_algebra(base, op.arity, cap=cap, targets=[target], max_steps=max_steps)
-    found = bytes(target) in gset.position
-    if found:
-        return True, gset.witness_term(target)
-    return (None, None) if gset.truncated else (False, None)
+    return find_term(base, op.arity, op.all_args(), op.values,
+                     cap=cap, max_steps=max_steps)
 
 
 def _rotation_permutation(n: int, k: int):
@@ -528,18 +547,10 @@ def cyclic_terms(base: Algebra, k: int, cap=None, limit=None, max_steps=None):
 
 def has_cyclic_term(base: Algebra, k: int, cap=None, max_steps=None):
     """True / False / None (inconclusive); early exit on the first cyclic term."""
-    n = base.domain
-    perm = _rotation_permutation(n, k)
-    rng = range(len(perm))
-    gset = free_algebra(
-        base, k, cap=cap, max_steps=max_steps,
-        stop_predicate=lambda e: all(e[i] == e[perm[i]] for i in rng),
-    )
-    if gset.truncated and gset.stop_reason == "predicate":
+    tables, complete = cyclic_terms(base, k, cap=cap, limit=1, max_steps=max_steps)
+    if tables:
         return True
-    if gset.truncated:
-        return None
-    return False
+    return False if complete else None
 
 
 @dataclass
@@ -557,7 +568,7 @@ def rab_analyze(base: Algebra, a: int, b: int, cap=None) -> RabReport:
     """Classify R_ab = Sg{(a,b),(b,a)} and report its diagonal and links."""
     if a == b:
         raise AlgebraError("rab_analyze requires a != b")
-    rel = generate(base, 2, [(a, b), (b, a)], cap=cap)
+    rel = term_closure(base, 2, [(a, b), (b, a)], cap=cap)
     pairs = [tuple(e) for e in rel.elements]
     left = {}
     right = {}

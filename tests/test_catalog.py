@@ -45,10 +45,10 @@ def test_golden_files_round_trip(entries):
         ]
 
 
-def test_load_from_partial_spot_values(alg):
-    assert catalog.load_from_partial("T4,1").op("g")(0, 0, 3) == 0
-    assert catalog.load_from_partial("T4,7").op("t")(0, 1) == 2
-    assert catalog.load_from_partial("T4,5").op("g")(0, 1, 2) == 0
+def test_build_algebra_spot_values(alg):
+    assert catalog.build_algebra("T4,1").op("g")(0, 0, 3) == 0
+    assert catalog.build_algebra("T4,7").op("t")(0, 1) == 2
+    assert catalog.build_algebra("T4,5").op("g")(0, 1, 2) == 0
 
 
 def test_t412_is_negated_sum(alg):

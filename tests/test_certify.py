@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from finalg.core import AlgebraError
+from finalg.core import AlgebraError, ParseError
 from finalg import catalog, certify
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -35,6 +35,10 @@ def test_parse_rejects_garbage():
         certify.parse_certificate("simple true\n")  # assertion before header
     with pytest.raises(AlgebraError):
         certify.parse_certificate("algebra S\n")  # no assertions
+    for line in ("absorbs 0 x true", "edge", "quotient-equiv {0}{1}",
+                 "cyclic-count 3 ==", "subdirect a b", "clone-contains x: 0 1"):
+        with pytest.raises(ParseError, match=r"\(line 2\)"):
+            certify.parse_certificate(f"algebra S\n{line}\n")
 
 
 def test_t410_certificate_passes():

@@ -122,6 +122,15 @@ def test_inconclusive_exit_code(capsys):
     assert "truncated" in out
 
 
+def test_cap_leaves_subuniverses_whole(capsys):
+    # a cut-off Sg is not a subuniverse: only the A^m closures are capped
+    code, out, err = run(["--cap", "2", "taylor", "@T4,10"], capsys)
+    assert code == 3 and out.splitlines()[-1] == "taylor=inconclusive"
+    assert err == ""
+    code, _, err = run(["--cap", "2", "edges", "@T4,10", "--pair", "0", "1"], capsys)
+    assert code == 3 and err == ""
+
+
 def test_output_stability(capsys):
     code1, out1, _ = run(["edges", "@T4,7"], capsys)
     code2, out2, _ = run(["edges", "@T4,7"], capsys)

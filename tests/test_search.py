@@ -207,7 +207,7 @@ def test_unique_completion_total_table(alg):
 
 
 def test_unique_completion_t45_spot_value(alg):
-    assert catalog.load_from_partial("T4,5").op("g")(0, 1, 2) == 0
+    assert catalog.build_algebra("T4,5").op("g")(0, 1, 2) == 0
 
 
 def test_unique_completion_errors():

@@ -8,13 +8,16 @@ from finalg.subpower import (
     cyclic_terms,
     eval_term,
     eval_term_table,
+    find_term,
     free_algebra,
     generate,
     has_cyclic_term,
     rab_analyze,
     render_term,
     sg_closure,
+    term_closure,
 )
+from finalg.structure import _majority_on_pair_positions, absorption_patterns
 from conftest import naive_clone
 
 
@@ -140,6 +143,62 @@ def test_clone_membership_inconclusive_flagged(alg):
     assert member is None
 
 
+def _term_condition_cases(alg):
+    """(k, cells, target) of the term conditions the library decides:
+    semilattice pairs, majority on a pair, Mal'cev, absorption of {0}, and
+    membership of each basic operation (cells not symmetric under reversal,
+    so a witness must keep its variables in order)."""
+    n = alg.domain
+    for a, b in itertools.permutations(range(n), 2):
+        yield 2, [(a, b), (b, a)], (b, b)
+    for a, b in itertools.combinations(range(n), 2):
+        yield 3, _majority_on_pair_positions(a, b), (a, a, a, b, b, b)
+    pats = sorted({(x, y, y) for x in range(n) for y in range(n) if x != y}
+                  | {(y, y, x) for x in range(n) for y in range(n) if x != y})
+    yield 3, pats, tuple(t[0] if t[1] == t[2] else t[2] for t in pats)
+    cells = absorption_patterns(n, (0,), 3)
+    yield 3, cells, (0,) * len(cells)
+    for op in alg.operations:
+        yield op.arity, list(op.all_args()), op.values
+
+
+def test_find_term_matches_free_algebra_scan(entries):
+    """find_term against a scan of Clo_k for an element with the target
+    values on the cells.  Clo_3 of T6C, T9C and T10C does not complete in
+    the budget; there a hit of the scan must still be found."""
+    budget = 2_000_000
+    decided = 0
+    for entry in entries.values():
+        a = entry.algebra
+        n = a.domain
+        if n > 3:
+            continue
+        clo = {}
+        for k, cells, target in _term_condition_cases(a):
+            if k not in clo:
+                clo[k] = free_algebra(a, k, max_steps=budget)
+            index = {c: i for i, c in enumerate(itertools.product(range(n), repeat=k))}
+            at = [index[c] for c in cells]
+            scan = any(all(e[i] == v for i, v in zip(at, target))
+                       for e in clo[k].elements)
+            found, witness = find_term(a, k, cells, target, max_steps=budget)
+            if clo[k].truncated:
+                assert found is True or not scan, (entry.name, cells)
+            else:
+                assert found is scan, (entry.name, cells)
+                decided += 1
+            if found:
+                assert [eval_term(witness, a, c) for c in cells] == list(target)
+            else:
+                assert witness is None
+    assert decided > 280
+
+
+def test_term_closure_of_no_cells(alg):
+    g = term_closure(alg("T1N"), 3, [])
+    assert g.elements == [b""] and not g.truncated
+
+
 def test_cyclic_terms_t1n_unique(alg):
     tables, complete = cyclic_terms(alg("T1N"), 3)
     assert complete and len(tables) == 1
@@ -166,6 +225,9 @@ def test_has_cyclic_term(alg):
     assert has_cyclic_term(alg("T1N"), 3) is True
     assert has_cyclic_term(alg("T5N"), 3) is False
     assert has_cyclic_term(alg("T5N"), 5) is True  # 2(x1+...+x5) mod 3
+    assert has_cyclic_term(alg("T4,16"), 3, max_steps=100) is None
+    with pytest.raises(AlgebraError):
+        has_cyclic_term(alg("T1N"), 1)
 
 
 def test_cyclic_terms_are_cyclic_and_idempotent(alg):
@@ -282,10 +344,15 @@ def test_unary_fast_path_stops_on_steps():
 # -- the closure memo -------------------------------------------------------
 
 from finalg import subpower  # noqa: E402
-from finalg.subpower import DEFAULT_CAP, projection_tuples  # noqa: E402
-from finalg.structure import absorption_patterns  # noqa: E402
+from finalg.subpower import DEFAULT_CAP  # noqa: E402
 
 _uncached_closure = subpower._closure
+
+
+def projection_tuples(n, k):
+    """The k coordinate projections of A^(n^k), which generate Clo_k."""
+    cells = list(itertools.product(range(n), repeat=k))
+    return [tuple(c[j] for c in cells) for j in range(k)]
 
 
 @pytest.fixture
@@ -487,7 +554,6 @@ def test_memo_shared_by_threads_keeps_its_total():
 
 # -- the row kernel against the per-application loop ------------------------
 
-from finalg.structure import _majority_on_pair_positions  # noqa: E402
 from finalg.subpower import GeneratedSet  # noqa: E402
 
 
