@@ -18,6 +18,7 @@ from .core import (
     Algebra,
     AlgebraError,
     OperationTable,
+    ParseError,
     PartialTable,
     is_commutative,
     is_cyclic,
@@ -427,46 +428,67 @@ def parse_constraint_file(text: str):
         raise AlgebraError("constraint file must declare domain and arity")
 
     for head, rest, ln in pending:
-        if head == "partition":
-            constraints.append(InvariantPartition(Partition.parse(rest, domain)))
-        elif head == "value":
-            args_text, _, val_text = rest.partition(":=")
-            args = tuple(int(t) for t in args_text.strip().split(","))
-            if len(args) != arity:
-                raise AlgebraError(f"value directive arity mismatch (line {ln})")
-            constraints.append(AgreesOnTuples(((args, int(val_text.strip())),)))
-        elif head == "restrict":
-            sub_text, _, vals_text = rest.partition(":=")
-            subset = tuple(sorted(int(t) for t in sub_text.strip().split(",")))
-            vals = tuple(int(t) for t in vals_text.split())
-            table = OperationTable("r", arity, len(subset), vals)
-            constraints.append(RestrictionEquals(subset, table))
-        elif head == "perm":
-            constraints.append(CommutesWithPermutation(_parse_perm(rest, domain, ln)))
-        elif head == "preserves":
-            r_text, _, tup_text = rest.partition(":")
-            r = int(r_text.strip())
-            tuples = tuple(
-                sorted(tuple(int(t) for t in chunk.split(","))
-                       for chunk in tup_text.split())
-            )
-            constraints.append(PreservesRelation(r, tuples))
+        try:
+            constraints.append(_parse_pending(head, rest, domain, arity))
+        except (ValueError, AlgebraError) as exc:
+            raise ParseError(f"malformed {head} directive {rest!r}: {exc}", ln) from None
     return SearchSpec(domain, arity, tuple(constraints), cap=cap)
 
 
-def _parse_perm(text: str, n: int, ln: int):
+def _parse_pending(head: str, rest: str, domain: int, arity: int):
+    """One directive that needs the domain and arity; ValueError or
+    AlgebraError if malformed."""
+    if head == "partition":
+        return InvariantPartition(Partition.parse(rest, domain))
+    if head == "value":
+        args_text, _, val_text = rest.partition(":=")
+        args = _elements(args_text.strip().split(","), domain)
+        if len(args) != arity:
+            raise ValueError(f"{len(args)} arguments for arity {arity}")
+        return AgreesOnTuples(((args, _elements([val_text], domain)[0]),))
+    if head == "restrict":
+        sub_text, _, vals_text = rest.partition(":=")
+        subset = tuple(sorted(_elements(sub_text.strip().split(","), domain)))
+        if len(set(subset)) != len(subset):
+            raise ValueError(f"repeated element in {subset}")
+        vals = tuple(int(t) for t in vals_text.split())
+        return RestrictionEquals(subset, OperationTable("r", arity, len(subset), vals))
+    if head == "perm":
+        return CommutesWithPermutation(_parse_perm(rest, domain))
+    r_text, _, tup_text = rest.partition(":")  # preserves
+    r = int(r_text.strip())
+    tuples = tuple(sorted(_elements(chunk.split(","), domain) for chunk in tup_text.split()))
+    if any(len(t) != r for t in tuples):
+        raise ValueError(f"a tuple is not of length {r}")
+    return PreservesRelation(r, tuples)
+
+
+def _elements(texts, n: int) -> tuple:
+    """Domain elements written in decimal; ValueError outside range(n)."""
+    xs = tuple(int(t) for t in texts)
+    for x in xs:
+        if not 0 <= x < n:
+            raise ValueError(f"element {x} outside domain {n}")
+    return xs
+
+
+def _parse_perm(text: str, n: int):
     """Cycle notation like (0 2)(1 3); fixed points may be omitted."""
     perm = list(range(n))
     body = text.strip()
     if body.count("(") != body.count(")"):
-        raise AlgebraError(f"unbalanced parens in perm (line {ln})")
+        raise ValueError("unbalanced parens")
+    moved = set()
     for cyc in body.replace(")", ")|").split("|"):
         cyc = cyc.strip()
         if not cyc:
             continue
         if not (cyc.startswith("(") and cyc.endswith(")")):
-            raise AlgebraError(f"bad cycle {cyc!r} (line {ln})")
-        xs = [int(t) for t in cyc[1:-1].replace(",", " ").split()]
+            raise ValueError(f"bad cycle {cyc!r}")
+        xs = _elements(cyc[1:-1].replace(",", " ").split(), n)
+        if moved & set(xs) or len(set(xs)) != len(xs):
+            raise ValueError("an element is repeated in the cycles")
+        moved.update(xs)
         for i, x in enumerate(xs):
             perm[x] = xs[(i + 1) % len(xs)]
     return tuple(perm)

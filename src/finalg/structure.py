@@ -366,11 +366,23 @@ def all_subuniverses(alg: Algebra):
 
 
 def _subuniverse_list(alg: Algebra) -> tuple:
-    found = set()
-    elems = range(alg.domain)
-    for r in range(1, alg.domain + 1):
-        for s in itertools.combinations(elems, r):
-            found.add(sg_closure(alg, s))
+    """Every Sg(S), S nonempty.  Sg(S + {x}) = Sg(Sg(S) + {x}), so closing
+    each subuniverse found with one more element reaches them all, starting
+    from the Sg{x}; each generating set is closed once."""
+    found = {sg_closure(alg, (x,)) for x in range(alg.domain)}
+    todo = list(found)
+    tried = set()
+    while todo:
+        uni = todo.pop()
+        for x in range(alg.domain):
+            gens = tuple(sorted(uni + (x,)))
+            if x in uni or gens in tried:
+                continue
+            tried.add(gens)
+            bigger = sg_closure(alg, gens)
+            if bigger not in found:
+                found.add(bigger)
+                todo.append(bigger)
     return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 

@@ -3,31 +3,36 @@
 This is the engine behind subuniverse generation, free algebras / clone
 membership, cyclic-term search and the binary relation Sg{(a,b),(b,a)}.
 
-Power tuples are stored as `bytes`, one byte per coordinate, and the
-closure order is canonical: breadth-first rounds, operations in
-declaration order, argument index tuples in lexicographic order restricted
-to those using at least one element of the current frontier.  Witness links
-always reference strictly earlier elements.
+Power tuples are stored as `bytes`, one byte per coordinate (so a domain
+has at most 256 elements), and the closure order is canonical:
+breadth-first rounds, operations in declaration order, argument index
+tuples in lexicographic order restricted to those using at least one
+element of the current frontier.  Witness links always reference strictly
+earlier elements.
 
-When n**arity <= 256 an operation is applied with byte-lane integer
-arithmetic plus bytes.translate.  Read as a big-endian integer, an element
-holds one coordinate per byte lane; sum_j n**(k-1-j) * x_j then holds, in
-each lane, the row-major cell index of that coordinate's argument tuple
-(below 256, so no lane carries into the next), and translating by the
-operation's table maps cell index to value.  The argument tuples are walked
-as rows: each (k-1)-prefix of indices, then every last index of its row in
-one step.  The last argument's weight is 1, so the row's lanes are the
-prefix's lane sum repeated once per element (by `bytes` repetition) plus
-the concatenated elements themselves: one integer holding the whole round
-and one its frontier suffix, built once per round.  One `to_bytes`, one
-`translate` and a cached `struct` unpack then give the row's results, and
-only those not yet present go through the insert path.  Rows shorter than
+Every operation is applied by one row kernel of lane arithmetic.  An
+operation with c = n**arity cells gets a lane width w: 1 byte when
+c <= 256, 2 bytes when c <= 65536, 4 bytes beyond.  Read as a big-endian
+integer with each coordinate in its own w-byte lane, an element holds one
+coordinate per lane; sum_j n**(k-1-j) * x_j then holds, in each lane, the
+row-major cell index of that coordinate's argument tuple (below c, so no
+lane carries into the next).  A lookup maps cell indices to values: for
+1-byte lanes `bytes.translate` by the operation's table, for wider ones a
+cached big-endian `struct` unpack of the lanes mapped through the table.
+The argument tuples are walked as rows: each (k-1)-prefix of indices, then
+every last index of its row in one step.  The last argument's weight is 1,
+so the row's lanes are the prefix's lane sum repeated once per element (by
+`bytes` repetition) plus the concatenated elements themselves: per lane
+width in use, one integer holding the whole round and one its frontier
+suffix, built once per round.  One `to_bytes`, one lookup and a cached
+`struct` split then give the row's results, and only those not yet present
+go through the insert path.  With 1-byte lanes, rows shorter than
 _ROW_MIN are evaluated element by element, where the whole-row conversions
-cost more than they save.  Memory stays O(size * m): per round two integers
-of the round's elements, per row one row; nothing is replicated per
-element.  The step budget is spent per completed row.  Operations with
-more than 256 cells are applied coordinate by coordinate, one application
-at a time, and spend the budget per application.
+cost more than they save.  Memory stays O(size * m * w): per round two integers of the round's
+elements per lane width, per row one row; nothing is replicated per
+element.  Wide lanes are built only for a closure with an operation that
+needs them.  The step budget (`max_steps`) is spent per completed row, the
+same way for every operation.
 """
 
 from __future__ import annotations
@@ -95,32 +100,21 @@ def eval_term_table(tree: TermTree, alg: Algebra, arity: int) -> OperationTable:
 
 
 class _Applier:
-    """Pointwise application of one basic operation to power elements."""
+    """One basic operation as a lane step: lane width, argument weights and
+    the lookup from cell index to value."""
 
-    __slots__ = ("arity", "fast", "coeffs", "lut", "values", "domain")
+    __slots__ = ("lane", "coeffs", "lut", "values")
 
     def __init__(self, op: OperationTable):
-        self.arity = op.arity
-        self.values = op.values
-        self.domain = op.domain
         cells = op.domain**op.arity
-        self.fast = cells <= 256
-        if self.fast:
-            self.coeffs = tuple(op.domain ** (op.arity - 1 - j) for j in range(op.arity))
-            lut = bytearray(256)
-            lut[:cells] = bytes(op.values)
-            self.lut = bytes(lut)
-        else:
-            self.coeffs = ()
-            self.lut = b""
+        self.lane = 1 if cells <= 256 else 2 if cells <= 65536 else 4
+        self.coeffs = tuple(op.domain ** (op.arity - 1 - j) for j in range(op.arity))
+        self.values = op.values
+        self.lut = bytes(op.values) + bytes(256 - cells) if self.lane == 1 else None
 
-    def apply_slow(self, arg_bytes, m: int) -> bytes:
-        n, vals = self.domain, self.values
-        idx = [0] * m
-        for b in arg_bytes:
-            for i, x in enumerate(b):
-                idx[i] = idx[i] * n + x
-        return bytes(vals[i] for i in idx)
+    def lookup(self, cells: bytes, count: int) -> bytes:
+        """The values at `count` cell indices held in big-endian lanes."""
+        return bytes(map(self.values.__getitem__, _lane_split(self.lane, count)(cells)))
 
 
 @dataclass
@@ -244,6 +238,10 @@ def generate(
 
 def _generator_bytes(base: Algebra, m: int, generators) -> list:
     n = base.domain
+    if n > 256:
+        raise AlgebraError(
+            f"closures hold one byte per coordinate: domain {n} is above the "
+            "256-element limit")
     gen_list = []
     for g in generators:
         g = tuple(g)
@@ -317,7 +315,7 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
     elements = gset.elements
     position = gset.position
     witnesses = gset.witnesses
-    ints = []
+    ints = []  # each element as an integer of 1-byte lanes
     stop = None
 
     def admit(res, witness):
@@ -336,61 +334,58 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
         if g not in position:
             admit(g, None)
     appliers = [_Applier(op) for op in base.operations]
+    # the same in each wider lane width that some operation needs
+    wide = {ap.lane: [] for ap in appliers if ap.lane > 1}
     known = position.__contains__
 
     steps_left = max_steps
     fstart = 0
     while fstart < len(elements) and not stop:
         size = len(elements)
-        if size >= _ROW_MIN:
-            lanes = int.from_bytes(b"".join(elements), "big")
-            front_lanes = lanes & ((1 << (8 * m * (size - fstart))) - 1)
+        for w, wints in wide.items():
+            wints.extend(int.from_bytes(_widen(e, w), "big") for e in elements[len(wints):])
+        # per lane width: the whole round and its frontier suffix as one integer
+        # (1-byte lanes only take the row step from _ROW_MIN elements on)
+        round_lanes = {}
+        for w in (1, *wide) if size >= _ROW_MIN else wide:
+            lanes = int.from_bytes(_widen(b"".join(elements), w), "big")
+            round_lanes[w] = lanes, lanes & ((1 << (8 * w * m * (size - fstart))) - 1)
         for op_i, ap in enumerate(appliers):
             if stop:
                 break
-            if ap.fast:
-                lut = ap.lut
-                for prefix, acc, lo in _prefix_rows(ap.coeffs[:-1], ints, size, fstart):
-                    width = size - lo
-                    if width < _ROW_MIN:
-                        for t in range(lo, size):
-                            res = (acc + ints[t]).to_bytes(m, "big").translate(lut)
+            lut, wm = ap.lut, ap.lane * m
+            wints = ints if lut else wide[ap.lane]
+            lanes, front_lanes = round_lanes.get(ap.lane, (0, 0))
+            for prefix, acc, lo in _prefix_rows(ap.coeffs[:-1], wints, size, fstart):
+                width = size - lo
+                if width < _ROW_MIN and lut:
+                    for t in range(lo, size):
+                        res = (acc + wints[t]).to_bytes(m, "big").translate(lut)
+                        if res not in position:
+                            admit(res, (op_i, prefix + (t,)))
+                            if stop:
+                                break
+                else:
+                    cells = (
+                        int.from_bytes(acc.to_bytes(wm, "big") * width, "big")
+                        + (front_lanes if lo else lanes)
+                    ).to_bytes(wm * width, "big")
+                    row = _row_split(m, width)(
+                        cells.translate(lut) if lut else ap.lookup(cells, m * width)
+                    )
+                    if not all(map(known, row)):
+                        for t, res in enumerate(row, lo):
                             if res not in position:
                                 admit(res, (op_i, prefix + (t,)))
                                 if stop:
                                     break
-                    else:
-                        row = _row_split(m, width)((
-                            int.from_bytes(acc.to_bytes(m, "big") * width, "big")
-                            + (front_lanes if lo else lanes)
-                        ).to_bytes(m * width, "big").translate(lut))
-                        if not all(map(known, row)):
-                            for t, res in enumerate(row, lo):
-                                if res not in position:
-                                    admit(res, (op_i, prefix + (t,)))
-                                    if stop:
-                                        break
-                    if stop:
-                        break
-                    if steps_left is not None:
-                        steps_left -= width
-                        if steps_left <= 0:
-                            stop = "steps"
-                            break
-            else:
-                nsteps = 0
-                for args in _frontier_tuples(size, fstart, ap.arity):
-                    res = ap.apply_slow([elements[idx] for idx in args], m)
-                    if res not in position:
-                        admit(res, (op_i, args))
-                        if stop:
-                            break
-                    nsteps += 1
-                    if steps_left is not None and nsteps >= steps_left:
+                if stop:
+                    break
+                if steps_left is not None:
+                    steps_left -= width
+                    if steps_left <= 0:
                         stop = "steps"
                         break
-                if steps_left is not None:
-                    steps_left -= nsteps
         fstart = size
 
     if stop:
@@ -399,9 +394,27 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
     return gset
 
 
-# Rows shorter than this are evaluated one element at a time: below it the
-# conversions of a whole-row step cost more than they save.
+# Rows of 1-byte lanes shorter than this are evaluated one element at a time:
+# below it the conversions of a whole-row step cost more than they save.
 _ROW_MIN = 8
+
+
+def _widen(data: bytes, w: int):
+    """`data` with each byte in the low end of its own big-endian w-byte lane."""
+    if w == 1:
+        return data
+    wide = bytearray(w * len(data))
+    wide[w - 1::w] = data
+    return wide
+
+
+_LANE_FORMAT = {2: "H", 4: "I"}
+
+
+@functools.lru_cache(maxsize=64)
+def _lane_split(w: int, count: int):
+    """Splits `count` big-endian w-byte lanes into a tuple of ints."""
+    return struct.Struct(f">{count}{_LANE_FORMAT[w]}").unpack
 
 
 @functools.lru_cache(maxsize=64)
@@ -423,21 +436,6 @@ def _prefix_rows(coeffs, ints, size, fstart):
     for prefix, acc, lo in _prefix_rows(coeffs[:-1], ints, size, fstart):
         for i in range(size):
             yield prefix + (i,), acc + c * ints[i], lo if i < fstart else 0
-
-
-def _frontier_tuples(size, fstart, k):
-    """Index tuples over range(size) with >= 1 index in [fstart, size), lex order."""
-
-    def rec(prefix, used_frontier, depth):
-        if depth == k - 1:
-            lo = 0 if used_frontier else fstart
-            for i in range(lo, size):
-                yield prefix + (i,)
-        else:
-            for i in range(size):
-                yield from rec(prefix + (i,), used_frontier or i >= fstart, depth + 1)
-
-    return rec((), False, 0)
 
 
 def sg(base: Algebra, subset) -> GeneratedSet:

@@ -167,3 +167,29 @@ def test_edges_graph_components(capsys):
     code, out, _ = run(["edges", "@T4,7", "--graph"], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "components {0,1,2,3}"
+
+
+def test_search_spec_errors_name_the_line(capsys, tmp_path):
+    spec = tmp_path / "bad.spec"
+    for line, why in (
+        ("value 0,x := 1", "invalid literal for int() with base 10: 'x'"),
+        ("perm (0 9)", "element 9 outside domain 3"),
+        ("preserves 2 : 0,x", "invalid literal for int() with base 10: 'x'"),
+        ("value 0,5 := 1", "element 5 outside domain 3"),
+        ("preserves 2 : 0,1 1,5", "element 5 outside domain 3"),
+        ("preserves 3 : 0,1", "a tuple is not of length 3"),
+        ("perm (0 1)(1 2)", "an element is repeated in the cycles"),
+    ):
+        spec.write_text(f"domain 3\narity 2\n{line}\n")
+        code, out, err = run(["search", "--spec", str(spec)], capsys)
+        head, _, rest = line.partition(" ")
+        assert code == 2 and out == ""
+        assert err == f"error: malformed {head} directive {rest!r}: {why} (line 3)\n"
+
+
+def test_domain_above_256_is_an_error(capsys, tmp_path):
+    path = tmp_path / "big.alg"
+    path.write_text("domain 257\nop f 1\n" + " ".join(map(str, range(257))) + "\n")
+    code, out, err = run(["sg", str(path), "--power", "1", "--gens", "256"], capsys)
+    assert code == 2 and out == ""
+    assert "256-element limit" in err

@@ -1,7 +1,8 @@
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finalg.core import (
     Algebra,
+    AlgebraError,
     OperationTable,
     parse_algebra,
     serialize_algebra,
@@ -10,6 +11,8 @@ from finalg.congruence import Partition, all_congruences, quotient_algebra, clas
 from finalg.subpower import eval_term, generate, has_cyclic_term, sg_closure
 from finalg.structure import absorbs, all_subuniverses, weak_edges
 from finalg import catalog
+from finalg.certify import parse_certificate
+from finalg.search import parse_constraint_file
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +70,42 @@ def test_serialize_parse_round_trip(a):
     assert b.domain == a.domain
     assert [o.values for o in b.operations] == [o.values for o in a.operations]
     assert serialize_algebra(b) == text
+
+
+# ---------------------------------------------------------------------------
+# the three text formats: any token soup parses or raises AlgebraError
+
+_WORDS = (
+    "domain", "arity", "cap", "op", "f", "algebra", "idempotent", "cyclic",
+    "symmetric", "commutative", "partition", "restrict", "value", "perm",
+    "preserves", "is-congruence", "quotient-equiv", "absorbs", "edge",
+    "sg-contains", "sg-excludes", "clone-contains", "unique-op", "expect=1",
+    "two-generated", "simple", "subdirect", "cyclic-count", "taylor", "true",
+    "false", "witness=t(x,y)", ":=", ":", "::", "==", ">=", ";", "#", "(", ")",
+    "(0 9)", "(0 1)(1 2)", "{0,1}{2}", "{0}{1}", "x", "0,x", "",
+)
+_TOKENS = st.one_of(
+    st.sampled_from(_WORDS),
+    st.integers(-2, 9).map(str),
+    st.lists(st.integers(-1, 9), min_size=1, max_size=4).map(
+        lambda xs: ",".join(map(str, xs))),
+)
+_SOUP = st.lists(st.lists(_TOKENS, max_size=6).map(" ".join), max_size=8).map("\n".join)
+_HEADERS = st.sampled_from(["", "domain 3\narity 2\n", "domain 2\nop f 2\n",
+                            "algebra T4N\n"])
+_PARSERS = st.sampled_from([parse_algebra, parse_certificate, parse_constraint_file])
+
+
+@given(_PARSERS, _HEADERS, _SOUP)
+@example(parse_constraint_file, "domain 3\narity 2\n", "value 0,x := 1")
+@example(parse_constraint_file, "domain 3\narity 2\n", "perm (0 9)")
+@example(parse_constraint_file, "domain 3\narity 2\n", "preserves 2 : 0,x")
+@settings(max_examples=400, deadline=None)
+def test_text_formats_parse_or_raise_algebra_error(parse, header, body):
+    try:
+        parse(header + body)
+    except AlgebraError:
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from finalg.core import Algebra, AlgebraError, OperationTable, projection
-from finalg.subpower import eval_term, free_algebra
+from finalg.core import Algebra, AlgebraError, OperationTable, product, projection
+from finalg.subpower import eval_term, free_algebra, sg_closure
 from finalg.structure import (
     NotIdempotentError,
     absorbs,
@@ -100,6 +100,19 @@ def test_all_subuniverses_conservative(alg):
 def test_all_subuniverses_t4n(alg):
     subs = all_subuniverses(alg("T4N"))
     assert subs == [(0,), (1,), (2,), (0, 1), (0, 2), (0, 1, 2)]
+
+
+def test_subuniverse_list_matches_every_subset(entries):
+    # the one-element-at-a-time enumeration against Sg of every nonempty subset
+    from finalg.structure import _subuniverse_list
+
+    algs = [e.algebra for e in entries.values()]
+    algs += [product([entries[a].algebra, entries[b].algebra])
+             for a, b in (("T5N", "T5N"), ("T2P", "T3N"), ("M", "T4,1"))]
+    for a in algs:
+        brute = {sg_closure(a, s) for r in range(1, a.domain + 1)
+                 for s in itertools.combinations(range(a.domain), r)}
+        assert _subuniverse_list(a) == tuple(sorted(brute, key=lambda t: (len(t), t)))
 
 
 def test_singletons_always_subuniverses(entries):

@@ -316,10 +316,10 @@ def test_domain_five_affine():
     assert complete and len(tables) == 1  # 2x+2y+2z
 
 
-def test_domain_six_uses_slow_path():
-    # 6**3 > 256 forces the generic applier; a meet chain still closes fine
+def test_domain_six_uses_two_byte_lanes():
+    # 6**4 > 256 cells take 2-byte lanes; a meet chain still closes fine
     meet = OperationTable(
-        "t", 2, 6, tuple(min(x, y) for x in range(6) for y in range(6))
+        "t", 4, 6, tuple(min(args) for args in itertools.product(range(6), repeat=4))
     )
     chain = Algebra(6, [meet])
     assert sg_closure(chain, (5, 3)) == (3, 5)
@@ -561,10 +561,11 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
     """The closure one operation application at a time: the kernel's loop
     before it evaluated whole rows, kept to check the kernel.
 
-    A row is the run of last argument indices after one (k-1)-prefix.  A
-    fast operation (n**arity <= 256) spends its step budget per completed
-    row, a slow one per application; `row_ends`, if given, collects the
-    steps spent when each fast row ends."""
+    A row is the run of last argument indices after one (k-1)-prefix.
+    Every operation spends the step budget per completed row; `row_ends`,
+    if given, collects the steps spent when each row ends.  An operation
+    with at most 256 cells is applied by byte-lane arithmetic, a larger one
+    coordinate by coordinate."""
     gset = GeneratedSet(base=base, exponent=m, generators=list(gen_list))
     elements, position, witnesses = gset.elements, gset.position, gset.witnesses
     stop = None
@@ -592,14 +593,14 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
             if stop:
                 break
             n, k = op.domain, op.arity
-            fast = n**k <= 256
+            one_byte = n**k <= 256
             coeffs = [n ** (k - 1 - j) for j in range(k)]
-            lut = bytes(op.values) + bytes(256 - n**k) if fast else b""
+            lut = bytes(op.values) + bytes(256 - n**k) if one_byte else b""
             for prefix in itertools.product(range(size), repeat=k - 1):
                 lo = 0 if any(i >= fstart for i in prefix) else fstart
                 for t in range(lo, size):
                     args = prefix + (t,)
-                    if fast:
+                    if one_byte:
                         acc = sum(c * ints[i] for c, i in zip(coeffs, args))
                         res = acc.to_bytes(m, "big").translate(lut)
                     else:
@@ -610,20 +611,14 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
                     insert(res, (op_i, args))
                     if stop:
                         break
-                    if not fast:
-                        spent += 1
-                        if max_steps is not None and spent >= max_steps:
-                            stop = "steps"
-                            break
                 if stop:
                     break
-                if fast:
-                    spent += size - lo
-                    if row_ends is not None:
-                        row_ends.append(spent)
-                    if max_steps is not None and spent >= max_steps:
-                        stop = "steps"
-                        break
+                spent += size - lo
+                if row_ends is not None:
+                    row_ends.append(spent)
+                if max_steps is not None and spent >= max_steps:
+                    stop = "steps"
+                    break
         fstart = size
     if stop:
         gset.truncated = True
@@ -788,7 +783,7 @@ def test_kernel_four_ary_operation():
 
 
 def test_kernel_fast_and_slow_operations_together():
-    # 9 elements: the binary max is fast (81 cells), x-y+z is slow (729)
+    # 9 elements: the binary max has 1-byte lanes (81 cells), x-y+z 2-byte (729)
     a = Algebra(9, [_table("t", 9, 2, max),
                     _table("g", 9, 3, lambda x, y, z: (x - y + z) % 9)])
     for subset in ((0, 3), (1, 5, 7), (2, 4)):
@@ -797,8 +792,25 @@ def test_kernel_fast_and_slow_operations_together():
         kernel_and_reference(a, 2, [(x, y), (y, x)], max_steps=KERNEL_BUDGET // 4)
         kernel_and_reference(a, 2, [(x, y), (y, x)], targets=[(y, y)])
     kernel_and_reference(a, *_free(a, 2), max_steps=2_000)
-    for max_steps in (1, 7, 8, 9, 80, 81, 82, 500):
-        kernel_and_reference(a, 2, [(0, 4), (4, 0)], max_steps=max_steps)
+    _sweep_row_ends(a, 2, [(0, 4), (4, 0)], every=3, limit=3_000)
+
+
+def test_kernel_four_byte_lanes():
+    # x-y+z on Z41 has 41**3 = 68921 cells: 4-byte lanes
+    g = _table("g", 41, 3, lambda x, y, z: (x - y + z) % 41)
+    a = Algebra(41, [g])
+    for subset in ((0, 1), (3, 17, 40)):
+        got = kernel_and_reference(a, 1, [(x,) for x in subset])
+        assert not got.truncated and len(got) == 41
+    for x, y in ((0, 1), (5, 30)):
+        kernel_and_reference(a, 2, [(x, y), (y, x)], max_steps=KERNEL_BUDGET // 4)
+        kernel_and_reference(a, 2, [(x, y), (y, x)], targets=[(y, y)])
+    _sweep_row_ends(a, 2, [(0, 1), (1, 0)], every=5, limit=3_000)
+    # lanes of 1, 2 and 4 bytes in one closure
+    b = Algebra(41, [_table("s", 41, 1, lambda x: 40 - x), _table("t", 41, 2, max), g])
+    kernel_and_reference(b, 3, [(0, 1, 2), (4, 8, 0), (3, 0, 5)],
+                         max_steps=KERNEL_BUDGET // 4)
+    _sweep_row_ends(b, 2, [(0, 7), (7, 0)], every=5, limit=3_000)
 
 
 def _free(a, k):
