@@ -32,7 +32,8 @@ from .core import (
 )
 from .congruence import Partition, all_congruences, is_congruence, quotient_algebra
 from .search import Cyclic, Idempotent, RestrictionEquals, Symmetric, unique_completion
-from .subpower import clone_membership, free_algebra, term_closure
+from .memo import Memo, table_key
+from .subpower import clone_membership, free_algebra
 from .structure import all_subuniverses, clone_excluded
 
 
@@ -592,110 +593,62 @@ def term_equivalent(a: Algebra, b: Algebra, cap=None, max_steps=None):
     return None if inconclusive else True
 
 
-def _proj_closure(alg, cells, cap=None, max_steps=None):
-    """Projection of the ternary term space onto selected argument cells."""
-    g = term_closure(alg, 3, cells, cap=cap, max_steps=max_steps)
-    if g.truncated:
-        return None
-    return frozenset(g.tuples())
-
-
-def _fp_cells(n):
-    two_distinct = tuple(
-        c for c in itertools.product(range(n), repeat=3) if len(set(c)) == 2
-    )
-    distinct = tuple(
-        c for c in itertools.product(range(n), repeat=3) if len(set(c)) == 3
-    )
-    return two_distinct, distinct
-
-
 _FP_BUDGET = 3_000_000
-_fp_cache: dict = {}
+_fp_cache = Memo(limit=1024)
 
 
 def invariant_fingerprint(alg: Algebra, cap=None):
     """Clone-determined, relabeling-covariant invariants used to separate
-    algebras quickly.  Components that exceed their budget come back None
-    and are skipped by comparisons."""
+    algebras quickly: subuniverses, congruences, semilattice edges and the
+    binary term operations Clo_2.  Clo_2 comes back None when it exceeds its
+    budget, and comparisons skip it then."""
     from .structure import semilattice_edge
 
-    key = (alg.domain, tuple((o.name, o.arity, o.values) for o in alg.operations))
-    if key in _fp_cache:
-        return _fp_cache[key]
+    key = table_key(alg)
+    fp = _fp_cache.get(key)
+    if fp is not None:
+        return fp
     n = alg.domain
-    subs = frozenset(all_subuniverses(alg))
-    congs = frozenset(p.blocks for p in all_congruences(alg))
-    sl = frozenset(
-        (x, y)
-        for x in range(n)
-        for y in range(n)
-        if x != y and semilattice_edge(alg, x, y)[0] is True
-    )
-    f2 = free_algebra(alg, 2, cap=cap, max_steps=_FP_BUDGET)
-    clo2 = None if f2.truncated else frozenset(f2.tuples())
-    two_distinct, distinct = _fp_cells(n)
-    proj2 = _proj_closure(alg, two_distinct, cap=cap, max_steps=_FP_BUDGET)
-    proj3 = _proj_closure(alg, distinct, cap=cap, max_steps=_FP_BUDGET)
     fp = {
-        "subuniverses": subs,
-        "congruences": congs,
-        "semilattice_edges": sl,
-        "clo2": clo2,
-        "proj_two_distinct": proj2,
-        "proj_distinct": proj3,
+        "subuniverses": frozenset(all_subuniverses(alg)),
+        "congruences": frozenset(p.blocks for p in all_congruences(alg)),
+        "semilattice_edges": frozenset(
+            (x, y)
+            for x in range(n)
+            for y in range(n)
+            if x != y and semilattice_edge(alg, x, y)[0] is True
+        ),
     }
-    _fp_cache[key] = fp
+    f2 = free_algebra(alg, 2, cap=cap, max_steps=_FP_BUDGET)
+    fp["clo2"] = None if f2.truncated else frozenset(f2.tuples())
+    _fp_cache.put(key, fp)
     return fp
 
 
 def _transport_fingerprint(fp, perm, n):
     """The fingerprint of transport(alg, perm), derived without recomputation."""
+    inv = [0] * n
+    for i, v in enumerate(perm):
+        inv[v] = i
+    # cell (x, y) of a transported binary table reads cell (inv x, inv y)
+    cells = [inv[x] * n + inv[y] for x, y in itertools.product(range(n), repeat=2)]
+
     def tset(s):
         return tuple(sorted(perm[x] for x in s))
 
-    def ttable(vals):
-        inv = [0] * n
-        for i, v in enumerate(perm):
-            inv[v] = i
-        return tuple(
-            perm[vals[inv[x] * n + inv[y]]]
-            for x, y in itertools.product(range(n), repeat=2)
-        )
-
-    def tproj(cells):
-        # position map: transported element at cell c is perm[f(perm^-1 c)]
-        inv = [0] * n
-        for i, v in enumerate(perm):
-            inv[v] = i
-        pos = {c: i for i, c in enumerate(cells)}
-        src = [pos[tuple(inv[x] for x in c)] for c in cells]
-
-        def tr(t):
-            return tuple(perm[t[j]] for j in src)
-
-        return tr
-
-    out = {}
-    out["subuniverses"] = frozenset(tset(s) for s in fp["subuniverses"])
-    out["congruences"] = frozenset(
-        tuple(sorted((tset(b) for b in blocks), key=min))
-        for blocks in fp["congruences"]
-    )
-    out["semilattice_edges"] = frozenset(
-        (perm[x], perm[y]) for x, y in fp["semilattice_edges"]
-    )
-    out["clo2"] = (
-        None if fp["clo2"] is None else frozenset(ttable(v) for v in fp["clo2"])
-    )
-    two_distinct, distinct = _fp_cells(n)
-    for key, cells in (("proj_two_distinct", two_distinct), ("proj_distinct", distinct)):
-        if fp[key] is None:
-            out[key] = None
-        else:
-            tr = tproj(cells)
-            out[key] = frozenset(tr(t) for t in fp[key])
-    return out
+    return {
+        "subuniverses": frozenset(tset(s) for s in fp["subuniverses"]),
+        "congruences": frozenset(
+            tuple(sorted((tset(b) for b in blocks), key=min))
+            for blocks in fp["congruences"]
+        ),
+        "semilattice_edges": frozenset(
+            (perm[x], perm[y]) for x, y in fp["semilattice_edges"]
+        ),
+        "clo2": None if fp["clo2"] is None else frozenset(
+            tuple(perm[vals[c]] for c in cells) for vals in fp["clo2"]
+        ),
+    }
 
 
 def _fingerprints_differ(fa, fb):

@@ -8,6 +8,7 @@ one convention used everywhere (files, hashing, witness replay).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -178,23 +179,35 @@ def is_idempotent(op: OperationTable) -> bool:
     return all(op.values[op.index((x,) * op.arity)] == x for x in range(op.domain))
 
 
+@functools.lru_cache(maxsize=64)
+def rotation_permutation(n: int, k: int) -> tuple:
+    """Index of the cell (x2,...,xk,x1) for each cell (x1,...,xk), row-major."""
+    cells = list(itertools.product(range(n), repeat=k))
+    pos = {cell: i for i, cell in enumerate(cells)}
+    return tuple(pos[cell[1:] + cell[:1]] for cell in cells)
+
+
+@functools.lru_cache(maxsize=64)
+def _swap_permutation(n: int, k: int) -> tuple:
+    """Index of the cell (x2,x1,x3,...,xk) for each cell (x1,...,xk), row-major."""
+    cells = list(itertools.product(range(n), repeat=k))
+    pos = {cell: i for i, cell in enumerate(cells)}
+    return tuple(pos[cell[1::-1] + cell[2:]] for cell in cells)
+
+
+def _invariant_under(op: OperationTable, perm) -> bool:
+    return op.values == tuple(map(op.values.__getitem__, perm))
+
+
 def is_cyclic(op: OperationTable) -> bool:
     """Invariant under cyclic shift of the arguments."""
-    for args in op.all_args():
-        shifted = args[1:] + args[:1]
-        if op.values[op.index(args)] != op.values[op.index(shifted)]:
-            return False
-    return True
+    return _invariant_under(op, rotation_permutation(op.domain, op.arity))
 
 
 def is_symmetric(op: OperationTable) -> bool:
-    """Invariant under every permutation of the arguments."""
-    for args in op.all_args():
-        base = op.values[op.index(args)]
-        for perm in itertools.permutations(args):
-            if op.values[op.index(perm)] != base:
-                return False
-    return True
+    """Invariant under every permutation of the arguments.  The cyclic shift
+    and the swap of the first two arguments generate them all."""
+    return is_cyclic(op) and _invariant_under(op, _swap_permutation(op.domain, op.arity))
 
 
 def is_commutative(op: OperationTable) -> bool:

@@ -42,7 +42,7 @@ import itertools
 import struct
 from dataclasses import dataclass, field
 
-from .core import Algebra, AlgebraError, OperationTable, UnionFind
+from .core import Algebra, AlgebraError, OperationTable, UnionFind, rotation_permutation
 from .memo import Memo, table_key
 
 DEFAULT_CAP = 5_000_000
@@ -498,13 +498,6 @@ def clone_membership(base: Algebra, op: OperationTable, cap=None, max_steps=None
                      cap=cap, max_steps=max_steps)
 
 
-def _rotation_permutation(n: int, k: int):
-    """Position permutation induced by cyclically shifting arguments."""
-    cells = list(itertools.product(range(n), repeat=k))
-    pos = {cell: i for i, cell in enumerate(cells)}
-    return [pos[cell[1:] + cell[:1]] for cell in cells]
-
-
 def cyclic_terms(base: Algebra, k: int, cap=None, limit=None, max_steps=None):
     """k-ary cyclic term operations, in generation order.
 
@@ -514,13 +507,12 @@ def cyclic_terms(base: Algebra, k: int, cap=None, limit=None, max_steps=None):
     if k < 2:
         raise AlgebraError(f"cyclic_terms arity must be >= 2, got {k}")
     n = base.domain
-    perm = _rotation_permutation(n, k)
-    rng = range(len(perm))
-
+    rot = rotation_permutation(n, k)
+    rng = range(len(rot))
     hits = []
 
-    def is_cyclic_elem(e):
-        return all(e[i] == e[perm[i]] for i in rng)
+    def is_cyclic_elem(e):  # most elements fail at an early cell
+        return all(e[i] == e[rot[i]] for i in rng)
 
     if limit is None:
         gset = free_algebra(base, k, cap=cap, max_steps=max_steps)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from finalg.core import is_malcev, parse_algebra, product
+from finalg.core import Algebra, OperationTable, is_malcev, parse_algebra, product
 from finalg.congruence import Partition, all_congruences
 from finalg import catalog
 
@@ -119,6 +119,55 @@ def test_equivalent_up_to_iso_t49_product(alg):
 def test_equivalent_up_to_iso_t1n_t2n_absent(alg):
     perm, conclusive = catalog.equivalent_up_to_iso(alg("T1N"), alg("T2N"))
     assert conclusive and perm is None
+
+
+def test_transported_fingerprint_is_the_fingerprint_of_the_transport(entries):
+    for entry in entries.values():
+        a = entry.algebra
+        n = a.domain
+        perms = list(itertools.permutations(range(n)))
+        if n == 4:
+            perms = [(1, 2, 3, 0)]
+        fp = catalog.invariant_fingerprint(a)
+        for p in perms:
+            want = catalog.invariant_fingerprint(catalog.transport(a, p))
+            assert catalog._transport_fingerprint(fp, p, n) == want, (entry.name, p)
+
+
+def test_renamed_copy_hits_the_fingerprint_cache(alg, monkeypatch):
+    a = alg("T4,10")
+    fp = catalog.invariant_fingerprint(a)
+    renamed = Algebra(4, [OperationTable("h", 3, 4, a.operations[0].values)],
+                      label="copy")
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("fingerprint recomputed")
+
+    monkeypatch.setattr(catalog, "all_subuniverses", recompute)
+    monkeypatch.setattr(catalog, "free_algebra", recompute)
+    assert catalog.invariant_fingerprint(renamed) is fp
+
+
+def lexicographic_scan(a, b):
+    """equivalent_up_to_iso without the fingerprint screen."""
+    conclusive = True
+    for perm in itertools.permutations(range(a.domain)):
+        r = catalog.term_equivalent(a, catalog.transport(b, perm))
+        if r is True:
+            return perm, True
+        if r is None:
+            conclusive = False
+    return None, conclusive
+
+
+def test_screen_changes_no_answer(entries, alg):
+    pairs = [(alg("T4,9"), product([alg("M"), alg("Z2aff")]))]
+    for entry in entries.values():
+        a = entry.algebra
+        if a.domain <= 3:
+            pairs.append((a, catalog.transport(a, tuple(range(a.domain))[::-1])))
+    for a, b in pairs:
+        assert catalog.equivalent_up_to_iso(a, b) == lexicographic_scan(a, b), a.label
 
 
 def test_verify_subdirect_t41(alg):

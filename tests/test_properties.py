@@ -1,9 +1,13 @@
+import itertools
+
 from hypothesis import example, given, settings, strategies as st
 
 from finalg.core import (
     Algebra,
     AlgebraError,
     OperationTable,
+    is_cyclic,
+    is_symmetric,
     parse_algebra,
     serialize_algebra,
 )
@@ -70,6 +74,59 @@ def test_serialize_parse_round_trip(a):
     assert b.domain == a.domain
     assert [o.values for o in b.operations] == [o.values for o in a.operations]
     assert serialize_algebra(b) == text
+
+
+# ---------------------------------------------------------------------------
+# is_cyclic / is_symmetric against their per-cell definitions
+
+def reference_is_cyclic(op):
+    return all(
+        op.values[op.index(args)] == op.values[op.index(args[1:] + args[:1])]
+        for args in op.all_args()
+    )
+
+
+def reference_is_symmetric(op):
+    return all(
+        op.values[op.index(perm)] == op.values[op.index(args)]
+        for args in op.all_args()
+        for perm in itertools.permutations(args)
+    )
+
+
+@st.composite
+def nearly_invariant_tables(draw):
+    """Random tables, made cyclic or symmetric by reading each cell's value at
+    a representative of its orbit, then optionally changed in one cell."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    base = draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k))
+    cells = list(itertools.product(range(n), repeat=k))
+    pos = {c: i for i, c in enumerate(cells)}
+    shape = draw(st.sampled_from(["random", "cyclic", "symmetric"]))
+    if shape == "cyclic":
+        vals = [base[pos[min(c[i:] + c[:i] for i in range(k))]] for c in cells]
+    elif shape == "symmetric":
+        vals = [base[pos[tuple(sorted(c))]] for c in cells]
+    else:
+        vals = base
+    if draw(st.booleans()):
+        vals[draw(st.integers(0, n**k - 1))] = draw(st.integers(0, n - 1))
+    return OperationTable("f", k, n, tuple(vals))
+
+
+# 1 exactly on the rotations of (0, 1, 2): cyclic but not symmetric; then
+# the same table with one cell of that orbit changed
+_ROTATING = tuple(int(c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+                  for c in itertools.product(range(3), repeat=3))
+
+
+@given(nearly_invariant_tables())
+@example(OperationTable("f", 3, 3, _ROTATING))
+@example(OperationTable("f", 3, 3, _ROTATING[:5] + (0,) + _ROTATING[6:]))
+@settings(max_examples=400, deadline=None)
+def test_cyclic_and_symmetric_match_the_per_cell_definition(op):
+    assert is_cyclic(op) == reference_is_cyclic(op)
+    assert is_symmetric(op) == reference_is_symmetric(op)
 
 
 # ---------------------------------------------------------------------------
