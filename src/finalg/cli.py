@@ -327,9 +327,11 @@ def build_parser():
         description="finite universal algebra workbench",
     )
     parser.add_argument("--cap", type=int, default=None,
-                        help="element budget for closures")
+                        help="element budget for closures (at least 1)")
     parser.add_argument("--max-steps", type=int, default=None,
-                        help="work budget (operation applications) for closures")
+                        help="work budget for closures: the operation applications "
+                             "made, one per argument orbit of a symmetric or cyclic "
+                             "ternary operation (at least 1)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("info", help="operations and basic predicates")

@@ -10,6 +10,15 @@ tuples in lexicographic order restricted to those using at least one
 element of the current frontier.  Witness links always reference strictly
 earlier elements.
 
+An operation whose table is invariant under every permutation of its
+arguments is applied only to nondecreasing index tuples, and a ternary one
+invariant under their rotation only to the least rotation of each tuple:
+one tuple per argument orbit (see `_prefix_rows`).  Every other tuple of an
+orbit gives the same value as its least one, which comes first and uses the
+frontier iff it does, so the closure keeps the same elements, order and
+witnesses as a walk over every tuple, with about k! (symmetric) or 3
+(cyclic) times fewer applications.
+
 Every operation is applied by one row kernel of lane arithmetic.  An
 operation with c = n**arity cells gets a lane width w: 1 byte when
 c <= 256, 2 bytes when c <= 65536, 4 bytes beyond.  Read as a big-endian
@@ -20,29 +29,34 @@ lane carries into the next).  A lookup maps cell indices to values: for
 1-byte lanes `bytes.translate` by the operation's table, for wider ones a
 cached big-endian `struct` unpack of the lanes mapped through the table.
 The argument tuples are walked as rows: each (k-1)-prefix of indices, then
-every last index of its row in one step.  The last argument's weight is 1,
-so the row's lanes are the prefix's lane sum repeated once per element (by
-`bytes` repetition) plus the concatenated elements themselves: per lane
-width in use, one integer holding the whole round and one its frontier
-suffix, built once per round.  One `to_bytes`, one lookup and a cached
+every last index of its row in one step.  A row is a suffix start..S-1 of
+the round's S elements: the frontier suffix for a prefix outside the
+frontier, and a later start for an orbit row.  The last argument's weight
+is 1, so the row's lanes are the prefix's lane sum repeated once per
+element (by `bytes` repetition) plus the concatenated elements of the
+suffix: per lane width in use, one integer holding the whole round and one
+its frontier suffix, built once per round (any other suffix is masked off
+the whole round).  One `to_bytes`, one lookup and a cached
 `struct` split then give the row's results, and only those not yet present
 go through the insert path.  With 1-byte lanes, rows shorter than
 _ROW_MIN are evaluated element by element, where the whole-row conversions
 cost more than they save.  Memory stays O(size * m * w): per round two integers of the round's
 elements per lane width, per row one row; nothing is replicated per
 element.  Wide lanes are built only for a closure with an operation that
-needs them.  The step budget (`max_steps`) is spent per completed row, the
-same way for every operation.
+needs them.  The step budget (`max_steps`) counts the applications made,
+spent per completed row, the same way for every operation.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 
-from .core import Algebra, AlgebraError, OperationTable, UnionFind, rotation_permutation
+from .core import (Algebra, AlgebraError, OperationTable, UnionFind, is_cyclic, is_symmetric,
+                   rotation_permutation)
 from .memo import Memo, table_key
 
 DEFAULT_CAP = 5_000_000
@@ -100,10 +114,10 @@ def eval_term_table(tree: TermTree, alg: Algebra, arity: int) -> OperationTable:
 
 
 class _Applier:
-    """One basic operation as a lane step: lane width, argument weights and
-    the lookup from cell index to value."""
+    """One basic operation as a lane step: lane width, argument weights, the
+    lookup from cell index to value and the argument orbits it walks."""
 
-    __slots__ = ("lane", "coeffs", "lut", "values")
+    __slots__ = ("lane", "coeffs", "lut", "values", "orbit")
 
     def __init__(self, op: OperationTable):
         cells = op.domain**op.arity
@@ -111,6 +125,7 @@ class _Applier:
         self.coeffs = tuple(op.domain ** (op.arity - 1 - j) for j in range(op.arity))
         self.values = op.values
         self.lut = bytes(op.values) + bytes(256 - cells) if self.lane == 1 else None
+        self.orbit = _orbit_kind(op.domain, op.arity, op.values)
 
     def lookup(self, cells: bytes, count: int) -> bytes:
         """The values at `count` cell indices held in big-endian lanes."""
@@ -208,9 +223,13 @@ def generate(
       - cap: element-count budget: at most cap elements are kept, and the
         stop reason is "cap" once a further one turns up (a reported state,
         not an error);
-      - max_steps: budget on operation applications, for closures whose
-        element count stays modest while the combination count explodes.
-        Deterministic, so truncation points are reproducible.
+      - max_steps: budget on the operation applications made (one per
+        argument orbit of a symmetric or cyclic operation, see
+        `_prefix_rows`), for closures whose element count stays modest
+        while the combination count explodes.  Spent per row of
+        applications; deterministic, so truncation points are reproducible.
+
+    Both budgets must be at least 1.
 
     Complete closures of at least _MEMO_MIN_STEPS applications are memoized
     (see `_closures`).  A later call with the same tables, exponent and
@@ -220,6 +239,10 @@ def generate(
     """
     if cap is None:
         cap = DEFAULT_CAP
+    elif cap < 1:
+        raise AlgebraError(f"cap must be at least 1, got {cap}")
+    if max_steps is not None and max_steps < 1:
+        raise AlgebraError(f"max_steps must be at least 1, got {max_steps}")
     gen_list = _generator_bytes(base, m, generators)
     stop_for = _stop_test(targets, region, stop_predicate)
     key = (table_key(base), m, tuple(gen_list))
@@ -279,10 +302,36 @@ def _stop_test(targets, region, stop_predicate):
 def _closure_steps(base: Algebra, size: int) -> int:
     """Applications of a complete closure with `size` elements.
 
-    Round t applies a k-ary operation to the S_t**k - S_(t-1)**k index
-    tuples that use an element of the frontier, so the rounds sum to
-    size**k; `max_steps` lets a fresh run finish iff it exceeds this."""
-    return sum(size**op.arity for op in base.operations)
+    Round t applies a k-ary operation to the index tuples over its S_t
+    elements that use an element of the frontier, one per argument orbit
+    (see `_prefix_rows`), so the rounds sum to the orbits over `size`
+    elements: size**k, C(size+k-1, k) multisets for a symmetric operation,
+    (size**3 + 2*size)/3 necklaces for a cyclic ternary one.  `max_steps`
+    lets a fresh run finish iff it exceeds this."""
+    steps = 0
+    for op in base.operations:
+        orbit = _orbit_kind(op.domain, op.arity, op.values)
+        if orbit == "symmetric":
+            steps += math.comb(size + op.arity - 1, op.arity)
+        elif orbit == "cyclic":
+            steps += (size**3 + 2 * size) // 3
+        else:
+            steps += size**op.arity
+    return steps
+
+
+@functools.lru_cache(maxsize=256)
+def _orbit_kind(n: int, k: int, values: tuple):
+    """Which argument orbits the kernel walks one tuple of: "symmetric" for
+    a table invariant under every permutation of its arguments, "cyclic" for
+    a ternary one invariant under their rotation only, else None (every
+    tuple, as for a unary table)."""
+    op = OperationTable("f", k, n, values)
+    if k < 2 or not is_cyclic(op):
+        return None
+    if is_symmetric(op):
+        return "symmetric"
+    return "cyclic" if k == 3 else None
 
 
 def _replay(base, m, gen_list, elements, witnesses, stop_for) -> GeneratedSet:
@@ -356,25 +405,31 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
             lut, wm = ap.lut, ap.lane * m
             wints = ints if lut else wide[ap.lane]
             lanes, front_lanes = round_lanes.get(ap.lane, (0, 0))
-            for prefix, acc, lo in _prefix_rows(ap.coeffs[:-1], wints, size, fstart):
-                width = size - lo
+            for prefix, acc, start in _prefix_rows(ap.coeffs[:-1], wints, size, fstart,
+                                                   ap.orbit):
+                width = size - start
                 if width < _ROW_MIN and lut:
-                    for t in range(lo, size):
+                    for t in range(start, size):
                         res = (acc + wints[t]).to_bytes(m, "big").translate(lut)
                         if res not in position:
                             admit(res, (op_i, prefix + (t,)))
                             if stop:
                                 break
                 else:
+                    if not start:
+                        tail = lanes
+                    elif start == fstart:
+                        tail = front_lanes
+                    else:
+                        tail = lanes & ((1 << (8 * wm * width)) - 1)
                     cells = (
-                        int.from_bytes(acc.to_bytes(wm, "big") * width, "big")
-                        + (front_lanes if lo else lanes)
+                        int.from_bytes(acc.to_bytes(wm, "big") * width, "big") + tail
                     ).to_bytes(wm * width, "big")
                     row = _row_split(m, width)(
                         cells.translate(lut) if lut else ap.lookup(cells, m * width)
                     )
                     if not all(map(known, row)):
-                        for t, res in enumerate(row, lo):
+                        for t, res in enumerate(row, start):
                             if res not in position:
                                 admit(res, (op_i, prefix + (t,)))
                                 if stop:
@@ -423,18 +478,37 @@ def _row_split(m: int, width: int):
     return struct.Struct(f"{m}s" * width).unpack
 
 
-def _prefix_rows(coeffs, ints, size, fstart):
-    """The (k-1)-prefixes of argument indices over range(size), in lex order.
+def _prefix_rows(coeffs, ints, size, fstart, orbit=None):
+    """The rows of argument index tuples over range(size), in lex order.
 
-    Yields (prefix, lane sum, lo): `coeffs` weighs the prefix's elements
-    `ints`, and the prefix's row is last indices lo..size-1, where lo is 0
-    if the prefix uses the frontier [fstart, size), else fstart."""
+    Yields (prefix, lane sum, start) per (k-1)-prefix of indices: `coeffs`
+    weighs the prefix's elements `ints`, and the prefix's row is the last
+    indices start..size-1.  Only tuples that use the frontier [fstart, size)
+    are walked, and for a symmetric or cyclic operation (`orbit`, see
+    `_orbit_kind`) only the least tuple of each argument orbit: the
+    nondecreasing tuples, or the least rotations (i, j, l), those with
+    j >= i and l >= i + (j > i).  Both are suffix rows of nondecreasing
+    prefixes.  A tuple that makes a new element is always the least of its
+    orbit (that one comes first, gives the same value and uses the frontier
+    iff the tuple does), so the walk admits the same elements with the same
+    witnesses as the walk over every tuple."""
+    rows = _prefixes(coeffs, ints, size, fstart, orbit is not None)
+    if orbit == "symmetric":
+        return ((p, acc, max(p[-1], lo)) for p, acc, lo in rows)
+    if orbit == "cyclic":
+        return ((p, acc, max(p[0] + (p[1] > p[0]), lo)) for p, acc, lo in rows)
+    return rows
+
+
+def _prefixes(coeffs, ints, size, fstart, nondecreasing):
+    """(prefix, lane sum, lo) for the prefixes of `_prefix_rows`; lo is 0 if
+    the prefix uses the frontier, else fstart."""
     if not coeffs:
         yield (), 0, fstart
         return
     c = coeffs[-1]
-    for prefix, acc, lo in _prefix_rows(coeffs[:-1], ints, size, fstart):
-        for i in range(size):
+    for prefix, acc, lo in _prefixes(coeffs[:-1], ints, size, fstart, nondecreasing):
+        for i in range(prefix[-1] if nondecreasing and prefix else 0, size):
             yield prefix + (i,), acc + c * ints[i], lo if i < fstart else 0
 
 
@@ -506,6 +580,8 @@ def cyclic_terms(base: Algebra, k: int, cap=None, limit=None, max_steps=None):
     """
     if k < 2:
         raise AlgebraError(f"cyclic_terms arity must be >= 2, got {k}")
+    if limit is not None and limit < 1:
+        raise AlgebraError(f"cyclic_terms limit must be at least 1, got {limit}")
     n = base.domain
     rot = rotation_permutation(n, k)
     rng = range(len(rot))

@@ -193,3 +193,25 @@ def test_domain_above_256_is_an_error(capsys, tmp_path):
     code, out, err = run(["sg", str(path), "--power", "1", "--gens", "256"], capsys)
     assert code == 2 and out == ""
     assert "256-element limit" in err
+
+
+def test_sg_cap_below_one_is_an_error(capsys):
+    for cap in ("0", "-3"):
+        code, out, err = run(["--cap", cap, "sg", "@T4,10", "--power", "2",
+                              "--gens", "0,1;1,0"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: cap must be at least 1, got {cap}\n"
+
+
+def test_cyclic_max_steps_below_one_is_an_error(capsys):
+    for steps in ("0", "-5"):
+        code, out, err = run(["--max-steps", steps, "cyclic", "@T4,10", "--arity", "3"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: max_steps must be at least 1, got {steps}\n"
+
+
+def test_cyclic_limit_below_one_is_an_error(capsys):
+    code, out, err = run(["cyclic", "@T4,10", "--arity", "3", "--limit", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: cyclic_terms limit must be at least 1, got 0\n"

@@ -12,11 +12,13 @@ from finalg.core import (
     serialize_algebra,
 )
 from finalg.congruence import Partition, all_congruences, quotient_algebra, class_algebra
+from finalg import subpower
 from finalg.subpower import eval_term, generate, has_cyclic_term, sg_closure
 from finalg.structure import absorbs, all_subuniverses, weak_edges
 from finalg import catalog
 from finalg.certify import parse_certificate
 from finalg.search import parse_constraint_file
+from test_subpower import reference_closure
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +129,57 @@ _ROTATING = tuple(int(c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
 def test_cyclic_and_symmetric_match_the_per_cell_definition(op):
     assert is_cyclic(op) == reference_is_cyclic(op)
     assert is_symmetric(op) == reference_is_symmetric(op)
+
+
+# ---------------------------------------------------------------------------
+# the closure kernel's orbit rows against the reference that walks every tuple
+
+def _random_table(draw, n, k):
+    return draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k))
+
+
+@st.composite
+def orbit_closures(draw):
+    """A closure in A^m (m <= 4) of an algebra on 2-4 elements with a
+    ternary table that is symmetric, cyclic, invariant under swapping its
+    first two arguments, or plain, and sometimes a binary table; a random
+    cap, and sometimes a target."""
+    n = draw(st.integers(2, 4))
+    cells = list(itertools.product(range(n), repeat=3))
+    pos = {c: i for i, c in enumerate(cells)}
+    base = _random_table(draw, n, 3)
+    shape = draw(st.sampled_from(["symmetric", "cyclic", "swap", "plain"]))
+    if shape == "symmetric":
+        vals = [base[pos[tuple(sorted(c))]] for c in cells]
+    elif shape == "cyclic":
+        vals = [base[pos[min(c[i:] + c[:i] for i in range(3))]] for c in cells]
+    elif shape == "swap":
+        vals = [base[pos[tuple(sorted(c[:2])) + c[2:]]] for c in cells]
+    else:
+        vals = base
+    ops = [OperationTable("g", 3, n, tuple(vals))]
+    if draw(st.booleans()):
+        ops.append(OperationTable("t", 2, n, tuple(_random_table(draw, n, 2))))
+    m = draw(st.integers(1, 4))
+    element = st.tuples(*[st.integers(0, n - 1)] * m)
+    gens = draw(st.lists(element, min_size=1, max_size=3))
+    targets = draw(st.one_of(st.none(), element.map(lambda t: [t])))
+    return Algebra(n, tuple(ops)), m, gens, draw(st.integers(1, 50)), targets
+
+
+@given(orbit_closures())
+@settings(max_examples=80, deadline=None)
+def test_kernel_orbit_rows_match_the_reference_over_every_tuple(closure):
+    a, m, gens, cap, targets = closure
+    gen_list = subpower._generator_bytes(a, m, gens)
+    got, want = (
+        run(a, m, gen_list, cap, subpower._stop_test(targets, None, None), None)
+        for run in (subpower._closure,
+                    lambda *args: reference_closure(*args, orbits=False))
+    )
+    assert got.elements == want.elements
+    assert got.witnesses == want.witnesses
+    assert (got.truncated, got.stop_reason) == (want.truncated, want.stop_reason)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 
 import pytest
 
@@ -399,7 +401,7 @@ def _clo3(a):
 
 
 def test_memo_serves_complete_closure(alg, runs):
-    a = alg("T3C")
+    a = alg("T7C")
     m, gens = _clo3(a)
     first = generate(a, m, gens)
     assert runs["n"] == 1 and not first.truncated
@@ -418,7 +420,7 @@ def test_memo_skips_small_closures(alg, runs):
 
 
 def test_memo_early_exits_replay_the_stored_order(alg, runs):
-    a = alg("T3C")
+    a = alg("T7C")
     m, gens = _clo3(a)
     full = generate(a, m, gens)
     middle, last = tuple(full.elements[10]), tuple(full.elements[-1])
@@ -429,8 +431,8 @@ def test_memo_early_exits_replay_the_stored_order(alg, runs):
         assert_same(got, fresh(a, m, gens, targets=targets))
     assert runs["n"] == 1
 
-    # a region met by a later element (T3N) and by none (T3C)
-    for name, subset in (("T3N", (0, 2)), ("T3C", (0, 2))):
+    # a region met by a later element (T3N) and by none (T7C)
+    for name, subset in (("T3N", (0, 2)), ("T7C", (0, 2))):
         b = alg(name)
         pats = absorption_patterns(b.domain, subset, 3)
         pgens = [tuple(t[j] for t in pats) for j in range(3)]
@@ -449,7 +451,7 @@ def test_memo_early_exits_replay_the_stored_order(alg, runs):
 
 
 def test_memo_predicate_side_effects_match(alg, runs):
-    a = alg("T3C")
+    a = alg("T7C")
     want = {}
     for limit in (1, 2, 3, None):
         subpower._closures.clear()
@@ -465,7 +467,7 @@ def test_memo_predicate_side_effects_match(alg, runs):
 
 
 def test_memo_serves_only_within_budgets(alg, runs):
-    a = alg("T3C")
+    a = alg("T7C")
     m, gens = _clo3(a)
     size = len(generate(a, m, gens))
     steps = subpower._closure_steps(a, size)
@@ -488,7 +490,7 @@ def test_memo_serves_only_within_budgets(alg, runs):
 
 
 def test_memo_witnesses_use_callers_names(alg, runs):
-    a = alg("T3C")
+    a = alg("T7C")
     renamed = Algebra(a.domain, [
         OperationTable(f"r{i}", op.arity, op.domain, op.values)
         for i, op in enumerate(a.operations)
@@ -503,7 +505,7 @@ def test_memo_witnesses_use_callers_names(alg, runs):
 
 
 def test_memo_bad_generators_still_raise(alg, runs):
-    a = alg("T3C")
+    a = alg("T7C")
     m, gens = _clo3(a)
     generate(a, m, gens)
     for bad in ([(9,) + gens[0][1:]], [(-1,) + gens[0][1:]], [gens[0][1:]], []):
@@ -557,15 +559,40 @@ def test_memo_shared_by_threads_keeps_its_total():
 from finalg.subpower import GeneratedSet  # noqa: E402
 
 
-def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None):
+def argument_group(op):
+    """The permutations of op's arguments that leave its table unchanged,
+    found by trying every permutation on every cell."""
+    cells = list(op.all_args())
+    return [perm for perm in itertools.permutations(range(op.arity))
+            if all(op.values[op.index(tuple(c[i] for i in perm))] == v
+                   for c, v in zip(cells, op.values))]
+
+
+@functools.lru_cache(maxsize=None)
+def orbit_group(op):
+    """The argument group when it is S_k, or C_3 for a ternary operation;
+    otherwise None: every tuple is its own orbit."""
+    group = argument_group(op)
+    if len(group) == math.factorial(op.arity):
+        return group
+    if op.arity == 3 and sorted(group) == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+        return group
+    return None
+
+
+def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None,
+                      orbits=True):
     """The closure one operation application at a time: the kernel's loop
     before it evaluated whole rows, kept to check the kernel.
 
     A row is the run of last argument indices after one (k-1)-prefix.
-    Every operation spends the step budget per completed row; `row_ends`,
-    if given, collects the steps spent when each row ends.  An operation
-    with at most 256 cells is applied by byte-lane arithmetic, a larger one
-    coordinate by coordinate."""
+    With `orbits`, an operation whose argument group (`orbit_group`) is S_k
+    or C_3 skips every tuple that is not the least of its images under the
+    group.  Every operation spends the step budget per row, one step per
+    tuple applied; `row_ends`, if given, collects the steps spent when each
+    row that applied a tuple ends.  An operation with at most 256 cells is
+    applied by byte-lane arithmetic, a larger one coordinate by
+    coordinate."""
     gset = GeneratedSet(base=base, exponent=m, generators=list(gen_list))
     elements, position, witnesses = gset.elements, gset.position, gset.witnesses
     stop = None
@@ -596,10 +623,16 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
             one_byte = n**k <= 256
             coeffs = [n ** (k - 1 - j) for j in range(k)]
             lut = bytes(op.values) + bytes(256 - n**k) if one_byte else b""
+            group = orbit_group(op) if orbits else None
             for prefix in itertools.product(range(size), repeat=k - 1):
                 lo = 0 if any(i >= fstart for i in prefix) else fstart
+                applied = 0
                 for t in range(lo, size):
                     args = prefix + (t,)
+                    if group and any(tuple(map(args.__getitem__, perm)) < args
+                                     for perm in group):
+                        continue
+                    applied += 1
                     if one_byte:
                         acc = sum(c * ints[i] for c, i in zip(coeffs, args))
                         res = acc.to_bytes(m, "big").translate(lut)
@@ -613,8 +646,8 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
                         break
                 if stop:
                     break
-                spent += size - lo
-                if row_ends is not None:
+                spent += applied
+                if row_ends is not None and applied:
                     row_ends.append(spent)
                 if max_steps is not None and spent >= max_steps:
                     stop = "steps"
@@ -691,6 +724,38 @@ def test_kernel_matches_reference_on_edge_and_absorption_patterns(entries):
             gens = [tuple(t[j] for t in pats) for j in range(3)]
             kernel_and_reference(a, len(pats), gens, region=set(subset),
                                  max_steps=KERNEL_BUDGET // 8)
+
+
+ORBIT_CAP = 40
+
+
+def _with_and_without_orbits(base, m, gens, cap=ORBIT_CAP):
+    """The reference with and without the orbit filter gives the same
+    elements and witnesses on a complete or capped closure."""
+    gen_list = subpower._generator_bytes(base, m, gens)
+    runs = [reference_closure(base, m, gen_list, cap, subpower._stop_test(None, None, None),
+                              None, orbits=orbits) for orbits in (True, False)]
+    (got, want) = runs
+    assert got.elements == want.elements
+    assert got.witnesses == want.witnesses
+    assert (got.truncated, got.stop_reason) == (want.truncated, want.stop_reason)
+    return got
+
+
+def test_orbit_filter_keeps_elements_and_witnesses(entries):
+    complete = capped = 0
+    for a in _small_entries(entries):
+        closures = [_free(a, k) for k in (1, 2, 3)]
+        closures += [(2, [(x, y), (y, x)])
+                     for x, y in itertools.permutations(range(a.domain), 2)]
+        for x, y in itertools.combinations(range(a.domain), 2):
+            pats = _majority_on_pair_positions(x, y)
+            closures.append((6, [tuple(t[j] for t in pats) for j in range(3)]))
+        for m, gens in closures:
+            got = _with_and_without_orbits(a, m, gens)
+            capped += got.truncated
+            complete += not got.truncated
+    assert complete > 300 and capped > 20
 
 
 def test_kernel_matches_reference_on_early_exits(alg):
@@ -815,3 +880,87 @@ def test_kernel_four_byte_lanes():
 
 def _free(a, k):
     return a.domain**k, projection_tuples(a.domain, k)
+
+
+def _cyclic3(n):
+    # a value per rotation class, read at its least rotation (not symmetric)
+    def g(*args):
+        x, y, z = min(args[i:] + args[:i] for i in range(3))
+        return (x + 2 * y + 3 * z) % n
+    return g
+
+
+def _median(x, y, z):
+    return sorted((x, y, z))[1]
+
+
+def _orbit_shapes():
+    """(table, orbit kind) of every shape of basic operation the kernel
+    tells apart, on 1-, 2- and 4-byte lanes."""
+    yield _table("c", 3, 2, lambda x, y: (2 * x + 2 * y + 1) % 3), "symmetric"
+    yield _table("c", 4, 2, min), "symmetric"
+    yield _table("q", 3, 4, lambda *a: (sum(a) + 1) % 3), "symmetric"
+    yield _table("q", 4, 4, lambda *a: sorted(a)[1]), "symmetric"
+    yield _table("g", 3, 3, _cyclic3(3)), "cyclic"
+    yield _table("g", 4, 3, _cyclic3(4)), "cyclic"
+    # invariant only under swapping its first two arguments
+    yield _table("s", 4, 3, lambda x, y, z: (x * y + 3 * z + 1) % 4), None
+    yield _table("s", 3, 3, lambda x, y, z: (x + y + 2 * z + 1) % 3), None
+    yield _table("m", 9, 3, _median), "symmetric"
+    yield _table("g", 9, 3, _cyclic3(9)), "cyclic"
+    yield _table("m", 41, 3, _median), "symmetric"
+    yield _table("g", 41, 3, _cyclic3(41)), "cyclic"
+
+
+def test_orbit_kind_of_each_shape():
+    for op, kind in _orbit_shapes():
+        assert subpower._orbit_kind(op.domain, op.arity, op.values) == kind, op
+        # the reference finds the same group by trying every permutation
+        group = orbit_group(op)
+        assert (group is not None) == (kind is not None), op
+        if kind == "cyclic":
+            assert len(group) == 3
+
+
+def test_kernel_walks_one_tuple_per_orbit():
+    for op, kind in _orbit_shapes():
+        a = Algebra(op.domain, [op])
+        n = a.domain
+        pairs = [(0, 1), (1, n - 1), (n // 2, 1)]
+        for x, y in pairs:
+            kernel_and_reference(a, 2, [(x, y), (y, x)], max_steps=KERNEL_BUDGET // 4)
+            kernel_and_reference(a, 2, [(x, y), (y, x)], targets=[(y, y)])
+            kernel_and_reference(a, 3, [(x, y, 0), (y, 0, x), (0, x, y)],
+                                 max_steps=KERNEL_BUDGET // 4)
+        if n <= 4:
+            for k in (1, 2):
+                m, gens = _free(a, k)
+                ends = []
+                full = reference_closure(a, m, subpower._generator_bytes(a, m, gens),
+                                         DEFAULT_CAP, subpower._stop_test(None, None, None),
+                                         KERNEL_BUDGET, ends)
+                if full.truncated:
+                    continue
+                # the memo's count of a complete closure is the reference's
+                steps = ends[-1]
+                assert subpower._closure_steps(a, len(full)) == steps
+                for max_steps in (steps, steps + 1):
+                    got = kernel_and_reference(a, m, gens, max_steps=max_steps)
+                    assert got.truncated == (max_steps == steps)
+            _sweep_row_ends(a, *_free(a, 2), every=60, limit=3_000)
+        _sweep_row_ends(a, 2, [(0, 1), (1, 0)], every=25, limit=3_000)
+
+
+def test_kernel_mixed_orbit_kinds():
+    # a symmetric ternary, a plain binary and a unary operation on a 3-chain
+    a = Algebra(3, [_table("m", 3, 3, _median), _table("d", 3, 2, lambda x, y: (x + 2 * y) % 3),
+                    _table("s", 3, 1, lambda x: 2 - x)])
+    assert [subpower._orbit_kind(op.domain, op.arity, op.values)
+            for op in a.operations] == ["symmetric", None, None]
+    for k in (1, 2):
+        kernel_and_reference(a, *_free(a, k), max_steps=KERNEL_BUDGET)
+        _with_and_without_orbits(a, *_free(a, k))
+    for x, y in itertools.permutations(range(3), 2):
+        kernel_and_reference(a, 2, [(x, y), (y, x)])
+        _with_and_without_orbits(a, 2, [(x, y), (y, x)], cap=DEFAULT_CAP)
+    _sweep_row_ends(a, *_free(a, 2), every=11, limit=5_000)
