@@ -28,16 +28,16 @@ from .congruence import (
     quotient_algebra,
 )
 from .memo import Memo, table_key
-# generate is no longer called here but stays bound as structure.generate:
-# perfbench/test_smoke.py rebinds that name to check the tracer's guard
-from .subpower import (  # noqa: F401
+from .subpower import (
     TermTree,
     clone_membership,
+    decide_term,
     find_term,
     free_algebra,
     generate,
     sg_closure,
     term_closure,
+    term_generators,
 )
 
 # work budget for auxiliary closures inside negative shortcuts
@@ -425,6 +425,8 @@ def has_malcev_term(alg: Algebra, cap=None, max_steps=None):
     """Target-vector test for a term with p(x,y,y) = p(y,y,x) = x.
 
     Returns (True, witness) / (False, None) / (None, None) on truncation.
+    Runs through `decide_term`, so a "no" may rest on a local obstruction
+    (`malcev_obstruction`) instead of an exhausted closure.
     """
     n = alg.domain
     pats = sorted(
@@ -432,7 +434,37 @@ def has_malcev_term(alg: Algebra, cap=None, max_steps=None):
         | {(y, y, x) for x in range(n) for y in range(n) if x != y}
     )
     target = tuple(t[0] if t[1] == t[2] else t[2] for t in pats)
-    return find_term(alg, 3, pats, target, cap=cap, max_steps=max_steps)
+    m, gens = len(pats), term_generators(alg, 3, pats)
+    gset, obstruction = decide_term(
+        alg, m, gens,
+        lambda steps: generate(alg, m, gens, cap=cap, targets=[target], max_steps=steps),
+        lambda: malcev_obstruction(alg, cap=cap, max_steps=max_steps),
+        cap=cap, max_steps=max_steps)
+    if obstruction is not None:
+        return False, None
+    found = gset.contains(target)
+    return found, gset.witness_term(target) if found else None
+
+
+def malcev_obstruction(alg: Algebra, cap=None, max_steps=None):
+    """A sound local "no" for a Mal'cev term: the (a, b, c, d) it fails on.
+
+    A Mal'cev term p has p(a,b,b) = a and p(c,c,d) = d, so for every a != b
+    and c != d the ternary terms' values on the cells (a,b,b), (c,c,d) must
+    include (a, d), a closure in A^2 (Freese & Valeriote, IJAC 2009).
+    Returns the first quadruple in lex order whose closure completes without
+    (a, d).  A closure cut short by `cap` or `max_steps` proves nothing; None
+    when no quadruple fails.
+    """
+    n = alg.domain
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        if a == b or c == d:
+            continue
+        gset = term_closure(alg, 3, [(a, b, b), (c, c, d)], cap=cap, targets=[(a, d)],
+                            max_steps=max_steps)
+        if gset.contains((a, d)) is False:
+            return a, b, c, d
+    return None
 
 
 def is_affine_malcev_equiv(alg: Algebra, cap=None, max_steps=None):

@@ -246,17 +246,25 @@ def generate(
     gen_list = _generator_bytes(base, m, generators)
     stop_for = _stop_test(targets, region, stop_predicate)
     key = (table_key(base), m, tuple(gen_list))
-    hit = _closures.get(key)
+    hit = _served(key, cap, max_steps)
     if hit is not None:
-        elements, witnesses, steps = hit
-        if len(elements) <= cap and (max_steps is None or max_steps > steps):
-            return _replay(base, m, gen_list, elements, witnesses, stop_for)
+        elements, witnesses, _steps = hit
+        return _replay(base, m, gen_list, elements, witnesses, stop_for)
     gset = _closure(base, m, gen_list, cap, stop_for, max_steps)
     if not gset.truncated:
         steps = _closure_steps(base, len(gset.elements))
         if steps >= _MEMO_MIN_STEPS:
             _closures.put(key, (tuple(gset.elements), tuple(gset.witnesses), steps))
     return gset
+
+
+def _served(key, cap: int, max_steps: int | None):
+    """The memoized complete closure under `key` if these budgets would let a
+    fresh run finish, else None."""
+    hit = _closures.get(key)
+    if hit is not None and len(hit[0]) <= cap and (max_steps is None or max_steps > hit[2]):
+        return hit
+    return None
 
 
 def _generator_bytes(base: Algebra, m: int, generators) -> list:
@@ -267,13 +275,18 @@ def _generator_bytes(base: Algebra, m: int, generators) -> list:
             "256-element limit")
     gen_list = []
     for g in generators:
-        g = tuple(g)
+        if type(g) is not bytes:
+            g = tuple(g)
         if len(g) != m:
-            raise AlgebraError(f"generator {g} has length {len(g)}, expected {m}")
-        for v in g:
-            if not 0 <= v < n:
-                raise AlgebraError(f"generator entry {v} out of range")
-        gen_list.append(bytes(g))
+            raise AlgebraError(f"generator {tuple(g)} has length {len(g)}, expected {m}")
+        try:
+            b = bytes(g)
+        except ValueError:  # an entry outside 0..255
+            b = None
+        if b is None or (b and max(b) >= n):
+            bad = next(v for v in g if not 0 <= v < n)
+            raise AlgebraError(f"generator entry {bad} out of range")
+        gen_list.append(b)
     if not gen_list:
         raise AlgebraError("no generators")
     return gen_list
@@ -537,8 +550,13 @@ def term_closure(base: Algebra, k: int, cells, **budgets) -> GeneratedSet:
     is explicit because `cells` may be empty.
     """
     cells = list(cells)
-    return generate(base, len(cells), [tuple(c[j] for c in cells) for j in range(k)],
-                    **budgets)
+    return generate(base, len(cells), term_generators(base, k, cells), **budgets)
+
+
+def term_generators(base: Algebra, k: int, cells: list) -> list:
+    """The generators of `term_closure(base, k, cells)`: the k columns of the
+    cells (a list of k-tuples), as checked bytes."""
+    return _generator_bytes(base, len(cells), list(zip(*cells))[:k] if cells else [()] * k)
 
 
 def find_term(base: Algebra, k: int, cells, target, cap=None, max_steps=None):
@@ -572,11 +590,78 @@ def clone_membership(base: Algebra, op: OperationTable, cap=None, max_steps=None
                      cap=cap, max_steps=max_steps)
 
 
+# The step budget of the global probe in `decide_term`.  Measured on the
+# query-mix algebras (the 2-, 3- and 4-element entries and the products of
+# two small entries): every ternary cyclic or Mal'cev term that exists is
+# found within a budget of 45 steps, except T4,17's Mal'cev term, which
+# needs 8,001; a closure that answers "no" needs 11 to 110,593 steps to
+# finish, and six do not finish within 150,000.  So a probe of 1,000 steps
+# keeps the cost of a "yes" and of a cheap "no", and a costly "no" goes to
+# the local test.
+PROBE_STEPS = 1_000
+
+
+def decide_term(base: Algebra, m: int, gens, run, obstruction, cap=None, max_steps=None):
+    """Decides a term condition, the cheapest way first.
+
+    `run(steps)` runs the global closure of `gens` (`term_generators`) in
+    A^m with the caller's cap, its early exits and the step budget `steps`,
+    and returns it.  `obstruction()` runs a sound local test and returns the
+    argument it fails on, or None.  In this order:
+
+      1. a probe, run(min(max_steps, PROBE_STEPS)).  The closure order does
+         not depend on the budget, so unless the probe stops on its step
+         budget its answer is the full closure's;
+      2. after such a stop, obstruction();
+      3. failing both, run(max_steps), exactly as without the probe (unless
+         the probe already had that budget).
+
+    A complete closure in the memo that these budgets would let finish
+    answers at once, with neither the probe nor the local test.  Returns
+    (closure, None), or (probe, argument) when the local test says "no".
+    """
+    key = (table_key(base), m, tuple(gens))
+    if _served(key, DEFAULT_CAP if cap is None else cap, max_steps) is not None:
+        return run(max_steps), None
+    steps = PROBE_STEPS if max_steps is None else min(max_steps, PROBE_STEPS)
+    probe = run(steps)
+    if probe.stop_reason != "steps":
+        return probe, None
+    argument = obstruction()
+    if argument is not None or steps == max_steps:
+        return probe, argument
+    return run(max_steps), None
+
+
+def cyclic_obstruction(base: Algebra, k: int, cap=None, max_steps=None):
+    """A sound local "no" for a k-ary cyclic term: the argument a it fails on.
+
+    A cyclic term t gives t(a) = t(rot a) = ... for every a in A^k, so the
+    values of the k-ary terms on the k rotations of a (`term_closure`) must
+    include a constant tuple (Barto & Kozik, LMCS 2012).  Tries each
+    non-constant a that is the least of its rotations, in lex order, and
+    returns the first whose closure completes without one.  A closure cut
+    short by `cap` or `max_steps` proves nothing; None when no a fails.
+    """
+    n = base.domain
+    for a in itertools.product(range(n), repeat=k):
+        rotations = [a[i:] + a[:i] for i in range(k)]
+        if a.count(a[0]) == k or min(rotations) != a:
+            continue
+        gset = term_closure(base, k, rotations, cap=cap, max_steps=max_steps,
+                            stop_predicate=lambda e: e == e[:1] * k)
+        if not gset.truncated:
+            return a
+    return None
+
+
 def cyclic_terms(base: Algebra, k: int, cap=None, limit=None, max_steps=None):
     """k-ary cyclic term operations, in generation order.
 
     Returns (tables, complete).  complete=False means the closure was cut
-    short (by cap or limit), so the list is a lower bound only.
+    short (by cap, max_steps or limit), so the list is a lower bound only.
+    The search runs through `decide_term`: ([], True) may rest on a local
+    obstruction (`cyclic_obstruction`) instead of an exhausted Clo_k.
     """
     if k < 2:
         raise AlgebraError(f"cyclic_terms arity must be >= 2, got {k}")
@@ -590,21 +675,29 @@ def cyclic_terms(base: Algebra, k: int, cap=None, limit=None, max_steps=None):
     def is_cyclic_elem(e):  # most elements fail at an early cell
         return all(e[i] == e[rot[i]] for i in rng)
 
-    if limit is None:
-        gset = free_algebra(base, k, cap=cap, max_steps=max_steps)
-        for e in gset.elements:
-            if is_cyclic_elem(e):
-                hits.append(e)
-    else:
-        def predicate(e):
-            if is_cyclic_elem(e):
-                hits.append(e)
-                return len(hits) >= limit
-            return False
+    def predicate(e):
+        if is_cyclic_elem(e):
+            hits.append(e)
+            return len(hits) >= limit
+        return False
 
-        gset = free_algebra(base, k, cap=cap, max_steps=max_steps,
-                            stop_predicate=predicate)
+    m = n**k
+    gens = term_generators(base, k, list(itertools.product(range(n), repeat=k)))
 
+    def run(steps):  # Clo_k, as `free_algebra` builds it
+        hits.clear()
+        if limit is None:
+            gset = generate(base, m, gens, cap=cap, max_steps=steps)
+            hits.extend(filter(is_cyclic_elem, gset.elements))
+            return gset
+        return generate(base, m, gens, cap=cap, max_steps=steps, stop_predicate=predicate)
+
+    gset, obstruction = decide_term(
+        base, m, gens, run,
+        lambda: None if hits else cyclic_obstruction(base, k, cap=cap, max_steps=max_steps),
+        cap=cap, max_steps=max_steps)
+    if obstruction is not None:
+        return [], True
     tables = [
         OperationTable(f"c{i}", k, n, tuple(e)) for i, e in enumerate(hits)
     ]

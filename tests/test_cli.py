@@ -28,6 +28,16 @@ def test_cyclic_count_t1n(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+def test_cyclic_count_decided_by_a_local_obstruction(capsys):
+    # the global closures stop on their budgets (T4,17's Clo_3 has 960
+    # elements); the rotation obstruction at (0, 0, 1) decides both
+    code, out, _ = run(["--max-steps", "150000", "cyclic", "@T4,16", "--limit", "1",
+                        "--count"], capsys)
+    assert code == 0 and out == "0\n"
+    code, out, _ = run(["cyclic", "@T4,17", "--count"], capsys)
+    assert code == 0 and out == "0\n"
+
+
 def test_info(capsys):
     code, out, _ = run(["info", "@T4,7"], capsys)
     assert code == 0

@@ -14,7 +14,8 @@ from finalg.core import (
 from finalg.congruence import Partition, all_congruences, quotient_algebra, class_algebra
 from finalg import subpower
 from finalg.subpower import eval_term, generate, has_cyclic_term, sg_closure
-from finalg.structure import absorbs, all_subuniverses, weak_edges
+from finalg.structure import (absorbs, all_subuniverses, has_malcev_term,
+                              malcev_obstruction, weak_edges)
 from finalg import catalog
 from finalg.certify import parse_certificate
 from finalg.search import parse_constraint_file
@@ -180,6 +181,57 @@ def test_kernel_orbit_rows_match_the_reference_over_every_tuple(closure):
     assert got.elements == want.elements
     assert got.witnesses == want.witnesses
     assert (got.truncated, got.stop_reason) == (want.truncated, want.stop_reason)
+
+
+# ---------------------------------------------------------------------------
+# the local cyclic and Mal'cev obstructions never deny a term of Clo_3
+
+@st.composite
+def idempotent_ternary_algebras(draw):
+    """An idempotent ternary table on 2-3 elements: plain, cyclic, symmetric,
+    or a Mal'cev operation."""
+    n = draw(st.integers(2, 3))
+    cells = list(itertools.product(range(n), repeat=3))
+    pos = {c: i for i, c in enumerate(cells)}
+    base = _random_table(draw, n, 3)
+    shape = draw(st.sampled_from(["plain", "cyclic", "symmetric", "malcev"]))
+    if shape == "symmetric":
+        vals = [base[pos[tuple(sorted(c))]] for c in cells]
+    elif shape == "cyclic":
+        vals = [base[pos[min(c[i:] + c[:i] for i in range(3))]] for c in cells]
+    else:
+        vals = list(base)
+    for (x, y, z), i in pos.items():
+        if x == y == z:
+            vals[i] = x
+        elif shape == "malcev" and y == z:
+            vals[i] = x
+        elif shape == "malcev" and x == y:
+            vals[i] = z
+    return Algebra(n, (OperationTable("g", 3, n, tuple(vals)),))
+
+
+@given(idempotent_ternary_algebras())
+@settings(max_examples=300, deadline=None)
+def test_local_obstructions_never_deny_a_term_of_clo3(a):
+    # a term found in Clo_3 (complete, or cut by the budgets) rules out an
+    # obstruction, also under budgets that cut the local closures short; where
+    # Clo_3 is complete, the decisions agree with its scan
+    n = a.domain
+    cells = list(itertools.product(range(n), repeat=3))
+    at = {c: i for i, c in enumerate(cells)}
+    clo3 = subpower.free_algebra(a, 3, cap=1_000, max_steps=20_000)
+    cyclic = any(all(e[at[c]] == e[at[c[1:] + c[:1]]] for c in cells) for e in clo3.elements)
+    malcev = any(all(e[at[(x, y, y)]] == x == e[at[(y, y, x)]] for x in range(n) for y in range(n))
+                 for e in clo3.elements)
+    for max_steps in (None, 5, 40):
+        if cyclic:
+            assert subpower.cyclic_obstruction(a, 3, max_steps=max_steps) is None
+        if malcev:
+            assert malcev_obstruction(a, max_steps=max_steps) is None
+    if not clo3.truncated:
+        assert has_cyclic_term(a, 3) is cyclic
+        assert has_malcev_term(a)[0] is malcev
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,8 @@ def test_has_malcev(alg):
     assert has_malcev_term(alg("T4N"))[0] is False
     member, witness = has_malcev_term(alg("Z4aff"))
     assert member is True
+    # the global closure stops on this budget; a local obstruction decides
+    assert has_malcev_term(alg("T4,16"), max_steps=150_000)[0] is False
 
 
 def test_malcev_agrees_with_free_scan(alg):

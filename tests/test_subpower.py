@@ -227,6 +227,9 @@ def test_has_cyclic_term(alg):
     assert has_cyclic_term(alg("T1N"), 3) is True
     assert has_cyclic_term(alg("T5N"), 3) is False
     assert has_cyclic_term(alg("T5N"), 5) is True  # 2(x1+...+x5) mod 3
+    # decided by the rotation obstruction at (0, 0, 1), whose closure needs
+    # more than 100 steps; a global closure would not finish
+    assert has_cyclic_term(alg("T4,16"), 3) is False
     assert has_cyclic_term(alg("T4,16"), 3, max_steps=100) is None
     with pytest.raises(AlgebraError):
         has_cyclic_term(alg("T1N"), 1)
@@ -964,3 +967,147 @@ def test_kernel_mixed_orbit_kinds():
         kernel_and_reference(a, 2, [(x, y), (y, x)])
         _with_and_without_orbits(a, 2, [(x, y), (y, x)], cap=DEFAULT_CAP)
     _sweep_row_ends(a, *_free(a, 2), every=11, limit=5_000)
+
+
+# ---------------------------------------------------------------------------
+# the local obstructions for cyclic and Mal'cev terms against Clo_3
+
+from finalg.core import product  # noqa: E402
+from finalg.structure import has_malcev_term, malcev_obstruction  # noqa: E402
+
+
+def _malcev_cells(n):
+    """The cells (x,y,y), (y,y,x), x != y, and a Mal'cev term's values there."""
+    pats = sorted({(x, y, y) for x in range(n) for y in range(n) if x != y}
+                  | {(y, y, x) for x in range(n) for y in range(n) if x != y})
+    return pats, tuple(t[0] if t[1] == t[2] else t[2] for t in pats)
+
+
+def _clo3_terms(a):
+    """(has a cyclic term, has a Mal'cev term) from a scan of Clo_3.
+
+    Where Clo_3 does not finish within the budget, a term found in the part
+    built still counts, and the Mal'cev answer falls back on the exhausted
+    closure over the Mal'cev cells, which is the projection of Clo_3."""
+    n = a.domain
+    cells = list(itertools.product(range(n), repeat=3))
+    index = {c: i for i, c in enumerate(cells)}
+    rot = [index[c[1:] + c[:1]] for c in cells]
+    pats, target = _malcev_cells(n)
+    at = [index[p] for p in pats]
+    clo3 = free_algebra(a, 3, max_steps=200_000)
+    cyclic = any(all(e[i] == e[rot[i]] for i in range(len(cells))) for e in clo3.elements)
+    malcev = any(tuple(e[i] for i in at) == target for e in clo3.elements)
+    if clo3.truncated:
+        assert cyclic, "no cyclic term in a partial Clo_3"
+        if not malcev:
+            malcev, _ = find_term(a, 3, pats, target)
+            assert malcev is False
+    return cyclic, malcev
+
+
+def _small_algebras():
+    """The catalog entries with at most 3 elements and the products of two
+    2-element entries with the same signature."""
+    from finalg import catalog
+
+    small = {name: catalog.get(name).algebra for name in catalog.names()
+             if catalog.get(name).algebra.domain <= 3}
+    for x, y in (("S", "S"), ("M", "M"), ("M", "Z2aff"), ("Z2aff", "Z2aff")):
+        small[f"{x}x{y}"] = product([small[x], small[y]])
+    return small
+
+
+def _replay_cyclic_obstruction(a, k, tup):
+    """The rotation closure of `tup`, recomputed by the reference closure."""
+    rotations = [tup[i:] + tup[:i] for i in range(k)]
+    gens = subpower.term_generators(a, k, rotations)
+    ref = reference_closure(a, k, gens, DEFAULT_CAP, subpower._stop_test(None, None, None),
+                            None)
+    assert not ref.truncated
+    assert not any(len(set(e)) == 1 for e in ref.elements)
+
+
+def _replay_malcev_obstruction(a, quad):
+    x, y, z, w = quad
+    assert x != y and z != w
+    gens = subpower.term_generators(a, 3, [(x, y, y), (z, z, w)])
+    ref = reference_closure(a, 2, gens, DEFAULT_CAP, subpower._stop_test(None, None, None),
+                            None)
+    assert not ref.truncated and bytes((x, w)) not in ref.position
+
+
+def test_local_obstructions_never_deny_a_term_of_clo3():
+    # an obstruction "no" must never meet a cyclic (resp. Mal'cev) element of
+    # Clo_3, with any budget: a closure cut short by cap or max_steps is no
+    # obstruction.  With unbounded budgets every "no" here is found locally.
+    decided = {"cyclic": 0, "malcev": 0}
+    for name, a in _small_algebras().items():
+        cyclic, malcev = _clo3_terms(a)
+        for cap, max_steps in ((None, None), (None, 7), (None, 60), (3, None), (12, None)):
+            c = subpower.cyclic_obstruction(a, 3, cap=cap, max_steps=max_steps)
+            m = malcev_obstruction(a, cap=cap, max_steps=max_steps)
+            assert c is None or not cyclic, (name, cap, max_steps, c)
+            assert m is None or not malcev, (name, cap, max_steps, m)
+            if cap is max_steps is None:
+                assert (c is None, m is None) == (cyclic, malcev), name
+                decided["cyclic"] += c is not None
+                decided["malcev"] += m is not None
+                if a.domain == 4:
+                    if c is not None:
+                        _replay_cyclic_obstruction(a, 3, c)
+                    if m is not None:
+                        _replay_malcev_obstruction(a, m)
+    assert decided == {"cyclic": 4, "malcev": 26}
+
+
+def test_local_obstructions_of_four_element_entries_replay(alg):
+    # no Clo_3 scan here (T4,17's alone takes minutes); each named argument's
+    # closure is recomputed by the reference closure instead
+    from finalg import catalog
+
+    for name in catalog.names():
+        a = alg(name)
+        if a.domain != 4:
+            continue
+        c = subpower.cyclic_obstruction(a, 3)
+        if c is not None:
+            _replay_cyclic_obstruction(a, 3, c)
+        m = malcev_obstruction(a)
+        if m is not None:
+            _replay_malcev_obstruction(a, m)
+    assert subpower.cyclic_obstruction(alg("T4,16"), 3) == (0, 0, 1)
+    assert malcev_obstruction(alg("T4,16")) == (0, 3, 0, 3)
+
+
+def test_decide_term_runs_probe_local_test_full_closure_in_order(alg, runs, monkeypatch):
+    # T4,17 has a Mal'cev term, found after 8,001 steps: the probe stops on
+    # its budget, the local test finds no failing quadruple, and the full
+    # closure finds the term; a memoized complete closure answers alone
+    a = alg("T4,17")
+    pats, target = _malcev_cells(4)
+    budgets = []
+    inner = subpower.generate
+
+    def spy(base, m, generators, **kw):
+        budgets.append((m, kw.get("cap"), kw.get("max_steps")))
+        return inner(base, m, generators, **kw)
+
+    from finalg import structure
+
+    for module in (subpower, structure):
+        monkeypatch.setattr(module, "generate", spy)
+    found, witness = has_malcev_term(a, cap=10**6, max_steps=150_000)
+    assert found is True
+    assert budgets[0] == (len(pats), 10**6, subpower.PROBE_STEPS)
+    assert budgets[-1] == (len(pats), 10**6, 150_000)
+    assert set(budgets[1:-1]) == {(2, 10**6, 150_000)}
+    assert len(budgets) == 2 + 4 * 3 * 4 * 3
+    got = eval_term_table(witness, a, 3)
+    assert tuple(got.values[got.index(p)] for p in pats) == target
+    # the complete closure, memoized, answers without a probe or a local test
+    full = generate(a, len(pats), subpower.term_generators(a, 3, pats))
+    assert not full.truncated
+    budgets.clear()
+    assert has_malcev_term(a)[0] is True
+    assert budgets == [(len(pats), None, None)]
