@@ -23,6 +23,7 @@ from .core import (
     OperationTable,
     PartialTable,
     is_commutative,
+    is_conservative,
     is_cyclic,
     is_idempotent,
     is_symmetric,
@@ -30,11 +31,17 @@ from .core import (
     restrict,
     serialize_algebra,
 )
-from .congruence import Partition, all_congruences, is_congruence, quotient_algebra
+from .congruence import (
+    NotACongruenceError,
+    Partition,
+    all_congruences,
+    is_congruence,
+    quotient_algebra,
+)
 from .search import Cyclic, Idempotent, RestrictionEquals, Symmetric, unique_completion
 from .memo import Memo, table_key
 from .subpower import clone_membership, free_algebra
-from .structure import all_subuniverses, clone_excluded
+from .structure import all_subuniverses, clone_excluded, semilattice_edge
 
 
 class UnknownNameError(AlgebraError):
@@ -527,8 +534,6 @@ def check_facts(entry: CatalogEntry):
             if not is_commutative(op):
                 failures.append(f"{entry.name}: operation not commutative")
         elif kind == "conservative":
-            from .core import is_conservative
-
             if not is_conservative(op):
                 failures.append(f"{entry.name}: operation not conservative")
         else:
@@ -538,18 +543,6 @@ def check_facts(entry: CatalogEntry):
 
 def export_entry(name: str) -> str:
     return serialize_algebra(get(name).algebra)
-
-
-def write_golden_files(directory):
-    """Development helper: write every constructed table as a golden file."""
-    import pathlib
-
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name in _NAMES:
-        alg = build_algebra(name)
-        fname = name.lower().replace(",", "_") + ".alg"
-        (directory / fname).write_text(f"# {name}\n" + serialize_algebra(alg))
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +595,6 @@ def invariant_fingerprint(alg: Algebra, cap=None):
     algebras quickly: subuniverses, congruences, semilattice edges and the
     binary term operations Clo_2.  Clo_2 comes back None when it exceeds its
     budget, and comparisons skip it then."""
-    from .structure import semilattice_edge
-
     key = table_key(alg)
     fp = _fp_cache.get(key)
     if fp is not None:
@@ -681,25 +672,29 @@ def equivalent_up_to_iso(a: Algebra, b: Algebra, cap=None, max_steps=None):
     return None, conclusive
 
 
+def equivalent_to_entry(alg: Algebra, name: str, cap=None, max_steps=None):
+    """`equivalent_up_to_iso(alg, entry)` for the catalog entry `name`:
+    (perm, conclusive), and (None, True) when the domains differ."""
+    want = get(name).algebra
+    if alg.domain != want.domain:
+        return None, True
+    return equivalent_up_to_iso(alg, want, cap=cap, max_steps=max_steps)
+
+
 def verify_subdirect(alg: Algebra, theta1: Partition, theta2: Partition,
-                     name1: str, name2: str, cap=None):
+                     name1: str, name2: str, cap=None, max_steps=None):
     """Check a subdirect-product presentation: the two congruences meet to
     the identity and the quotients match the named catalog entries up to
-    isomorphism and term equivalence."""
+    isomorphism and term equivalence.  True/False/None."""
     for theta in (theta1, theta2):
         ok, violation = is_congruence(alg, theta)
         if not ok:
-            from .congruence import NotACongruenceError
-
             raise NotACongruenceError(f"not a congruence: {violation}")
     if not theta1.meet(theta2).is_identity():
         return False
     for theta, nm in ((theta1, name1), (theta2, name2)):
         quo, _ = quotient_algebra(alg, theta)
-        want = get(nm).algebra
-        if quo.domain != want.domain:
-            return False
-        perm, conclusive = equivalent_up_to_iso(quo, want, cap=cap)
+        perm, conclusive = equivalent_to_entry(quo, nm, cap=cap, max_steps=max_steps)
         if perm is None:
             return None if not conclusive else False
     return True

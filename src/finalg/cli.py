@@ -31,8 +31,8 @@ from .catalog import CatalogIntegrityError
 from .congruence import (
     NotACongruenceError,
     all_congruences,
-    is_simple,
     principal_congruence,
+    simplicity_witness,
 )
 from .subpower import (
     clone_membership,
@@ -81,14 +81,12 @@ def _load(spec: str):
     return parse_algebra(_read_ascii(spec), label=spec)
 
 
-def _parse_gens(text: str):
+def _parse_ints(text: str, what: str, example: str) -> tuple:
+    """Comma-separated integers; anything else is an AlgebraError."""
     try:
-        return [tuple(int(v) for v in chunk.split(","))
-                for chunk in text.split(";") if chunk.strip()]
+        return tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise AlgebraError(
-            f"bad generator list {text!r}: expected integers like 0,1;1,0"
-        ) from None
+        raise AlgebraError(f"bad {what} {text!r}: expected integers like {example}") from None
 
 
 def _var_names(k: int):
@@ -114,7 +112,8 @@ def cmd_info(args):
 
 def cmd_sg(args):
     alg = _load(args.file)
-    gens = _parse_gens(args.gens)
+    gens = [_parse_ints(chunk, "generator list", "0,1;1,0")
+            for chunk in args.gens.split(";") if chunk.strip()]
     gset = generate(alg, args.power, gens, cap=args.cap)
     sys.stdout.write(gset.export_text())
     return EXIT_INCONCLUSIVE if gset.truncated else EXIT_OK
@@ -165,23 +164,16 @@ def cmd_cong(args):
         for p in all_congruences(alg):
             print(str(p))
     if args.simple:
-        simple = is_simple(alg)
-        print(f"simple={'true' if simple else 'false'}")
-        if not simple:
-            witness = next(
-                p
-                for x in range(alg.domain)
-                for y in range(x + 1, alg.domain)
-                for p in (principal_congruence(alg, x, y),)
-                if not p.is_full()
-            )
+        witness = simplicity_witness(alg)
+        print(f"simple={'true' if witness is None else 'false'}")
+        if witness is not None:
             print(str(witness))
     return code
 
 
 def cmd_absorb(args):
     alg = _load(args.file)
-    subset = tuple(int(v) for v in args.subset.split(","))
+    subset = _parse_ints(args.subset, "subset", "0,2")
     res = structure.absorbs(alg, subset, args.arity, cap=args.cap,
                             max_steps=args.max_steps)
     if res.holds is None:
@@ -307,11 +299,7 @@ def cmd_search(args):
 
 
 def cmd_verify(args):
-    certs = None
-    if args.suite != "paper":
-        print(f"unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_USAGE
-    ok, results = certify.run_suite(certs, cap=args.cap,
+    ok, results = certify.run_suite(cap=args.cap,
                                     max_steps=args.max_steps, strict=args.strict)
     print(certify.format_report(results, json_mode=args.json))
     if ok:
@@ -407,7 +395,7 @@ def build_parser():
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="replay the certificate suite")
-    p.add_argument("--suite", default="paper")
+    p.add_argument("--suite", default="paper", choices=("paper",))
     p.add_argument("--strict", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -126,11 +126,6 @@ class Partition:
             self.size, [(mine[x], theirs[x]) for x in range(self.size)]
         )
 
-    def pairs(self):
-        for b in self.blocks:
-            for x, y in itertools.combinations(b, 2):
-                yield x, y
-
 
 def is_congruence(alg: Algebra, p: Partition):
     """(True, None) or (False, violation) with a concrete violating instance.
@@ -237,15 +232,17 @@ def maximal_congruences(alg: Algebra):
     ]
 
 
+def simplicity_witness(alg: Algebra):
+    """The first principal congruence Cg(a, b) (a < b, lexicographic) that
+    is not full, or None when the algebra is simple."""
+    n = alg.domain
+    return next((p for a in range(n) for b in range(a + 1, n)
+                 for p in (principal_congruence(alg, a, b),) if not p.is_full()), None)
+
+
 def is_simple(alg: Algebra) -> bool:
     """Only the identity and full relations are congruences."""
-    if alg.domain == 1:
-        return True
-    return all(
-        principal_congruence(alg, a, b).is_full()
-        for a in range(alg.domain)
-        for b in range(a + 1, alg.domain)
-    )
+    return simplicity_witness(alg) is None
 
 
 def quotient_algebra(alg: Algebra, p: Partition, label=None):

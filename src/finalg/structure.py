@@ -162,11 +162,32 @@ class EdgeRecord:
     witness_blocks: tuple  # witnessing congruence as blocks of Sg{a,b}, original labels
     term: TermTree | None
     group: str | None = None  # abelian group label for affine kinds
+    xyz: OperationTable | None = None  # affine kinds: the quotient's x-y+z table matched
 
     def render(self) -> str:
         arrow = "->" if self.directed else "-"
         wit = "".join("{" + ",".join(map(str, bl)) + "}" for bl in self.witness_blocks)
         return f"{self.a}{arrow}{self.b} {self.kind} witness={wit}"
+
+    def term_condition(self):
+        """(cells, allowed), in the original labels: the term's value on
+        `cells[j]` lies in `allowed[j]`, a block of the witnessing congruence.
+        A semilattice term sends (a, b) and (b, a) into b's block, a majority
+        term is a majority on the blocks of a and b, and an affine term is the
+        matched x-y+z table modulo the congruence on all of Sg{a, b}."""
+        blocks = self.witness_blocks
+        index = {x: i for i, bl in enumerate(blocks) for x in bl}
+        a, b = self.a, self.b
+        if self.directed:
+            cells = [(a, b), (b, a)]
+            values = [index[b]] * 2
+        elif self.xyz is None:
+            cells = _majority_on_pair_positions(a, b)
+            values = [index[a]] * 3 + [index[b]] * 3
+        else:
+            cells = list(itertools.product(sorted(index), repeat=3))
+            values = [self.xyz(*(index[x] for x in c)) for c in cells]
+        return cells, [set(blocks[v]) for v in values]
 
 
 def _abelian_group_tables(n: int):
@@ -336,7 +357,7 @@ def weak_edges(alg: Algebra, a: int, b: int, cap=None, max_steps=None):
                     else:
                         kind = "weak-affine"
                     records.append(EdgeRecord(
-                        a, b, kind, False, orig_blocks, witness, group=gname
+                        a, b, kind, False, orig_blocks, witness, group=gname, xyz=table
                     ))
                     break
                 if member is None:

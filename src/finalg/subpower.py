@@ -90,12 +90,6 @@ def render_term(tree: TermTree, names) -> str:
     return f"{tree.op}({inner})"
 
 
-def term_depth(tree: TermTree) -> int:
-    if tree.is_variable():
-        return 0
-    return 1 + max(term_depth(c) for c in tree.children)
-
-
 def eval_term(tree: TermTree, alg: Algebra, args) -> int:
     """Evaluate a term tree on domain elements."""
     if tree.is_variable():

@@ -4,7 +4,8 @@ import pathlib
 import pytest
 
 from finalg.core import AlgebraError, ParseError
-from finalg import catalog, certify
+from finalg import catalog, certify, subpower
+from finalg.certify import Assertion
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -36,7 +37,10 @@ def test_parse_rejects_garbage():
     with pytest.raises(AlgebraError):
         certify.parse_certificate("algebra S\n")  # no assertions
     for line in ("absorbs 0 x true", "edge", "quotient-equiv {0}{1}",
-                 "cyclic-count 3 ==", "subdirect a b", "clone-contains x: 0 1"):
+                 "cyclic-count 3 ==", "subdirect a b", "clone-contains x: 0 1",
+                 "frobnicate 1 2", "simple maybe", "taylor", "cyclic-count 3 < 2",
+                 "unique-op :: arity 3", "edge 0,1,2 majority", "edge 0,1 majority {0}{1}",
+                 "term-equiv S T1N"):
         with pytest.raises(ParseError, match=r"\(line 2\)"):
             certify.parse_certificate(f"algebra S\n{line}\n")
 
@@ -127,3 +131,60 @@ def test_full_shipped_suite_passes():
     golden = json.loads((DATA / "paper_suite_records.json").read_text())
     records = [{k: r.record[k] for k in ("id", "status", "detail")} for r in results]
     assert records == golden
+
+
+def test_isomorphism_kinds_obey_max_steps():
+    t1n = catalog.get("T1N").algebra
+    for a in (Assertion("quotient-equiv", ("{0}{1}{2}", "T1N")),
+              Assertion("class-equiv", ("{0,1,2}", (0, 1, 2), "T1N"))):
+        assert certify.check_assertion(t1n, a) == ("pass", "bijection (0, 1, 2)")
+        assert certify.check_assertion(t1n, a, max_steps=1) == ("inconclusive", "budget")
+    t41 = catalog.get("T4,1").algebra
+    a = Assertion("subdirect", ("{0,1,2}{3}", "{0}{1,3}{2}", "S", "T1N"))
+    assert certify.check_assertion(t41, a) == ("pass", "{0,1,2}{3} x {0}{1,3}{2}")
+    assert certify.check_assertion(t41, a, max_steps=1) == ("inconclusive", "budget")
+
+
+def _wrong_link(gset):
+    """The witness link of the last element with one parent index changed so
+    that it no longer produces that element."""
+    op_i, parents = gset.witnesses[-1]
+    op = gset.base.operations[op_i]
+    for j in range(len(parents)):
+        for q in range(len(gset.elements) - 1):
+            bad = parents[:j] + (q,) + parents[j + 1:]
+            got = bytes(op(*col) for col in zip(*(gset.elements[p] for p in bad)))
+            if got != gset.elements[-1]:
+                return op_i, bad
+    raise AssertionError("no wrong link")
+
+
+@pytest.fixture
+def wrong_links(monkeypatch):
+    """A mutant closure engine: a closure that stops on the element it was
+    looking for (targets, region) records a wrong parent index for it."""
+    subpower._closures.clear()
+    real = subpower._closure
+    corrupted = []
+
+    def closure(*args):
+        gset = real(*args)
+        if gset.stop_reason in ("targets", "region") and gset.witnesses[-1] is not None:
+            gset.witnesses[-1] = _wrong_link(gset)
+            corrupted.append(gset)
+        return gset
+
+    monkeypatch.setattr(subpower, "_closure", closure)
+    yield corrupted
+    subpower._closures.clear()
+
+
+@pytest.mark.parametrize("kind", ["absorbs", "edge", "sg-contains", "clone-contains"])
+def test_a_wrong_witness_link_fails_the_replay(wrong_links, kind):
+    # the first shipped assertion of the kind whose pass rests on a term
+    cert, a = next((c, a) for c in certify.shipped_certificates() for a in c.assertions
+                   if a.kind == kind and a.args[-1] is not False)
+    alg = catalog.get(cert.algebra_name).algebra
+    assert certify.check_assertion(alg, a) == ("fail", "witness does not replay")
+    if kind == "sg-contains":
+        assert len(wrong_links) == 1  # one closure, one wrong parent index

@@ -1,3 +1,8 @@
+import contextlib
+import io
+
+from hypothesis import example, given, settings, strategies as st
+
 from finalg import catalog
 from finalg.cli import main
 
@@ -225,3 +230,75 @@ def test_cyclic_limit_below_one_is_an_error(capsys):
     code, out, err = run(["cyclic", "@T4,10", "--arity", "3", "--limit", "0"], capsys)
     assert code == 2 and out == ""
     assert err == "error: cyclic_terms limit must be at least 1, got 0\n"
+
+
+def test_absorb_bad_subset_text_is_an_error(capsys):
+    for text in ("a", ",", "0,,1"):
+        code, out, err = run(["absorb", "@S", "--subset", text, "--arity", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: bad subset {text!r}: expected integers like 0,2\n"
+
+
+def test_verify_unknown_suite_is_a_usage_error(capsys):
+    code, out, err = run(["verify", "--suite", "other"], capsys)
+    assert code == 2 and out == ""
+    assert "invalid choice: 'other'" in err
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every command line ends in exit code 0, 1, 2 or 3, never in an
+# exception.  The examples stay cheap: catalog entries of at most 3
+# elements, arities and powers of at most 3 and at most 10,000 steps.
+
+_SMALL = [f"@{n}" for n in catalog.names() if catalog.get(n).algebra.domain <= 3]
+_ALGEBRAS = st.sampled_from([*_SMALL, "@NOPE", "no/such/file.alg"])
+_SMALL_INTS = st.sampled_from(("2", "1", "3", "0", "-1"))
+_TUPLE_TEXT = st.lists(_SMALL_INTS, min_size=1, max_size=3).map(",".join)
+_INT_TEXT = st.one_of(_TUPLE_TEXT, st.lists(_TUPLE_TEXT, min_size=1, max_size=3).map(";".join),
+                      st.text(alphabet="0123,;-x ", max_size=6))
+_STEPS = st.one_of(st.integers(1, 10_000), st.sampled_from((0, -1))).map(str)
+
+
+@st.composite
+def argvs(draw):
+    a = draw(_ALGEBRAS)
+
+    def n():
+        return draw(_SMALL_INTS)
+
+    def flag(*tokens):
+        return list(tokens) if draw(st.booleans()) else []
+
+    verbs = {
+        "info": lambda: [a],
+        "sg": lambda: [a, "--power", n(), "--gens", draw(_INT_TEXT)],
+        "clone": lambda: [a, "--arity", n(), *flag("--list"),
+                          *flag("--member", draw(_ALGEBRAS) + draw(st.sampled_from(("", ":f"))))],
+        "cyclic": lambda: [a, "--arity", n(), *flag("--limit", n()), *flag("--list")],
+        "cong": lambda: [a, *flag("--principal", n(), n()), *flag("--all"), *flag("--simple")],
+        "absorb": lambda: [a, "--subset", draw(_INT_TEXT), "--arity", n()],
+        "edges": lambda: [a, *flag("--pair", n(), n()), *flag("--graph")],
+        "taylor": lambda: [a],
+        "rab": lambda: [a, n(), n()],
+        "equiv": lambda: [a, draw(_ALGEBRAS), *flag("--iso")],
+        "catalog": lambda: [draw(st.sampled_from(("list", "show", "export", "frob"))),
+                            *flag(draw(_ALGEBRAS)[1:])],
+        "search": lambda: ["--spec", "no/such/file.spec", *flag("--count")],
+        "verify": lambda: ["--suite", "other", *flag("--strict"), *flag("--json")],
+    }
+    verb = draw(st.sampled_from(sorted(verbs)))
+    argv = ["--max-steps", draw(_STEPS), *flag("--cap", draw(_STEPS)), verb,
+            *verbs[verb]()]
+    if draw(st.integers(0, 3)) == 0:  # a token left out; --max-steps still bounds the work
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@given(argvs())
+@example(["--max-steps", "10000", "absorb", "@S", "--subset", "a", "--arity", "2"])
+@example(["--max-steps", "10000", "absorb", "@S", "--subset", ",", "--arity", "2"])
+@settings(max_examples=150, deadline=None)
+def test_any_command_line_exits_with_a_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv

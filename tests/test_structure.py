@@ -87,6 +87,23 @@ def test_weak_edges_t410_majority(alg):
     assert any(r.witness_blocks == ((0, 2), (1, 3)) for r in maj)
 
 
+def test_edge_records_meet_their_term_conditions(alg):
+    # in the original labels; an affine record's condition is its x-y+z
+    # table modulo the witness on all of Sg{a, b}^3
+    kinds = set()
+    for name, a, b in (("T1S", 0, 1), ("T3N", 1, 2), ("T3N", 0, 2), ("T4,10", 0, 1)):
+        algebra = alg(name)
+        recs, conclusive = weak_edges(algebra, a, b)
+        assert conclusive and recs
+        for r in recs:
+            kinds.add(r.kind)
+            cells, allowed = r.term_condition()
+            assert all(eval_term(r.term, algebra, c) in ok for c, ok in zip(cells, allowed))
+            if r.xyz is not None:
+                assert len(cells) == len(sg_closure(algebra, (a, b))) ** 3
+    assert {"semilattice", "majority", "strong-affine", "weak-affine"} <= kinds
+
+
 def test_weak_edges_requires_distinct(alg):
     with pytest.raises(AlgebraError):
         weak_edges(alg("S"), 0, 0)
