@@ -564,7 +564,7 @@ def transport(alg: Algebra, perm) -> Algebra:
     return Algebra(n, tuple(ops), label=alg.label)
 
 
-def term_equivalent(a: Algebra, b: Algebra, cap=None, max_steps=None):
+def term_equivalent(a: Algebra, b: Algebra, max_steps=None):
     """Do the two algebras generate the same clone?  True/False/None.
 
     Every basic operation of each algebra must be a term operation of the
@@ -576,9 +576,9 @@ def term_equivalent(a: Algebra, b: Algebra, cap=None, max_steps=None):
     inconclusive = False
     for src, dst in ((a, b), (b, a)):
         for op in dst.operations:
-            if clone_excluded(src, op):
+            if clone_excluded(src, op, max_steps=max_steps):
                 return False
-            member, _ = clone_membership(src, op, cap=cap, max_steps=max_steps)
+            member, _ = clone_membership(src, op, max_steps=max_steps)
             if member is False:
                 return False
             if member is None:
@@ -590,11 +590,15 @@ _FP_BUDGET = 3_000_000
 _fp_cache = Memo(limit=1024)
 
 
-def invariant_fingerprint(alg: Algebra, cap=None):
+def invariant_fingerprint(alg: Algebra):
     """Clone-determined, relabeling-covariant invariants used to separate
     algebras quickly: subuniverses, congruences, semilattice edges and the
     binary term operations Clo_2.  Clo_2 comes back None when it exceeds its
-    budget, and comparisons skip it then."""
+    budget, and comparisons skip it then.
+
+    Its closures never take the caller's budget, since the result is
+    memoized by the operation tables alone: Clo_2 runs under the fixed
+    _FP_BUDGET and the semilattice tests (in A^2) under none."""
     key = table_key(alg)
     fp = _fp_cache.get(key)
     if fp is not None:
@@ -610,7 +614,7 @@ def invariant_fingerprint(alg: Algebra, cap=None):
             if x != y and semilattice_edge(alg, x, y)[0] is True
         ),
     }
-    f2 = free_algebra(alg, 2, cap=cap, max_steps=_FP_BUDGET)
+    f2 = free_algebra(alg, 2, max_steps=_FP_BUDGET)
     fp["clo2"] = None if f2.truncated else frozenset(f2.tuples())
     _fp_cache.put(key, fp)
     return fp
@@ -650,7 +654,7 @@ def _fingerprints_differ(fa, fb):
     return False
 
 
-def equivalent_up_to_iso(a: Algebra, b: Algebra, cap=None, max_steps=None):
+def equivalent_up_to_iso(a: Algebra, b: Algebra, max_steps=None):
     """First bijection (lexicographic) making b term-equivalent to a.
 
     Returns (perm, conclusive): perm is None when no bijection works;
@@ -658,13 +662,13 @@ def equivalent_up_to_iso(a: Algebra, b: Algebra, cap=None, max_steps=None):
     """
     if a.domain != b.domain:
         raise AlgebraError("equivalent_up_to_iso requires equal domains")
-    fa = invariant_fingerprint(a, cap=cap)
-    fb = invariant_fingerprint(b, cap=cap)
+    fa = invariant_fingerprint(a)
+    fb = invariant_fingerprint(b)
     conclusive = True
     for perm in itertools.permutations(range(a.domain)):
         if _fingerprints_differ(fa, _transport_fingerprint(fb, perm, a.domain)):
             continue
-        r = term_equivalent(a, transport(b, perm), cap=cap, max_steps=max_steps)
+        r = term_equivalent(a, transport(b, perm), max_steps=max_steps)
         if r is True:
             return perm, True
         if r is None:
@@ -672,17 +676,17 @@ def equivalent_up_to_iso(a: Algebra, b: Algebra, cap=None, max_steps=None):
     return None, conclusive
 
 
-def equivalent_to_entry(alg: Algebra, name: str, cap=None, max_steps=None):
+def equivalent_to_entry(alg: Algebra, name: str, max_steps=None):
     """`equivalent_up_to_iso(alg, entry)` for the catalog entry `name`:
     (perm, conclusive), and (None, True) when the domains differ."""
     want = get(name).algebra
     if alg.domain != want.domain:
         return None, True
-    return equivalent_up_to_iso(alg, want, cap=cap, max_steps=max_steps)
+    return equivalent_up_to_iso(alg, want, max_steps=max_steps)
 
 
 def verify_subdirect(alg: Algebra, theta1: Partition, theta2: Partition,
-                     name1: str, name2: str, cap=None, max_steps=None):
+                     name1: str, name2: str, max_steps=None):
     """Check a subdirect-product presentation: the two congruences meet to
     the identity and the quotients match the named catalog entries up to
     isomorphism and term equivalence.  True/False/None."""
@@ -694,7 +698,7 @@ def verify_subdirect(alg: Algebra, theta1: Partition, theta2: Partition,
         return False
     for theta, nm in ((theta1, name1), (theta2, name2)):
         quo, _ = quotient_algebra(alg, theta)
-        perm, conclusive = equivalent_to_entry(quo, nm, cap=cap, max_steps=max_steps)
+        perm, conclusive = equivalent_to_entry(quo, nm, max_steps=max_steps)
         if perm is None:
             return None if not conclusive else False
     return True

@@ -8,7 +8,7 @@ results are pass / fail(counterexample) / inconclusive(budget).
 
 Each kind is one entry of `_KINDS`: a parse handler (text -> argument
 tuple, ValueError if malformed) and a check handler (algebra, arguments,
-cap, max_steps -> status, detail, witness).  A witness is None or (term,
+max_steps -> status, detail, witness).  A witness is None or (term,
 cells, allowed): the term's value on `cells[j]` must lie in `allowed[j]`.
 Passes that rest on a term carry one (absorption, edges, subpower and clone
 membership), and `check_assertion` re-evaluates it with
@@ -179,7 +179,7 @@ def _parse_optional_pair(rest):
     return (_parse_tuple(rest) if rest else None,)
 
 
-# -- check handlers: (alg, args, cap, max_steps) -> (status, detail, witness)
+# -- check handlers: (alg, args, max_steps) -> (status, detail, witness)
 
 def _reading(verdict, expect, passed, failed, witness=None):
     """The tri-state reading: None is a budget stop, `expect` passes (with
@@ -196,39 +196,39 @@ def _settled(found, conclusive):
     return True if found else (False if conclusive else None)
 
 
-def _iso_reading(got: Algebra, name, cap, max_steps):
+def _iso_reading(got: Algebra, name, max_steps):
     """`got` against the catalog entry `name` up to isomorphism and term
     equivalence (`catalog.equivalent_to_entry`, as for a subdirect product)."""
-    perm, conclusive = _catalog.equivalent_to_entry(got, name, cap=cap, max_steps=max_steps)
+    perm, conclusive = _catalog.equivalent_to_entry(got, name, max_steps=max_steps)
     return _reading(_settled(perm is not None, conclusive), True, f"bijection {perm}",
                     f"not {name} up to isomorphism")
 
 
-def _check_congruence(alg, args, cap, max_steps):
+def _check_congruence(alg, args, max_steps):
     p = Partition.parse(args[0], alg.domain)
     ok, violation = is_congruence(alg, p)
     return ("pass", str(p), None) if ok else ("fail", f"violation {violation}", None)
 
 
-def _check_quotient(alg, args, cap, max_steps):
+def _check_quotient(alg, args, max_steps):
     quo, _ = quotient_algebra(alg, Partition.parse(args[0], alg.domain))
-    return _iso_reading(quo, args[1], cap, max_steps)
+    return _iso_reading(quo, args[1], max_steps)
 
 
-def _check_class(alg, args, cap, max_steps):
+def _check_class(alg, args, max_steps):
     sub = class_algebra(alg, Partition.parse(args[0], alg.domain), args[1])
-    return _iso_reading(sub, args[2], cap, max_steps)
+    return _iso_reading(sub, args[2], max_steps)
 
 
-def _check_subdirect(alg, args, cap, max_steps):
+def _check_subdirect(alg, args, max_steps):
     p1, p2 = (Partition.parse(t, alg.domain) for t in args[:2])
-    r = _catalog.verify_subdirect(alg, p1, p2, *args[2:], cap=cap, max_steps=max_steps)
+    r = _catalog.verify_subdirect(alg, p1, p2, *args[2:], max_steps=max_steps)
     return _reading(r, True, f"{p1} x {p2}", "presentation does not verify")
 
 
-def _check_absorbs(alg, args, cap, max_steps):
+def _check_absorbs(alg, args, max_steps):
     subset, arity, expect = args
-    res = _structure.absorbs(alg, subset, arity, cap=cap, max_steps=max_steps)
+    res = _structure.absorbs(alg, subset, arity, max_steps=max_steps)
     verdict = res.absorbs_as_subuniverse()
     witness = None
     if res.witness is not None:
@@ -238,38 +238,37 @@ def _check_absorbs(alg, args, cap, max_steps):
                     f"absorbs={verdict}, expected {expect}", witness if expect else None)
 
 
-def _check_edge(alg, args, cap, max_steps):
+def _check_edge(alg, args, max_steps):
     (x, y), kind, blocks = args
-    recs, conclusive = _structure.weak_edges(alg, x, y, cap=cap, max_steps=max_steps)
+    recs, conclusive = _structure.weak_edges(alg, x, y, max_steps=max_steps)
     r = next((r for r in recs
               if r.kind == kind and blocks in (None, r.witness_blocks)), None)
     return _reading(_settled(r, conclusive), True, r and r.render(),
                     f"no {kind} edge on {(x, y)}", r and (r.term, *r.term_condition()))
 
 
-def _check_sg(want, alg, args, cap, max_steps):
+def _check_sg(want, alg, args, max_steps):
     m, gens, tup = args
-    gset = generate(alg, m, gens, cap=cap, targets=[tup] if want else None,
-                    max_steps=max_steps)
+    gset = generate(alg, m, gens, targets=[tup] if want else None, max_steps=max_steps)
     member = gset.contains(tup)
     witness = (gset.witness_term(tup), list(zip(*gens)), [{v} for v in tup]) if member else None
     return _reading(member, want, f"|Sg|={len(gset)}",
                     f"membership={member}, expected {want}", witness)
 
 
-def _check_clone(want, alg, args, cap, max_steps):
+def _check_clone(want, alg, args, max_steps):
     arity, vals = args
     op = OperationTable("f", arity, alg.domain, vals)
-    if not want and _structure.clone_excluded(alg, op):
+    if not want and _structure.clone_excluded(alg, op, max_steps=max_steps):
         return "pass", "excluded by invariant", None
-    member, term = clone_membership(alg, op, cap=cap, max_steps=max_steps)
+    member, term = clone_membership(alg, op, max_steps=max_steps)
     witness = (term, list(op.all_args()), [{v} for v in vals]) if member else None
     names = [f"x{i+1}" for i in range(arity)]
     return _reading(member, want, render_term(term, names) if member else "exhausted",
                     f"membership={member}, expected {want}", witness)
 
 
-def _check_unique_op(alg, args, cap, max_steps):
+def _check_unique_op(alg, args, max_steps):
     expected, cons_text = args
     spec = parse_constraint_file("\n".join([f"domain {alg.domain}", *cons_text.split(";")]))
     spec.cap = 2
@@ -283,7 +282,7 @@ def _check_unique_op(alg, args, cap, max_steps):
     return "pass", "unique solution matches", None
 
 
-def _check_two_generated(alg, args, cap, max_steps):
+def _check_two_generated(alg, args, max_steps):
     got, want = _structure.two_generated(alg), args[0]
     if got is None:
         return "fail", "no generating pair", None
@@ -292,32 +291,32 @@ def _check_two_generated(alg, args, cap, max_steps):
     return "pass", f"generators {got}", None
 
 
-def _check_simple(alg, args, cap, max_steps):
+def _check_simple(alg, args, max_steps):
     witness = simplicity_witness(alg)
     got = witness is None
     return _reading(got, args[0], "simple" if got else f"witness congruence {witness}",
                     f"simple={got}, expected {args[0]}")
 
 
-def _check_term_equiv(alg, args, cap, max_steps):
+def _check_term_equiv(alg, args, max_steps):
     want = _catalog.get(args[0]).algebra
-    r = _catalog.term_equivalent(alg, want, cap=cap, max_steps=max_steps)
+    r = _catalog.term_equivalent(alg, want, max_steps=max_steps)
     return _reading(r, True, args[0], f"not term-equivalent to {args[0]}")
 
 
-def _check_cyclic_count(alg, args, cap, max_steps):
+def _check_cyclic_count(alg, args, max_steps):
     arity, rel, num = args
     if rel == ">=":
-        tables, complete = cyclic_terms(alg, arity, cap=cap, limit=num, max_steps=max_steps)
+        tables, complete = cyclic_terms(alg, arity, limit=num, max_steps=max_steps)
         return _reading(_settled(len(tables) >= num, complete), True,
                         f"found {len(tables)}", f"only {len(tables)} cyclic terms")
-    tables, complete = cyclic_terms(alg, arity, cap=cap, max_steps=max_steps)
+    tables, complete = cyclic_terms(alg, arity, max_steps=max_steps)
     return _reading(len(tables) if complete else None, num, f"exactly {num}",
                     f"{len(tables)} cyclic terms, expected {num}")
 
 
-def _check_taylor(alg, args, cap, max_steps):
-    verdict, _reports = _structure.is_taylor(alg, cap=cap, max_steps=max_steps)
+def _check_taylor(alg, args, max_steps):
+    verdict, _reports = _structure.is_taylor(alg, max_steps=max_steps)
     return _reading(verdict, args[0], f"taylor={verdict}",
                     f"taylor={verdict}, expected {args[0]}")
 
@@ -344,15 +343,14 @@ _KINDS = {
 }
 
 
-def check_assertion(alg: Algebra, a: Assertion, cap=None,
-                    max_steps=DEFAULT_ASSERTION_STEPS):
+def check_assertion(alg: Algebra, a: Assertion, max_steps=DEFAULT_ASSERTION_STEPS):
     """Evaluate one assertion; returns (status, detail).
 
     The one place a witness is replayed: a pass whose term misses an
     allowed value on some cell becomes a failure."""
     if a.kind not in _KINDS:
         raise AlgebraError(f"unknown assertion kind {a.kind!r}")
-    status, detail, witness = _KINDS[a.kind][1](alg, a.args, cap, max_steps)
+    status, detail, witness = _KINDS[a.kind][1](alg, a.args, max_steps)
     if witness is not None:
         term, cells, allowed = witness
         if any(eval_term(term, alg, c) not in ok for c, ok in zip(cells, allowed, strict=True)):
@@ -360,8 +358,7 @@ def check_assertion(alg: Algebra, a: Assertion, cap=None,
     return status, detail
 
 
-def check_certificate(cert: Certificate, cap=None,
-                      max_steps=DEFAULT_ASSERTION_STEPS, alg=None):
+def check_certificate(cert: Certificate, max_steps=DEFAULT_ASSERTION_STEPS, alg=None):
     """Evaluate all assertions in order; returns a list of AssertionResult."""
     if alg is None:
         alg = _catalog.get(cert.algebra_name).algebra
@@ -369,7 +366,7 @@ def check_certificate(cert: Certificate, cap=None,
     for idx, a in enumerate(cert.assertions):
         t0 = time.perf_counter()
         try:
-            status, detail = check_assertion(alg, a, cap=cap, max_steps=max_steps)
+            status, detail = check_assertion(alg, a, max_steps=max_steps)
         except AlgebraError as exc:
             status, detail = "fail", f"error: {exc}"
         results.append(AssertionResult(
@@ -389,8 +386,7 @@ def shipped_certificates():
     return certs
 
 
-def run_suite(certs=None, cap=None, max_steps=DEFAULT_ASSERTION_STEPS,
-              strict=False):
+def run_suite(certs=None, max_steps=DEFAULT_ASSERTION_STEPS, strict=False):
     """Replay a certificate set; returns (all_ok, results).
 
     Inconclusive results only count as failures in strict mode.
@@ -400,7 +396,7 @@ def run_suite(certs=None, cap=None, max_steps=DEFAULT_ASSERTION_STEPS,
     results = []
     ok = True
     for cert in certs:
-        for r in check_certificate(cert, cap=cap, max_steps=max_steps):
+        for r in check_certificate(cert, max_steps=max_steps):
             results.append(r)
             if r.status == "fail" or (strict and r.status == "inconclusive"):
                 ok = False

@@ -114,7 +114,7 @@ def cmd_sg(args):
     alg = _load(args.file)
     gens = [_parse_ints(chunk, "generator list", "0,1;1,0")
             for chunk in args.gens.split(";") if chunk.strip()]
-    gset = generate(alg, args.power, gens, cap=args.cap)
+    gset = generate(alg, args.power, gens, max_steps=args.max_steps)
     sys.stdout.write(gset.export_text())
     return EXIT_INCONCLUSIVE if gset.truncated else EXIT_OK
 
@@ -125,8 +125,7 @@ def cmd_clone(args):
         path, _, opname = args.member.partition(":")
         other = _load(path)
         op = other.op(opname) if opname else other.operations[0]
-        member, witness = clone_membership(alg, op, cap=args.cap,
-                                           max_steps=args.max_steps)
+        member, witness = clone_membership(alg, op, max_steps=args.max_steps)
         if member is None:
             print("inconclusive")
             return EXIT_INCONCLUSIVE
@@ -134,7 +133,7 @@ def cmd_clone(args):
         if member:
             print(render_term(witness, _var_names(op.arity)))
         return EXIT_OK
-    gset = free_algebra(alg, args.arity, cap=args.cap, max_steps=args.max_steps)
+    gset = free_algebra(alg, args.arity, max_steps=args.max_steps)
     print(f"count {len(gset.elements)}{' (truncated)' if gset.truncated else ''}")
     if args.list:
         for e in gset.elements:
@@ -144,8 +143,8 @@ def cmd_clone(args):
 
 def cmd_cyclic(args):
     alg = _load(args.file)
-    tables, complete = cyclic_terms(alg, args.arity, cap=args.cap,
-                                    limit=args.limit, max_steps=args.max_steps)
+    tables, complete = cyclic_terms(alg, args.arity, limit=args.limit,
+                                    max_steps=args.max_steps)
     if args.count:
         print(f"{len(tables)}{'' if complete else '+'}")
     else:
@@ -174,8 +173,7 @@ def cmd_cong(args):
 def cmd_absorb(args):
     alg = _load(args.file)
     subset = _parse_ints(args.subset, "subset", "0,2")
-    res = structure.absorbs(alg, subset, args.arity, cap=args.cap,
-                            max_steps=args.max_steps)
+    res = structure.absorbs(alg, subset, args.arity, max_steps=args.max_steps)
     if res.holds is None:
         print("inconclusive")
         return EXIT_INCONCLUSIVE
@@ -198,8 +196,7 @@ def cmd_edges(args):
     conclusive = True
     components = UnionFind(alg.domain)
     for a, b in pairs:
-        recs, concl = structure.weak_edges(alg, a, b, cap=args.cap,
-                                           max_steps=args.max_steps)
+        recs, concl = structure.weak_edges(alg, a, b, max_steps=args.max_steps)
         conclusive = conclusive and concl
         for r in recs:
             term = render_term(r.term, _var_names(3 if r.kind != "semilattice" else 2)) \
@@ -216,8 +213,7 @@ def cmd_edges(args):
 
 def cmd_taylor(args):
     alg = _load(args.file)
-    verdict, reports = structure.is_taylor(alg, cap=args.cap,
-                                           max_steps=args.max_steps)
+    verdict, reports = structure.is_taylor(alg, max_steps=args.max_steps)
     for uni, connected, edges in reports:
         print(f"subuniverse {{{','.join(map(str, uni))}}} "
               f"connected={'true' if connected else 'false'} edges={len(edges)}")
@@ -230,7 +226,7 @@ def cmd_taylor(args):
 
 def cmd_rab(args):
     alg = _load(args.file)
-    rep = rab_analyze(alg, args.a, args.b, cap=args.cap)
+    rep = rab_analyze(alg, args.a, args.b, max_steps=args.max_steps)
     print(f"kind={rep.kind or 'inconclusive'}")
     print(f"size={len(rep.relation.elements)}")
     for c, witness in rep.diagonal:
@@ -246,8 +242,7 @@ def cmd_equiv(args):
     a = _load(args.file1)
     b = _load(args.file2)
     if args.iso:
-        perm, conclusive = catalog.equivalent_up_to_iso(a, b, cap=args.cap,
-                                                        max_steps=args.max_steps)
+        perm, conclusive = catalog.equivalent_up_to_iso(a, b, max_steps=args.max_steps)
         if perm is not None:
             print("equivalent-up-to-iso " + ",".join(map(str, perm)))
             return EXIT_OK
@@ -256,7 +251,7 @@ def cmd_equiv(args):
             return EXIT_INCONCLUSIVE
         print("not-equivalent")
         return EXIT_OK
-    r = catalog.term_equivalent(a, b, cap=args.cap, max_steps=args.max_steps)
+    r = catalog.term_equivalent(a, b, max_steps=args.max_steps)
     if r is None:
         print("inconclusive")
         return EXIT_INCONCLUSIVE
@@ -299,8 +294,7 @@ def cmd_search(args):
 
 
 def cmd_verify(args):
-    ok, results = certify.run_suite(cap=args.cap,
-                                    max_steps=args.max_steps, strict=args.strict)
+    ok, results = certify.run_suite(max_steps=args.max_steps, strict=args.strict)
     print(certify.format_report(results, json_mode=args.json))
     if ok:
         return EXIT_OK
@@ -314,8 +308,6 @@ def build_parser():
         prog="alg",
         description="finite universal algebra workbench",
     )
-    parser.add_argument("--cap", type=int, default=None,
-                        help="element budget for closures (at least 1)")
     parser.add_argument("--max-steps", type=int, default=None,
                         help="work budget for closures: the operation applications "
                              "made, one per argument orbit of a symmetric or cyclic "

@@ -135,21 +135,23 @@ def is_congruence(alg: Algebra, p: Partition):
     """
     if p.size != alg.domain:
         raise AlgebraError("partition size does not match algebra domain")
+    n = alg.domain
     idx = p.block_index()
+    others = [[y for y in p.blocks[idx[x]] if y != x] for x in range(n)]
     for op in alg.operations:
         r = op.arity
+        weights = [n ** (r - 1 - i) for i in range(r)]
         # one-coordinate perturbations suffice: compatibility is checked
-        # coordinatewise and composed transitively
-        for args in itertools.product(range(alg.domain), repeat=r):
-            v = op.values[op.index(args)]
-            for i in range(r):
-                for y in p.block_of(args[i]):
-                    if y == args[i]:
-                        continue
-                    args2 = args[:i] + (y,) + args[i + 1:]
-                    v2 = op.values[op.index(args2)]
+        # coordinatewise and composed transitively.  Cells are row-major, so
+        # moving argument i from x to y moves the cell by (y - x) * weights[i]
+        for cell, args in enumerate(itertools.product(range(n), repeat=r)):
+            v = op.values[cell]
+            for i, w in enumerate(weights):
+                x = args[i]
+                for y in others[x]:
+                    v2 = op.values[cell + (y - x) * w]
                     if idx[v] != idx[v2]:
-                        return False, (op.name, args, args2, v, v2)
+                        return False, (op.name, args, args[:i] + (y,) + args[i + 1:], v, v2)
     return True, None
 
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Algebra, AlgebraError, OperationTable, UnionFind, is_closed
+from .core import Algebra, AlgebraError, OperationTable, UnionFind, is_closed, restrict
 from .congruence import (
     all_congruences,
+    is_congruence,
     maximal_congruences,
     quotient_algebra,
 )
@@ -39,9 +40,6 @@ from .subpower import (
     term_closure,
     term_generators,
 )
-
-# work budget for auxiliary closures inside negative shortcuts
-_FILTER_STEPS = 2_000_000
 
 
 class NotIdempotentError(AlgebraError):
@@ -74,7 +72,7 @@ def absorption_patterns(domain: int, subset, n: int):
     ]
 
 
-def absorbs(alg: Algebra, subset, n: int, cap=None, max_steps=None,
+def absorbs(alg: Algebra, subset, n: int, max_steps=None,
             _decompose=True) -> AbsorptionResult:
     """Does some n-ary term map every almost-in-subset tuple into the subset?
 
@@ -83,7 +81,7 @@ def absorbs(alg: Algebra, subset, n: int, cap=None, max_steps=None,
     lands entirely inside the subset.  Before paying for a full closure, a
     failing trace is sought: if the trace of B does not absorb the restriction to some
     proper subuniverse S, then B cannot absorb the algebra (any witness
-    would restrict to a witness).
+    would restrict to a witness).  Every closure runs under `max_steps`.
     """
     subset = tuple(sorted(set(subset)))
     if not subset or not set(subset) <= set(range(alg.domain)):
@@ -107,7 +105,7 @@ def absorbs(alg: Algebra, subset, n: int, cap=None, max_steps=None,
             sub = alg.restrict(uni)
             local = {x: i for i, x in enumerate(uni)}
             res = absorbs(sub, tuple(local[x] for x in trace), n,
-                          cap=cap, max_steps=_FILTER_STEPS, _decompose=False)
+                          max_steps=max_steps, _decompose=False)
             if res.holds is False:
                 return AbsorptionResult(
                     subset, n, False, None, closed,
@@ -124,8 +122,7 @@ def absorbs(alg: Algebra, subset, n: int, cap=None, max_steps=None,
             ))
             if len(image) == len(blocks):
                 continue
-            res = absorbs(quo, image, n, cap=cap,
-                          max_steps=_FILTER_STEPS)
+            res = absorbs(quo, image, n, max_steps=max_steps)
             if res.holds is False:
                 return AbsorptionResult(
                     subset, n, False, None, closed,
@@ -133,7 +130,7 @@ def absorbs(alg: Algebra, subset, n: int, cap=None, max_steps=None,
                 )
 
     gset = term_closure(alg, n, absorption_patterns(alg.domain, subset, n),
-                        cap=cap, region=set(subset), max_steps=max_steps)
+                        region=set(subset), max_steps=max_steps)
     if gset.stop_reason == "region":
         witness = gset.witness_term(tuple(gset.elements[-1]))
         return AbsorptionResult(subset, n, True, witness, closed)
@@ -142,7 +139,7 @@ def absorbs(alg: Algebra, subset, n: int, cap=None, max_steps=None,
     return AbsorptionResult(subset, n, False, None, closed)
 
 
-def semilattice_edge(alg: Algebra, a: int, b: int, cap=None):
+def semilattice_edge(alg: Algebra, a: int, b: int, max_steps=None):
     """(a, b) is a semilattice edge iff some binary term t has t(a,b)=t(b,a)=b.
 
     Equivalently (b,b) lies in Sg{(a,b),(b,a)} inside A^2.  Returns
@@ -150,7 +147,7 @@ def semilattice_edge(alg: Algebra, a: int, b: int, cap=None):
     """
     if a == b:
         raise AlgebraError("semilattice_edge requires a != b")
-    return find_term(alg, 2, [(a, b), (b, a)], (b, b), cap=cap)
+    return find_term(alg, 2, [(a, b), (b, a)], (b, b), max_steps=max_steps)
 
 
 @dataclass
@@ -231,55 +228,36 @@ def affine_xyz_tables(n: int):
     return out
 
 
-def clone_excluded(alg: Algebra, op: OperationTable) -> str | None:
+def clone_excluded(alg: Algebra, op: OperationTable, max_steps=None) -> str | None:
     """Cheap sound proof that op is not a term operation, or None.
 
     Term operations preserve every subuniverse and congruence and restrict
-    to term operations on every subuniverse; on two-element subuniverses the
-    restricted clone is small enough to enumerate outright.
+    to term operations on every subuniverse and two-block quotient; there the
+    clone is small enough to search outright, under `max_steps`.  The
+    restriction and the quotient exist because op passed the first two tests.
     """
-    for uni in all_subuniverses(alg):
-        uset = set(uni)
-        for args in itertools.product(uni, repeat=op.arity):
-            if op.values[op.index(args)] not in uset:
-                return f"breaks subuniverse {uni}"
-    for theta in all_congruences(alg):
-        if theta.is_identity() or theta.is_full():
-            continue
-        idx = theta.block_index()
-        groups = {}
-        for args in op.all_args():
-            sig = tuple(idx[x] for x in args)
-            v = idx[op.values[op.index(args)]]
-            if groups.setdefault(sig, v) != v:
-                return f"breaks congruence {theta}"
-    for uni in all_subuniverses(alg):
-        if len(uni) != 2:
-            continue
-        sub = alg.restrict(uni)
-        local = {x: i for i, x in enumerate(uni)}
-        rvals = tuple(
-            local[op.values[op.index(tuple(uni[a] for a in largs))]]
-            for largs in itertools.product(range(2), repeat=op.arity)
-        )
-        rop = OperationTable(op.name, op.arity, 2, rvals)
-        member, _ = clone_membership(sub, rop)
-        if member is False:
-            return f"restriction not a term of subalgebra {uni}"
-    for theta in all_congruences(alg):
-        if theta.is_identity() or theta.is_full() or len(theta.blocks) > 2:
-            continue
-        quo, blocks = quotient_algebra(alg, theta)
-        idx = theta.block_index()
-        reps = [bl[0] for bl in blocks]
-        qvals = tuple(
-            idx[op.values[op.index(tuple(reps[a] for a in largs))]]
-            for largs in itertools.product(range(len(blocks)), repeat=op.arity)
-        )
-        qop = OperationTable(op.name, op.arity, len(blocks), qvals)
-        member, _ = clone_membership(quo, qop)
-        if member is False:
-            return f"induced quotient table not a term modulo {theta}"
+    unis = all_subuniverses(alg)
+    for uni in unis:
+        if not is_closed(op, uni):
+            return f"breaks subuniverse {uni}"
+    congs = [t for t in all_congruences(alg) if not (t.is_identity() or t.is_full())]
+    alone = Algebra(alg.domain, [op])
+    for theta in congs:
+        if not is_congruence(alone, theta)[0]:
+            return f"breaks congruence {theta}"
+    for uni in unis:
+        if len(uni) == 2:
+            member, _ = clone_membership(alg.restrict(uni), restrict(op, uni),
+                                         max_steps=max_steps)
+            if member is False:
+                return f"restriction not a term of subalgebra {uni}"
+    for theta in congs:
+        if len(theta.blocks) == 2:
+            (qop,) = quotient_algebra(alone, theta)[0].operations
+            member, _ = clone_membership(quotient_algebra(alg, theta)[0], qop,
+                                         max_steps=max_steps)
+            if member is False:
+                return f"induced quotient table not a term modulo {theta}"
     return None
 
 
@@ -290,7 +268,7 @@ def _majority_on_pair_positions(qa, qb):
     ]
 
 
-def weak_edges(alg: Algebra, a: int, b: int, cap=None, max_steps=None):
+def weak_edges(alg: Algebra, a: int, b: int, max_steps=None):
     """All edge records carried by the pair {a, b}.
 
     Returns (records, conclusive).  conclusive=False means some sub-test hit
@@ -325,7 +303,7 @@ def weak_edges(alg: Algebra, a: int, b: int, cap=None, max_steps=None):
 
         # semilattice direction tests on the quotient
         for (u, v, x, y) in ((qa, qb, a, b), (qb, qa, b, a)):
-            found, term = semilattice_edge(quo, u, v, cap=cap)
+            found, term = semilattice_edge(quo, u, v, max_steps=max_steps)
             if found:
                 kind = "semilattice" if theta.is_identity() else "weak-semilattice"
                 records.append(EdgeRecord(x, y, kind, True, orig_blocks, term))
@@ -334,7 +312,7 @@ def weak_edges(alg: Algebra, a: int, b: int, cap=None, max_steps=None):
 
         # majority on the two quotient classes of a and b
         found, term = find_term(quo, 3, _majority_on_pair_positions(qa, qb),
-                                (qa, qa, qa, qb, qb, qb), cap=cap, max_steps=max_steps)
+                                (qa, qa, qa, qb, qb, qb), max_steps=max_steps)
         if found:
             kind = "majority" if upgraded else "weak-majority"
             records.append(EdgeRecord(a, b, kind, False, orig_blocks, term))
@@ -344,11 +322,9 @@ def weak_edges(alg: Algebra, a: int, b: int, cap=None, max_steps=None):
         # affine: x-y+z of some abelian group structure is a quotient term
         if quo.domain <= 5:
             for gname, lab, table in affine_xyz_tables(quo.domain):
-                if clone_excluded(quo, table):
+                if clone_excluded(quo, table, max_steps=max_steps):
                     continue
-                member, witness = clone_membership(
-                    quo, table, cap=cap, max_steps=max_steps or _FILTER_STEPS
-                )
+                member, witness = clone_membership(quo, table, max_steps=max_steps)
                 if member:
                     if upgraded and theta.is_identity():
                         kind = "strong-affine"
@@ -407,7 +383,7 @@ def _subuniverse_list(alg: Algebra) -> tuple:
     return tuple(sorted(found, key=lambda t: (len(t), t)))
 
 
-def is_taylor(alg: Algebra, cap=None, max_steps=None):
+def is_taylor(alg: Algebra, max_steps=None):
     """Taylor test via edge connectivity of every subalgebra.
 
     An idempotent finite algebra is Taylor iff for every subuniverse B the
@@ -428,7 +404,7 @@ def is_taylor(alg: Algebra, cap=None, max_steps=None):
         sub_conclusive = True
         for i in range(len(uni)):
             for j in range(i + 1, len(uni)):
-                recs, concl = weak_edges(sub, i, j, cap=cap, max_steps=max_steps)
+                recs, concl = weak_edges(sub, i, j, max_steps=max_steps)
                 sub_conclusive = sub_conclusive and concl
                 if recs:
                     components.union(i, j)
@@ -442,7 +418,7 @@ def is_taylor(alg: Algebra, cap=None, max_steps=None):
     return verdict, reports
 
 
-def has_malcev_term(alg: Algebra, cap=None, max_steps=None):
+def has_malcev_term(alg: Algebra, max_steps=None):
     """Target-vector test for a term with p(x,y,y) = p(y,y,x) = x.
 
     Returns (True, witness) / (False, None) / (None, None) on truncation.
@@ -458,37 +434,37 @@ def has_malcev_term(alg: Algebra, cap=None, max_steps=None):
     m, gens = len(pats), term_generators(alg, 3, pats)
     gset, obstruction = decide_term(
         alg, m, gens,
-        lambda steps: generate(alg, m, gens, cap=cap, targets=[target], max_steps=steps),
-        lambda: malcev_obstruction(alg, cap=cap, max_steps=max_steps),
-        cap=cap, max_steps=max_steps)
+        lambda steps: generate(alg, m, gens, targets=[target], max_steps=steps),
+        lambda: malcev_obstruction(alg, max_steps=max_steps),
+        max_steps=max_steps)
     if obstruction is not None:
         return False, None
     found = gset.contains(target)
     return found, gset.witness_term(target) if found else None
 
 
-def malcev_obstruction(alg: Algebra, cap=None, max_steps=None):
+def malcev_obstruction(alg: Algebra, max_steps=None):
     """A sound local "no" for a Mal'cev term: the (a, b, c, d) it fails on.
 
     A Mal'cev term p has p(a,b,b) = a and p(c,c,d) = d, so for every a != b
     and c != d the ternary terms' values on the cells (a,b,b), (c,c,d) must
     include (a, d), a closure in A^2 (Freese & Valeriote, IJAC 2009).
     Returns the first quadruple in lex order whose closure completes without
-    (a, d).  A closure cut short by `cap` or `max_steps` proves nothing; None
+    (a, d).  A closure cut short by `max_steps` proves nothing; None
     when no quadruple fails.
     """
     n = alg.domain
     for a, b, c, d in itertools.product(range(n), repeat=4):
         if a == b or c == d:
             continue
-        gset = term_closure(alg, 3, [(a, b, b), (c, c, d)], cap=cap, targets=[(a, d)],
+        gset = term_closure(alg, 3, [(a, b, b), (c, c, d)], targets=[(a, d)],
                             max_steps=max_steps)
         if gset.contains((a, d)) is False:
             return a, b, c, d
     return None
 
 
-def is_affine_malcev_equiv(alg: Algebra, cap=None, max_steps=None):
+def is_affine_malcev_equiv(alg: Algebra, max_steps=None):
     """Recognize term-equivalence with the affine algebra of an abelian group.
 
     Tries every abelian group of order n and every labeling; succeeds iff
@@ -501,9 +477,9 @@ def is_affine_malcev_equiv(alg: Algebra, cap=None, max_steps=None):
     for gname, lab, table in affine_xyz_tables(n):
         if not all(_commutes_with(op, table) for op in alg.operations):
             continue
-        if clone_excluded(alg, table):
+        if clone_excluded(alg, table, max_steps=max_steps):
             continue
-        member, _ = clone_membership(alg, table, cap=cap, max_steps=max_steps)
+        member, _ = clone_membership(alg, table, max_steps=max_steps)
         if member:
             return (gname, lab), True
         if member is None:
@@ -537,12 +513,12 @@ def two_generated(alg: Algebra):
     return None
 
 
-def ternary_absorbing_subuniverses(alg: Algebra, cap=None, max_steps=None):
+def ternary_absorbing_subuniverses(alg: Algebra, max_steps=None):
     """(list of 3-absorbing subuniverses, conclusive flag)."""
     out = []
     conclusive = True
     for uni in all_subuniverses(alg):
-        res = absorbs(alg, uni, 3, cap=cap, max_steps=max_steps)
+        res = absorbs(alg, uni, 3, max_steps=max_steps)
         if res.holds is None:
             conclusive = False
         elif res.holds:
@@ -550,7 +526,7 @@ def ternary_absorbing_subuniverses(alg: Algebra, cap=None, max_steps=None):
     return out, conclusive
 
 
-def dominant_coordinate(alg: Algebra, t: OperationTable, cap=None, max_steps=None):
+def dominant_coordinate(alg: Algebra, t: OperationTable, max_steps=None):
     """Which coordinate of a binary term keeps every 3-absorbing subuniverse.
 
     Returns "first" | "second" | "both" | "neither", or None when some
@@ -558,9 +534,7 @@ def dominant_coordinate(alg: Algebra, t: OperationTable, cap=None, max_steps=Non
     """
     if t.arity != 2 or t.domain != alg.domain:
         raise AlgebraError("dominant_coordinate expects a binary table over the domain")
-    absorbing, conclusive = ternary_absorbing_subuniverses(
-        alg, cap=cap, max_steps=max_steps
-    )
+    absorbing, conclusive = ternary_absorbing_subuniverses(alg, max_steps=max_steps)
     if not conclusive:
         return None
     first = all(
@@ -584,12 +558,12 @@ def dominant_coordinate(alg: Algebra, t: OperationTable, cap=None, max_steps=Non
     return "neither"
 
 
-def naive_absorbs(alg: Algebra, subset, n: int, cap=None, max_steps=None):
+def naive_absorbs(alg: Algebra, subset, n: int, max_steps=None):
     """Independent absorption oracle: scan the whole free algebra of arity n
     for a term table satisfying the almost-in-subset condition."""
     subset = set(subset)
     pats = absorption_patterns(alg.domain, subset, n)
-    gset = free_algebra(alg, n, cap=cap, max_steps=max_steps)
+    gset = free_algebra(alg, n, max_steps=max_steps)
     if gset.truncated:
         return None
     cells = list(itertools.product(range(alg.domain), repeat=n))
@@ -600,9 +574,9 @@ def naive_absorbs(alg: Algebra, subset, n: int, cap=None, max_steps=None):
     return False
 
 
-def naive_semilattice_edge(alg: Algebra, a: int, b: int, cap=None, max_steps=None):
+def naive_semilattice_edge(alg: Algebra, a: int, b: int, max_steps=None):
     """Independent edge oracle: scan Clo_2 for t(a,b) = t(b,a) = b."""
-    gset = free_algebra(alg, 2, cap=cap, max_steps=max_steps)
+    gset = free_algebra(alg, 2, max_steps=max_steps)
     if gset.truncated:
         return None
     n = alg.domain

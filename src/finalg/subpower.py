@@ -59,7 +59,9 @@ from .core import (Algebra, AlgebraError, OperationTable, UnionFind, is_cyclic, 
                    rotation_permutation)
 from .memo import Memo, table_key
 
-DEFAULT_CAP = 5_000_000
+# The element ceiling of every closure `generate` runs: a guard on memory,
+# not a work budget.  A closure that meets it stops with reason "cap".
+MAX_ELEMENTS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ class GeneratedSet:
     witnesses: list = field(default_factory=list)  # per element: None or (op_i, parent idxs)
     generators: list = field(default_factory=list)  # bytes
     truncated: bool = False
-    stop_reason: str | None = None  # "cap" | "targets" | "region" | "predicate"
+    stop_reason: str | None = None  # "steps" | "cap" | "targets" | "region" | "predicate"
 
     def __len__(self):
         return len(self.elements)
@@ -152,7 +154,7 @@ class GeneratedSet:
             raise AlgebraError(
                 f"tuple length {len(tup)} does not match exponent {self.exponent}"
             )
-        if bytes(tup) in self.position:
+        if _checked_bytes(tup, self.base.domain, "tuple") in self.position:
             return True
         return None if self.truncated else False
 
@@ -201,7 +203,6 @@ def generate(
     base: Algebra,
     m: int,
     generators,
-    cap: int | None = None,
     targets=None,
     region=None,
     stop_predicate=None,
@@ -214,37 +215,31 @@ def generate(
       - region: set of allowed values; stop once some element lies entirely
         inside it (used for absorption-style tests);
       - stop_predicate: bytes -> bool, stop once it accepts a new element;
-      - cap: element-count budget: at most cap elements are kept, and the
-        stop reason is "cap" once a further one turns up (a reported state,
-        not an error);
-      - max_steps: budget on the operation applications made (one per
-        argument orbit of a symmetric or cyclic operation, see
-        `_prefix_rows`), for closures whose element count stays modest
-        while the combination count explodes.  Spent per row of
-        applications; deterministic, so truncation points are reproducible.
+      - max_steps: the work budget, at least 1: the operation applications
+        made (one per argument orbit of a symmetric or cyclic operation, see
+        `_prefix_rows`).  Spent per row of applications; deterministic, so
+        truncation points are reproducible.  The stop reason is "steps".
 
-    Both budgets must be at least 1.
+    Every closure also stops at MAX_ELEMENTS elements, with reason "cap".
 
     Complete closures of at least _MEMO_MIN_STEPS applications are memoized
     (see `_closures`).  A later call with the same tables, exponent and
-    generators is served from the memo when its budgets would have let a
+    generators is served from the memo when its budget would have let a
     fresh run finish; the closure order is canonical, so an early exit is a
     prefix of the stored order, and the answer is the one a fresh run gives.
     """
-    if cap is None:
-        cap = DEFAULT_CAP
-    elif cap < 1:
-        raise AlgebraError(f"cap must be at least 1, got {cap}")
     if max_steps is not None and max_steps < 1:
         raise AlgebraError(f"max_steps must be at least 1, got {max_steps}")
     gen_list = _generator_bytes(base, m, generators)
+    if targets is not None:
+        targets = [_checked_bytes(t, base.domain, "target") for t in targets]
     stop_for = _stop_test(targets, region, stop_predicate)
     key = (table_key(base), m, tuple(gen_list))
-    hit = _served(key, cap, max_steps)
+    hit = _served(key, max_steps)
     if hit is not None:
         elements, witnesses, _steps = hit
         return _replay(base, m, gen_list, elements, witnesses, stop_for)
-    gset = _closure(base, m, gen_list, cap, stop_for, max_steps)
+    gset = _closure(base, m, gen_list, MAX_ELEMENTS, stop_for, max_steps)
     if not gset.truncated:
         steps = _closure_steps(base, len(gset.elements))
         if steps >= _MEMO_MIN_STEPS:
@@ -252,11 +247,11 @@ def generate(
     return gset
 
 
-def _served(key, cap: int, max_steps: int | None):
-    """The memoized complete closure under `key` if these budgets would let a
+def _served(key, max_steps: int | None):
+    """The memoized complete closure under `key` if this budget would let a
     fresh run finish, else None."""
     hit = _closures.get(key)
-    if hit is not None and len(hit[0]) <= cap and (max_steps is None or max_steps > hit[2]):
+    if hit is not None and (max_steps is None or max_steps > hit[2]):
         return hit
     return None
 
@@ -273,17 +268,22 @@ def _generator_bytes(base: Algebra, m: int, generators) -> list:
             g = tuple(g)
         if len(g) != m:
             raise AlgebraError(f"generator {tuple(g)} has length {len(g)}, expected {m}")
-        try:
-            b = bytes(g)
-        except ValueError:  # an entry outside 0..255
-            b = None
-        if b is None or (b and max(b) >= n):
-            bad = next(v for v in g if not 0 <= v < n)
-            raise AlgebraError(f"generator entry {bad} out of range")
-        gen_list.append(b)
+        gen_list.append(_checked_bytes(g, n, "generator"))
     if not gen_list:
         raise AlgebraError("no generators")
     return gen_list
+
+
+def _checked_bytes(tup, n: int, what: str) -> bytes:
+    """`tup` as bytes; an AlgebraError names its first entry outside 0..n-1."""
+    try:
+        b = bytes(tup)
+    except ValueError:  # an entry outside 0..255
+        b = None
+    if b is None or (b and max(b) >= n):
+        bad = next(v for v in tup if not 0 <= v < n)
+        raise AlgebraError(f"{what} entry {bad} out of range")
+    return b
 
 
 def _stop_test(targets, region, stop_predicate):
@@ -366,7 +366,9 @@ def _replay(base, m, gen_list, elements, witnesses, stop_for) -> GeneratedSet:
 
 
 def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
-    """The breadth-first closure itself (no memo); see `generate`."""
+    """The breadth-first closure itself (no memo); see `generate`.  At most
+    `cap` elements are kept: the stop reason is "cap" once a further one
+    turns up."""
     gset = GeneratedSet(base=base, exponent=m, generators=list(gen_list))
     elements = gset.elements
     position = gset.position
@@ -522,7 +524,7 @@ def _prefixes(coeffs, ints, size, fstart, nondecreasing):
 def sg(base: Algebra, subset) -> GeneratedSet:
     """Subuniverse generated by a set of domain elements (power m = 1).
 
-    No `cap`: a closure in A^1 has at most n elements, and a cut-off one is
+    No budget: a closure in A^1 has at most n elements, and a cut-off one is
     not a subuniverse."""
     return generate(base, 1, [(x,) for x in subset])
 
@@ -540,7 +542,7 @@ def term_closure(base: Algebra, k: int, cells, **budgets) -> GeneratedSet:
     A^len(cells): element j of a member is t(cells[j]) for one k-ary term t,
     and a complete closure holds every such value vector.  This is the one
     encoding of term conditions (Freese & Valeriote, IJAC 2009); `budgets`
-    (cap, targets, region, stop_predicate, max_steps) go to `generate`.  `k`
+    (targets, region, stop_predicate, max_steps) go to `generate`.  `k`
     is explicit because `cells` may be empty.
     """
     cells = list(cells)
@@ -553,17 +555,17 @@ def term_generators(base: Algebra, k: int, cells: list) -> list:
     return _generator_bytes(base, len(cells), list(zip(*cells))[:k] if cells else [()] * k)
 
 
-def find_term(base: Algebra, k: int, cells, target, cap=None, max_steps=None):
+def find_term(base: Algebra, k: int, cells, target, max_steps=None):
     """Is there a k-ary term t with t(cells[j]) = target[j] for every j?
 
     Returns (True, witness term) / (False, None) / (None, None) when the
     closure was cut short without reaching the target."""
-    gset = term_closure(base, k, cells, cap=cap, targets=[target], max_steps=max_steps)
+    gset = term_closure(base, k, cells, targets=[target], max_steps=max_steps)
     found = gset.contains(target)
     return found, gset.witness_term(target) if found else None
 
 
-def free_algebra(base: Algebra, k: int, cap=None, **kw) -> GeneratedSet:
+def free_algebra(base: Algebra, k: int, **kw) -> GeneratedSet:
     """Closure of the k projections in A^(n^k); complete => exactly Clo_k(A).
 
     Each element, read as a value sequence, is the row-major table of a
@@ -571,17 +573,15 @@ def free_algebra(base: Algebra, k: int, cap=None, **kw) -> GeneratedSet:
     """
     if k < 1:
         raise AlgebraError(f"free_algebra arity must be >= 1, got {k}")
-    return term_closure(base, k, itertools.product(range(base.domain), repeat=k),
-                        cap=cap, **kw)
+    return term_closure(base, k, itertools.product(range(base.domain), repeat=k), **kw)
 
 
-def clone_membership(base: Algebra, op: OperationTable, cap=None, max_steps=None):
+def clone_membership(base: Algebra, op: OperationTable, max_steps=None):
     """Is op a term operation of base?  Returns (True, witness) / (False, None)
     / (None, None) when the search was truncated without a hit."""
     if op.domain != base.domain:
         raise AlgebraError("clone_membership: domain mismatch")
-    return find_term(base, op.arity, op.all_args(), op.values,
-                     cap=cap, max_steps=max_steps)
+    return find_term(base, op.arity, op.all_args(), op.values, max_steps=max_steps)
 
 
 # The step budget of the global probe in `decide_term`.  Measured on the
@@ -595,11 +595,11 @@ def clone_membership(base: Algebra, op: OperationTable, cap=None, max_steps=None
 PROBE_STEPS = 1_000
 
 
-def decide_term(base: Algebra, m: int, gens, run, obstruction, cap=None, max_steps=None):
+def decide_term(base: Algebra, m: int, gens, run, obstruction, max_steps=None):
     """Decides a term condition, the cheapest way first.
 
     `run(steps)` runs the global closure of `gens` (`term_generators`) in
-    A^m with the caller's cap, its early exits and the step budget `steps`,
+    A^m with the caller's early exits and the step budget `steps`,
     and returns it.  `obstruction()` runs a sound local test and returns the
     argument it fails on, or None.  In this order:
 
@@ -610,12 +610,12 @@ def decide_term(base: Algebra, m: int, gens, run, obstruction, cap=None, max_ste
       3. failing both, run(max_steps), exactly as without the probe (unless
          the probe already had that budget).
 
-    A complete closure in the memo that these budgets would let finish
+    A complete closure in the memo that this budget would let finish
     answers at once, with neither the probe nor the local test.  Returns
     (closure, None), or (probe, argument) when the local test says "no".
     """
     key = (table_key(base), m, tuple(gens))
-    if _served(key, DEFAULT_CAP if cap is None else cap, max_steps) is not None:
+    if _served(key, max_steps) is not None:
         return run(max_steps), None
     steps = PROBE_STEPS if max_steps is None else min(max_steps, PROBE_STEPS)
     probe = run(steps)
@@ -627,7 +627,7 @@ def decide_term(base: Algebra, m: int, gens, run, obstruction, cap=None, max_ste
     return run(max_steps), None
 
 
-def cyclic_obstruction(base: Algebra, k: int, cap=None, max_steps=None):
+def cyclic_obstruction(base: Algebra, k: int, max_steps=None):
     """A sound local "no" for a k-ary cyclic term: the argument a it fails on.
 
     A cyclic term t gives t(a) = t(rot a) = ... for every a in A^k, so the
@@ -635,25 +635,25 @@ def cyclic_obstruction(base: Algebra, k: int, cap=None, max_steps=None):
     include a constant tuple (Barto & Kozik, LMCS 2012).  Tries each
     non-constant a that is the least of its rotations, in lex order, and
     returns the first whose closure completes without one.  A closure cut
-    short by `cap` or `max_steps` proves nothing; None when no a fails.
+    short by `max_steps` proves nothing; None when no a fails.
     """
     n = base.domain
     for a in itertools.product(range(n), repeat=k):
         rotations = [a[i:] + a[:i] for i in range(k)]
         if a.count(a[0]) == k or min(rotations) != a:
             continue
-        gset = term_closure(base, k, rotations, cap=cap, max_steps=max_steps,
+        gset = term_closure(base, k, rotations, max_steps=max_steps,
                             stop_predicate=lambda e: e == e[:1] * k)
         if not gset.truncated:
             return a
     return None
 
 
-def cyclic_terms(base: Algebra, k: int, cap=None, limit=None, max_steps=None):
+def cyclic_terms(base: Algebra, k: int, limit=None, max_steps=None):
     """k-ary cyclic term operations, in generation order.
 
     Returns (tables, complete).  complete=False means the closure was cut
-    short (by cap, max_steps or limit), so the list is a lower bound only.
+    short (by max_steps or limit), so the list is a lower bound only.
     The search runs through `decide_term`: ([], True) may rest on a local
     obstruction (`cyclic_obstruction`) instead of an exhausted Clo_k.
     """
@@ -681,15 +681,15 @@ def cyclic_terms(base: Algebra, k: int, cap=None, limit=None, max_steps=None):
     def run(steps):  # Clo_k, as `free_algebra` builds it
         hits.clear()
         if limit is None:
-            gset = generate(base, m, gens, cap=cap, max_steps=steps)
+            gset = generate(base, m, gens, max_steps=steps)
             hits.extend(filter(is_cyclic_elem, gset.elements))
             return gset
-        return generate(base, m, gens, cap=cap, max_steps=steps, stop_predicate=predicate)
+        return generate(base, m, gens, max_steps=steps, stop_predicate=predicate)
 
     gset, obstruction = decide_term(
         base, m, gens, run,
-        lambda: None if hits else cyclic_obstruction(base, k, cap=cap, max_steps=max_steps),
-        cap=cap, max_steps=max_steps)
+        lambda: None if hits else cyclic_obstruction(base, k, max_steps=max_steps),
+        max_steps=max_steps)
     if obstruction is not None:
         return [], True
     tables = [
@@ -698,9 +698,9 @@ def cyclic_terms(base: Algebra, k: int, cap=None, limit=None, max_steps=None):
     return tables, not gset.truncated
 
 
-def has_cyclic_term(base: Algebra, k: int, cap=None, max_steps=None):
+def has_cyclic_term(base: Algebra, k: int, max_steps=None):
     """True / False / None (inconclusive); early exit on the first cyclic term."""
-    tables, complete = cyclic_terms(base, k, cap=cap, limit=1, max_steps=max_steps)
+    tables, complete = cyclic_terms(base, k, limit=1, max_steps=max_steps)
     if tables:
         return True
     return False if complete else None
@@ -717,11 +717,11 @@ class RabReport:
     link_congruences: tuple  # (blocks1, blocks2) as tuples of sorted-tuple blocks
 
 
-def rab_analyze(base: Algebra, a: int, b: int, cap=None) -> RabReport:
+def rab_analyze(base: Algebra, a: int, b: int, max_steps=None) -> RabReport:
     """Classify R_ab = Sg{(a,b),(b,a)} and report its diagonal and links."""
     if a == b:
         raise AlgebraError("rab_analyze requires a != b")
-    rel = term_closure(base, 2, [(a, b), (b, a)], cap=cap)
+    rel = term_closure(base, 2, [(a, b), (b, a)], max_steps=max_steps)
     pairs = [tuple(e) for e in rel.elements]
     left = {}
     right = {}

@@ -71,6 +71,22 @@ def test_corrupted_certificate_fails_with_counterexample():
     assert "violation" in results[0].detail
 
 
+def test_tuple_entries_outside_the_domain_fail():
+    cert = certify.parse_certificate(
+        "algebra S\n"
+        "sg-excludes 1 0 :: 256\n"
+        "sg-excludes 1 0 :: -1\n"
+        "sg-excludes 1 0 :: 5\n"
+        "sg-contains 1 0 :: 256\n"
+    )
+    assert [(r.status, r.detail) for r in certify.check_certificate(cert)] == [
+        ("fail", "error: tuple entry 256 out of range"),
+        ("fail", "error: tuple entry -1 out of range"),
+        ("fail", "error: tuple entry 5 out of range"),
+        ("fail", "error: target entry 256 out of range"),
+    ]
+
+
 def test_wrong_expectation_fails():
     cert = certify.parse_certificate("algebra T5N\ncyclic-count 3 == 1\n")
     (r,) = certify.check_certificate(cert)
@@ -131,6 +147,16 @@ def test_full_shipped_suite_passes():
     golden = json.loads((DATA / "paper_suite_records.json").read_text())
     records = [{k: r.record[k] for k in ("id", "status", "detail")} for r in results]
     assert records == golden
+
+
+def test_budgeted_suite_records_do_not_move():
+    # the same replay at 1,000 steps: 11 records are inconclusive, so a change
+    # in where the budget reaches shows here (the pin above never meets one)
+    _, results = certify.run_suite(max_steps=1000)
+    golden = json.loads((DATA / "paper_suite_records_steps1000.json").read_text())
+    records = [{k: r.record[k] for k in ("id", "status", "detail")} for r in results]
+    assert records == golden
+    assert sum(r["status"] == "inconclusive" for r in golden) == 11
 
 
 def test_isomorphism_kinds_obey_max_steps():

@@ -81,6 +81,13 @@ def test_rab(capsys):
     assert any(line.startswith("loop 2 ") for line in out.splitlines())
 
 
+def test_rab_obeys_max_steps(capsys):
+    # Sg{(0,1),(1,0)} stops on its step budget after 3 elements
+    code, out, _ = run(["--max-steps", "1", "rab", "@T4,10", "0", "1"], capsys)
+    assert code == 3
+    assert out.splitlines()[:2] == ["kind=inconclusive", "size=3"]
+
+
 def test_equiv(capsys):
     code, out, _ = run(["equiv", "@T4,12", "@Z4aff"], capsys)
     assert code == 0 and out.strip() == "term-equivalent"
@@ -137,13 +144,17 @@ def test_inconclusive_exit_code(capsys):
     assert "truncated" in out
 
 
-def test_cap_leaves_subuniverses_whole(capsys):
-    # a cut-off Sg is not a subuniverse: only the A^m closures are capped
-    code, out, err = run(["--cap", "2", "taylor", "@T4,10"], capsys)
+def test_max_steps_leaves_subuniverses_whole(capsys):
+    # a cut-off Sg is not a subuniverse: only the A^m closures are budgeted
+    code, out, err = run(["--max-steps", "1", "taylor", "@T4,10"], capsys)
     assert code == 3 and out.splitlines()[-1] == "taylor=inconclusive"
+    assert out.splitlines()[-2].startswith("subuniverse {0,1,2,3} ")
     assert err == ""
-    code, _, err = run(["--cap", "2", "edges", "@T4,10", "--pair", "0", "1"], capsys)
+    code, _, err = run(["--max-steps", "1", "edges", "@T4,10", "--pair", "0", "1"], capsys)
     assert code == 3 and err == ""
+    # the element budget is gone: --cap is a usage error
+    code, out, _ = run(["--cap", "2", "taylor", "@T4,10"], capsys)
+    assert code == 2 and out == ""
 
 
 def test_output_stability(capsys):
@@ -208,14 +219,6 @@ def test_domain_above_256_is_an_error(capsys, tmp_path):
     code, out, err = run(["sg", str(path), "--power", "1", "--gens", "256"], capsys)
     assert code == 2 and out == ""
     assert "256-element limit" in err
-
-
-def test_sg_cap_below_one_is_an_error(capsys):
-    for cap in ("0", "-3"):
-        code, out, err = run(["--cap", cap, "sg", "@T4,10", "--power", "2",
-                              "--gens", "0,1;1,0"], capsys)
-        assert code == 2 and out == ""
-        assert err == f"error: cap must be at least 1, got {cap}\n"
 
 
 def test_cyclic_max_steps_below_one_is_an_error(capsys):
@@ -287,8 +290,7 @@ def argvs(draw):
         "verify": lambda: ["--suite", "other", *flag("--strict"), *flag("--json")],
     }
     verb = draw(st.sampled_from(sorted(verbs)))
-    argv = ["--max-steps", draw(_STEPS), *flag("--cap", draw(_STEPS)), verb,
-            *verbs[verb]()]
+    argv = ["--max-steps", draw(_STEPS), verb, *verbs[verb]()]
     if draw(st.integers(0, 3)) == 0:  # a token left out; --max-steps still bounds the work
         del argv[draw(st.integers(0, len(argv) - 1))]
     return argv

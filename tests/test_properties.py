@@ -220,7 +220,10 @@ def test_local_obstructions_never_deny_a_term_of_clo3(a):
     n = a.domain
     cells = list(itertools.product(range(n), repeat=3))
     at = {c: i for i, c in enumerate(cells)}
-    clo3 = subpower.free_algebra(a, 3, cap=1_000, max_steps=20_000)
+    # Clo_3 cut at 1,000 elements (the kernel's own ceiling argument) as
+    # well as 20,000 steps keeps the scans below cheap
+    clo3 = subpower._closure(a, len(cells), subpower.term_generators(a, 3, cells), 1_000,
+                             subpower._stop_test(None, None, None), 20_000)
     cyclic = any(all(e[at[c]] == e[at[c[1:] + c[:1]]] for c in cells) for e in clo3.elements)
     malcev = any(all(e[at[(x, y, y)]] == x == e[at[(y, y, x)]] for x in range(n) for y in range(n))
                  for e in clo3.elements)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -246,9 +247,59 @@ def test_clone_excluded_is_sound(alg):
         tuple((x - y + z) % 3 for x, y, z in itertools.product(range(3), repeat=3)),
     )
     assert clone_excluded(a, xyz) is not None
+    from finalg import catalog
     from finalg.subpower import clone_membership
 
     assert clone_membership(a, xyz)[0] is False
+    # every catalog entry against the x-y+z tables of its size and the
+    # operation of every entry of its size
+    reasons = collections.Counter()
+    settled = 0
+    for name in catalog.names():
+        a = alg(name)
+        tables = [t for _, _, t in affine_xyz_tables(a.domain)]
+        tables += [alg(other).operations[0] for other in catalog.names()
+                   if alg(other).domain == a.domain]
+        for op in tables:
+            reason = clone_excluded(a, op)
+            reasons[reason and reason.split()[0]] += 1
+            if reason:
+                # a complete Clo_k never holds an excluded table; T4,17's Clo_3
+                # alone takes minutes, so the search stops at 10,000 steps
+                member, _ = clone_membership(a, op, max_steps=10_000)
+                assert member is not True, (name, op.values, reason)
+                settled += member is False
+    assert reasons == {"breaks": 743, "restriction": 243, "induced": 12, None: 94}
+    assert settled == 562
+
+
+def test_max_steps_reaches_every_closure_in_a_power(alg, monkeypatch):
+    # every closure in A^m, m >= 2, that a decision runs gets the caller's
+    # budget, also those of the shortcuts (absorption traces and images,
+    # clone exclusions) and of the semilattice tests of an edge
+    from finalg import catalog, certify, subpower
+    from finalg.certify import Assertion
+
+    budgets = []
+    inner = subpower._closure
+
+    def spy(base, m, gen_list, cap, stop_for, max_steps):
+        budgets.append((m, max_steps))
+        return inner(base, m, gen_list, cap, stop_for, max_steps)
+
+    monkeypatch.setattr(subpower, "_closure", spy)
+    lacks = Assertion("clone-lacks", (3, alg("T4,12").operations[0].values))
+    for decide in (
+        lambda: weak_edges(alg("T4,10"), 0, 1, max_steps=1),
+        lambda: absorbs(alg("T4,5"), (0,), 3, max_steps=1),
+        lambda: catalog.term_equivalent(alg("T4,12"), alg("Z4aff"), max_steps=1),
+        lambda: subpower.rab_analyze(alg("T4,10"), 0, 1, max_steps=1),
+        lambda: certify.check_assertion(alg("T4,10"), lacks, max_steps=1),
+    ):
+        budgets.clear()
+        decide()
+        powers = [b for b in budgets if b[0] >= 2]
+        assert powers and all(steps == 1 for _, steps in powers), budgets
 
 
 def test_naive_oracles_match(alg):

@@ -305,7 +305,7 @@ def test_export_text_format(alg):
 
 
 def test_cap_truncation_reported(alg):
-    g = free_algebra(alg("T4,10"), 2, cap=5)
+    g = fresh(alg("T4,10"), *_clo2(alg("T4,10")), cap=5)
     assert g.truncated and g.stop_reason == "cap"
     assert g.contains(tuple(0 for _ in range(16))) is None
 
@@ -349,7 +349,7 @@ def test_unary_fast_path_stops_on_steps():
 # -- the closure memo -------------------------------------------------------
 
 from finalg import subpower  # noqa: E402
-from finalg.subpower import DEFAULT_CAP  # noqa: E402
+from finalg.subpower import MAX_ELEMENTS  # noqa: E402
 
 _uncached_closure = subpower._closure
 
@@ -381,7 +381,7 @@ def fresh(base, m, gens, cap=None, targets=None, region=None,
     """The same closure computed without the memo."""
     return _uncached_closure(
         base, m, subpower._generator_bytes(base, m, gens),
-        DEFAULT_CAP if cap is None else cap,
+        MAX_ELEMENTS if cap is None else cap,
         subpower._stop_test(targets, region, stop_predicate), max_steps,
     )
 
@@ -474,15 +474,6 @@ def test_memo_serves_only_within_budgets(alg, runs):
     m, gens = _clo3(a)
     size = len(generate(a, m, gens))
     steps = subpower._closure_steps(a, size)
-    for cap, served in ((size - 1, False), (size, True), (size + 1, True)):
-        n_runs = runs["n"]
-        got = generate(a, m, gens, cap=cap)
-        assert (runs["n"] == n_runs) == served
-        want = fresh(a, m, gens, cap=cap)
-        assert_same(got, want)
-        # a fresh run stops on "cap" exactly when the memo declines to serve
-        assert len(want) == min(cap, size)
-        assert want.stop_reason == (None if served else "cap")
     for max_steps, served in ((steps - 1, False), (steps, False), (steps + 1, True)):
         n_runs = runs["n"]
         got = generate(a, m, gens, max_steps=max_steps)
@@ -667,7 +658,7 @@ def kernel_and_reference(base, m, gens, cap=None, targets=None, region=None,
     """Runs one closure through `_closure` and the reference and checks that
     they agree; a predicate must also be shown the same elements."""
     gen_list = subpower._generator_bytes(base, m, gens)
-    cap = DEFAULT_CAP if cap is None else cap
+    cap = MAX_ELEMENTS if cap is None else cap
     runs = []
     for closure in (_uncached_closure, reference_closure):
         seen = []
@@ -790,15 +781,21 @@ def test_kernel_matches_reference_on_early_exits(alg):
         assert got.stop_reason == ("cap" if cap < size else None)
 
 
-def test_cap_admits_at_most_cap_elements(alg):
-    g = free_algebra(alg("T4,10"), 2, cap=5)
+def test_cap_admits_at_most_cap_elements(alg, monkeypatch):
+    a = alg("T4,10")
+    g = fresh(a, *_clo2(a), cap=5)
     assert len(g) == 5 and g.truncated and g.stop_reason == "cap"
-    full = free_algebra(alg("T4,10"), 2)
-    g = free_algebra(alg("T4,10"), 2, cap=len(full))
+    full = free_algebra(a, 2)
+    g = fresh(a, *_clo2(a), cap=len(full))
     assert not g.truncated and g.elements == full.elements
-    g = generate(alg("T4,10"), 1, [(0,), (1,), (2,)], cap=2)
+    g = fresh(a, 1, [(0,), (1,), (2,)], cap=2)
     assert [tuple(e) for e in g.elements] == [(0,), (1,)]
     assert g.stop_reason == "cap"
+    # `generate` holds every closure to the ceiling MAX_ELEMENTS
+    subpower._closures.clear()
+    monkeypatch.setattr(subpower, "MAX_ELEMENTS", 5)
+    g = free_algebra(a, 2)
+    assert len(g) == 5 and g.stop_reason == "cap"
 
 
 def _sweep_row_ends(base, m, gens, every=1, limit=KERNEL_BUDGET):
@@ -806,7 +803,7 @@ def _sweep_row_ends(base, m, gens, every=1, limit=KERNEL_BUDGET):
     among those ending within `limit` steps."""
     ends = []
     gen_list = subpower._generator_bytes(base, m, gens)
-    reference_closure(base, m, gen_list, DEFAULT_CAP,
+    reference_closure(base, m, gen_list, MAX_ELEMENTS,
                       subpower._stop_test(None, None, None), limit, ends)
     assert ends
     for end in ends[::every] + ends[-1:]:
@@ -940,7 +937,7 @@ def test_kernel_walks_one_tuple_per_orbit():
                 m, gens = _free(a, k)
                 ends = []
                 full = reference_closure(a, m, subpower._generator_bytes(a, m, gens),
-                                         DEFAULT_CAP, subpower._stop_test(None, None, None),
+                                         MAX_ELEMENTS, subpower._stop_test(None, None, None),
                                          KERNEL_BUDGET, ends)
                 if full.truncated:
                     continue
@@ -965,7 +962,7 @@ def test_kernel_mixed_orbit_kinds():
         _with_and_without_orbits(a, *_free(a, k))
     for x, y in itertools.permutations(range(3), 2):
         kernel_and_reference(a, 2, [(x, y), (y, x)])
-        _with_and_without_orbits(a, 2, [(x, y), (y, x)], cap=DEFAULT_CAP)
+        _with_and_without_orbits(a, 2, [(x, y), (y, x)], cap=MAX_ELEMENTS)
     _sweep_row_ends(a, *_free(a, 2), every=11, limit=5_000)
 
 
@@ -1022,7 +1019,7 @@ def _replay_cyclic_obstruction(a, k, tup):
     """The rotation closure of `tup`, recomputed by the reference closure."""
     rotations = [tup[i:] + tup[:i] for i in range(k)]
     gens = subpower.term_generators(a, k, rotations)
-    ref = reference_closure(a, k, gens, DEFAULT_CAP, subpower._stop_test(None, None, None),
+    ref = reference_closure(a, k, gens, MAX_ELEMENTS, subpower._stop_test(None, None, None),
                             None)
     assert not ref.truncated
     assert not any(len(set(e)) == 1 for e in ref.elements)
@@ -1032,24 +1029,24 @@ def _replay_malcev_obstruction(a, quad):
     x, y, z, w = quad
     assert x != y and z != w
     gens = subpower.term_generators(a, 3, [(x, y, y), (z, z, w)])
-    ref = reference_closure(a, 2, gens, DEFAULT_CAP, subpower._stop_test(None, None, None),
+    ref = reference_closure(a, 2, gens, MAX_ELEMENTS, subpower._stop_test(None, None, None),
                             None)
     assert not ref.truncated and bytes((x, w)) not in ref.position
 
 
 def test_local_obstructions_never_deny_a_term_of_clo3():
     # an obstruction "no" must never meet a cyclic (resp. Mal'cev) element of
-    # Clo_3, with any budget: a closure cut short by cap or max_steps is no
-    # obstruction.  With unbounded budgets every "no" here is found locally.
+    # Clo_3, with any budget: a closure cut short by max_steps is no
+    # obstruction.  With no budget every "no" here is found locally.
     decided = {"cyclic": 0, "malcev": 0}
     for name, a in _small_algebras().items():
         cyclic, malcev = _clo3_terms(a)
-        for cap, max_steps in ((None, None), (None, 7), (None, 60), (3, None), (12, None)):
-            c = subpower.cyclic_obstruction(a, 3, cap=cap, max_steps=max_steps)
-            m = malcev_obstruction(a, cap=cap, max_steps=max_steps)
-            assert c is None or not cyclic, (name, cap, max_steps, c)
-            assert m is None or not malcev, (name, cap, max_steps, m)
-            if cap is max_steps is None:
+        for max_steps in (None, 3, 7, 12, 60):
+            c = subpower.cyclic_obstruction(a, 3, max_steps=max_steps)
+            m = malcev_obstruction(a, max_steps=max_steps)
+            assert c is None or not cyclic, (name, max_steps, c)
+            assert m is None or not malcev, (name, max_steps, m)
+            if max_steps is None:
                 assert (c is None, m is None) == (cyclic, malcev), name
                 decided["cyclic"] += c is not None
                 decided["malcev"] += m is not None
@@ -1090,18 +1087,18 @@ def test_decide_term_runs_probe_local_test_full_closure_in_order(alg, runs, monk
     inner = subpower.generate
 
     def spy(base, m, generators, **kw):
-        budgets.append((m, kw.get("cap"), kw.get("max_steps")))
+        budgets.append((m, kw.get("max_steps")))
         return inner(base, m, generators, **kw)
 
     from finalg import structure
 
     for module in (subpower, structure):
         monkeypatch.setattr(module, "generate", spy)
-    found, witness = has_malcev_term(a, cap=10**6, max_steps=150_000)
+    found, witness = has_malcev_term(a, max_steps=150_000)
     assert found is True
-    assert budgets[0] == (len(pats), 10**6, subpower.PROBE_STEPS)
-    assert budgets[-1] == (len(pats), 10**6, 150_000)
-    assert set(budgets[1:-1]) == {(2, 10**6, 150_000)}
+    assert budgets[0] == (len(pats), subpower.PROBE_STEPS)
+    assert budgets[-1] == (len(pats), 150_000)
+    assert set(budgets[1:-1]) == {(2, 150_000)}
     assert len(budgets) == 2 + 4 * 3 * 4 * 3
     got = eval_term_table(witness, a, 3)
     assert tuple(got.values[got.index(p)] for p in pats) == target
@@ -1110,4 +1107,4 @@ def test_decide_term_runs_probe_local_test_full_closure_in_order(alg, runs, monk
     assert not full.truncated
     budgets.clear()
     assert has_malcev_term(a)[0] is True
-    assert budgets == [(len(pats), None, None)]
+    assert budgets == [(len(pats), None)]
