@@ -155,7 +155,6 @@ def cmd_cyclic(args):
 
 def cmd_cong(args):
     alg = _load(args.file)
-    code = EXIT_OK
     if args.principal:
         a, b = args.principal
         print(str(principal_congruence(alg, a, b)))
@@ -167,7 +166,7 @@ def cmd_cong(args):
         print(f"simple={'true' if witness is None else 'false'}")
         if witness is not None:
             print(str(witness))
-    return code
+    return EXIT_OK
 
 
 def cmd_absorb(args):
@@ -294,7 +293,8 @@ def cmd_search(args):
 
 
 def cmd_verify(args):
-    ok, results = certify.run_suite(max_steps=args.max_steps, strict=args.strict)
+    steps = certify.DEFAULT_ASSERTION_STEPS if args.max_steps is None else args.max_steps
+    ok, results = certify.run_suite(max_steps=steps, strict=args.strict)
     print(certify.format_report(results, json_mode=args.json))
     if ok:
         return EXIT_OK

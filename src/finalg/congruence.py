@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import Algebra, AlgebraError, OperationTable, UnionFind
-from .memo import Memo, table_key
+from .memo import per_algebra
 
 
 class NotACongruenceError(AlgebraError):
@@ -183,27 +183,15 @@ def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
     return Partition(n, uf.blocks())
 
 
-# congruence lattices by operation tables (memo.table_key)
-_lattices = Memo(limit=1024)
-
-
-def all_congruences(alg: Algebra):
+@per_algebra
+def all_congruences(alg: Algebra) -> tuple:
     """Every congruence, canonically sorted (identity first, full last).
 
     Computed as the join closure of the principal congruences; sound and
     complete for finite algebras since every congruence is a join of
-    principal ones.  Memoized by the operation tables; every call returns
-    a fresh list.
+    principal ones.  Memoized by the operation tables
+    (`memo.per_algebra`): every call returns the one stored tuple.
     """
-    key = table_key(alg)
-    lattice = _lattices.get(key)
-    if lattice is None:
-        lattice = _congruence_lattice(alg)
-        _lattices.put(key, lattice)
-    return list(lattice)
-
-
-def _congruence_lattice(alg: Algebra) -> tuple:
     n = alg.domain
     found = {Partition.identity(n)}
     principals = set()

@@ -101,6 +101,8 @@ class SearchSpec:
             raise AlgebraError("search supports arity <= 4")
         if self.domain > 5:
             raise AlgebraError("search supports domain <= 5")
+        if self.cap is not None and self.cap < 1:
+            raise AlgebraError(f"search cap must be at least 1, got {self.cap}")
         self.constraints = tuple(self.constraints)
 
 
@@ -315,7 +317,6 @@ def search_ops(spec: SearchSpec, name="f") -> SearchResult:
     if not ok or not relation_check():
         return SearchResult([], False)
 
-    decision_orbits = list(range(len(orbits)))  # rep order == lex order of reps
     solutions = []
     truncated = False
     check_relations_incrementally = all(
@@ -334,9 +335,10 @@ def search_ops(spec: SearchSpec, name="f") -> SearchResult:
         nonlocal truncated
         if truncated:
             return
-        while pos < len(decision_orbits) and orbit_val[decision_orbits[pos]] != -1:
+        # orbits are decided in index order, the lex order of their representatives
+        while pos < len(orbits) and orbit_val[pos] != -1:
             pos += 1
-        if pos == len(decision_orbits):
+        if pos == len(orbits):
             vals = tuple(orbit_val[orbit_of[i]] for i in range(len(cells)))
             table = OperationTable(name, k, n, vals)
             if all(satisfies(table, c) for c in spec.constraints):
@@ -345,10 +347,9 @@ def search_ops(spec: SearchSpec, name="f") -> SearchResult:
                 else:
                     solutions.append(table)
             return
-        o = decision_orbits[pos]
         for v in range(n):
             mark = len(trail)
-            if assign(o, v) and (not relations or not check_relations_incrementally
+            if assign(pos, v) and (not relations or not check_relations_incrementally
                                  or relation_check()):
                 dfs(pos + 1)
             undo(mark)
@@ -410,6 +411,8 @@ def parse_constraint_file(text: str):
                 arity = int(rest)
             elif head == "cap":
                 cap = int(rest)
+                if cap < 1:
+                    raise ParseError(f"cap must be at least 1, got {cap}", ln)
             elif head == "idempotent":
                 constraints.append(Idempotent())
             elif head == "cyclic":

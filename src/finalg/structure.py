@@ -28,7 +28,7 @@ from .congruence import (
     maximal_congruences,
     quotient_algebra,
 )
-from .memo import Memo, table_key
+from .memo import per_algebra
 from .subpower import (
     TermTree,
     clone_membership,
@@ -344,28 +344,14 @@ def weak_edges(alg: Algebra, a: int, b: int, max_steps=None):
     return records, conclusive
 
 
-# subuniverse lists by operation tables (memo.table_key)
-_subuniverses = Memo(limit=1024)
-
-
-def all_subuniverses(alg: Algebra):
+@per_algebra
+def all_subuniverses(alg: Algebra) -> tuple:
     """All nonempty subuniverses Sg(S), deduplicated, sorted by (size, lex).
 
-    The list is memoized by the operation tables; every call returns a
-    fresh list.
-    """
-    key = table_key(alg)
-    found = _subuniverses.get(key)
-    if found is None:
-        found = _subuniverse_list(alg)
-        _subuniverses.put(key, found)
-    return list(found)
-
-
-def _subuniverse_list(alg: Algebra) -> tuple:
-    """Every Sg(S), S nonempty.  Sg(S + {x}) = Sg(Sg(S) + {x}), so closing
-    each subuniverse found with one more element reaches them all, starting
-    from the Sg{x}; each generating set is closed once."""
+    Sg(S + {x}) = Sg(Sg(S) + {x}), so closing each subuniverse found with
+    one more element reaches them all, starting from the Sg{x}; each
+    generating set is closed once.  Memoized by the operation tables
+    (`memo.per_algebra`): every call returns the one stored tuple."""
     found = {sg_closure(alg, (x,)) for x in range(alg.domain)}
     todo = list(found)
     tried = set()

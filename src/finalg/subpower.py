@@ -43,15 +43,15 @@ _ROW_MIN are evaluated element by element, where the whole-row conversions
 cost more than they save.  Memory stays O(size * m * w): per round two integers of the round's
 elements per lane width, per row one row; nothing is replicated per
 element.  Wide lanes are built only for a closure with an operation that
-needs them.  The step budget (`max_steps`) counts the applications made,
-spent per completed row, the same way for every operation.
+needs them.  The kernel counts the applications it makes, per completed
+row, the same way for every operation (`GeneratedSet.applications`); the
+step budget (`max_steps`) and the closure memo both read that count.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -140,6 +140,7 @@ class GeneratedSet:
     generators: list = field(default_factory=list)  # bytes
     truncated: bool = False
     stop_reason: str | None = None  # "steps" | "cap" | "targets" | "region" | "predicate"
+    applications: int = 0  # made by the kernel in completed rows; 0 if served from the memo
 
     def __len__(self):
         return len(self.elements)
@@ -224,9 +225,10 @@ def generate(
 
     Complete closures of at least _MEMO_MIN_STEPS applications are memoized
     (see `_closures`).  A later call with the same tables, exponent and
-    generators is served from the memo when its budget would have let a
-    fresh run finish; the closure order is canonical, so an early exit is a
-    prefix of the stored order, and the answer is the one a fresh run gives.
+    generators is served from the memo when `max_steps` is unset or above
+    the applications the kernel counted, so a fresh run would finish; the
+    closure order is canonical, so an early exit is a prefix of the stored
+    order, and the answer is the one a fresh run gives.
     """
     if max_steps is not None and max_steps < 1:
         raise AlgebraError(f"max_steps must be at least 1, got {max_steps}")
@@ -240,10 +242,8 @@ def generate(
         elements, witnesses, _steps = hit
         return _replay(base, m, gen_list, elements, witnesses, stop_for)
     gset = _closure(base, m, gen_list, MAX_ELEMENTS, stop_for, max_steps)
-    if not gset.truncated:
-        steps = _closure_steps(base, len(gset.elements))
-        if steps >= _MEMO_MIN_STEPS:
-            _closures.put(key, (tuple(gset.elements), tuple(gset.witnesses), steps))
+    if not gset.truncated and gset.applications >= _MEMO_MIN_STEPS:
+        _closures.put(key, (tuple(gset.elements), tuple(gset.witnesses), gset.applications))
     return gset
 
 
@@ -304,27 +304,6 @@ def _stop_test(targets, region, stop_predicate):
         return None
 
     return stop_for
-
-
-def _closure_steps(base: Algebra, size: int) -> int:
-    """Applications of a complete closure with `size` elements.
-
-    Round t applies a k-ary operation to the index tuples over its S_t
-    elements that use an element of the frontier, one per argument orbit
-    (see `_prefix_rows`), so the rounds sum to the orbits over `size`
-    elements: size**k, C(size+k-1, k) multisets for a symmetric operation,
-    (size**3 + 2*size)/3 necklaces for a cyclic ternary one.  `max_steps`
-    lets a fresh run finish iff it exceeds this."""
-    steps = 0
-    for op in base.operations:
-        orbit = _orbit_kind(op.domain, op.arity, op.values)
-        if orbit == "symmetric":
-            steps += math.comb(size + op.arity - 1, op.arity)
-        elif orbit == "cyclic":
-            steps += (size**3 + 2 * size) // 3
-        else:
-            steps += size**op.arity
-    return steps
 
 
 @functools.lru_cache(maxsize=256)
@@ -396,7 +375,7 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
     wide = {ap.lane: [] for ap in appliers if ap.lane > 1}
     known = position.__contains__
 
-    steps_left = max_steps
+    applications = 0
     fstart = 0
     while fstart < len(elements) and not stop:
         size = len(elements)
@@ -445,13 +424,13 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
                                     break
                 if stop:
                     break
-                if steps_left is not None:
-                    steps_left -= width
-                    if steps_left <= 0:
-                        stop = "steps"
-                        break
+                applications += width
+                if max_steps is not None and applications >= max_steps:
+                    stop = "steps"
+                    break
         fstart = size
 
+    gset.applications = applications
     if stop:
         gset.truncated = True
         gset.stop_reason = stop
@@ -669,10 +648,10 @@ def cyclic_terms(base: Algebra, k: int, limit=None, max_steps=None):
     def is_cyclic_elem(e):  # most elements fail at an early cell
         return all(e[i] == e[rot[i]] for i in rng)
 
-    def predicate(e):
+    def predicate(e):  # collects every cyclic element; stops only at `limit`
         if is_cyclic_elem(e):
             hits.append(e)
-            return len(hits) >= limit
+            return limit is not None and len(hits) >= limit
         return False
 
     m = n**k
@@ -680,10 +659,6 @@ def cyclic_terms(base: Algebra, k: int, limit=None, max_steps=None):
 
     def run(steps):  # Clo_k, as `free_algebra` builds it
         hits.clear()
-        if limit is None:
-            gset = generate(base, m, gens, max_steps=steps)
-            hits.extend(filter(is_cyclic_elem, gset.elements))
-            return gset
         return generate(base, m, gens, max_steps=steps, stop_predicate=predicate)
 
     gset, obstruction = decide_term(

@@ -213,6 +213,32 @@ def test_search_spec_errors_name_the_line(capsys, tmp_path):
         assert err == f"error: malformed {head} directive {rest!r}: {why} (line 3)\n"
 
 
+def test_search_spec_cap_below_one_is_an_error(capsys, tmp_path):
+    spec = tmp_path / "cap.spec"
+    for cap in ("0", "-1"):
+        spec.write_text(f"domain 2\narity 2\nidempotent\ncap {cap}\n")
+        for count in ([], ["--count"]):
+            code, out, err = run(["search", "--spec", str(spec), *count], capsys)
+            assert code == 2 and out == ""
+            assert err == f"error: cap must be at least 1, got {cap} (line 4)\n"
+
+
+def test_verify_budget_defaults_to_the_assertion_steps(capsys, monkeypatch):
+    from finalg import certify
+
+    seen = []
+
+    def record(certs=None, max_steps=None, strict=False):
+        seen.append(max_steps)
+        return True, []
+
+    monkeypatch.setattr(certify, "run_suite", record)
+    monkeypatch.setattr(certify, "format_report", lambda results, json_mode: "")
+    assert run(["verify"], capsys)[0] == 0
+    assert run(["--max-steps", "1000", "verify"], capsys)[0] == 0
+    assert seen == [certify.DEFAULT_ASSERTION_STEPS, 1000]
+
+
 def test_domain_above_256_is_an_error(capsys, tmp_path):
     path = tmp_path / "big.alg"
     path.write_text("domain 257\nop f 1\n" + " ".join(map(str, range(257))) + "\n")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from finalg.core import AlgebraError, OperationTable, PartialTable
+from finalg.core import AlgebraError, OperationTable, ParseError, PartialTable
 from finalg.congruence import Partition
 from finalg.search import (
     AgreesOnTuples,
@@ -122,6 +122,15 @@ def test_claim_style_unique_t41(alg):
 def test_cap_truncation():
     res = search_ops(SearchSpec(2, 2, (Idempotent(),), cap=1))
     assert len(res.tables) == 1 and res.truncated
+
+
+def test_cap_below_one_is_an_error():
+    for cap in (0, -1):
+        with pytest.raises(AlgebraError, match=f"cap must be at least 1, got {cap}"):
+            SearchSpec(2, 2, (Idempotent(),), cap=cap)
+        with pytest.raises(ParseError) as info:
+            parse_constraint_file(f"domain 2\narity 2\ncap {cap}\n")
+        assert info.value.line == 3
 
 
 def test_preserves_relation():

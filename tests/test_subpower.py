@@ -408,11 +408,12 @@ def test_memo_serves_complete_closure(alg, runs):
     m, gens = _clo3(a)
     first = generate(a, m, gens)
     assert runs["n"] == 1 and not first.truncated
-    assert subpower._closure_steps(a, len(first)) >= subpower._MEMO_MIN_STEPS
+    assert first.applications >= subpower._MEMO_MIN_STEPS
     second = generate(a, m, gens)
     assert runs["n"] == 1
     assert second is not first and second.elements is not first.elements
     assert_same(second, fresh(a, m, gens))
+    assert second.applications == 0  # served: the kernel made none
 
 
 def test_memo_skips_small_closures(alg, runs):
@@ -472,8 +473,7 @@ def test_memo_predicate_side_effects_match(alg, runs):
 def test_memo_serves_only_within_budgets(alg, runs):
     a = alg("T7C")
     m, gens = _clo3(a)
-    size = len(generate(a, m, gens))
-    steps = subpower._closure_steps(a, size)
+    steps = generate(a, m, gens).applications
     for max_steps, served in ((steps - 1, False), (steps, False), (steps + 1, True)):
         n_runs = runs["n"]
         got = generate(a, m, gens, max_steps=max_steps)
@@ -481,6 +481,9 @@ def test_memo_serves_only_within_budgets(alg, runs):
         want = fresh(a, m, gens, max_steps=max_steps)
         assert_same(got, want)
         assert want.truncated == (not served)
+        assert got.applications == (0 if served else want.applications)
+        if not served:
+            assert got.applications >= max_steps
 
 
 def test_memo_witnesses_use_callers_names(alg, runs):
@@ -583,8 +586,9 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
     With `orbits`, an operation whose argument group (`orbit_group`) is S_k
     or C_3 skips every tuple that is not the least of its images under the
     group.  Every operation spends the step budget per row, one step per
-    tuple applied; `row_ends`, if given, collects the steps spent when each
-    row that applied a tuple ends.  An operation with at most 256 cells is
+    tuple applied; the steps spent are its `applications`, and `row_ends`,
+    if given, collects the steps spent when each row that applied a tuple
+    ends.  An operation with at most 256 cells is
     applied by byte-lane arithmetic, a larger one coordinate by
     coordinate."""
     gset = GeneratedSet(base=base, exponent=m, generators=list(gen_list))
@@ -647,6 +651,7 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
                     stop = "steps"
                     break
         fstart = size
+    gset.applications = spent
     if stop:
         gset.truncated = True
         gset.stop_reason = stop
@@ -677,6 +682,9 @@ def kernel_and_reference(base, m, gens, cap=None, targets=None, region=None,
     assert got.position == want.position
     assert got.generators == want.generators
     assert (got.truncated, got.stop_reason) == (want.truncated, want.stop_reason)
+    assert got.applications == want.applications  # the steps spent at the last row end
+    if got.stop_reason == "steps":
+        assert got.applications >= max_steps
     assert got_seen == want_seen
     return got
 
@@ -941,9 +949,9 @@ def test_kernel_walks_one_tuple_per_orbit():
                                          KERNEL_BUDGET, ends)
                 if full.truncated:
                     continue
-                # the memo's count of a complete closure is the reference's
+                # the kernel's count of a complete closure is the reference's
                 steps = ends[-1]
-                assert subpower._closure_steps(a, len(full)) == steps
+                assert kernel_and_reference(a, m, gens).applications == steps
                 for max_steps in (steps, steps + 1):
                     got = kernel_and_reference(a, m, gens, max_steps=max_steps)
                     assert got.truncated == (max_steps == steps)
