@@ -97,10 +97,10 @@ class SearchSpec:
     cap: int | None = None  # max solutions to return
 
     def __post_init__(self):
-        if self.arity > 4:
-            raise AlgebraError("search supports arity <= 4")
-        if self.domain > 5:
-            raise AlgebraError("search supports domain <= 5")
+        if not 1 <= self.arity <= 4:
+            raise AlgebraError(f"search supports arity 1 to 4, got {self.arity}")
+        if not 1 <= self.domain <= 5:
+            raise AlgebraError(f"search supports domain 1 to 5, got {self.domain}")
         if self.cap is not None and self.cap < 1:
             raise AlgebraError(f"search cap must be at least 1, got {self.cap}")
         self.constraints = tuple(self.constraints)
@@ -395,7 +395,7 @@ def parse_constraint_file(text: str):
     `preserves R : x,y x,z ...`.  `#` comments.  Unknown directives are
     rejected.
     """
-    domain = arity = cap = None
+    sizes = {}  # domain, arity, cap
     constraints = []
     pending = []  # (directive, payload, line) resolved once domain/arity known
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -405,14 +405,10 @@ def parse_constraint_file(text: str):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         try:
-            if head == "domain":
-                domain = int(rest)
-            elif head == "arity":
-                arity = int(rest)
-            elif head == "cap":
-                cap = int(rest)
-                if cap < 1:
-                    raise ParseError(f"cap must be at least 1, got {cap}", ln)
+            if head in ("domain", "arity", "cap"):
+                sizes[head] = int(rest)
+                if sizes[head] < 1:
+                    raise ParseError(f"{head} must be at least 1, got {sizes[head]}", ln)
             elif head == "idempotent":
                 constraints.append(Idempotent())
             elif head == "cyclic":
@@ -427,6 +423,7 @@ def parse_constraint_file(text: str):
                 raise AlgebraError(f"unknown directive {head!r} (line {ln})")
         except ValueError:
             raise AlgebraError(f"bad integer in directive (line {ln})") from None
+    domain, arity, cap = (sizes.get(k) for k in ("domain", "arity", "cap"))
     if domain is None or arity is None:
         raise AlgebraError("constraint file must declare domain and arity")
 

@@ -158,7 +158,6 @@ class EdgeRecord:
     directed: bool  # semilattice kinds point a -> b
     witness_blocks: tuple  # witnessing congruence as blocks of Sg{a,b}, original labels
     term: TermTree | None
-    group: str | None = None  # abelian group label for affine kinds
     xyz: OperationTable | None = None  # affine kinds: the quotient's x-y+z table matched
 
     def render(self) -> str:
@@ -232,9 +231,11 @@ def clone_excluded(alg: Algebra, op: OperationTable, max_steps=None) -> str | No
     """Cheap sound proof that op is not a term operation, or None.
 
     Term operations preserve every subuniverse and congruence and restrict
-    to term operations on every subuniverse and two-block quotient; there the
-    clone is small enough to search outright, under `max_steps`.  The
-    restriction and the quotient exist because op passed the first two tests.
+    to term operations on every proper two-element subuniverse and two-block
+    quotient; there the clone is small enough to search outright, under
+    `max_steps`.  The restriction and the quotient exist because op passed
+    the first two tests.  The subuniverse must be proper: a two-element
+    algebra's own search is the one this test is meant to spare.
     """
     unis = all_subuniverses(alg)
     for uni in unis:
@@ -246,7 +247,7 @@ def clone_excluded(alg: Algebra, op: OperationTable, max_steps=None) -> str | No
         if not is_congruence(alone, theta)[0]:
             return f"breaks congruence {theta}"
     for uni in unis:
-        if len(uni) == 2:
+        if len(uni) == 2 < alg.domain:
             member, _ = clone_membership(alg.restrict(uni), restrict(op, uni),
                                          max_steps=max_steps)
             if member is False:
@@ -290,16 +291,14 @@ def weak_edges(alg: Algebra, a: int, b: int, max_steps=None):
         idx = theta.block_index()
         if idx[la] == idx[lb]:
             continue
-        quo, blocks = quotient_algebra(sub, theta)
+        quo, _ = quotient_algebra(sub, theta)
         qa, qb = idx[la], idx[lb]
         orig_blocks = tuple(tuple(universe[x] for x in bl) for bl in theta.blocks)
-
-        gen_condition = all(
+        upgraded = theta in maximal and all(
             sg_closure(alg, (universe[x], universe[y])) == universe
             for x in theta.blocks[qa]
             for y in theta.blocks[qb]
         )
-        upgraded = theta in maximal and gen_condition
 
         # semilattice direction tests on the quotient
         for (u, v, x, y) in ((qa, qb, a, b), (qb, qa, b, a)):
@@ -321,7 +320,7 @@ def weak_edges(alg: Algebra, a: int, b: int, max_steps=None):
 
         # affine: x-y+z of some abelian group structure is a quotient term
         if quo.domain <= 5:
-            for gname, lab, table in affine_xyz_tables(quo.domain):
+            for _, _, table in affine_xyz_tables(quo.domain):
                 if clone_excluded(quo, table, max_steps=max_steps):
                     continue
                 member, witness = clone_membership(quo, table, max_steps=max_steps)
@@ -333,7 +332,7 @@ def weak_edges(alg: Algebra, a: int, b: int, max_steps=None):
                     else:
                         kind = "weak-affine"
                     records.append(EdgeRecord(
-                        a, b, kind, False, orig_blocks, witness, group=gname, xyz=table
+                        a, b, kind, False, orig_blocks, witness, xyz=table
                     ))
                     break
                 if member is None:
@@ -376,26 +375,31 @@ def is_taylor(alg: Algebra, max_steps=None):
     graph of weak edges on B (orientation forgotten) is connected.  Returns
     (verdict, reports) with verdict True/False/None and one report
     (subuniverse, connected, edge records) per subuniverse of size >= 2.
+
+    Each pair {a, b} is decided once, by `weak_edges` on the algebra itself,
+    and its records (in the algebra's labels) serve every subuniverse that
+    holds it: `weak_edges` works inside Sg{a, b}, which lies in each of them.
     """
     if not alg.is_idempotent():
         raise NotIdempotentError("is_taylor requires an idempotent algebra")
     verdict = True
     reports = []
+    decided = {}
     for uni in all_subuniverses(alg):
         if len(uni) < 2:
             continue
-        sub = alg.restrict(uni)
-        components = UnionFind(len(uni))
+        components = UnionFind(alg.domain)
         edges = []
         sub_conclusive = True
-        for i in range(len(uni)):
-            for j in range(i + 1, len(uni)):
-                recs, concl = weak_edges(sub, i, j, max_steps=max_steps)
-                sub_conclusive = sub_conclusive and concl
-                if recs:
-                    components.union(i, j)
-                    edges.extend(recs)
-        connected = len(components.blocks()) == 1
+        for pair in itertools.combinations(uni, 2):
+            if pair not in decided:
+                decided[pair] = weak_edges(alg, *pair, max_steps=max_steps)
+            recs, concl = decided[pair]
+            sub_conclusive = sub_conclusive and concl
+            if recs:
+                components.union(*pair)
+                edges.extend(recs)
+        connected = len(components.blocks(uni)) == 1
         if not connected:
             verdict = False if sub_conclusive else None
         reports.append((uni, connected, edges))

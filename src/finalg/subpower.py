@@ -500,17 +500,12 @@ def _prefixes(coeffs, ints, size, fstart, nondecreasing):
             yield prefix + (i,), acc + c * ints[i], lo if i < fstart else 0
 
 
-def sg(base: Algebra, subset) -> GeneratedSet:
-    """Subuniverse generated by a set of domain elements (power m = 1).
+def sg_closure(base: Algebra, subset) -> tuple:
+    """Sorted elements of the subuniverse Sg(subset) (power m = 1).
 
     No budget: a closure in A^1 has at most n elements, and a cut-off one is
     not a subuniverse."""
-    return generate(base, 1, [(x,) for x in subset])
-
-
-def sg_closure(base: Algebra, subset) -> tuple:
-    """Sorted elements of Sg(subset)."""
-    g = sg(base, subset)
+    g = generate(base, 1, [(x,) for x in subset])
     return tuple(sorted(e[0] for e in g.elements))
 
 

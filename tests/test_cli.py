@@ -223,6 +223,18 @@ def test_search_spec_cap_below_one_is_an_error(capsys, tmp_path):
             assert err == f"error: cap must be at least 1, got {cap} (line 4)\n"
 
 
+def test_search_spec_domain_or_arity_below_one_is_an_error(capsys, tmp_path):
+    spec = tmp_path / "size.spec"
+    for text, why in (("domain 2\narity -2", "arity must be at least 1, got -2 (line 2)"),
+                      ("domain 2\narity 0", "arity must be at least 1, got 0 (line 2)"),
+                      ("domain 0\narity 2", "domain must be at least 1, got 0 (line 1)")):
+        spec.write_text(f"{text}\nidempotent\n")
+        for count in ([], ["--count"]):
+            code, out, err = run(["search", "--spec", str(spec), *count], capsys)
+            assert code == 2 and out == ""
+            assert err == f"error: {why}\n"
+
+
 def test_verify_budget_defaults_to_the_assertion_steps(capsys, monkeypatch):
     from finalg import certify
 

@@ -133,6 +133,16 @@ def test_cap_below_one_is_an_error():
         assert info.value.line == 3
 
 
+def test_domain_or_arity_below_one_is_an_error():
+    for domain, arity, line, what, value in ((2, -2, 2, "arity", -2), (2, 0, 2, "arity", 0),
+                                             (0, 2, 1, "domain", 0)):
+        with pytest.raises(AlgebraError, match=f"search supports {what} 1 to ., got {value}"):
+            SearchSpec(domain, arity, (Idempotent(),))
+        with pytest.raises(ParseError, match=f"{what} must be at least 1, got {value}") as info:
+            parse_constraint_file(f"domain {domain}\narity {arity}\n")
+        assert info.value.line == line
+
+
 def test_preserves_relation():
     edges = ((0, 0), (1, 1), (0, 1))
     spec = SearchSpec(2, 2, (Idempotent(), PreservesRelation(2, edges)))

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from finalg.core import Algebra, AlgebraError, OperationTable, product, projection
+from finalg.core import Algebra, AlgebraError, OperationTable, UnionFind, product, projection
 from finalg.subpower import eval_term, free_algebra, sg_closure
 from finalg.structure import (
     NotIdempotentError,
@@ -150,6 +150,102 @@ def test_is_taylor_projection_only_false():
         assert verdict is False
 
 
+def _taylor_per_subuniverse(alg, max_steps=None):
+    """Reference Taylor test: each subuniverse restricted and relabeled, and
+    every pair of it decided there, in the subuniverse's own labels."""
+    verdict = True
+    reports = []
+    for uni in all_subuniverses(alg):
+        if len(uni) < 2:
+            continue
+        sub = alg.restrict(uni)
+        components = UnionFind(len(uni))
+        edges = []
+        sub_conclusive = True
+        for i, j in itertools.combinations(range(len(uni)), 2):
+            recs, concl = weak_edges(sub, i, j, max_steps=max_steps)
+            sub_conclusive = sub_conclusive and concl
+            if recs:
+                components.union(i, j)
+                edges.extend(recs)
+        connected = len(components.blocks()) == 1
+        if not connected:
+            verdict = False if sub_conclusive else None
+        reports.append((uni, connected, edges))
+        if verdict is False:
+            break
+    return verdict, reports
+
+
+def _taylor_controls(entries):
+    """The catalog, a projection-only algebra and two products."""
+    algs = {name: e.algebra for name, e in entries.items()}
+    algs["projection-3"] = Algebra(3, [projection(2, 0, 3, name="t")])
+    for a, b in (("M", "Z2aff"), ("S", "S")):
+        algs[f"{a}x{b}"] = product([entries[a].algebra, entries[b].algebra])
+    return algs
+
+
+def test_is_taylor_agrees_with_the_per_subuniverse_reference(entries):
+    # same verdict, subuniverses, connectivity and records, the reference's
+    # records relabeled into the algebra by each subuniverse's elements
+    def relabeled(uni, r):
+        return (uni[r.a], uni[r.b], r.kind, r.directed,
+                tuple(tuple(uni[x] for x in bl) for bl in r.witness_blocks), r.term)
+
+    verdicts = collections.Counter()
+    for name, a in _taylor_controls(entries).items():
+        for steps in (None, 1, 20, 1_000):
+            verdict, reports = is_taylor(a, max_steps=steps)
+            want_verdict, want_reports = _taylor_per_subuniverse(a, max_steps=steps)
+            assert verdict == want_verdict, (name, steps)
+            verdicts[verdict] += 1
+            assert [(uni, connected, len(edges)) for uni, connected, edges in reports] == [
+                (uni, connected, len(edges)) for uni, connected, edges in want_reports
+            ], (name, steps)
+            for (uni, _, edges), (_, _, want) in zip(reports, want_reports):
+                assert [(r.a, r.b, r.kind, r.directed, r.witness_blocks, r.term)
+                        for r in edges] == [relabeled(uni, r) for r in want], (name, steps)
+    # every verdict is met: Taylor, the projection-only control, and budget stops
+    assert set(verdicts) == {True, False, None}
+
+
+def test_taylor_records_lie_in_their_subuniverse_and_replay_on_the_algebra(entries):
+    records = 0
+    for name, a in _taylor_controls(entries).items():
+        for uni, _, edges in is_taylor(a)[1]:
+            for r in edges:
+                assert {r.a, r.b} <= set(uni), (name, uni, r.render())
+                assert all(set(bl) <= set(uni) for bl in r.witness_blocks), (name, uni, r.render())
+                cells, allowed = r.term_condition()
+                assert all(eval_term(r.term, a, c) in ok for c, ok in zip(cells, allowed)), \
+                    (name, uni, r.render())
+                records += 1
+    assert records == 409 + 12 + 22  # the catalog, then M x Z2aff and S x S
+
+
+def test_is_taylor_decides_each_pair_once(entries, monkeypatch):
+    from finalg import structure
+
+    calls = []
+    inner = structure.weak_edges
+
+    def spy(alg, a, b, max_steps=None):
+        calls.append((a, b))
+        return inner(alg, a, b, max_steps=max_steps)
+
+    monkeypatch.setattr(structure, "weak_edges", spy)
+    total = 0
+    for name, entry in entries.items():
+        calls.clear()
+        assert is_taylor(entry.algebra)[0] is True, name
+        pairs = {pair for uni in all_subuniverses(entry.algebra)
+                 for pair in itertools.combinations(uni, 2)}
+        assert sorted(calls) == sorted(pairs), name
+        total += len(calls)
+    assert total == 195
+
+
 def test_is_taylor_rejects_non_idempotent():
     neg = OperationTable("f", 1, 2, (1, 0))
     with pytest.raises(NotIdempotentError):
@@ -267,8 +363,8 @@ def test_clone_excluded_is_sound(alg):
                 member, _ = clone_membership(a, op, max_steps=10_000)
                 assert member is not True, (name, op.values, reason)
                 settled += member is False
-    assert reasons == {"breaks": 743, "restriction": 243, "induced": 12, None: 94}
-    assert settled == 562
+    assert reasons == {"breaks": 743, "restriction": 235, "induced": 12, None: 102}
+    assert settled == 554
 
 
 def test_max_steps_reaches_every_closure_in_a_power(alg, monkeypatch):
