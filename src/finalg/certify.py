@@ -8,14 +8,15 @@ results are pass / fail(counterexample) / inconclusive(budget).
 
 Each kind is one entry of `_KINDS`: a parse handler (text -> argument
 tuple, ValueError if malformed) and a check handler (algebra, arguments,
-max_steps -> status, detail, witness).  A witness is None or (term,
-cells, allowed): the term's value on `cells[j]` must lie in `allowed[j]`.
-Passes that rest on a term carry one (absorption, edges, subpower and clone
-membership), and `check_assertion` re-evaluates it with
+max_steps -> status, detail, witnesses).  The witnesses are a list of
+(term, cells, allowed): the term's value on `cells[j]` must lie in
+`allowed[j]`.  Passes that rest on terms carry them (absorption, edges,
+subpower and clone membership one each, the Taylor test one per edge of
+its spanning forest), and `check_assertion` re-evaluates each with
 `subpower.eval_term`, apart from the closure that found it: a pass whose
-witness does not replay fails with "witness does not replay".  The Taylor
-test, cyclic term counts, term equivalence and the isomorphism kinds carry
-no witness yet: their decision procedures do not return their terms.
+witness does not replay fails with "witness does not replay".  Cyclic term
+counts, term equivalence and the isomorphism kinds carry no witness yet:
+their decision procedures do not return their terms.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
 
-from .core import Algebra, AlgebraError, OperationTable, ParseError
+from .core import Algebra, AlgebraError, OperationTable, ParseError, UnionFind
 from .congruence import (
     Partition,
     class_algebra,
@@ -179,16 +180,16 @@ def _parse_optional_pair(rest):
     return (_parse_tuple(rest) if rest else None,)
 
 
-# -- check handlers: (alg, args, max_steps) -> (status, detail, witness)
+# -- check handlers: (alg, args, max_steps) -> (status, detail, witnesses)
 
-def _reading(verdict, expect, passed, failed, witness=None):
+def _reading(verdict, expect, passed, failed, witnesses=()):
     """The tri-state reading: None is a budget stop, `expect` passes (with
-    its witness), anything else fails."""
+    its witnesses), anything else fails."""
     if verdict is None:
-        return "inconclusive", "budget", None
+        return "inconclusive", "budget", ()
     if verdict == expect:
-        return "pass", passed, witness
-    return "fail", failed, None
+        return "pass", passed, witnesses
+    return "fail", failed, ()
 
 
 def _settled(found, conclusive):
@@ -207,7 +208,7 @@ def _iso_reading(got: Algebra, name, max_steps):
 def _check_congruence(alg, args, max_steps):
     p = Partition.parse(args[0], alg.domain)
     ok, violation = is_congruence(alg, p)
-    return ("pass", str(p), None) if ok else ("fail", f"violation {violation}", None)
+    return ("pass", str(p), ()) if ok else ("fail", f"violation {violation}", ())
 
 
 def _check_quotient(alg, args, max_steps):
@@ -230,42 +231,43 @@ def _check_absorbs(alg, args, max_steps):
     subset, arity, expect = args
     res = _structure.absorbs(alg, subset, arity, max_steps=max_steps)
     verdict = res.absorbs_as_subuniverse()
-    witness = None
-    if res.witness is not None:
+    witnesses = []
+    if res.witness is not None and expect:
         cells = _structure.absorption_patterns(alg.domain, res.subset, arity)
-        witness = res.witness, cells, [set(res.subset)] * len(cells)
+        witnesses.append((res.witness, cells, [set(res.subset)] * len(cells)))
     return _reading(verdict, expect, res.reason or ("witnessed" if expect else "exhausted"),
-                    f"absorbs={verdict}, expected {expect}", witness if expect else None)
+                    f"absorbs={verdict}, expected {expect}", witnesses)
 
 
 def _check_edge(alg, args, max_steps):
     (x, y), kind, blocks = args
-    recs, conclusive = _structure.weak_edges(alg, x, y, max_steps=max_steps)
-    r = next((r for r in recs
-              if r.kind == kind and blocks in (None, r.witness_blocks)), None)
+    r, conclusive = _structure.first_edge(
+        alg, x, y, max_steps=max_steps,
+        accept=lambda r: r.kind == kind and blocks in (None, r.witness_blocks))
     return _reading(_settled(r, conclusive), True, r and r.render(),
-                    f"no {kind} edge on {(x, y)}", r and (r.term, *r.term_condition()))
+                    f"no {kind} edge on {(x, y)}",
+                    [(r.term, *r.term_condition())] if r else [])
 
 
 def _check_sg(want, alg, args, max_steps):
     m, gens, tup = args
     gset = generate(alg, m, gens, targets=[tup] if want else None, max_steps=max_steps)
     member = gset.contains(tup)
-    witness = (gset.witness_term(tup), list(zip(*gens)), [{v} for v in tup]) if member else None
+    witnesses = [(gset.witness_term(tup), list(zip(*gens)), [{v} for v in tup])] if member else []
     return _reading(member, want, f"|Sg|={len(gset)}",
-                    f"membership={member}, expected {want}", witness)
+                    f"membership={member}, expected {want}", witnesses)
 
 
 def _check_clone(want, alg, args, max_steps):
     arity, vals = args
     op = OperationTable("f", arity, alg.domain, vals)
     if not want and _structure.clone_excluded(alg, op, max_steps=max_steps):
-        return "pass", "excluded by invariant", None
+        return "pass", "excluded by invariant", ()
     member, term = clone_membership(alg, op, max_steps=max_steps)
-    witness = (term, list(op.all_args()), [{v} for v in vals]) if member else None
+    witnesses = [(term, list(op.all_args()), [{v} for v in vals])] if member else []
     names = [f"x{i+1}" for i in range(arity)]
     return _reading(member, want, render_term(term, names) if member else "exhausted",
-                    f"membership={member}, expected {want}", witness)
+                    f"membership={member}, expected {want}", witnesses)
 
 
 def _check_unique_op(alg, args, max_steps):
@@ -274,21 +276,21 @@ def _check_unique_op(alg, args, max_steps):
     spec.cap = 2
     res = search_ops(spec)
     if res.truncated or len(res.tables) > 1:
-        return "fail", f"{len(res.tables)}+ solutions, not unique", None
+        return "fail", f"{len(res.tables)}+ solutions, not unique", ()
     if not res.tables:
-        return "fail", "no solution", None
+        return "fail", "no solution", ()
     if res.tables[0].values != (expected or alg.operations[0].values):
-        return "fail", "unique solution differs from expected table", None
-    return "pass", "unique solution matches", None
+        return "fail", "unique solution differs from expected table", ()
+    return "pass", "unique solution matches", ()
 
 
 def _check_two_generated(alg, args, max_steps):
     got, want = _structure.two_generated(alg), args[0]
     if got is None:
-        return "fail", "no generating pair", None
+        return "fail", "no generating pair", ()
     if want not in (None, got):
-        return "fail", f"first generating pair {got}, expected {want}", None
-    return "pass", f"generators {got}", None
+        return "fail", f"first generating pair {got}, expected {want}", ()
+    return "pass", f"generators {got}", ()
 
 
 def _check_simple(alg, args, max_steps):
@@ -316,9 +318,23 @@ def _check_cyclic_count(alg, args, max_steps):
 
 
 def _check_taylor(alg, args, max_steps):
-    verdict, _reports = _structure.is_taylor(alg, max_steps=max_steps)
+    """A `taylor true` pass carries the spanning forest's edge records, one
+    witness each; here the forest's edges must join every subuniverse the
+    test reports.  The subuniverse list itself and the theorem (connected
+    edge graphs on every subuniverse mean Taylor) are not replayed."""
+    verdict, reports = _structure.is_taylor(alg, max_steps=max_steps)
+    forest = []
+    if verdict and args[0]:
+        for uni, _, edges in reports:
+            joined = UnionFind(alg.domain)
+            for r in edges:
+                if {r.a, r.b} <= set(uni):
+                    joined.union(r.a, r.b)
+            if len(joined.blocks(uni)) != 1:
+                return "fail", "witness does not replay", ()
+            forest += [(r.term, *r.term_condition()) for r in edges]
     return _reading(verdict, args[0], f"taylor={verdict}",
-                    f"taylor={verdict}, expected {args[0]}")
+                    f"taylor={verdict}, expected {args[0]}", forest)
 
 
 # kind -> (parse handler, check handler)
@@ -346,13 +362,12 @@ _KINDS = {
 def check_assertion(alg: Algebra, a: Assertion, max_steps=DEFAULT_ASSERTION_STEPS):
     """Evaluate one assertion; returns (status, detail).
 
-    The one place a witness is replayed: a pass whose term misses an
+    The one place witnesses are replayed: a pass with a term that misses an
     allowed value on some cell becomes a failure."""
     if a.kind not in _KINDS:
         raise AlgebraError(f"unknown assertion kind {a.kind!r}")
-    status, detail, witness = _KINDS[a.kind][1](alg, a.args, max_steps)
-    if witness is not None:
-        term, cells, allowed = witness
+    status, detail, witnesses = _KINDS[a.kind][1](alg, a.args, max_steps)
+    for term, cells, allowed in witnesses:
         if any(eval_term(term, alg, c) not in ok for c, ok in zip(cells, allowed, strict=True)):
             return "fail", "witness does not replay"
     return status, detail

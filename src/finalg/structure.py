@@ -18,6 +18,7 @@ ever certify "no"; "yes" always comes from an explicit witness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -198,12 +199,14 @@ def _abelian_group_tables(n: int):
     raise AlgebraError(f"abelian groups of order {n} not supported (max 5)")
 
 
-def affine_xyz_tables(n: int):
+@functools.cache
+def affine_xyz_tables(n: int) -> tuple:
     """Distinct x-y+z tables over n elements: (group label, labeling, table).
 
     Enumerates every abelian group of order n and every labeling bijection,
     deduplicating tables; order is fixed (groups in listed order, labelings
-    lexicographic), so "first success" below is deterministic.
+    lexicographic), so "first success" below is deterministic.  Cached per
+    size: every call for one n returns the same tuple.
     """
     out = []
     seen = set()
@@ -224,7 +227,7 @@ def affine_xyz_tables(n: int):
             if vals not in seen:
                 seen.add(vals)
                 out.append((gname, lab, OperationTable("xyz", 3, n, vals)))
-    return out
+    return tuple(out)
 
 
 def clone_excluded(alg: Algebra, op: OperationTable, max_steps=None) -> str | None:
@@ -269,78 +272,109 @@ def _majority_on_pair_positions(qa, qb):
     ]
 
 
-def weak_edges(alg: Algebra, a: int, b: int, max_steps=None):
-    """All edge records carried by the pair {a, b}.
+def edge_records(alg: Algebra, a: int, b: int, max_steps=None):
+    """The edge records carried by the pair {a, b}, one test at a time.
 
-    Returns (records, conclusive).  conclusive=False means some sub-test hit
-    its budget, so absences are not certain.
+    A lazy walk: it yields each record as its test finds it, and None for
+    each test that `max_steps` cut short, so a caller may stop at the first
+    record it needs.  The congruences theta of Sg{a, b} that separate a and b
+    come coarsest first, so the smallest quotients are tried first; on each
+    quotient the tests run in the order semilattice (a -> b, then b -> a),
+    majority, affine.  Each test's answer does not depend on the order.
     """
     if a == b:
-        raise AlgebraError("weak_edges requires a != b")
+        raise AlgebraError("edge_records requires a != b")
     universe = sg_closure(alg, (a, b))
     sub = alg.restrict(universe)
     loc = {x: i for i, x in enumerate(universe)}
     la, lb = loc[a], loc[b]
-    congs = [p for p in all_congruences(sub) if not p.is_full()]
-    maximal = set(maximal_congruences(sub))
+    maximal = maximal_congruences(sub)
 
-    records = []
-    conclusive = True
-
-    for theta in congs:
+    for theta in reversed(all_congruences(sub)):
         idx = theta.block_index()
-        if idx[la] == idx[lb]:
+        qa, qb = idx[la], idx[lb]
+        if qa == qb:
             continue
         quo, _ = quotient_algebra(sub, theta)
-        qa, qb = idx[la], idx[lb]
         orig_blocks = tuple(tuple(universe[x] for x in bl) for bl in theta.blocks)
-        upgraded = theta in maximal and all(
-            sg_closure(alg, (universe[x], universe[y])) == universe
-            for x in theta.blocks[qa]
-            for y in theta.blocks[qb]
-        )
 
         # semilattice direction tests on the quotient
         for (u, v, x, y) in ((qa, qb, a, b), (qb, qa, b, a)):
             found, term = semilattice_edge(quo, u, v, max_steps=max_steps)
             if found:
                 kind = "semilattice" if theta.is_identity() else "weak-semilattice"
-                records.append(EdgeRecord(x, y, kind, True, orig_blocks, term))
+                yield EdgeRecord(x, y, kind, True, orig_blocks, term)
             elif found is None:
-                conclusive = False
+                yield None
 
         # majority on the two quotient classes of a and b
         found, term = find_term(quo, 3, _majority_on_pair_positions(qa, qb),
                                 (qa, qa, qa, qb, qb, qb), max_steps=max_steps)
         if found:
-            kind = "majority" if upgraded else "weak-majority"
-            records.append(EdgeRecord(a, b, kind, False, orig_blocks, term))
+            kind = "majority" if _upgraded(alg, universe, theta, maximal, qa, qb) \
+                else "weak-majority"
+            yield EdgeRecord(a, b, kind, False, orig_blocks, term)
         elif found is None:
-            conclusive = False
+            yield None
 
         # affine: x-y+z of some abelian group structure is a quotient term
-        if quo.domain <= 5:
-            for _, _, table in affine_xyz_tables(quo.domain):
-                if clone_excluded(quo, table, max_steps=max_steps):
-                    continue
-                member, witness = clone_membership(quo, table, max_steps=max_steps)
-                if member:
-                    if upgraded and theta.is_identity():
-                        kind = "strong-affine"
-                    elif upgraded:
-                        kind = "affine"
-                    else:
-                        kind = "weak-affine"
-                    records.append(EdgeRecord(
-                        a, b, kind, False, orig_blocks, witness, xyz=table
-                    ))
-                    break
-                if member is None:
-                    conclusive = False
-        else:
-            conclusive = False
+        if quo.domain > 5:
+            yield None
+            continue
+        for _, _, table in affine_xyz_tables(quo.domain):
+            if clone_excluded(quo, table, max_steps=max_steps):
+                continue
+            member, witness = clone_membership(quo, table, max_steps=max_steps)
+            if member:
+                if not _upgraded(alg, universe, theta, maximal, qa, qb):
+                    kind = "weak-affine"
+                else:
+                    kind = "strong-affine" if theta.is_identity() else "affine"
+                yield EdgeRecord(a, b, kind, False, orig_blocks, witness, xyz=table)
+                break
+            if member is None:
+                yield None
 
-    return records, conclusive
+
+def _upgraded(alg, universe, theta, maximal, qa, qb) -> bool:
+    """A weak label is upgraded when theta is a maximal congruence of Sg{a, b}
+    and every pair across the classes qa and qb generates all of Sg{a, b}."""
+    return theta in maximal and all(
+        sg_closure(alg, (universe[x], universe[y])) == universe
+        for x in theta.blocks[qa]
+        for y in theta.blocks[qb]
+    )
+
+
+def first_edge(alg: Algebra, a: int, b: int, max_steps=None, accept=None):
+    """The first record of `edge_records` that `accept` takes (any record
+    when None): (record, True), or (None, conclusive) when the walk ends
+    without one; conclusive=False means some test hit its budget."""
+    conclusive = True
+    for r in edge_records(alg, a, b, max_steps=max_steps):
+        if r is None:
+            conclusive = False
+        elif accept is None or accept(r):
+            return r, True
+    return None, conclusive
+
+
+def weak_edges(alg: Algebra, a: int, b: int, max_steps=None):
+    """All edge records carried by the pair {a, b}.
+
+    Returns (records, conclusive).  conclusive=False means some sub-test hit
+    its budget, so absences are not certain.  The records are the whole walk
+    of `edge_records`, listed by witnessing congruence finest first (the
+    order of `all_congruences`, identity first).
+    """
+    by_theta = {}
+    conclusive = True
+    for r in edge_records(alg, a, b, max_steps=max_steps):
+        if r is None:
+            conclusive = False
+        else:
+            by_theta.setdefault(r.witness_blocks, []).append(r)
+    return [r for recs in reversed(by_theta.values()) for r in recs], conclusive
 
 
 @per_algebra
@@ -376,9 +410,15 @@ def is_taylor(alg: Algebra, max_steps=None):
     (verdict, reports) with verdict True/False/None and one report
     (subuniverse, connected, edge records) per subuniverse of size >= 2.
 
-    Each pair {a, b} is decided once, by `weak_edges` on the algebra itself,
-    and its records (in the algebra's labels) serve every subuniverse that
-    holds it: `weak_edges` works inside Sg{a, b}, which lies in each of them.
+    The records of a report form a spanning forest of its subuniverse: a
+    pair whose ends are already joined there is skipped, and any other pair
+    {a, b} contributes the first record of its walk (`first_edge`, coarsest
+    quotient first).  A pair is decided at most once, on the algebra itself,
+    and serves every subuniverse that holds it: the walk works inside
+    Sg{a, b}, which lies in each of them.  So every record is in the
+    algebra's labels.  A skipped pair cannot change connectivity; a False
+    verdict needs every pair left between two components to have been
+    decided without a budget stop.
     """
     if not alg.is_idempotent():
         raise NotIdempotentError("is_taylor requires an idempotent algebra")
@@ -390,18 +430,22 @@ def is_taylor(alg: Algebra, max_steps=None):
             continue
         components = UnionFind(alg.domain)
         edges = []
-        sub_conclusive = True
-        for pair in itertools.combinations(uni, 2):
-            if pair not in decided:
-                decided[pair] = weak_edges(alg, *pair, max_steps=max_steps)
-            recs, concl = decided[pair]
-            sub_conclusive = sub_conclusive and concl
-            if recs:
-                components.union(*pair)
-                edges.extend(recs)
+        unsettled = []  # pairs without a record whose walk hit its budget
+        for a, b in itertools.combinations(uni, 2):
+            if components.find(a) == components.find(b):
+                continue
+            if (a, b) not in decided:
+                decided[a, b] = first_edge(alg, a, b, max_steps=max_steps)
+            record, conclusive = decided[a, b]
+            if record is not None:
+                components.union(a, b)
+                edges.append(record)
+            elif not conclusive:
+                unsettled.append((a, b))
         connected = len(components.blocks(uni)) == 1
         if not connected:
-            verdict = False if sub_conclusive else None
+            settled = all(components.find(a) == components.find(b) for a, b in unsettled)
+            verdict = False if settled else None
         reports.append((uni, connected, edges))
         if verdict is False:
             break

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import pathlib
 
 import pytest
 
 from finalg.core import AlgebraError, ParseError
-from finalg import catalog, certify, subpower
+from finalg import catalog, certify, structure, subpower
 from finalg.certify import Assertion
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -205,7 +206,7 @@ def wrong_links(monkeypatch):
     subpower._closures.clear()
 
 
-@pytest.mark.parametrize("kind", ["absorbs", "edge", "sg-contains", "clone-contains"])
+@pytest.mark.parametrize("kind", ["absorbs", "edge", "sg-contains", "clone-contains", "taylor"])
 def test_a_wrong_witness_link_fails_the_replay(wrong_links, kind):
     # the first shipped assertion of the kind whose pass rests on a term
     cert, a = next((c, a) for c in certify.shipped_certificates() for a in c.assertions
@@ -214,3 +215,47 @@ def test_a_wrong_witness_link_fails_the_replay(wrong_links, kind):
     assert certify.check_assertion(alg, a) == ("fail", "witness does not replay")
     if kind == "sg-contains":
         assert len(wrong_links) == 1  # one closure, one wrong parent index
+
+
+def test_an_edge_with_its_witness_stops_before_the_whole_algebra(monkeypatch):
+    # T4,10's pair {1, 2} is checked on its quotients, coarsest first: the
+    # walk stops at the asserted majority record, before any closure in A^6
+    # over the 4-element algebra itself (the identity quotient comes last)
+    subpower._closures.clear()
+    closures = []
+    inner = subpower.generate
+
+    def spy(base, m, *args, **kwargs):
+        closures.append((base.domain, m))
+        return inner(base, m, *args, **kwargs)
+
+    monkeypatch.setattr(subpower, "generate", spy)
+    t410 = catalog.get("T4,10").algebra
+    a = Assertion("edge", ((1, 2), "majority", ((0, 2), (1, 3))))
+    assert certify.check_assertion(t410, a) == ("pass", "1-2 majority witness={0,2}{1,3}")
+    assert (2, 6) in closures and (4, 6) not in closures
+
+
+def _mutant_forest(monkeypatch, mutate):
+    """is_taylor with `mutate` applied to the edge list of its last report."""
+    real = structure.is_taylor
+
+    def is_taylor(alg, max_steps=None):
+        verdict, reports = real(alg, max_steps=max_steps)
+        uni, connected, edges = reports[-1]
+        return verdict, reports[:-1] + [(uni, connected, mutate(edges))]
+
+    monkeypatch.setattr(structure, "is_taylor", is_taylor)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda edges: [dataclasses.replace(edges[0], term=subpower.TermTree.variable(0)),
+                   *edges[1:]],
+    lambda edges: edges[1:],
+], ids=["wrong term", "missing edge"])
+def test_a_corrupted_forest_fails_the_taylor_replay(monkeypatch, mutate):
+    t410 = catalog.get("T4,10").algebra
+    a = Assertion("taylor", (True,))
+    assert certify.check_assertion(t410, a) == ("pass", "taylor=True")
+    _mutant_forest(monkeypatch, mutate)
+    assert certify.check_assertion(t410, a) == ("fail", "witness does not replay")

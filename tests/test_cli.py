@@ -163,6 +163,22 @@ def test_output_stability(capsys):
     assert code1 == code2 == 0 and out1 == out2
 
 
+def test_edges_lists_every_record_finest_witness_first(capsys):
+    # every record of every pair, each pair's records by witnessing
+    # congruence in all_congruences order (identity first)
+    code, out, _ = run(["edges", "@T4,7"], capsys)
+    assert code == 0 and out.splitlines() == [
+        "0-1 strong-affine witness={0}{1}{2} term=t(y, t(x, z))",
+        "0-2 strong-affine witness={0}{1}{2} term=t(y, t(x, z))",
+        "3->0 semilattice witness={0}{3} term=t(x, y)",
+        "1-2 strong-affine witness={0}{1}{2} term=t(y, t(x, z))",
+        "1-3 weak-affine witness={0,3}{1}{2} term=t(y, t(x, z))",
+        "3->1 weak-semilattice witness={0,1,2}{3} term=t(x, y)",
+        "2-3 weak-affine witness={0,3}{1}{2} term=t(y, t(x, z))",
+        "3->2 weak-semilattice witness={0,1,2}{3} term=t(x, y)",
+    ]
+
+
 def test_parse_partition_argument_anywhere(capsys):
     # principal congruence output uses the canonical partition syntax
     code, out, _ = run(["cong", "@T4,10", "--principal", "0", "2"], capsys)
