@@ -12,11 +12,11 @@ max_steps -> status, detail, witnesses).  The witnesses are a list of
 (term, cells, allowed): the term's value on `cells[j]` must lie in
 `allowed[j]`.  Passes that rest on terms carry them (absorption, edges,
 subpower and clone membership one each, the Taylor test one per edge of
-its spanning forest), and `check_assertion` re-evaluates each with
-`subpower.eval_term`, apart from the closure that found it: a pass whose
-witness does not replay fails with "witness does not replay".  Cyclic term
-counts, term equivalence and the isomorphism kinds carry no witness yet:
-their decision procedures do not return their terms.
+its spanning forest, a cyclic term count one per counted table), and
+`check_assertion` re-evaluates each with `subpower.eval_term`, apart from
+the closure that found it: a pass whose witness does not replay fails with
+"witness does not replay".  Term equivalence and the isomorphism kinds
+carry no witness yet: their decision procedures do not return their terms.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
 
-from .core import Algebra, AlgebraError, OperationTable, ParseError, UnionFind
+from .core import Algebra, AlgebraError, OperationTable, ParseError, UnionFind, is_cyclic
 from .congruence import (
     Partition,
     class_algebra,
@@ -36,7 +36,8 @@ from .congruence import (
     simplicity_witness,
 )
 from .search import parse_constraint_file, search_ops
-from .subpower import clone_membership, cyclic_terms, eval_term, generate, render_term
+from .subpower import (clone_membership, cyclic_term_witnesses, eval_term, generate,
+                       render_term)
 from . import catalog as _catalog
 from . import structure as _structure
 
@@ -243,7 +244,8 @@ def _check_edge(alg, args, max_steps):
     (x, y), kind, blocks = args
     r, conclusive = _structure.first_edge(
         alg, x, y, max_steps=max_steps,
-        accept=lambda r: r.kind == kind and blocks in (None, r.witness_blocks))
+        accept=lambda r: r.kind == kind and blocks in (None, r.witness_blocks)
+        and (not r.directed or (r.a, r.b) == (x, y)))
     return _reading(_settled(r, conclusive), True, r and r.render(),
                     f"no {kind} edge on {(x, y)}",
                     [(r.term, *r.term_condition())] if r else [])
@@ -307,14 +309,22 @@ def _check_term_equiv(alg, args, max_steps):
 
 
 def _check_cyclic_count(alg, args, max_steps):
+    """A pass carries one witness per counted table: its term on all n^k
+    cells.  The tables must also be invariant under rotation and pairwise
+    distinct, so the lower bound is replayed; the upper bound of `==` rests
+    on the exhausted Clo_k or, for 0, on the named obstruction."""
     arity, rel, num = args
+    found, complete = cyclic_term_witnesses(alg, arity, limit=num if rel == ">=" else None,
+                                            max_steps=max_steps)
+    tables = [t for t, _ in found]
+    if not all(map(is_cyclic, tables)) or len({t.values for t in tables}) < len(tables):
+        return "fail", "witness does not replay", ()
+    witnesses = [(term, list(t.all_args()), [{v} for v in t.values]) for t, term in found]
     if rel == ">=":
-        tables, complete = cyclic_terms(alg, arity, limit=num, max_steps=max_steps)
         return _reading(_settled(len(tables) >= num, complete), True,
-                        f"found {len(tables)}", f"only {len(tables)} cyclic terms")
-    tables, complete = cyclic_terms(alg, arity, max_steps=max_steps)
+                        f"found {len(tables)}", f"only {len(tables)} cyclic terms", witnesses)
     return _reading(len(tables) if complete else None, num, f"exactly {num}",
-                    f"{len(tables)} cyclic terms, expected {num}")
+                    f"{len(tables)} cyclic terms, expected {num}", witnesses)
 
 
 def _check_taylor(alg, args, max_steps):

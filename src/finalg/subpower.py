@@ -19,6 +19,24 @@ frontier iff it does, so the closure keeps the same elements, order and
 witnesses as a walk over every tuple, with about k! (symmetric) or 3
 (cyclic) times fewer applications.
 
+A closure of the k projections of A^(n^k), k >= 2 (a Clo_k: `free_algebra`,
+`cyclic_terms`, and `clone_membership` / `find_term` of a k-ary table on
+all its cells) is a union of orbits of S_k, which permutes the variables:
+a fixed permutation of the n^k coordinates that commutes with every
+operation applied coordinatewise.  Such a closure, of an algebra with an
+operation of arity at least 3, switches to the variable-orbit walk at the
+first round end with at least _ORBIT_MIN elements (see `_variable_orbit`).
+At each round end from then on (at the switch, over every element) the
+round's new elements are met in order: an element with no earlier image is
+an orbit representative, and its missing images join, each with the image
+of its witness, (op, (s.p1, ..., s.pk)) for the images s.pj of its
+parents, which are earlier.  Every later row of an operation of arity at
+least 2 starts with a representative; any other first argument s.r gives
+s applied to a value of a row that starts with r.  The closure ends with
+the same elements as the plain walk, in another order, and the order still
+does not depend on the budget; T4,5's Clo_3 takes 455,005 applications
+instead of 1,786,575.
+
 Every operation is applied by one row kernel of lane arithmetic.  An
 operation with c = n**arity cells gets a lane width w: 1 byte when
 c <= 256, 2 bytes when c <= 65536, 4 bytes beyond.  Read as a big-endian
@@ -52,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -374,11 +393,16 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
     # the same in each wider lane width that some operation needs
     wide = {ap.lane: [] for ap in appliers if ap.lane > 1}
     known = position.__contains__
+    # the variable permutations, if this closure is a Clo_k the orbit walk
+    # pays on; `reps` lists the orbit representatives once the walk is on
+    var_maps = _variable_orbit(base, m, gen_list)
+    reps = None
 
     applications = 0
     fstart = 0
     while fstart < len(elements) and not stop:
         size = len(elements)
+        firsts = range(size) if reps is None else reps
         for w, wints in wide.items():
             wints.extend(int.from_bytes(_widen(e, w), "big") for e in elements[len(wints):])
         # per lane width: the whole round and its frontier suffix as one integer
@@ -394,7 +418,7 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
             wints = ints if lut else wide[ap.lane]
             lanes, front_lanes = round_lanes.get(ap.lane, (0, 0))
             for prefix, acc, start in _prefix_rows(ap.coeffs[:-1], wints, size, fstart,
-                                                   ap.orbit):
+                                                   ap.orbit, firsts):
                 width = size - start
                 if width < _ROW_MIN and lut:
                     for t in range(start, size):
@@ -428,6 +452,29 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
                 if max_steps is not None and applications >= max_steps:
                     stop = "steps"
                     break
+        new = len(elements)
+        if var_maps and new > size and not stop and (reps is not None or new >= _ORBIT_MIN):
+            # the round's new elements (all elements when the walk switches
+            # on) in order: each is a representative unless an earlier element
+            # is one of its images; its missing images join, each with the
+            # image of its witness
+            first = size if reps is not None else 0
+            reps = reps if reps is not None else []
+            for i in range(first, new):
+                e = elements[i]
+                witness = witnesses[i]
+                images = [bytes(perm(e)) for perm in var_maps]
+                if any(position.get(img, new) < i for img in images):
+                    continue
+                reps.append(i)
+                for perm, img in zip(var_maps, images):
+                    if img not in position:
+                        admit(img, (witness[0], tuple(position[bytes(perm(elements[p]))]
+                                                      for p in witness[1])))
+                        if stop:
+                            break
+                if stop:
+                    break
         fstart = size
 
     gset.applications = applications
@@ -440,6 +487,54 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
 # Rows of 1-byte lanes shorter than this are evaluated one element at a time:
 # below it the conversions of a whole-row step cost more than they save.
 _ROW_MIN = 8
+
+# The variable-orbit walk switches on at the first round end with at least
+# this many elements.  On the complete Clo_3 of T3N, T4,3, T4,5, T4,8, T4,10
+# and T4,13, 16 and 32 give the same applications (T4,5: 455,005); 0 gives
+# from 1% fewer (T4,8) to 10% more (T4,10: 127,919 against 115,888), 64 up
+# to 35% more (T4,3: 96,492 against 71,322) and 128 up to 3.4x as many.
+# On the query-mix cyclic and clone queries (seeds 1 and 2, best of 5
+# each), 32 gave the lowest medians of 0, 16, 32 and 64, all within 3% of
+# the plain walk's.
+_ORBIT_MIN = 32
+
+
+def _variable_orbit(base: Algebra, m: int, gen_list: list):
+    """The variable permutations of a closure the orbit walk serves: when
+    `gen_list` is the k projections of A^(n^k), k >= 2, n >= 2, and some
+    operation has arity at least 3, one coordinate map (bytes -> tuple of
+    values) per non-identity permutation of the k variables; else None.
+
+    Where every operation is at most binary, a row costs less than the
+    images it would spare: T4,14 (one binary operation) answers
+    has_cyclic_term in 1.5 ms without the walk and 3.5 ms with it, because
+    its 1,000-step probe then admits most of its elements as images."""
+    n, k = base.domain, len(gen_list)
+    if k < 2 or n < 2 or n**k != m or all(op.arity < 3 for op in base.operations):
+        return None
+    if gen_list != list(_projections(n, k)):
+        return None
+    return _coordinate_maps(n, k)
+
+
+@functools.lru_cache(maxsize=64)
+def _projections(n: int, k: int) -> tuple:
+    """The k projections of A^(n^k), cells in row-major order, as bytes."""
+    cells = list(itertools.product(range(n), repeat=k))
+    return tuple(bytes(c[j] for c in cells) for j in range(k))
+
+
+@functools.lru_cache(maxsize=64)
+def _coordinate_maps(n: int, k: int) -> tuple:
+    """Per non-identity permutation s of the k variables, in lex order: the
+    map e -> s.e on the n^k cells, (s.e)[c] = e[c[s(0)], ..., c[s(k-1)]].
+    It sends projection j to projection s(j) and commutes with every
+    operation applied coordinatewise."""
+    cells = list(itertools.product(range(n), repeat=k))
+    index = {c: i for i, c in enumerate(cells)}
+    return tuple(
+        operator.itemgetter(*(index[tuple(c[j] for j in s)] for c in cells))
+        for s in itertools.permutations(range(k)) if s != tuple(range(k)))
 
 
 def _widen(data: bytes, w: int):
@@ -466,7 +561,7 @@ def _row_split(m: int, width: int):
     return struct.Struct(f"{m}s" * width).unpack
 
 
-def _prefix_rows(coeffs, ints, size, fstart, orbit=None):
+def _prefix_rows(coeffs, ints, size, fstart, orbit, firsts):
     """The rows of argument index tuples over range(size), in lex order.
 
     Yields (prefix, lane sum, start) per (k-1)-prefix of indices: `coeffs`
@@ -479,8 +574,11 @@ def _prefix_rows(coeffs, ints, size, fstart, orbit=None):
     prefixes.  A tuple that makes a new element is always the least of its
     orbit (that one comes first, gives the same value and uses the frontier
     iff the tuple does), so the walk admits the same elements with the same
-    witnesses as the walk over every tuple."""
-    rows = _prefixes(coeffs, ints, size, fstart, orbit is not None)
+    witnesses as the walk over every tuple.  The first index of a prefix
+    runs over `firsts`, increasing and below size: range(size) in the plain
+    walk (the one the claim above is about), or the representatives of the
+    variable-orbit walk."""
+    rows = _prefixes(coeffs, ints, size, fstart, orbit is not None, firsts)
     if orbit == "symmetric":
         return ((p, acc, max(p[-1], lo)) for p, acc, lo in rows)
     if orbit == "cyclic":
@@ -488,15 +586,15 @@ def _prefix_rows(coeffs, ints, size, fstart, orbit=None):
     return rows
 
 
-def _prefixes(coeffs, ints, size, fstart, nondecreasing):
+def _prefixes(coeffs, ints, size, fstart, nondecreasing, firsts):
     """(prefix, lane sum, lo) for the prefixes of `_prefix_rows`; lo is 0 if
     the prefix uses the frontier, else fstart."""
     if not coeffs:
         yield (), 0, fstart
         return
     c = coeffs[-1]
-    for prefix, acc, lo in _prefixes(coeffs[:-1], ints, size, fstart, nondecreasing):
-        for i in range(prefix[-1] if nondecreasing and prefix else 0, size):
+    for prefix, acc, lo in _prefixes(coeffs[:-1], ints, size, fstart, nondecreasing, firsts):
+        for i in range(prefix[-1] if nondecreasing else 0, size) if prefix else firsts:
             yield prefix + (i,), acc + c * ints[i], lo if i < fstart else 0
 
 
@@ -631,6 +729,22 @@ def cyclic_terms(base: Algebra, k: int, limit=None, max_steps=None):
     The search runs through `decide_term`: ([], True) may rest on a local
     obstruction (`cyclic_obstruction`) instead of an exhausted Clo_k.
     """
+    tables, complete, _ = _cyclic_search(base, k, limit, max_steps)
+    return tables, complete
+
+
+def cyclic_term_witnesses(base: Algebra, k: int, limit=None, max_steps=None):
+    """`cyclic_terms` with a term per table: ([(table, term)], complete).
+
+    Each term is read from the witness links of the closure that found its
+    table, so `eval_term_table(term, base, k)` is the table."""
+    tables, complete, gset = _cyclic_search(base, k, limit, max_steps)
+    return [(t, gset.witness_term(t.values)) for t in tables], complete
+
+
+def _cyclic_search(base: Algebra, k: int, limit, max_steps):
+    """(tables, complete, closure) for `cyclic_terms`; the closure is None
+    when a local obstruction decided."""
     if k < 2:
         raise AlgebraError(f"cyclic_terms arity must be >= 2, got {k}")
     if limit is not None and limit < 1:
@@ -661,11 +775,11 @@ def cyclic_terms(base: Algebra, k: int, limit=None, max_steps=None):
         lambda: None if hits else cyclic_obstruction(base, k, max_steps=max_steps),
         max_steps=max_steps)
     if obstruction is not None:
-        return [], True
+        return [], True, None
     tables = [
         OperationTable(f"c{i}", k, n, tuple(e)) for i, e in enumerate(hits)
     ]
-    return tables, not gset.truncated
+    return tables, not gset.truncated, gset
 
 
 def has_cyclic_term(base: Algebra, k: int, max_steps=None):

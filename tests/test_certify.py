@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from finalg.core import AlgebraError, ParseError
+from finalg.core import AlgebraError, OperationTable, ParseError, is_cyclic, projection
 from finalg import catalog, certify, structure, subpower
 from finalg.certify import Assertion
 
@@ -172,16 +172,17 @@ def test_isomorphism_kinds_obey_max_steps():
     assert certify.check_assertion(t41, a, max_steps=1) == ("inconclusive", "budget")
 
 
-def _wrong_link(gset):
-    """The witness link of the last element with one parent index changed so
-    that it no longer produces that element."""
-    op_i, parents = gset.witnesses[-1]
+def _wrong_link(gset, i=-1):
+    """The witness link of element i (the last by default) with one parent
+    index changed so that it no longer produces that element."""
+    i %= len(gset.elements)
+    op_i, parents = gset.witnesses[i]
     op = gset.base.operations[op_i]
     for j in range(len(parents)):
-        for q in range(len(gset.elements) - 1):
+        for q in range(i):
             bad = parents[:j] + (q,) + parents[j + 1:]
             got = bytes(op(*col) for col in zip(*(gset.elements[p] for p in bad)))
-            if got != gset.elements[-1]:
+            if got != gset.elements[i]:
                 return op_i, bad
     raise AssertionError("no wrong link")
 
@@ -215,6 +216,64 @@ def test_a_wrong_witness_link_fails_the_replay(wrong_links, kind):
     assert certify.check_assertion(alg, a) == ("fail", "witness does not replay")
     if kind == "sg-contains":
         assert len(wrong_links) == 1  # one closure, one wrong parent index
+
+
+@pytest.mark.parametrize("rel", ["==", ">="])
+def test_a_wrong_link_to_a_cyclic_term_fails_the_replay(monkeypatch, rel):
+    # the first shipped count of each relation that finds a cyclic term; the
+    # mutant engine breaks the link of the first cyclic element of a Clo_3,
+    # whose parents, not cyclic, keep their terms
+    cert, a = next((c, a) for c in certify.shipped_certificates() for a in c.assertions
+                   if a.kind == "cyclic-count" and a.args[1] == rel and a.args[2] >= 1)
+    alg = catalog.get(cert.algebra_name).algebra
+    n = alg.domain
+    assert certify.check_assertion(alg, a)[0] == "pass"
+    subpower._closures.clear()
+    real = subpower._closure
+
+    def closure(*args):
+        gset = real(*args)
+        if gset.exponent == n**3:
+            i = next((i for i, e in enumerate(gset.elements)
+                      if is_cyclic(OperationTable("t", 3, n, tuple(e)))), None)
+            if i is not None:
+                gset.witnesses[i] = _wrong_link(gset, i)
+        return gset
+
+    monkeypatch.setattr(subpower, "_closure", closure)
+    try:
+        assert certify.check_assertion(alg, a) == ("fail", "witness does not replay")
+    finally:
+        subpower._closures.clear()
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda found, n: found[:-1] + found[:1],
+    lambda found, n: [(projection(3, 0, n), subpower.TermTree.variable(0)), *found[1:]],
+], ids=["two equal tables", "a table that is not cyclic"])
+def test_a_corrupted_cyclic_count_fails_the_replay(monkeypatch, mutate):
+    # each mutant's terms still give its tables; T4,5 has four cyclic terms
+    t45 = catalog.get("T4,5").algebra
+    a = Assertion("cyclic-count", (3, "==", 4))
+    assert certify.check_assertion(t45, a) == ("pass", "exactly 4")
+    real = certify.cyclic_term_witnesses
+
+    def witnesses(*args, **kwargs):
+        found, complete = real(*args, **kwargs)
+        return mutate(found, t45.domain), complete
+
+    monkeypatch.setattr(certify, "cyclic_term_witnesses", witnesses)
+    assert certify.check_assertion(t45, a) == ("fail", "witness does not replay")
+
+
+def test_a_semilattice_edge_keeps_its_direction():
+    # on the semilattice S, 1 -> 0 is an edge and 0 -> 1 is not
+    s = catalog.get("S").algebra
+    for blocks in (None, ((0,), (1,))):
+        assert certify.check_assertion(s, Assertion("edge", ((1, 0), "semilattice", blocks))) \
+            == ("pass", "1->0 semilattice witness={0}{1}")
+        assert certify.check_assertion(s, Assertion("edge", ((0, 1), "semilattice", blocks))) \
+            == ("fail", "no semilattice edge on (0, 1)")
 
 
 def test_an_edge_with_its_witness_stops_before_the_whole_algebra(monkeypatch):

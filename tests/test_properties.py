@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,7 +14,7 @@ from finalg.core import (
 )
 from finalg.congruence import Partition, all_congruences, quotient_algebra, class_algebra
 from finalg import subpower
-from finalg.subpower import eval_term, generate, has_cyclic_term, sg_closure
+from finalg.subpower import eval_term, eval_term_table, generate, has_cyclic_term, sg_closure
 from finalg.structure import (absorbs, all_subuniverses, has_malcev_term,
                               malcev_obstruction, weak_edges)
 from finalg import catalog
@@ -181,6 +182,71 @@ def test_kernel_orbit_rows_match_the_reference_over_every_tuple(closure):
     assert got.elements == want.elements
     assert got.witnesses == want.witnesses
     assert (got.truncated, got.stop_reason) == (want.truncated, want.stop_reason)
+
+
+# ---------------------------------------------------------------------------
+# the variable-orbit walk of Clo_k against the plain walk
+
+@st.composite
+def idempotent_clo_k(draw):
+    """An idempotent algebra on 2-3 elements with one or two operations of
+    arity 2-3, a k in (2, 3) and a step budget for a cut-short Clo_k.  A
+    table is conservative (each value one of its arguments), which keeps
+    many clones small enough to finish, or random off the diagonal."""
+    n = draw(st.integers(2, 3))
+    ops = []
+    for name in ("f", "g")[:draw(st.integers(1, 2))]:
+        arity = draw(st.integers(2, 3))
+        cells = list(itertools.product(range(n), repeat=arity))
+        if draw(st.booleans()):
+            vals = [c[draw(st.integers(0, arity - 1))] for c in cells]
+        else:
+            vals = [c[0] if len(set(c)) == 1 else draw(st.integers(0, n - 1)) for c in cells]
+        ops.append(OperationTable(name, arity, n, tuple(vals)))
+    return Algebra(n, tuple(ops)), draw(st.integers(2, 3)), draw(st.integers(1, 10_000))
+
+
+# Clo_k cut at 600 elements (the kernel's own ceiling argument) as well as
+# 300,000 steps keeps the witness terms cheap to evaluate
+CLO_K_CAP, CLO_K_STEPS = 600, 300_000
+
+
+@given(idempotent_clo_k())
+# closures whose walk admits images: a 3-element idempotent algebra's Clo_2
+# (48 elements, 7 of them images) and T3N's Clo_3 (91 elements, 26 images
+# under four of the five permutations), each cut by its budget after some
+# images joined, and T6C's Clo_3, which meets the ceiling while it admits
+# images
+@example((Algebra(3, (OperationTable("f", 3, 3, (0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 1, 0, 1, 1, 2,
+                                                 1, 1, 2, 0, 1, 2, 1, 2, 1, 0, 2, 2)),)),
+          2, 30_000))
+@example((catalog.get("T3N").algebra, 3, 20_000))
+@example((catalog.get("T6C").algebra, 3, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_variable_orbit_walk_keeps_the_elements_of_clo_k(case):
+    # complete: the same elements as the plain walk; every element has a
+    # witness term that evaluates to it; cut short by the budget: a prefix
+    # of the closure cut only by the ceiling (each is a prefix of one order,
+    # so the shorter is a prefix of the longer), hence a subset of it
+    a, k, budget = case
+    n = a.domain
+    gens = subpower.term_generators(a, k, list(itertools.product(range(n), repeat=k)))
+
+    def closure(max_steps):
+        return subpower._closure(a, n**k, gens, CLO_K_CAP,
+                                 subpower._stop_test(None, None, None), max_steps)
+
+    full = closure(CLO_K_STEPS)
+    with mock.patch.object(subpower, "_variable_orbit", lambda *args: None):
+        plain = closure(CLO_K_STEPS)
+    if not (full.truncated or plain.truncated):
+        assert set(full.elements) == set(plain.elements)
+    for e in full.elements:
+        assert eval_term_table(full.witness_term(e), a, k).values == tuple(e)
+    cut = closure(budget)  # budget < CLO_K_STEPS
+    short, long = sorted((cut, full), key=len)
+    assert short.elements == long.elements[:len(short)]
+    assert short.witnesses == long.witnesses[:len(short)]
 
 
 # ---------------------------------------------------------------------------
