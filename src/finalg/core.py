@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 
@@ -37,6 +38,9 @@ class ParseError(AlgebraError):
         super().__init__(message + where)
 
 
+_BYTES = bytes(range(256))
+
+
 @dataclass(frozen=True)
 class OperationTable:
     name: str
@@ -54,16 +58,20 @@ class OperationTable:
                 f"operation {self.name}: expected {self.domain ** self.arity} "
                 f"values, got {len(self.values)}"
             )
-        for v in self.values:
-            if not 0 <= v < self.domain:
-                raise AlgebraError(f"operation {self.name}: value {v} out of range")
+        # bytes() and translate() check every value in C; the loop runs only
+        # to name a bad value, or for values that do not fit in a byte
+        try:
+            stray = bytes(self.values).translate(None, _BYTES[:self.domain])
+        except (TypeError, ValueError):
+            stray = True
+        if stray:
+            for v in self.values:
+                if not 0 <= v < self.domain:
+                    raise AlgebraError(f"operation {self.name}: value {v} out of range")
 
     def index(self, args) -> int:
         """Row-major index of an argument tuple (no range checks)."""
-        idx = 0
-        for a in args:
-            idx = idx * self.domain + a
-        return idx
+        return cell_index(args, self.domain)
 
     def eval(self, args) -> int:
         if len(args) != self.arity:
@@ -119,30 +127,53 @@ def compose(outer: OperationTable, inners) -> OperationTable:
     return OperationTable(name, l, n, tuple(vals))
 
 
+def cell_getter(indices):
+    """values -> the tuple of values[i] for i in `indices`: one C-level read of
+    a whole table (an `operator.itemgetter` that returns a tuple for any
+    number of indices)."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda values: (values[i],)
+    return operator.itemgetter(*indices) if indices else lambda values: ()
+
+
+def cell_index(args, n: int) -> int:
+    """Row-major index of an argument tuple over domain n (no range checks)."""
+    idx = 0
+    for a in args:
+        idx = idx * n + a
+    return idx
+
+
+@functools.lru_cache(maxsize=256)
+def subset_cells(n: int, k: int, subset: tuple):
+    """Reads the cells of subset^k, in row-major order, from an n-element
+    table of arity k; `subset` is ascending."""
+    return cell_getter([cell_index(args, n) for args in itertools.product(subset, repeat=k)])
+
+
 def restrict(op: OperationTable, subset) -> OperationTable:
     """Restriction of op to a closed subset, relabeled to 0..|subset|-1.
 
     Labels follow ascending original order.  Raises NotClosedError with an
     escaping argument tuple if some value leaves the subset.
     """
-    subset = sorted(set(subset))
+    subset = tuple(sorted(set(subset)))
     pos = {a: i for i, a in enumerate(subset)}
-    s = len(subset)
-    vals = []
-    for args in itertools.product(subset, repeat=op.arity):
-        v = op.values[op.index(args)]
-        if v not in pos:
-            raise NotClosedError(subset, args, v)
-        vals.append(pos[v])
-    return OperationTable(op.name, op.arity, s, tuple(vals))
+    vals = subset_cells(op.domain, op.arity, subset)(op.values)
+    try:
+        relabeled = tuple(map(pos.__getitem__, vals))
+    except KeyError:
+        args, v = next((args, v) for args, v in zip(itertools.product(subset, repeat=op.arity),
+                                                    vals) if v not in pos)
+        raise NotClosedError(subset, args, v) from None
+    return OperationTable(op.name, op.arity, len(subset), relabeled)
 
 
 def is_closed(op: OperationTable, subset) -> bool:
     subset = set(subset)
-    return all(
-        op.values[op.index(args)] in subset
-        for args in itertools.product(sorted(subset), repeat=op.arity)
-    )
+    return subset.issuperset(
+        subset_cells(op.domain, op.arity, tuple(sorted(subset)))(op.values))
 
 
 class UnionFind:
@@ -175,8 +206,14 @@ class UnionFind:
         return tuple(tuple(b) for b in groups.values())
 
 
+@functools.lru_cache(maxsize=64)
+def diagonal_cells(n: int, k: int):
+    """Reads the cells (x,...,x), x = 0..n-1."""
+    return cell_getter([cell_index((x,) * k, n) for x in range(n)])
+
+
 def is_idempotent(op: OperationTable) -> bool:
-    return all(op.values[op.index((x,) * op.arity)] == x for x in range(op.domain))
+    return diagonal_cells(op.domain, op.arity)(op.values) == tuple(range(op.domain))
 
 
 @functools.lru_cache(maxsize=64)
@@ -188,32 +225,34 @@ def rotation_permutation(n: int, k: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _swap_permutation(n: int, k: int) -> tuple:
-    """Index of the cell (x2,x1,x3,...,xk) for each cell (x1,...,xk), row-major."""
-    cells = list(itertools.product(range(n), repeat=k))
-    pos = {cell: i for i, cell in enumerate(cells)}
-    return tuple(pos[cell[1::-1] + cell[2:]] for cell in cells)
+def rotated_cells(n: int, k: int):
+    """Reads a table as it is after a cyclic shift of the arguments."""
+    return cell_getter(rotation_permutation(n, k))
 
 
-def _invariant_under(op: OperationTable, perm) -> bool:
-    return op.values == tuple(map(op.values.__getitem__, perm))
+@functools.lru_cache(maxsize=64)
+def swapped_cells(n: int, k: int):
+    """Reads a table as it is after swapping the first two arguments: the
+    cell (x2,x1,x3,...,xk) for each cell (x1,...,xk), row-major."""
+    return cell_getter([cell_index(cell[1::-1] + cell[2:], n)
+                        for cell in itertools.product(range(n), repeat=k)])
 
 
 def is_cyclic(op: OperationTable) -> bool:
     """Invariant under cyclic shift of the arguments."""
-    return _invariant_under(op, rotation_permutation(op.domain, op.arity))
+    return rotated_cells(op.domain, op.arity)(op.values) == op.values
 
 
 def is_symmetric(op: OperationTable) -> bool:
     """Invariant under every permutation of the arguments.  The cyclic shift
     and the swap of the first two arguments generate them all."""
-    return is_cyclic(op) and _invariant_under(op, _swap_permutation(op.domain, op.arity))
+    return is_cyclic(op) and swapped_cells(op.domain, op.arity)(op.values) == op.values
 
 
 def is_commutative(op: OperationTable) -> bool:
     if op.arity != 2:
         raise AlgebraError(f"is_commutative expects a binary operation, got arity {op.arity}")
-    return all(op(x, y) == op(y, x) for x, y in op.all_args())
+    return swapped_cells(op.domain, 2)(op.values) == op.values
 
 
 def is_conservative(op: OperationTable) -> bool:

@@ -5,26 +5,37 @@ orbit (cyclic / symmetric / commutative) collapsed into a single decision
 variable.  Forced cells (idempotence, partial values, restrictions) are
 pinned before the search; partition invariance propagates block choices;
 permutation-commuting propagates transformed values; relation preservation
-prunes where all needed cells are known and is re-checked in full at every
-leaf.  Solutions arrive in lexicographic order of their value sequences.
+prunes where all needed cells are known.  Solutions arrive in lexicographic
+order of their value sequences.
+
+Every leaf is still checked in full against every constraint, propagated or
+not, by the check `satisfies` runs.  Each constraint is compiled once per
+search (and cached per constraint, domain and arity) into a check on the
+leaf's flat value tuple that reads all the cells it needs in one
+`cell_getter` call (a relation of more than _RELATION_COMBOS combinations
+is walked one combination at a time instead), and a table is built only
+for a leaf that passes.  The checks depend on the constraint alone, never
+on the propagation, so `satisfies` stays an independent oracle for what
+the search returns.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .core import (
-    Algebra,
     AlgebraError,
     OperationTable,
     ParseError,
     PartialTable,
-    is_commutative,
-    is_cyclic,
-    is_idempotent,
-    is_symmetric,
-    restrict,
+    cell_getter,
+    cell_index,
+    diagonal_cells,
+    rotated_cells,
+    subset_cells,
+    swapped_cells,
 )
 from .congruence import Partition
 
@@ -114,54 +125,139 @@ class SearchResult:
 
 def satisfies(table: OperationTable, c) -> bool:
     """Independent full check of one constraint against a finished table."""
-    if isinstance(c, Idempotent):
-        return is_idempotent(table)
-    if isinstance(c, Cyclic):
-        return is_cyclic(table)
-    if isinstance(c, Symmetric):
-        return is_symmetric(table)
-    if isinstance(c, Commutative):
-        return is_commutative(table)
-    if isinstance(c, PreservesRelation):
-        rel = set(c.tuples)
-        k = table.arity
-        for combo in itertools.product(c.tuples, repeat=k):
-            out = tuple(
-                table.values[table.index(tuple(combo[i][j] for i in range(k)))]
-                for j in range(c.arity)
-            )
-            if out not in rel:
-                return False
-        return True
-    if isinstance(c, InvariantPartition):
-        idx = c.partition.block_index()
-        groups = {}
-        for args in table.all_args():
-            sig = tuple(idx[x] for x in args)
-            v = idx[table.values[table.index(args)]]
-            if groups.setdefault(sig, v) != v:
-                return False
-        return True
-    if isinstance(c, RestrictionEquals):
-        try:
-            return restrict(table, c.subset).values == c.table.values
-        except AlgebraError:
-            return False
-    if isinstance(c, PartialValues):
-        return all(
-            want is None or got == want
-            for got, want in zip(table.values, c.partial.values)
-        )
-    if isinstance(c, CommutesWithPermutation):
-        p = c.perm
-        return all(
-            table.values[table.index(tuple(p[x] for x in args))]
-            == p[table.values[table.index(args)]]
-            for args in table.all_args()
-        )
-    if isinstance(c, AgreesOnTuples):
-        return all(table.values[table.index(args)] == v for args, v in c.items)
-    raise AlgebraError(f"unknown constraint {c!r}")
+    return _check(c, table.domain, table.arity)(table.values)
+
+
+# The compiled check of each constraint kind: (constraint, domain, arity) ->
+# a predicate on a table's flat value tuple (see the module docstring).
+
+
+def _idempotent(c, n, k):
+    diagonal, want = diagonal_cells(n, k), tuple(range(n))
+    return lambda values: diagonal(values) == want
+
+
+def _cyclic(c, n, k):
+    rotated = rotated_cells(n, k)
+    return lambda values: rotated(values) == values
+
+
+def _symmetric(c, n, k):
+    rotated, swapped = rotated_cells(n, k), swapped_cells(n, k)
+    return lambda values: rotated(values) == values and swapped(values) == values
+
+
+def _commutative(c, n, k):
+    if k != 2:
+        raise AlgebraError(f"is_commutative expects a binary operation, got arity {k}")
+    swapped = swapped_cells(n, k)
+    return lambda values: swapped(values) == values
+
+
+# A relation of at most this many k-tuple combinations is pruned on as cells
+# are decided, and its leaf check reads the cells of all the combinations
+# through one getter (at most this many times r indices).  A larger one is
+# checked one combination at a time, stopping at the first that fails, so
+# its check holds the relation alone.
+_RELATION_COMBOS = 20000
+
+
+def _preserves_relation(c, n, k):
+    for t in c.tuples:
+        if len(t) != c.arity or not all(0 <= x < n for x in t):
+            raise AlgebraError(f"relation tuple {t} malformed")
+    tuples, r = tuple(dict.fromkeys(c.tuples)), c.arity
+    rel = set(tuples)
+    if len(tuples) ** k > _RELATION_COMBOS:
+        def walk(values):
+            for combo in itertools.product(tuples, repeat=k):
+                if tuple(values[cell_index(column, n)] for column in zip(*combo)) not in rel:
+                    return False
+            return True
+        return walk
+    # per combination of k tuples, the r cells its columns name, each a
+    # reference to one shared int per cell
+    cell = list(range(n**k))
+    outputs = cell_getter([cell[cell_index(column, n)]
+                           for combo in itertools.product(tuples, repeat=k)
+                           for column in zip(*combo)])
+
+    def check(values):
+        flat = iter(outputs(values))
+        return rel.issuperset(zip(*[flat] * r))
+    return check
+
+
+def _invariant_partition(c, n, k):
+    block = c.partition.block_index()
+    sig_ids = {}
+    sigs = [sig_ids.setdefault(tuple(map(block.__getitem__, args)), len(sig_ids))
+            for args in itertools.product(range(n), repeat=k)]
+    # invariant iff each signature's cells have values in one block
+    return lambda values: len(set(zip(sigs, map(block.__getitem__, values)))) == len(sig_ids)
+
+
+def _restriction_equals(c, n, k):
+    sub = tuple(sorted(set(c.subset)))
+    label = {a: i for i, a in enumerate(sub)}.get  # None for a value outside sub
+    cells, want = subset_cells(n, k, sub), c.table.values
+    return lambda values: tuple(map(label, cells(values))) == want
+
+
+def _pinned(pins):
+    """values -> whether each (cell, value) pin holds."""
+    cells = cell_getter([i for i, _ in pins])
+    want = tuple(v for _, v in pins)
+    return lambda values: cells(values) == want
+
+
+def _partial_values(c, n, k):
+    # a partial table of another shape is compared on the cells both have
+    return _pinned([(i, v) for i, v in enumerate(c.partial.values[:n**k]) if v is not None])
+
+
+def _commutes_with_permutation(c, n, k):
+    p = c.perm
+    moved = cell_getter([cell_index(tuple(p[x] for x in args), n)
+                         for args in itertools.product(range(n), repeat=k)])
+    return lambda values: moved(values) == tuple(map(p.__getitem__, values))
+
+
+def _agrees_on_tuples(c, n, k):
+    return _pinned([(cell_index(args, n), v) for args, v in c.items])
+
+
+_CHECKS = {
+    Idempotent: _idempotent,
+    Cyclic: _cyclic,
+    Symmetric: _symmetric,
+    Commutative: _commutative,
+    PreservesRelation: _preserves_relation,
+    InvariantPartition: _invariant_partition,
+    RestrictionEquals: _restriction_equals,
+    PartialValues: _partial_values,
+    CommutesWithPermutation: _commutes_with_permutation,
+    AgreesOnTuples: _agrees_on_tuples,
+}
+
+
+def _compile(c, n: int, k: int):
+    build = _CHECKS.get(type(c))
+    if build is None:
+        raise AlgebraError(f"unknown constraint {c!r}")
+    return build(c, n, k)
+
+
+_compiled = functools.lru_cache(maxsize=256)(_compile)
+
+
+def _check(c, n: int, k: int):
+    """The compiled check of constraint c on tables of domain n, arity k."""
+    try:
+        hash(c)
+    except TypeError:  # a constraint holding lists is compiled for this call only
+        return _compile(c, n, k)
+    return _compiled(c, n, k)
 
 
 def _argument_orbits(n, k, constraints):
@@ -178,21 +274,21 @@ def _argument_orbits(n, k, constraints):
         raise AlgebraError("Commutative constraint requires arity 2")
 
     cells = list(itertools.product(range(n), repeat=k))
-    cell_index = {t: i for i, t in enumerate(cells)}
+    position = {t: i for i, t in enumerate(cells)}
     orbit_of = [-1] * len(cells)
     orbits = []
     for i, t in enumerate(cells):
         if orbit_of[i] >= 0:
             continue
-        members = sorted({cell_index[tuple(t[p] for p in perm)] for perm in perms})
+        members = sorted({position[tuple(t[p] for p in perm)] for perm in perms})
         oid = len(orbits)
         for m in members:
             orbit_of[m] = oid
         orbits.append(members)
-    return cells, cell_index, orbit_of, orbits
+    return cells, position, orbit_of, orbits
 
 
-def _forced_cells(spec, cells, cell_index):
+def _forced_cells(spec, cells, position):
     """Cell values pinned outright by the constraints; None on contradiction."""
     n, k = spec.domain, spec.arity
     forced = {}
@@ -207,11 +303,11 @@ def _forced_cells(spec, cells, cell_index):
     for c in spec.constraints:
         if isinstance(c, Idempotent):
             for x in range(n):
-                if not pin(cell_index[(x,) * k], x):
+                if not pin(position[(x,) * k], x):
                     return None
         elif isinstance(c, AgreesOnTuples):
             for args, v in c.items:
-                if not pin(cell_index[tuple(args)], v):
+                if not pin(position[tuple(args)], v):
                     return None
         elif isinstance(c, PartialValues):
             if c.partial.arity != k or c.partial.domain != n:
@@ -225,37 +321,37 @@ def _forced_cells(spec, cells, cell_index):
                 raise AlgebraError("restriction table does not match the search spec")
             for local_args in itertools.product(range(len(sub)), repeat=k):
                 v = c.table.values[c.table.index(local_args)]
-                if not pin(cell_index[tuple(sub[a] for a in local_args)], sub[v]):
+                if not pin(position[tuple(sub[a] for a in local_args)], sub[v]):
                     return None
     return forced
+
+
+def _propagators(spec, cells, position):
+    """What a decided cell propagates to and prunes: per invariant partition
+    (the block of each element, the block signature of each cell), per
+    commuting permutation (the permutation, the cell each cell maps to), and
+    the relations to preserve."""
+    partitions = []
+    for c in spec.constraints:
+        if isinstance(c, InvariantPartition):
+            block = c.partition.block_index()
+            partitions.append((block, [tuple(block[x] for x in t) for t in cells]))
+    perms = [(c.perm, [position[tuple(c.perm[x] for x in t)] for t in cells])
+             for c in spec.constraints if isinstance(c, CommutesWithPermutation)]
+    relations = [c for c in spec.constraints if isinstance(c, PreservesRelation)]
+    return partitions, perms, relations
 
 
 def search_ops(spec: SearchSpec, name="f") -> SearchResult:
     """All tables satisfying the spec, lexicographic by value sequence."""
     n, k = spec.domain, spec.arity
-    cells, cell_index, orbit_of, orbits = _argument_orbits(n, k, spec.constraints)
-    forced = _forced_cells(spec, cells, cell_index)
+    cells, position, orbit_of, orbits = _argument_orbits(n, k, spec.constraints)
+    forced = _forced_cells(spec, cells, position)
     if forced is None:
         return SearchResult([], False)
-
-    partitions = [c.partition for c in spec.constraints
-                  if isinstance(c, InvariantPartition)]
-    part_idx = [p.block_index() for p in partitions]
-    sigs = [
-        [tuple(idx[x] for x in t) for t in cells]
-        for idx in part_idx
-    ]
-    perms = [c.perm for c in spec.constraints
-             if isinstance(c, CommutesWithPermutation)]
-    perm_cell = [
-        [cell_index[tuple(p[x] for x in t)] for t in cells]
-        for p in perms
-    ]
-    relations = [c for c in spec.constraints if isinstance(c, PreservesRelation)]
-    for rel in relations:
-        for t in rel.tuples:
-            if len(t) != rel.arity or not all(0 <= x < n for x in t):
-                raise AlgebraError(f"relation tuple {t} malformed")
+    # the full check of every constraint, run at each leaf
+    checks = [_check(c, n, k) for c in spec.constraints]
+    partitions, perms, relations = _propagators(spec, cells, position)
 
     orbit_val = [-1] * len(orbits)
     group_block = [dict() for _ in partitions]
@@ -273,22 +369,21 @@ def search_ops(spec: SearchSpec, name="f") -> SearchResult:
                 continue
             orbit_val[o] = val
             trail.append(("orbit", o))
-            for pi in range(len(partitions)):
-                blk = part_idx[pi][val]
+            for pi, (block, sigs) in enumerate(partitions):
+                blk = block[val]
                 gb = group_block[pi]
                 for ci in orbits[o]:
-                    sig = sigs[pi][ci]
+                    sig = sigs[ci]
                     got = gb.get(sig)
                     if got is None:
                         gb[sig] = blk
                         trail.append(("group", pi, sig))
                     elif got != blk:
                         return False
-            for qi in range(len(perms)):
-                mapped_v = perms[qi][val]
-                pc = perm_cell[qi]
+            for perm, perm_cell in perms:
+                mapped_v = perm[val]
                 for ci in orbits[o]:
-                    stack.append((orbit_of[pc[ci]], mapped_v))
+                    stack.append((orbit_of[perm_cell[ci]], mapped_v))
         return True
 
     def relation_check():
@@ -299,7 +394,7 @@ def search_ops(spec: SearchSpec, name="f") -> SearchResult:
             for combo in itertools.product(tuples, repeat=k):
                 out = []
                 for j in range(rel.arity):
-                    ov = orbit_val[orbit_of[cell_index[tuple(combo[i][j] for i in range(k))]]]
+                    ov = orbit_val[orbit_of[position[tuple(combo[i][j] for i in range(k))]]]
                     if ov == -1:
                         out = None
                         break
@@ -308,7 +403,6 @@ def search_ops(spec: SearchSpec, name="f") -> SearchResult:
                     return False
         return True
 
-    mark0 = len(trail)
     ok = True
     for idx, v in forced.items():
         if not assign(orbit_of[idx], v):
@@ -320,7 +414,7 @@ def search_ops(spec: SearchSpec, name="f") -> SearchResult:
     solutions = []
     truncated = False
     check_relations_incrementally = all(
-        len(r.tuples) ** k <= 20000 for r in relations
+        len(r.tuples) ** k <= _RELATION_COMBOS for r in relations
     )
 
     def undo(mark):
@@ -339,13 +433,14 @@ def search_ops(spec: SearchSpec, name="f") -> SearchResult:
         while pos < len(orbits) and orbit_val[pos] != -1:
             pos += 1
         if pos == len(orbits):
-            vals = tuple(orbit_val[orbit_of[i]] for i in range(len(cells)))
-            table = OperationTable(name, k, n, vals)
-            if all(satisfies(table, c) for c in spec.constraints):
-                if spec.cap is not None and len(solutions) >= spec.cap:
-                    truncated = True
-                else:
-                    solutions.append(table)
+            vals = tuple(map(orbit_val.__getitem__, orbit_of))
+            for check in checks:
+                if not check(vals):
+                    return
+            if spec.cap is not None and len(solutions) >= spec.cap:
+                truncated = True
+            else:
+                solutions.append(OperationTable(name, k, n, vals))
             return
         for v in range(n):
             mark = len(trail)

@@ -112,11 +112,21 @@ def render_term(tree: TermTree, names) -> str:
 
 
 def eval_term(tree: TermTree, alg: Algebra, args) -> int:
-    """Evaluate a term tree on domain elements."""
-    if tree.is_variable():
-        return args[tree.var]
-    op = alg.op(tree.op)
-    return op.eval([eval_term(c, alg, args) for c in tree.children])
+    """Evaluate a term tree on domain elements.  A witness term shares its
+    subterms (see `GeneratedSet.witness_term`), so each distinct node is
+    evaluated once."""
+    return _eval_node(tree, alg, args, {})
+
+
+def _eval_node(t: TermTree, alg: Algebra, args, memo: dict) -> int:
+    # memo: id(node) -> value; every node stays alive in the caller's tree
+    if t.op is None:
+        return args[t.var]
+    v = memo.get(id(t))
+    if v is None:
+        v = memo[id(t)] = alg.op(t.op).eval([_eval_node(c, alg, args, memo)
+                                             for c in t.children])
+    return v
 
 
 def eval_term_table(tree: TermTree, alg: Algebra, arity: int) -> OperationTable:

@@ -1,12 +1,14 @@
 import itertools
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finalg.core import (
     Algebra,
     AlgebraError,
     OperationTable,
+    PartialTable,
     is_cyclic,
     is_symmetric,
     parse_algebra,
@@ -19,7 +21,9 @@ from finalg.structure import (absorbs, all_subuniverses, has_malcev_term,
                               malcev_obstruction, weak_edges)
 from finalg import catalog
 from finalg.certify import parse_certificate
-from finalg.search import parse_constraint_file
+from finalg.search import (AgreesOnTuples, Commutative, CommutesWithPermutation, Cyclic,
+                           Idempotent, InvariantPartition, PartialValues, PreservesRelation,
+                           RestrictionEquals, Symmetric, parse_constraint_file, satisfies)
 from test_subpower import reference_closure
 
 
@@ -423,3 +427,186 @@ def test_lemma31_instances(entries):
                 has_cyclic_term(p, 3, max_steps=20_000_000) is True for p in parts
             ):
                 assert has_cyclic_term(a, 3, max_steps=60_000_000) is True, entry.name
+
+
+# ---------------------------------------------------------------------------
+# the compiled constraint checks of search.satisfies against the per-cell code
+# they replaced
+
+def reference_restrict(op, subset):
+    """The restriction's values, one cell at a time; None if not closed."""
+    pos = {a: i for i, a in enumerate(sorted(set(subset)))}
+    vals = []
+    for args in itertools.product(sorted(pos), repeat=op.arity):
+        v = op.values[op.index(args)]
+        if v not in pos:
+            return None
+        vals.append(pos[v])
+    return tuple(vals)
+
+
+def reference_satisfies(table, c):
+    """search.satisfies as it was written one cell at a time."""
+    if isinstance(c, Idempotent):
+        return all(table.values[table.index((x,) * table.arity)] == x
+                   for x in range(table.domain))
+    if isinstance(c, Cyclic):
+        return reference_is_cyclic(table)
+    if isinstance(c, Symmetric):
+        return reference_is_symmetric(table)
+    if isinstance(c, Commutative):
+        if table.arity != 2:
+            raise AlgebraError("commutative needs arity 2")
+        return all(table(x, y) == table(y, x) for x, y in table.all_args())
+    if isinstance(c, PreservesRelation):
+        rel = set(c.tuples)
+        k = table.arity
+        for combo in itertools.product(c.tuples, repeat=k):
+            out = tuple(
+                table.values[table.index(tuple(combo[i][j] for i in range(k)))]
+                for j in range(c.arity)
+            )
+            if out not in rel:
+                return False
+        return True
+    if isinstance(c, InvariantPartition):
+        idx = c.partition.block_index()
+        groups = {}
+        for args in table.all_args():
+            sig = tuple(idx[x] for x in args)
+            v = idx[table.values[table.index(args)]]
+            if groups.setdefault(sig, v) != v:
+                return False
+        return True
+    if isinstance(c, RestrictionEquals):
+        return reference_restrict(table, c.subset) == c.table.values
+    if isinstance(c, PartialValues):
+        return all(want is None or got == want
+                   for got, want in zip(table.values, c.partial.values))
+    if isinstance(c, CommutesWithPermutation):
+        p = c.perm
+        return all(
+            table.values[table.index(tuple(p[x] for x in args))]
+            == p[table.values[table.index(args)]]
+            for args in table.all_args()
+        )
+    if isinstance(c, AgreesOnTuples):
+        return all(table.values[table.index(args)] == v for args, v in c.items)
+    raise AssertionError(c)
+
+
+_KINDS = ["idempotent", "cyclic", "symmetric", "commutative", "relation", "partition",
+          "restriction", "partial", "perm", "agrees"]
+
+
+@st.composite
+def constrained_tables(draw, kind):
+    """A table on 1-4 elements of arity 1-3 (random, idempotent, cyclic or
+    symmetric) and one constraint of the given kind, drawn so that it holds
+    about as often as not: restrictions and partial tables are read off the
+    table and sometimes changed in one value, relations and partitions
+    include the trivial ones every table satisfies."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    cells = list(itertools.product(range(n), repeat=k))
+    pos = {c: i for i, c in enumerate(cells)}
+    base = _random_table(draw, n, k)
+    shape = draw(st.sampled_from(["random", "idempotent", "cyclic", "symmetric"]))
+    if shape == "cyclic":
+        vals = [base[pos[min(c[i:] + c[:i] for i in range(k))]] for c in cells]
+    elif shape == "symmetric":
+        vals = [base[pos[tuple(sorted(c))]] for c in cells]
+    else:
+        vals = base
+    if shape == "idempotent" or draw(st.booleans()):
+        for x in range(n):
+            vals[pos[(x,) * k]] = x
+    table = OperationTable("f", k, n, tuple(vals))
+
+    def value():
+        return draw(st.integers(0, n - 1))
+
+    def maybe_changed(values):
+        values = list(values)
+        if values and draw(st.booleans()):
+            values[draw(st.integers(0, len(values) - 1))] = value()
+        return values
+
+    if kind in ("idempotent", "cyclic", "symmetric", "commutative"):
+        c = {"idempotent": Idempotent(), "cyclic": Cyclic(), "symmetric": Symmetric(),
+             "commutative": Commutative()}[kind]
+    elif kind == "relation":
+        r = draw(st.integers(1, 3))
+        every = list(itertools.product(range(n), repeat=r))
+        shape = draw(st.integers(0, 3))
+        if shape == 2:
+            tuples = every                                      # always preserved
+        elif shape == 3:
+            tuples = [(x,) * r for x in range(n)]               # the diagonal, too
+        else:
+            tuples = draw(st.sets(st.sampled_from(every), min_size=min(2, len(every)), max_size=6))
+        c = PreservesRelation(r, tuple(sorted(set(tuples))))
+    elif kind == "partition":
+        rep = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        c = InvariantPartition(draw(st.sampled_from([
+            Partition.from_representatives(n, rep), Partition.identity(n), Partition.full(n)])))
+    elif kind == "restriction":
+        subset = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        s = len(subset)
+        closed = reference_restrict(table, subset)
+        size = draw(st.sampled_from(["right", "right", "arity", "domain"]))
+        if size == "arity":
+            want = OperationTable("r", k + 1, s, (0,) * s ** (k + 1))
+        elif size == "domain":
+            want = OperationTable("r", k, s + 1, (0,) * (s + 1) ** k)
+        elif closed is None:
+            want = OperationTable("r", k, s, tuple(_random_table(draw, s, k)))
+        else:
+            values = maybe_changed(closed)
+            want = OperationTable("r", k, s, tuple(v % s for v in values))
+        c = RestrictionEquals(subset, want)
+    elif kind == "partial":
+        values = [None if draw(st.integers(0, 3)) == 0 else v for v in maybe_changed(table.values)]
+        c = PartialValues(PartialTable("p", k, n, tuple(values)))
+    elif kind == "perm":
+        if draw(st.booleans()):  # a projection commutes with every permutation
+            table = OperationTable("f", k, n, tuple(maybe_changed(c[0] for c in cells)))
+        c = CommutesWithPermutation(tuple(draw(st.permutations(range(n)))))
+    else:
+        items = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3))
+        c = AgreesOnTuples(tuple((args, table.values[pos[args]] if draw(st.booleans())
+                                  else value()) for args in items))
+    return table, c
+
+
+def _same_verdict(table, c):
+    try:
+        want = reference_satisfies(table, c)
+    except AlgebraError:
+        with pytest.raises(AlgebraError):
+            satisfies(table, c)
+        return
+    assert satisfies(table, c) == want
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_compiled_checks_match_the_per_cell_reference(kind, data):
+    _same_verdict(*data.draw(constrained_tables(kind)))
+
+
+def test_compiled_checks_match_the_per_cell_reference_on_edge_cases():
+    # a restriction table of the wrong size, a subset that is not closed,
+    # and a commutative constraint on a ternary table (an error)
+    cases = [
+        (OperationTable("f", 2, 2, (0, 1, 1, 1)),
+         RestrictionEquals((0, 1), OperationTable("r", 2, 1, (0,)))),
+        (OperationTable("f", 2, 3, (0, 2, 0, 0, 1, 0, 0, 0, 2)),
+         RestrictionEquals((0, 1), OperationTable("r", 2, 2, (0, 0, 0, 1)))),
+        (OperationTable("f", 3, 2, (0,) * 7 + (1,)), Commutative()),
+    ]
+    for table, c in cases:
+        _same_verdict(table, c)
+    assert not satisfies(*cases[0]) and not satisfies(*cases[1])
+    with pytest.raises(AlgebraError):
+        satisfies(*cases[2])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,7 +26,7 @@ from finalg.search import (
     search_ops,
     unique_completion,
 )
-from finalg import catalog
+from finalg import catalog, search
 
 
 MAJ = OperationTable("m", 3, 2, (0, 0, 0, 1, 0, 1, 1, 1))
@@ -209,6 +210,89 @@ def test_soundness_every_solution_satisfies():
         spec = _random_spec(rnd, 3, 2, force_cyclic=False)
         for t in search_ops(spec).tables:
             assert all(satisfies(t, c) for c in spec.constraints)
+
+
+def test_leaf_check_rejects_where_relations_are_not_pruned():
+    # 12 tuples: 12**4 = 20,736 combinations, more than search_ops prunes
+    # on as cells are decided, so only the leaf check can reject a table
+    rel = tuple(t for t in itertools.product(range(2), repeat=4) if t[:2] != (0, 0))
+    spec = SearchSpec(2, 4, (Idempotent(), Cyclic(), PreservesRelation(4, rel)))
+    got = [t.values for t in search_ops(spec).tables]
+    assert all(satisfies(OperationTable("f", 4, 2, v), spec.constraints[2]) for v in got)
+    assert got == brute_force(spec)
+    assert 0 < len(got) < count_ops(SearchSpec(2, 4, spec.constraints[:2]))[0]
+
+
+def test_leaf_check_alone_returns_only_solutions(monkeypatch):
+    spec = SearchSpec(3, 2, (
+        Idempotent(),
+        InvariantPartition(Partition.parse("{0,1}{2}", 3)),
+        CommutesWithPermutation((1, 0, 2)),
+        PreservesRelation(2, ((0, 0), (0, 2), (1, 1), (1, 2), (2, 2))),
+        AgreesOnTuples((((0, 2), 2),)),
+    ))
+    want = [t.values for t in search_ops(spec).tables]
+    # no propagation: every cell its own orbit, nothing pinned, no partition,
+    # permutation or relation propagated or pruned on; 3**9 leaves
+    plain = search._argument_orbits(3, 2, ())
+    monkeypatch.setattr(search, "_argument_orbits", lambda n, k, constraints: plain)
+    monkeypatch.setattr(search, "_forced_cells", lambda spec, cells, position: {})
+    monkeypatch.setattr(search, "_propagators", lambda spec, cells, position: ([], [], []))
+    got = search_ops(spec).tables
+    assert all(satisfies(t, c) for t in got for c in spec.constraints)
+    assert [t.values for t in got] == want == brute_force(spec)
+    assert len(want) == 3
+
+
+def test_large_relation_check_holds_the_relation_alone():
+    # 60 ternary tuples (each twice) on 5 elements at arity 4: 60**4 = 12.96M
+    # combinations, far more than one getter over all of them should hold
+    rel = tuple(itertools.islice(
+        (t for t in itertools.product(range(5), repeat=3) if t != (0, 0, 0)), 60))
+    c = PreservesRelation(3, rel + rel)
+    tracemalloc.start()
+    try:
+        check = search._compile(c, 5, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert not check((0,) * 5**4)  # (0, 0, 0) is not in the relation
+
+
+def test_relation_walk_and_getter_agree(monkeypatch):
+    rnd = random.Random(11)
+    for _ in range(60):
+        n, k, r = rnd.randint(1, 3), rnd.randint(1, 3), rnd.randint(1, 3)
+        every = list(itertools.product(range(n), repeat=r))
+        c = PreservesRelation(r, tuple(rnd.sample(every, rnd.randint(1, len(every)))))
+        getter = search._compile(c, n, k)
+        monkeypatch.setattr(search, "_RELATION_COMBOS", 0)
+        walk = search._compile(c, n, k)
+        monkeypatch.undo()
+        cells = list(itertools.product(range(n), repeat=k))
+        for values in [tuple(rnd.randrange(n) for _ in cells) for _ in range(5)] + [
+                tuple(args[0] for args in cells)]:  # a projection preserves every relation
+            assert getter(values) == walk(values)
+        assert walk(tuple(args[0] for args in cells))
+
+
+def test_constraints_holding_lists_are_checked():
+    # constraints built with lists are not hashable, so they are checked
+    # without the compiled-check cache, with the same verdicts
+    t = OperationTable("f", 2, 3, (0, 2, 2, 2, 1, 2, 2, 2, 2))
+    assert satisfies(t, AgreesOnTuples([([0, 2], 2), ([1, 1], 1)]))
+    assert not satisfies(t, AgreesOnTuples([([0, 1], 1)]))
+    assert satisfies(t, CommutesWithPermutation([1, 0, 2]))
+    assert satisfies(t, PreservesRelation(2, [(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)]))
+    assert satisfies(t, RestrictionEquals([1, 2], OperationTable("r", 2, 2, (0, 1, 1, 1))))
+    assert not satisfies(t, RestrictionEquals([0, 1], OperationTable("r", 2, 2, (0, 0, 0, 1))))
+    spec = SearchSpec(3, 2, (Idempotent(), Commutative(), CommutesWithPermutation([1, 0, 2]),
+                             AgreesOnTuples([([0, 2], 2)])))
+    assert [x.values for x in search_ops(spec).tables] == brute_force(spec)
+    assert t.values in brute_force(spec)
+    with pytest.raises(AlgebraError, match="unknown constraint"):
+        satisfies(t, [Idempotent()])
 
 
 def test_determinism():

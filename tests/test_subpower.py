@@ -1,12 +1,14 @@
 import functools
 import itertools
 import math
+import random
 from unittest import mock
 
 import pytest
 
 from finalg.core import Algebra, AlgebraError, OperationTable
 from finalg.subpower import (
+    TermTree,
     clone_membership,
     cyclic_terms,
     eval_term,
@@ -78,6 +80,57 @@ def test_witness_reevaluation_t4n(alg):
     tree = g.witness_term((0,))
     assert not tree.is_variable()
     assert eval_term(tree, a, (1, 2)) == 0
+
+
+def tree_walk(tree, alg, args):
+    """eval_term as a plain walk of the tree: a shared subterm once per use."""
+    if tree.is_variable():
+        return args[tree.var]
+    return alg.op(tree.op).eval([tree_walk(c, alg, args) for c in tree.children])
+
+
+def test_shared_subterms_are_evaluated_once(alg):
+    # 40 levels of g(t, t, t) over one shared child: 3**40 leaves as a tree
+    a = alg("T4,5")
+    t = TermTree.variable(1)
+    for _ in range(40):
+        t = TermTree.node("g", [t, t, t])
+    with mock.patch.object(Algebra, "op", autospec=True, side_effect=Algebra.op) as op:
+        assert eval_term(t, a, (0, 3, 2)) == 3  # g is idempotent
+        assert op.call_count == 40
+        assert eval_term_table(t, a, 3).values == tuple(
+            y for _, y, _ in itertools.product(range(4), repeat=3))
+        assert op.call_count == 40 + 40 * 4**3  # 40 per cell
+
+
+def _random_term(rnd, a, k, depth):
+    if depth == 0 or rnd.random() < 0.3:
+        return TermTree.variable(rnd.randrange(k))
+    op = rnd.choice(a.operations)
+    children = [_random_term(rnd, a, k, depth - 1) for _ in range(op.arity)]
+    if children and rnd.random() < 0.3:
+        children[-1] = children[0]  # a shared subterm
+    return TermTree.node(op.name, children)
+
+
+def test_eval_term_matches_the_tree_walk(alg):
+    rnd = random.Random(15)
+    two_ops = Algebra(3, (OperationTable("t", 2, 3, tuple(rnd.randrange(3) for _ in range(9))),
+                          OperationTable("g", 3, 3, tuple(rnd.randrange(3) for _ in range(27)))))
+    for a in (alg("T4,5"), alg("T4,7"), alg("T3N"), two_ops):
+        for k in (1, 2, 3):
+            for _ in range(15):
+                t = _random_term(rnd, a, k, 4)
+                cells = list(itertools.product(range(a.domain), repeat=k))
+                want = tuple(tree_walk(t, a, c) for c in cells)
+                assert tuple(eval_term(t, a, c) for c in cells) == want
+                assert eval_term_table(t, a, k).values == want
+    # a node with the wrong number of arguments is an error either way
+    bad = TermTree.node("g", [TermTree.variable(0)] * 2)
+    for evaluate in (lambda: eval_term(bad, two_ops, (0, 1)),
+                     lambda: eval_term_table(bad, two_ops, 2)):
+        with pytest.raises(AlgebraError, match="expected 3 arguments, got 2"):
+            evaluate()
 
 
 def test_free_algebra_semilattice_binary(alg):
