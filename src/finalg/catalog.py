@@ -30,7 +30,6 @@ from .core import (
     is_symmetric,
     parse_algebra,
     restrict,
-    serialize_algebra,
 )
 from .congruence import (
     NotACongruenceError,
@@ -41,8 +40,8 @@ from .congruence import (
 )
 from .search import Cyclic, Idempotent, RestrictionEquals, Symmetric, unique_completion
 from .memo import per_algebra
-from .subpower import clone_membership, free_algebra
-from .structure import all_subuniverses, clone_excluded, semilattice_edge
+from .subpower import free_algebra
+from .structure import all_subuniverses, decide_clone_membership, semilattice_edge
 
 
 class UnknownNameError(AlgebraError):
@@ -540,10 +539,6 @@ def check_facts(entry: CatalogEntry):
     return failures
 
 
-def export_entry(name: str) -> str:
-    return serialize_algebra(get(name).algebra)
-
-
 # ---------------------------------------------------------------------------
 # term equivalence and isomorphism
 
@@ -567,17 +562,15 @@ def term_equivalent(a: Algebra, b: Algebra, max_steps=None):
     """Do the two algebras generate the same clone?  True/False/None.
 
     Every basic operation of each algebra must be a term operation of the
-    other.  Cheap exclusion certificates are tried before closure search, so
-    a negative answer rarely needs a full free algebra.
+    other (`structure.decide_clone_membership`, which tries the cheap
+    exclusion certificates first, so a "no" rarely needs a full free algebra).
     """
     if a.domain != b.domain:
         raise AlgebraError("term_equivalent requires equal domains")
     inconclusive = False
     for src, dst in ((a, b), (b, a)):
         for op in dst.operations:
-            if clone_excluded(src, op, max_steps=max_steps):
-                return False
-            member, _ = clone_membership(src, op, max_steps=max_steps)
+            member = decide_clone_membership(src, op, max_steps=max_steps).holds
             if member is False:
                 return False
             if member is None:

@@ -36,8 +36,7 @@ from .congruence import (
     simplicity_witness,
 )
 from .search import parse_constraint_file, search_ops
-from .subpower import (clone_membership, cyclic_term_witnesses, eval_term, generate,
-                       render_term)
+from .subpower import cyclic_term_witnesses, eval_term, generate, render_term
 from . import catalog as _catalog
 from . import structure as _structure
 
@@ -263,13 +262,12 @@ def _check_sg(want, alg, args, max_steps):
 def _check_clone(want, alg, args, max_steps):
     arity, vals = args
     op = OperationTable("f", arity, alg.domain, vals)
-    if not want and _structure.clone_excluded(alg, op, max_steps=max_steps):
-        return "pass", "excluded by invariant", ()
-    member, term = clone_membership(alg, op, max_steps=max_steps)
-    witnesses = [(term, list(op.all_args()), [{v} for v in vals])] if member else []
-    names = [f"x{i+1}" for i in range(arity)]
-    return _reading(member, want, render_term(term, names) if member else "exhausted",
-                    f"membership={member}, expected {want}", witnesses)
+    d = _structure.decide_clone_membership(alg, op, max_steps=max_steps)
+    term = d.closure.witness_term(vals) if d.holds else None
+    witnesses = [(term, list(op.all_args()), [{v} for v in vals])] if d.holds else []
+    passed = (render_term(term, [f"x{i+1}" for i in range(arity)]) if d.holds
+              else "excluded by invariant" if d.argument else "exhausted")
+    return _reading(d.holds, want, passed, f"membership={d.holds}, expected {want}", witnesses)
 
 
 def _check_unique_op(alg, args, max_steps):

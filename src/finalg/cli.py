@@ -35,7 +35,6 @@ from .congruence import (
     simplicity_witness,
 )
 from .subpower import (
-    clone_membership,
     cyclic_terms,
     free_algebra,
     generate,
@@ -125,13 +124,13 @@ def cmd_clone(args):
         path, _, opname = args.member.partition(":")
         other = _load(path)
         op = other.op(opname) if opname else other.operations[0]
-        member, witness = clone_membership(alg, op, max_steps=args.max_steps)
-        if member is None:
+        d = structure.decide_clone_membership(alg, op, max_steps=args.max_steps)
+        if d.holds is None:
             print("inconclusive")
             return EXIT_INCONCLUSIVE
-        print("member" if member else "not-member")
-        if member:
-            print(render_term(witness, _var_names(op.arity)))
+        print("member" if d.holds else "not-member")
+        if d.holds:
+            print(render_term(d.closure.witness_term(op.values), _var_names(op.arity)))
         return EXIT_OK
     gset = free_algebra(alg, args.arity, max_steps=args.max_steps)
     print(f"count {len(gset.elements)}{' (truncated)' if gset.truncated else ''}")

@@ -230,11 +230,6 @@ def simplicity_witness(alg: Algebra):
                  for p in (principal_congruence(alg, a, b),) if not p.is_full()), None)
 
 
-def is_simple(alg: Algebra) -> bool:
-    """Only the identity and full relations are congruences."""
-    return simplicity_witness(alg) is None
-
-
 def quotient_algebra(alg: Algebra, p: Partition, label=None):
     """(quotient Algebra, block labeling).  Blocks are labeled 0.. by
     ascending minimum element; operations act on representatives."""

@@ -8,12 +8,16 @@ witness-related pair generates the same subalgebra; an affine edge whose
 witness is the identity is "strong-affine".  A plain semilattice edge is the
 identity-witnessed weak semilattice edge.
 
-Negative answers that would require exhausting a large closure are first
-attempted by sound shortcuts: a set cannot absorb if its trace on some
-subuniverse fails to absorb the restricted algebra, and a table cannot be a
-term operation if it breaks a subuniverse, a congruence, or restricts
-outside the (small) clone of a two-element subalgebra.  The shortcuts only
-ever certify "no"; "yes" always comes from an explicit witness.
+Absorption, clone membership and Mal'cev terms are decided by
+`subpower.decide_term`: named sound local stages, in a fixed order per
+condition, before the global closure.  A set cannot absorb if its trace on
+a proper subuniverse, or its image in a proper quotient, does not absorb
+there (`absorbs`).  A table is not a term operation if it breaks a
+subuniverse or a congruence, or restricts outside the (small) clone of a
+two-element subalgebra or quotient (`clone_excluded`, the first stage of
+`decide_clone_membership`, the one clone decision).  A local stage only
+ever certifies "no", and names itself; "yes" always comes from an explicit
+witness.
 """
 
 from __future__ import annotations
@@ -31,15 +35,16 @@ from .congruence import (
 )
 from .memo import per_algebra
 from .subpower import (
+    PROBE,
+    Decision,
     TermTree,
     clone_membership,
     decide_term,
     find_term,
     free_algebra,
-    generate,
+    generate,  # not called here; perfbench/test_smoke.py checks the tracer rebinds it
     sg_closure,
     term_closure,
-    term_generators,
 )
 
 
@@ -54,7 +59,7 @@ class AbsorptionResult:
     holds: bool | None  # None = inconclusive (budget exhausted)
     witness: TermTree | None
     subuniverse: bool
-    reason: str | None = None  # for shortcut negatives: the failing trace
+    reason: str | None = None  # for a local stage's "no": the failing trace or image
 
     def absorbs_as_subuniverse(self):
         """The B <|_n A relation: absorbing and closed."""
@@ -73,16 +78,16 @@ def absorption_patterns(domain: int, subset, n: int):
     ]
 
 
-def absorbs(alg: Algebra, subset, n: int, max_steps=None,
-            _decompose=True) -> AbsorptionResult:
+def absorbs(alg: Algebra, subset, n: int, max_steps=None) -> AbsorptionResult:
     """Does some n-ary term map every almost-in-subset tuple into the subset?
 
-    Runs the region test: the evaluation vectors of n-ary terms over the
-    pattern positions are generated as a subpower, stopping as soon as one
-    lands entirely inside the subset.  Before paying for a full closure, a
-    failing trace is sought: if the trace of B does not absorb the restriction to some
-    proper subuniverse S, then B cannot absorb the algebra (any witness
-    would restrict to a witness).  Every closure runs under `max_steps`.
+    Any witness restricts to one for B's trace on a subuniverse and
+    descends to one for B's image in a quotient.  So `decide_term` tries,
+    local first (a probe would exhaust small closures that a trace answers
+    more cheaply): "trace", a proper subuniverse where the trace fails;
+    "image", a proper quotient where the image fails; then the region
+    closure of the n-ary terms' values on the pattern positions, which
+    stops once one lies inside B.  Every closure runs under `max_steps`.
     """
     subset = tuple(sorted(set(subset)))
     if not subset or not set(subset) <= set(range(alg.domain)):
@@ -95,49 +100,31 @@ def absorbs(alg: Algebra, subset, n: int, max_steps=None,
         # the full domain absorbs trivially (any projection witnesses)
         return AbsorptionResult(subset, n, True, TermTree.variable(0), closed)
 
-    if _decompose:
-        bset = set(subset)
-        for uni in all_subuniverses(alg):
-            if len(uni) < 2 or len(uni) >= alg.domain:
-                continue
-            trace = tuple(sorted(bset & set(uni)))
-            if not trace or set(uni) <= bset:
-                continue
-            sub = alg.restrict(uni)
-            local = {x: i for i, x in enumerate(uni)}
-            res = absorbs(sub, tuple(local[x] for x in trace), n,
-                          max_steps=max_steps, _decompose=False)
-            if res.holds is False:
-                return AbsorptionResult(
-                    subset, n, False, None, closed,
-                    reason=f"trace on subuniverse {uni} does not absorb",
-                )
-        # a witness also descends to every proper quotient: the image classes
-        # of B must absorb there
-        for theta in all_congruences(alg):
-            if theta.is_identity() or theta.is_full():
-                continue
-            quo, blocks = quotient_algebra(alg, theta)
-            image = tuple(sorted(
-                i for i, bl in enumerate(blocks) if bset & set(bl)
-            ))
-            if len(image) == len(blocks):
-                continue
-            res = absorbs(quo, image, n, max_steps=max_steps)
-            if res.holds is False:
-                return AbsorptionResult(
-                    subset, n, False, None, closed,
-                    reason=f"image under {theta} does not absorb the quotient",
-                )
+    bset = set(subset)
 
-    gset = term_closure(alg, n, absorption_patterns(alg.domain, subset, n),
-                        region=set(subset), max_steps=max_steps)
-    if gset.stop_reason == "region":
-        witness = gset.witness_term(tuple(gset.elements[-1]))
-        return AbsorptionResult(subset, n, True, witness, closed)
-    if gset.truncated:
-        return AbsorptionResult(subset, n, None, None, closed)
-    return AbsorptionResult(subset, n, False, None, closed)
+    def trace():
+        for uni in all_subuniverses(alg):
+            if 2 <= len(uni) < alg.domain and bset & set(uni) and not set(uni) <= bset:
+                local = [i for i, x in enumerate(uni) if x in bset]
+                gset = term_closure(alg.restrict(uni), n,
+                                    absorption_patterns(len(uni), local, n),
+                                    region=set(local), max_steps=max_steps)
+                if not gset.truncated:
+                    return uni
+
+    def image():
+        for theta in all_congruences(alg)[1:-1]:  # identity first, full last
+            quo, blocks = quotient_algebra(alg, theta)
+            classes = [i for i, bl in enumerate(blocks) if bset & set(bl)]
+            if len(classes) < len(blocks) and absorbs(quo, classes, n, max_steps).holds is False:
+                return theta
+
+    d = decide_term(alg, n, absorption_patterns(alg.domain, subset, n),
+                    [("trace", trace), ("image", image)], max_steps=max_steps, region=bset)
+    witness = d.closure.witness_term(d.closure.elements[-1]) if d.holds else None
+    reason = {"trace": f"trace on subuniverse {d.argument} does not absorb",
+              "image": f"image under {d.argument} does not absorb the quotient"}.get(d.stage)
+    return AbsorptionResult(subset, n, d.holds, witness, closed, reason)
 
 
 def semilattice_edge(alg: Algebra, a: int, b: int, max_steps=None):
@@ -240,6 +227,8 @@ def clone_excluded(alg: Algebra, op: OperationTable, max_steps=None) -> str | No
     the first two tests.  The subuniverse must be proper: a two-element
     algebra's own search is the one this test is meant to spare.
     """
+    if op.domain != alg.domain:
+        raise AlgebraError("clone_excluded: domain mismatch")
     unis = all_subuniverses(alg)
     for uni in unis:
         if not is_closed(op, uni):
@@ -263,6 +252,18 @@ def clone_excluded(alg: Algebra, op: OperationTable, max_steps=None) -> str | No
             if member is False:
                 return f"induced quotient table not a term modulo {theta}"
     return None
+
+
+def decide_clone_membership(alg: Algebra, op: OperationTable, max_steps=None) -> Decision:
+    """Is op a term operation of alg?  The one clone decision: `decide_term`
+    with the stage "clone_excluded", then the closure of `clone_membership`.
+    No probe: one that finished would answer before the exclusion's reason.
+    """
+    if op.domain != alg.domain:
+        raise AlgebraError("clone_membership: domain mismatch")
+    return decide_term(alg, op.arity, list(op.all_args()), [
+        ("clone_excluded", lambda: clone_excluded(alg, op, max_steps=max_steps)),
+    ], max_steps=max_steps, targets=[op.values])
 
 
 def _majority_on_pair_positions(qa, qb):
@@ -322,17 +323,16 @@ def edge_records(alg: Algebra, a: int, b: int, max_steps=None):
             yield None
             continue
         for _, _, table in affine_xyz_tables(quo.domain):
-            if clone_excluded(quo, table, max_steps=max_steps):
-                continue
-            member, witness = clone_membership(quo, table, max_steps=max_steps)
-            if member:
+            d = decide_clone_membership(quo, table, max_steps=max_steps)
+            if d.holds:
                 if not _upgraded(alg, universe, theta, maximal, qa, qb):
                     kind = "weak-affine"
                 else:
                     kind = "strong-affine" if theta.is_identity() else "affine"
-                yield EdgeRecord(a, b, kind, False, orig_blocks, witness, xyz=table)
+                yield EdgeRecord(a, b, kind, False, orig_blocks,
+                                 d.closure.witness_term(table.values), xyz=table)
                 break
-            if member is None:
+            if d.holds is None:
                 yield None
 
 
@@ -465,16 +465,11 @@ def has_malcev_term(alg: Algebra, max_steps=None):
         | {(y, y, x) for x in range(n) for y in range(n) if x != y}
     )
     target = tuple(t[0] if t[1] == t[2] else t[2] for t in pats)
-    m, gens = len(pats), term_generators(alg, 3, pats)
-    gset, obstruction = decide_term(
-        alg, m, gens,
-        lambda steps: generate(alg, m, gens, targets=[target], max_steps=steps),
-        lambda: malcev_obstruction(alg, max_steps=max_steps),
-        max_steps=max_steps)
-    if obstruction is not None:
-        return False, None
-    found = gset.contains(target)
-    return found, gset.witness_term(target) if found else None
+    d = decide_term(alg, 3, pats, [
+        (PROBE, None),
+        ("malcev_obstruction", lambda: malcev_obstruction(alg, max_steps=max_steps)),
+    ], max_steps=max_steps, targets=[target])
+    return d.holds, d.closure.witness_term(target) if d.holds else None
 
 
 def malcev_obstruction(alg: Algebra, max_steps=None):
@@ -496,45 +491,6 @@ def malcev_obstruction(alg: Algebra, max_steps=None):
         if gset.contains((a, d)) is False:
             return a, b, c, d
     return None
-
-
-def is_affine_malcev_equiv(alg: Algebra, max_steps=None):
-    """Recognize term-equivalence with the affine algebra of an abelian group.
-
-    Tries every abelian group of order n and every labeling; succeeds iff
-    (i) the induced x-y+z table is a ternary term of alg and (ii) every basic
-    operation commutes with it.  Returns ((group, labeling), conclusive);
-    the first component is None on failure.
-    """
-    n = alg.domain
-    conclusive = True
-    for gname, lab, table in affine_xyz_tables(n):
-        if not all(_commutes_with(op, table) for op in alg.operations):
-            continue
-        if clone_excluded(alg, table, max_steps=max_steps):
-            continue
-        member, _ = clone_membership(alg, table, max_steps=max_steps)
-        if member:
-            return (gname, lab), True
-        if member is None:
-            conclusive = False
-    return None, conclusive
-
-
-def _commutes_with(op: OperationTable, p: OperationTable) -> bool:
-    """op(p(x1,y1,z1),...) == p(op(x),op(y),op(z)) for all argument triples."""
-    n, r = op.domain, op.arity
-    for xs in itertools.product(range(n), repeat=r):
-        ox = op.values[op.index(xs)]
-        for ys in itertools.product(range(n), repeat=r):
-            oy = op.values[op.index(ys)]
-            for zs in itertools.product(range(n), repeat=r):
-                lhs = op.values[op.index(tuple(
-                    p.values[p.index((xs[i], ys[i], zs[i]))] for i in range(r)
-                ))]
-                if lhs != p.values[p.index((ox, oy, op.values[op.index(zs)]))]:
-                    return False
-    return True
 
 
 def two_generated(alg: Algebra):

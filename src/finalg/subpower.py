@@ -677,36 +677,56 @@ def clone_membership(base: Algebra, op: OperationTable, max_steps=None):
 PROBE_STEPS = 1_000
 
 
-def decide_term(base: Algebra, m: int, gens, run, obstruction, max_steps=None):
-    """Decides a term condition, the cheapest way first.
+@dataclass(frozen=True)
+class Decision:
+    """The answer of `decide_term` and the stage that gave it: holds is
+    True / False / None (inconclusive).  A global closure's answer (stage
+    PROBE or "closure") carries the `closure`, from which a "yes" reads its
+    witness; a local stage's "no" carries what it failed on, `argument`."""
 
-    `run(steps)` runs the global closure of `gens` (`term_generators`) in
-    A^m with the caller's early exits and the step budget `steps`,
-    and returns it.  `obstruction()` runs a sound local test and returns the
-    argument it fails on, or None.  In this order:
+    holds: bool | None
+    stage: str
+    closure: GeneratedSet | None = None
+    argument: object = None
 
-      1. a probe, run(min(max_steps, PROBE_STEPS)).  The closure order does
-         not depend on the budget, so unless the probe stops on its step
-         budget its answer is the full closure's;
-      2. after such a stop, obstruction();
-      3. failing both, run(max_steps), exactly as without the probe (unless
-         the probe already had that budget).
 
-    A complete closure in the memo that this budget would let finish
-    answers at once, with neither the probe nor the local test.  Returns
-    (closure, None), or (probe, argument) when the local test says "no".
+PROBE = "probe"
+
+
+def decide_term(base: Algebra, k: int, cells, stages, max_steps=None, **exits) -> Decision:
+    """Decides a term condition by sound stages, in the order given.
+
+    The global closure is `term_closure(base, k, cells, **exits)`: "yes" if
+    it stops on an early exit (targets, region, stop_predicate), "no" if it
+    completes.  `stages` lists (name, test): test() runs a sound local test
+    and returns the argument it fails on, or None.  The stage PROBE (test
+    None) is the global closure under min(max_steps, PROBE_STEPS) steps;
+    the closure order does not depend on the budget, so unless it stops on
+    that budget its answer is the full closure's.  If no stage decides, the
+    global closure under `max_steps` does (stage "closure"), unless the
+    probe had that budget.  A complete closure in the memo that this budget
+    would let finish answers at once, with no stage run.
     """
-    key = (table_key(base), m, tuple(gens))
-    if _served(key, max_steps) is not None:
-        return run(max_steps), None
-    steps = PROBE_STEPS if max_steps is None else min(max_steps, PROBE_STEPS)
-    probe = run(steps)
-    if probe.stop_reason != "steps":
-        return probe, None
-    argument = obstruction()
-    if argument is not None or steps == max_steps:
-        return probe, argument
-    return run(max_steps), None
+    gens = term_generators(base, k, cells)
+
+    def answer(stage, steps):
+        gset = generate(base, len(cells), gens, max_steps=steps, **exits)
+        return Decision(None if gset.stop_reason in ("steps", "cap") else gset.truncated,
+                        stage, gset)
+
+    if _served((table_key(base), len(cells), tuple(gens)), max_steps) is None:
+        steps = PROBE_STEPS if max_steps is None else min(max_steps, PROBE_STEPS)
+        probe = None
+        for name, test in stages:
+            if name == PROBE:
+                probe = answer(PROBE, steps)
+                if probe.closure.stop_reason != "steps":
+                    return probe
+            elif (argument := test()) is not None:
+                return Decision(False, name, argument=argument)
+        if probe is not None and steps == max_steps:
+            return probe
+    return answer("closure", max_steps)
 
 
 def cyclic_obstruction(base: Algebra, k: int, max_steps=None):
@@ -762,29 +782,23 @@ def _cyclic_search(base: Algebra, k: int, limit, max_steps):
     n = base.domain
     rot = rotation_permutation(n, k)
     rng = range(len(rot))
-    hits = []
+    hits = {}  # the cyclic elements met, in closure order
 
     def is_cyclic_elem(e):  # most elements fail at an early cell
         return all(e[i] == e[rot[i]] for i in rng)
 
     def predicate(e):  # collects every cyclic element; stops only at `limit`
         if is_cyclic_elem(e):
-            hits.append(e)
+            hits[e] = None  # after a probe the full run meets its elements again
             return limit is not None and len(hits) >= limit
         return False
 
-    m = n**k
-    gens = term_generators(base, k, list(itertools.product(range(n), repeat=k)))
-
-    def run(steps):  # Clo_k, as `free_algebra` builds it
-        hits.clear()
-        return generate(base, m, gens, max_steps=steps, stop_predicate=predicate)
-
-    gset, obstruction = decide_term(
-        base, m, gens, run,
-        lambda: None if hits else cyclic_obstruction(base, k, max_steps=max_steps),
-        max_steps=max_steps)
-    if obstruction is not None:
+    gset = decide_term(base, k, list(itertools.product(range(n), repeat=k)), [
+        (PROBE, None),
+        ("cyclic_obstruction",
+         lambda: None if hits else cyclic_obstruction(base, k, max_steps=max_steps)),
+    ], max_steps=max_steps, stop_predicate=predicate).closure  # Clo_k, as in `free_algebra`
+    if gset is None:
         return [], True, None
     tables = [
         OperationTable(f"c{i}", k, n, tuple(e)) for i, e in enumerate(hits)

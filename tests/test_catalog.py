@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from finalg.core import Algebra, OperationTable, is_malcev, parse_algebra, product
+from finalg.core import (Algebra, OperationTable, is_malcev, parse_algebra, product,
+                         serialize_algebra)
 from finalg.congruence import Partition, all_congruences
 from finalg import catalog
 
@@ -38,7 +39,7 @@ def test_every_entry_idempotent_and_factual(entries):
 
 def test_golden_files_round_trip(entries):
     for name, entry in entries.items():
-        text = catalog.export_entry(name)
+        text = serialize_algebra(catalog.get(name).algebra)
         back = parse_algebra(text)
         assert [o.values for o in back.operations] == [
             o.values for o in entry.algebra.operations

@@ -4,6 +4,7 @@ import io
 from hypothesis import example, given, settings, strategies as st
 
 from finalg import catalog
+from finalg.core import serialize_algebra
 from finalg.cli import main
 
 
@@ -97,10 +98,20 @@ def test_equiv(capsys):
 
 def test_clone_member(capsys, tmp_path):
     path = tmp_path / "z4.alg"
-    path.write_text(catalog.export_entry("Z4aff"))
+    path.write_text(serialize_algebra(catalog.get("Z4aff").algebra))
     code, out, _ = run(["clone", "@T4,12", "--member", f"{path}:g"], capsys)
     assert code == 0
     assert out.splitlines()[0] == "member"
+
+
+def test_clone_member_of_another_domain_is_an_error(capsys, tmp_path):
+    # either way round: exit 2 with the domain mismatch, no traceback
+    for algebra, other in (("@T4,5", "T1N"), ("@T1N", "T4,5")):
+        path = tmp_path / "other.alg"
+        path.write_text(serialize_algebra(catalog.get(other).algebra))
+        code, out, err = run(["clone", algebra, "--member", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: clone_membership: domain mismatch\n"
 
 
 def test_search_spec_file(capsys, tmp_path):

@@ -9,10 +9,10 @@ from finalg.congruence import (
     all_congruences,
     class_algebra,
     is_congruence,
-    is_simple,
     maximal_congruences,
     principal_congruence,
     quotient_algebra,
+    simplicity_witness,
 )
 from finalg import catalog
 
@@ -121,8 +121,8 @@ def test_all_congruences_join_meet_closed(entries):
 
 
 def test_is_simple(alg):
-    assert is_simple(alg("T5N"))
-    assert not is_simple(alg("T4,14"))
+    assert simplicity_witness(alg("T5N")) is None
+    assert simplicity_witness(alg("T4,14")) is not None
 
 
 def test_maximal_congruences(alg):

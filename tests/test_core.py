@@ -170,7 +170,7 @@ def test_serialize_parse_round_trip(entries):
 
 
 def test_shipped_t47_file_values():
-    text = catalog.export_entry("T4,7")
+    text = serialize_algebra(catalog.get("T4,7").algebra)
     back = parse_algebra(text)
     assert back.op("t")(0, 1) == 2
 

@@ -17,8 +17,9 @@ from finalg.core import (
 from finalg.congruence import Partition, all_congruences, quotient_algebra, class_algebra
 from finalg import subpower
 from finalg.subpower import eval_term, eval_term_table, generate, has_cyclic_term, sg_closure
-from finalg.structure import (absorbs, all_subuniverses, has_malcev_term,
-                              malcev_obstruction, weak_edges)
+from finalg.structure import (absorbs, absorption_patterns, all_subuniverses, clone_excluded,
+                              decide_clone_membership, has_malcev_term, malcev_obstruction,
+                              naive_absorbs, weak_edges)
 from finalg import catalog
 from finalg.certify import parse_certificate
 from finalg.search import (AgreesOnTuples, Commutative, CommutesWithPermutation, Cyclic,
@@ -305,6 +306,96 @@ def test_local_obstructions_never_deny_a_term_of_clo3(a):
     if not clo3.truncated:
         assert has_cyclic_term(a, 3) is cyclic
         assert has_malcev_term(a)[0] is malcev
+
+
+# ---------------------------------------------------------------------------
+# absorption and clone membership through decide_term's stages against the
+# inline code they replaced: the same verdicts, and no "no" that a region
+# closure, the naive absorption scan or a complete Clo_k contradicts
+
+def reference_absorbs(alg, subset, n, max_steps=None, _decompose=True):
+    """`structure.absorbs`'s verdict as the inline code gave it: the traces
+    on proper subuniverses (each a region closure with no further stage),
+    the images in proper quotients (recursively), then the region closure."""
+    subset = tuple(sorted(set(subset)))
+    if subset == tuple(range(alg.domain)):
+        return True
+    if _decompose:
+        bset = set(subset)
+        for uni in all_subuniverses(alg):
+            if len(uni) < 2 or len(uni) >= alg.domain:
+                continue
+            trace = tuple(sorted(bset & set(uni)))
+            if not trace or set(uni) <= bset:
+                continue
+            local = {x: i for i, x in enumerate(uni)}
+            if reference_absorbs(alg.restrict(uni), tuple(local[x] for x in trace), n,
+                                 max_steps=max_steps, _decompose=False) is False:
+                return False
+        for theta in all_congruences(alg):
+            if theta.is_identity() or theta.is_full():
+                continue
+            quo, blocks = quotient_algebra(alg, theta)
+            image = tuple(i for i, bl in enumerate(blocks) if bset & set(bl))
+            if len(image) < len(blocks) and reference_absorbs(
+                    quo, image, n, max_steps=max_steps) is False:
+                return False
+    gset = subpower.term_closure(alg, n, absorption_patterns(alg.domain, subset, n),
+                                 region=set(subset), max_steps=max_steps)
+    if gset.stop_reason == "region":
+        return True
+    return None if gset.truncated else False
+
+
+def reference_clone_member(alg, op, max_steps=None):
+    """Clone membership as its callers decided it: `clone_excluded`, then
+    the closure of `clone_membership`."""
+    if clone_excluded(alg, op, max_steps=max_steps):
+        return False
+    return subpower.clone_membership(alg, op, max_steps=max_steps)[0]
+
+
+@st.composite
+def staged_decision_cases(draw):
+    """An idempotent algebra on 2-3 elements (one or two operations of arity
+    2-3), a nonempty subset and absorption arity, and a table (arity 1-3,
+    idempotent or not) for clone membership."""
+    n = draw(st.integers(2, 3))
+    ops = []
+    for i in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(2, 3))
+        vals = _random_table(draw, n, k)
+        for x in range(n):
+            vals[x * (n**k - 1) // (n - 1)] = x  # the cell (x, ..., x)
+        ops.append(OperationTable(f"f{i}", k, n, tuple(vals)))
+    subset = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    k = draw(st.integers(1, 3))
+    table = _random_table(draw, n, k)
+    if draw(st.booleans()):
+        for x in range(n):
+            table[x * (n**k - 1) // (n - 1)] = x
+    return (Algebra(n, tuple(ops)), sorted(subset), draw(st.integers(2, 3)),
+            OperationTable("t", k, n, tuple(table)))
+
+
+@given(staged_decision_cases())
+@example((catalog.get("T6C").algebra, [0, 1], 3, catalog.get("T6C").algebra.operations[0]))
+@example((catalog.get("T3N").algebra, [1], 3, catalog.get("T4N").algebra.operations[0]))
+@settings(max_examples=150, deadline=None)
+def test_staged_decisions_match_the_inline_reference(case):
+    a, subset, arity, op = case
+    # the reference gets the same budgets: 20,000 steps keeps each closure
+    # small, and 1 or 5 cut closures short, local ones too
+    for budget in (1, 5, 20_000):
+        got = absorbs(a, subset, arity, max_steps=budget).holds
+        assert got is reference_absorbs(a, subset, arity, max_steps=budget)
+        member = decide_clone_membership(a, op, max_steps=budget).holds
+        assert member is reference_clone_member(a, op, max_steps=budget)
+    naive = naive_absorbs(a, subset, arity, max_steps=budget)
+    assert got is None or naive is None or got is naive
+    clo = subpower.free_algebra(a, op.arity, max_steps=budget)
+    if not clo.truncated:
+        assert member is None or member is (bytes(op.values) in clo.position)
 
 
 # ---------------------------------------------------------------------------

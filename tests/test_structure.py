@@ -11,9 +11,9 @@ from finalg.structure import (
     affine_xyz_tables,
     all_subuniverses,
     clone_excluded,
+    decide_clone_membership,
     dominant_coordinate,
     has_malcev_term,
-    is_affine_malcev_equiv,
     is_taylor,
     naive_absorbs,
     naive_semilattice_edge,
@@ -307,15 +307,6 @@ def test_malcev_agrees_with_free_scan(alg):
     assert not any(malcev_like(e) for e in f3.elements)
 
 
-def test_is_affine_malcev_equiv(alg):
-    res, conclusive = is_affine_malcev_equiv(alg("T5N"))
-    assert conclusive and res is not None and res[0] == "Z3"
-    res, conclusive = is_affine_malcev_equiv(alg("T4,12"))
-    assert conclusive and res is not None and res[0] == "Z4"
-    res, conclusive = is_affine_malcev_equiv(alg("T1N"))
-    assert conclusive and res is None
-
-
 def test_affine_xyz_tables_are_cached_per_size():
     for n in (2, 3, 4, 5):
         tables = affine_xyz_tables(n)
@@ -401,6 +392,58 @@ def test_clone_excluded_is_sound(alg):
                 settled += member is False
     assert reasons == {"breaks": 743, "restriction": 235, "induced": 12, None: 102}
     assert settled == 617
+
+
+def test_each_no_names_the_stage_that_decided_it(alg, monkeypatch):
+    # the stage of decide_term behind each "no", and what it failed on
+    from finalg import structure, subpower
+
+    decisions = []
+    inner = subpower.decide_term
+
+    def spy(*args, **kw):
+        decisions.append(inner(*args, **kw))
+        return decisions[-1]
+
+    for module in (subpower, structure):
+        monkeypatch.setattr(module, "decide_term", spy)
+
+    def decided(result):  # the result, then the stage of the outermost decision
+        d = decisions[-1]
+        decisions.clear()
+        return result, d.stage, d.argument
+
+    res = absorbs(alg("T6C"), (0, 1), 3)
+    assert decided(res.holds) == (False, "trace", (0, 2))
+    assert res.reason == "trace on subuniverse (0, 2) does not absorb"
+    res = absorbs(alg("T3N"), (1,), 3)
+    assert decided(res.holds)[:2] == (False, "image")
+    assert res.reason == "image under {0,1}{2} does not absorb the quotient"
+    xyz = OperationTable("p", 3, 3, tuple((x - y + z) % 3
+                                          for x, y, z in itertools.product(range(3), repeat=3)))
+    d = decide_clone_membership(alg("T1N"), xyz)
+    assert (d.holds, d.stage, d.argument) == (False, "clone_excluded", "breaks subuniverse (0, 1)")
+    assert decided(subpower.cyclic_terms(alg("T4,16"), 3)) == (
+        ([], True), "cyclic_obstruction", (0, 0, 1))
+    assert decided(has_malcev_term(alg("T4,16"))) == (
+        (False, None), "malcev_obstruction", (0, 3, 0, 3))
+    # an exhausted global closure: the majority operation is not a term of
+    # the semilattice, and no invariant shows it
+    maj = OperationTable("m", 3, 2, (0, 0, 0, 1, 0, 1, 1, 1))
+    d = decide_clone_membership(alg("S"), maj)
+    assert (d.holds, d.stage, d.argument) == (False, "closure", None)
+    assert not d.closure.truncated
+
+
+def test_clone_decision_rejects_a_table_of_another_domain(alg):
+    # checked before any stage: clone_excluded alone used to index past the
+    # end of a smaller table
+    small, large = alg("T1N"), alg("T4,5")
+    for a, b in ((large, small), (small, large)):
+        with pytest.raises(AlgebraError, match="clone_membership: domain mismatch"):
+            decide_clone_membership(a, b.operations[0])
+        with pytest.raises(AlgebraError, match="domain mismatch"):
+            clone_excluded(a, b.operations[0])
 
 
 def test_max_steps_reaches_every_closure_in_a_power(alg, monkeypatch):

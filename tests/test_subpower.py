@@ -1229,17 +1229,27 @@ def test_decide_term_runs_probe_local_test_full_closure_in_order(alg, runs, monk
 
     for module in (subpower, structure):
         monkeypatch.setattr(module, "generate", spy)
-    found, witness = has_malcev_term(a, max_steps=150_000)
-    assert found is True
+
+    def decide(max_steps):
+        return subpower.decide_term(a, 3, pats, [
+            (subpower.PROBE, None),
+            ("malcev_obstruction", lambda: malcev_obstruction(a, max_steps=max_steps)),
+        ], max_steps=max_steps, targets=[target])
+
+    d = decide(150_000)
+    assert (d.holds, d.stage, d.argument) == (True, "closure", None)
     assert budgets[0] == (len(pats), subpower.PROBE_STEPS)
     assert budgets[-1] == (len(pats), 150_000)
     assert set(budgets[1:-1]) == {(2, 150_000)}
     assert len(budgets) == 2 + 4 * 3 * 4 * 3
-    got = eval_term_table(witness, a, 3)
+    got = eval_term_table(d.closure.witness_term(target), a, 3)
     assert tuple(got.values[got.index(p)] for p in pats) == target
     # the complete closure, memoized, answers without a probe or a local test
     full = generate(a, len(pats), subpower.term_generators(a, 3, pats))
     assert not full.truncated
+    budgets.clear()
+    assert decide(None).stage == "closure"
+    assert budgets == [(len(pats), None)]
     budgets.clear()
     assert has_malcev_term(a)[0] is True
     assert budgets == [(len(pats), None)]
