@@ -33,7 +33,7 @@ from .congruence import (
     maximal_congruences,
     quotient_algebra,
 )
-from .memo import per_algebra
+from .memo import per_algebra, table_key
 from .subpower import (
     PROBE,
     Decision,
@@ -70,11 +70,11 @@ class AbsorptionResult:
 
 def absorption_patterns(domain: int, subset, n: int):
     """All n-tuples over the domain with >= n-1 coordinates in subset, lex order."""
-    s = set(subset)
+    inside = set(subset).__contains__
     return [
         t
         for t in itertools.product(range(domain), repeat=n)
-        if sum(1 for x in t if x in s) >= n - 1
+        if sum(map(inside, t)) >= n - 1
     ]
 
 
@@ -84,10 +84,14 @@ def absorbs(alg: Algebra, subset, n: int, max_steps=None) -> AbsorptionResult:
     Any witness restricts to one for B's trace on a subuniverse and
     descends to one for B's image in a quotient.  So `decide_term` tries,
     local first (a probe would exhaust small closures that a trace answers
-    more cheaply): "trace", a proper subuniverse where the trace fails;
-    "image", a proper quotient where the image fails; then the region
+    more cheaply): "trace", the first proper subuniverse of the walk
+    (`walk_subuniverses`, pairs right after the singletons) where the trace
+    fails, so the walk stops there; "image", the first proper quotient
+    where the image's trace or region closure fails; then the region
     closure of the n-ary terms' values on the pattern positions, which
-    stops once one lies inside B.  Every closure runs under `max_steps`.
+    stops once one lies inside B.  The image stage needs no image stage of
+    its own: a quotient of A/theta is A over a coarser congruence, which
+    the same pass visits.  Every closure runs under `max_steps`.
     """
     subset = tuple(sorted(set(subset)))
     if not subset or not set(subset) <= set(range(alg.domain)):
@@ -102,29 +106,40 @@ def absorbs(alg: Algebra, subset, n: int, max_steps=None) -> AbsorptionResult:
 
     bset = set(subset)
 
-    def trace():
-        for uni in all_subuniverses(alg):
-            if 2 <= len(uni) < alg.domain and bset & set(uni) and not set(uni) <= bset:
-                local = [i for i, x in enumerate(uni) if x in bset]
-                gset = term_closure(alg.restrict(uni), n,
-                                    absorption_patterns(len(uni), local, n),
-                                    region=set(local), max_steps=max_steps)
-                if not gset.truncated:
-                    return uni
-
     def image():
         for theta in all_congruences(alg)[1:-1]:  # identity first, full last
             quo, blocks = quotient_algebra(alg, theta)
-            classes = [i for i, bl in enumerate(blocks) if bset & set(bl)]
-            if len(classes) < len(blocks) and absorbs(quo, classes, n, max_steps).holds is False:
+            classes = {i for i, bl in enumerate(blocks) if bset & set(bl)}
+            if len(classes) < len(blocks) and (
+                    _failing_trace(quo, classes, n, max_steps) is not None
+                    or not _region_closure(quo, classes, n, max_steps).truncated):
                 return theta
 
     d = decide_term(alg, n, absorption_patterns(alg.domain, subset, n),
-                    [("trace", trace), ("image", image)], max_steps=max_steps, region=bset)
+                    [("trace", lambda: _failing_trace(alg, bset, n, max_steps)),
+                     ("image", image)], max_steps=max_steps, region=bset)
     witness = d.closure.witness_term(d.closure.elements[-1]) if d.holds else None
     reason = {"trace": f"trace on subuniverse {d.argument} does not absorb",
               "image": f"image under {d.argument} does not absorb the quotient"}.get(d.stage)
     return AbsorptionResult(subset, n, d.holds, witness, closed, reason)
+
+
+def _region_closure(alg: Algebra, bset: set, n: int, max_steps):
+    """The n-ary terms' values on the patterns of B, stopped at the first
+    inside B: complete (not truncated) exactly when B does not absorb."""
+    return term_closure(alg, n, absorption_patterns(alg.domain, bset, n),
+                        region=bset, max_steps=max_steps)
+
+
+def _failing_trace(alg: Algebra, bset: set, n: int, max_steps):
+    """The first proper subuniverse of the walk on which B's trace (B meets
+    it, and it is not inside B) does not absorb, or None."""
+    for uni in walk_subuniverses(alg):
+        if 2 <= len(uni) < alg.domain and bset & set(uni) and not set(uni) <= bset:
+            local = {i for i, x in enumerate(uni) if x in bset}
+            if not _region_closure(alg.restrict(uni), local, n, max_steps).truncated:
+                return uni
+    return None
 
 
 def semilattice_edge(alg: Algebra, a: int, b: int, max_steps=None):
@@ -229,10 +244,10 @@ def clone_excluded(alg: Algebra, op: OperationTable, max_steps=None) -> str | No
     """
     if op.domain != alg.domain:
         raise AlgebraError("clone_excluded: domain mismatch")
-    unis = all_subuniverses(alg)
-    for uni in unis:
+    for uni in walk_subuniverses(alg):
         if not is_closed(op, uni):
             return f"breaks subuniverse {uni}"
+    unis = all_subuniverses(alg)  # the entry the finished walk stored
     congs = [t for t in all_congruences(alg) if not (t.is_identity() or t.is_full())]
     alone = Algebra(alg.domain, [op])
     for theta in congs:
@@ -381,25 +396,89 @@ def weak_edges(alg: Algebra, a: int, b: int, max_steps=None):
 def all_subuniverses(alg: Algebra) -> tuple:
     """All nonempty subuniverses Sg(S), deduplicated, sorted by (size, lex).
 
-    Sg(S + {x}) = Sg(Sg(S) + {x}), so closing each subuniverse found with
-    one more element reaches them all, starting from the Sg{x}; each
-    generating set is closed once.  Memoized by the operation tables
-    (`memo.per_algebra`): every call returns the one stored tuple."""
-    found = {sg_closure(alg, (x,)) for x in range(alg.domain)}
-    todo = list(found)
+    The end of a walk (`walk_subuniverses`).  Memoized by the operation
+    tables (`memo.per_algebra`): every call returns the one stored tuple,
+    which a finished walk may have stored first."""
+    return _by_size(_walk(alg.domain, _closer(alg)))
+
+
+def walk_subuniverses(alg: Algebra):
+    """Yields every nonempty subuniverse once, lazily, breadth first: the
+    Sg{x}, then Sg(U + {x}) for each U of the level before and x outside
+    it, so fewer generators come first and the pairs' subuniverses come
+    right after the singletons'.
+
+    A caller may stop at the first subuniverse it needs.  A walk that
+    finishes stores the lattice as `all_subuniverses`'s memo entry, and a
+    walk that starts from that entry reads each Sg(S) there (the smallest
+    stored subuniverse that holds S) instead of closing S: the same
+    subuniverses in the same order, so what a caller names does not depend
+    on what ran before.  The walk keeps nothing else."""
+    key = table_key(alg)
+    lattice = all_subuniverses.memo.get(key)
+    if lattice is not None:
+        yield from _walk(alg.domain, _smallest_holding(lattice))
+        return
+    found = []
+    for uni in _walk(alg.domain, _closer(alg)):
+        found.append(uni)
+        yield uni
+    all_subuniverses.memo.put(key, _by_size(found))
+
+
+def _walk(domain: int, close):
+    """The order of `walk_subuniverses`, with close(S) giving Sg(S).
+
+    Sg(S + {x}) = Sg(Sg(S) + {x}), so closing each subuniverse of a level
+    with one more element reaches the next; each generating set is closed
+    once.  The level before the singletons is the empty set's."""
+    found = set()
+    level = [()]
     tried = set()
-    while todo:
-        uni = todo.pop()
-        for x in range(alg.domain):
-            gens = tuple(sorted(uni + (x,)))
-            if x in uni or gens in tried:
-                continue
-            tried.add(gens)
-            bigger = sg_closure(alg, gens)
-            if bigger not in found:
-                found.add(bigger)
-                todo.append(bigger)
-    return tuple(sorted(found, key=lambda t: (len(t), t)))
+    while level:
+        bigger = []
+        for uni in level:
+            for x in range(domain):
+                if x in uni:
+                    continue
+                gens = tuple(sorted(uni + (x,)))
+                if gens in tried:
+                    continue
+                tried.add(gens)
+                sub = close(gens)
+                if sub not in found:
+                    found.add(sub)
+                    bigger.append(sub)
+                    yield sub
+        level = bigger
+
+
+def _closer(alg: Algebra):
+    """close(S) for a walk with no stored lattice: S itself when every
+    operation keeps it (each Sg{x} of an idempotent algebra), else
+    `sg_closure`, a closure that costs tens of microseconds."""
+    def close(gens):
+        if all(is_closed(op, gens) for op in alg.operations):
+            return gens
+        return sg_closure(alg, gens)
+
+    return close
+
+
+def _smallest_holding(lattice: tuple):
+    """close(S) over a stored lattice sorted by size: subuniverses are closed
+    under intersection, so the first one holding S is Sg(S)."""
+    masks = [(sum(1 << x for x in uni), uni) for uni in lattice]
+
+    def close(gens):
+        want = sum(1 << x for x in gens)
+        return next(uni for mask, uni in masks if mask & want == want)
+
+    return close
+
+
+def _by_size(unis) -> tuple:
+    return tuple(sorted(unis, key=lambda t: (len(t), t)))
 
 
 def is_taylor(alg: Algebra, max_steps=None):

@@ -704,8 +704,11 @@ def decide_term(base: Algebra, k: int, cells, stages, max_steps=None, **exits) -
     the closure order does not depend on the budget, so unless it stops on
     that budget its answer is the full closure's.  If no stage decides, the
     global closure under `max_steps` does (stage "closure"), unless the
-    probe had that budget.  A complete closure in the memo that this budget
-    would let finish answers at once, with no stage run.
+    probe had that budget.  A complete closure in the memo that this
+    budget would let finish answers a "yes" at once (no sound stage can
+    deny it) and a "no" at PROBE or at the end: the stages before PROBE
+    run first, as they would in a fresh process, so what a local "no"
+    says does not depend on what ran earlier.
     """
     gens = term_generators(base, k, cells)
 
@@ -714,18 +717,26 @@ def decide_term(base: Algebra, k: int, cells, stages, max_steps=None, **exits) -
         return Decision(None if gset.stop_reason in ("steps", "cap") else gset.truncated,
                         stage, gset)
 
-    if _served((table_key(base), len(cells), tuple(gens)), max_steps) is None:
-        steps = PROBE_STEPS if max_steps is None else min(max_steps, PROBE_STEPS)
-        probe = None
-        for name, test in stages:
-            if name == PROBE:
-                probe = answer(PROBE, steps)
-                if probe.closure.stop_reason != "steps":
-                    return probe
-            elif (argument := test()) is not None:
-                return Decision(False, name, argument=argument)
-        if probe is not None and steps == max_steps:
-            return probe
+    served = None
+    if _served((table_key(base), len(cells), tuple(gens)), max_steps) is not None:
+        served = answer("closure", max_steps)
+        if served.holds:
+            return served
+    steps = PROBE_STEPS if max_steps is None else min(max_steps, PROBE_STEPS)
+    probe = None
+    for name, test in stages:
+        if name == PROBE:
+            if served is not None:
+                break
+            probe = answer(PROBE, steps)
+            if probe.closure.stop_reason != "steps":
+                return probe
+        elif (argument := test()) is not None:
+            return Decision(False, name, argument=argument)
+    if served is not None:
+        return served
+    if probe is not None and steps == max_steps:
+        return probe
     return answer("closure", max_steps)
 
 

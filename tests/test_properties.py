@@ -19,7 +19,7 @@ from finalg import subpower
 from finalg.subpower import eval_term, eval_term_table, generate, has_cyclic_term, sg_closure
 from finalg.structure import (absorbs, absorption_patterns, all_subuniverses, clone_excluded,
                               decide_clone_membership, has_malcev_term, malcev_obstruction,
-                              naive_absorbs, weak_edges)
+                              naive_absorbs, walk_subuniverses, weak_edges)
 from finalg import catalog
 from finalg.certify import parse_certificate
 from finalg.search import (AgreesOnTuples, Commutative, CommutesWithPermutation, Cyclic,
@@ -396,6 +396,66 @@ def test_staged_decisions_match_the_inline_reference(case):
     clo = subpower.free_algebra(a, op.arity, max_steps=budget)
     if not clo.truncated:
         assert member is None or member is (bytes(op.values) in clo.position)
+
+
+# every subset is a subuniverse
+_MAX4 = Algebra(4, (OperationTable(
+    "max", 2, 4, tuple(max(c) for c in itertools.product(range(4), repeat=2))),))
+
+
+@st.composite
+def lazy_absorption_cases(draw):
+    """An idempotent algebra on 2-4 elements (one or two operations of
+    arity 2-3), a nonempty subset and an absorption arity."""
+    n = draw(st.integers(2, 4))
+    ops = []
+    for i in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(2, 3))
+        vals = _random_table(draw, n, k)
+        for x in range(n):
+            vals[x * (n**k - 1) // (n - 1)] = x
+        ops.append(OperationTable(f"f{i}", k, n, tuple(vals)))
+    subset = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return Algebra(n, tuple(ops)), sorted(subset), draw(st.integers(2, 3))
+
+
+@given(lazy_absorption_cases())
+@example((catalog.get("T6C").algebra, [0, 1], 3))
+@example((catalog.get("T3N").algebra, [1], 3))
+@example((catalog.get("T4,16").algebra, [0], 2))
+@example((_MAX4, [3], 2))
+@example((catalog.get("T4,1").algebra, [2, 3], 2))  # an image's trace decides at 5 steps
+@example((catalog.get("T4,11").algebra, [0, 1], 3))  # and at 200
+@settings(max_examples=100, deadline=None)
+def test_lazy_absorption_matches_the_full_lattice_reference(case):
+    # the walk that stops at the first failing trace and the flat image pass
+    # give the verdict of the whole lattice and the recursive image stage.
+    # Unbounded on 2-3 elements only: a region closure on 4 elements can
+    # need millions of steps (20 s and more on random tables), so there the
+    # third budget is 20,000 steps
+    a, subset, arity = case
+    budgets = (5, 200, 20_000) if a.domain == 4 else (5, 200, None)
+    for budget in budgets:
+        got = absorbs(a, subset, arity, max_steps=budget).holds
+        assert got is reference_absorbs(a, subset, arity, max_steps=budget)
+        naive = naive_absorbs(a, subset, arity, max_steps=20_000)
+        assert not (naive is True and got is False)
+    # the walk meets every subuniverse once, Sg{x} first; only a finished
+    # walk stores the lattice, and a walk from the stored lattice keeps the order
+    all_subuniverses.memo.clear()
+    walk = walk_subuniverses(a)
+    next(walk)
+    walk.close()
+    assert len(all_subuniverses.memo) == 0
+    cold = list(walk_subuniverses(a))
+    assert len(all_subuniverses.memo) == 1
+    assert list(walk_subuniverses(a)) == cold
+    assert len(set(cold)) == len(cold) and sorted(cold) == sorted(all_subuniverses(a))
+    every = {sg_closure(a, s) for r in range(1, a.domain + 1)
+             for s in itertools.combinations(range(a.domain), r)}
+    assert set(cold) == every
+    singles = {sg_closure(a, (x,)) for x in range(a.domain)}
+    assert set(cold[:len(singles)]) == singles
 
 
 # ---------------------------------------------------------------------------

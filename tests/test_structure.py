@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from finalg.congruence import all_congruences
 from finalg.core import Algebra, AlgebraError, OperationTable, UnionFind, product, projection
 from finalg.subpower import eval_term, free_algebra, sg_closure
 from finalg.structure import (
@@ -433,6 +434,61 @@ def test_each_no_names_the_stage_that_decided_it(alg, monkeypatch):
     d = decide_clone_membership(alg("S"), maj)
     assert (d.holds, d.stage, d.argument) == (False, "closure", None)
     assert not d.closure.truncated
+
+
+def test_a_stage_no_is_the_same_cold_and_warm(alg, monkeypatch):
+    # what a local stage says, and names, does not depend on what ran
+    # earlier in the process: neither a complete Clo_3 in the closure memo
+    # nor a stored lattice that the walk of the subuniverses replays
+    from finalg import certify, structure, subpower
+    from finalg.certify import Assertion
+
+    t45, table = alg("T4,5"), alg("T4,16").operations[0]
+    lacks = Assertion("clone-lacks", (3, table.values))
+    mt1c = product([alg("M"), alg("T1C")])
+    cases = [
+        (lambda: certify.check_assertion(t45, lacks), ("pass", "excluded by invariant")),
+        (lambda: clone_excluded(t45, table), "breaks subuniverse (0, 1)"),
+        (lambda: absorbs(alg("T6C"), (0, 1), 3).reason,
+         "trace on subuniverse (0, 2) does not absorb"),
+        (lambda: absorbs(mt1c, (0, 1, 2, 3, 5), 3).reason,
+         "trace on subuniverse (1, 4, 5) does not absorb"),
+    ]
+    subpower._closures.clear()
+    all_subuniverses.memo.clear()
+    assert [run() for run, _ in cases] == [want for _, want in cases]
+    subpower.free_algebra(t45, 3)
+    for a in (t45, alg("T6C"), mt1c):
+        all_subuniverses(a)
+    assert [run() for run, _ in cases] == [want for _, want in cases]
+    # no stage can deny a "yes", so a memoized one answers at once
+    monkeypatch.setattr(structure, "clone_excluded", None)
+    d = decide_clone_membership(t45, t45.operations[0])
+    assert (d.holds, d.stage) == (True, "closure")
+
+
+def test_absorption_makes_no_nested_absorbs_call(alg, monkeypatch):
+    # the image stage is one flat pass over A's proper congruences, with no
+    # absorption decision per quotient: one "yes" on S x T4N once called
+    # absorbs 276 times for 12 distinct quotients
+    from finalg import structure
+
+    calls = []
+    inner = structure.absorbs
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(structure, "absorbs", spy)
+    sxt4n = product([alg("S"), alg("T4N")])
+    t5n2 = product([alg("T5N"), alg("T5N")])
+    for a, subset, n, holds in ((sxt4n, (0, 3), 2, True), (sxt4n, (2, 4), 2, False),
+                                (t5n2, (3, 6, 7, 8), 3, False), (t5n2, (0, 4, 8), 2, False)):
+        proper = len(all_congruences(a)) - 2
+        calls.clear()
+        assert structure.absorbs(a, subset, n).holds is holds
+        assert 1 <= len(calls) <= 1 + proper, (subset, len(calls))
 
 
 def test_clone_decision_rejects_a_table_of_another_domain(alg):
