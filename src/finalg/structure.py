@@ -408,22 +408,17 @@ def walk_subuniverses(alg: Algebra):
     it, so fewer generators come first and the pairs' subuniverses come
     right after the singletons'.
 
-    A caller may stop at the first subuniverse it needs.  A walk that
-    finishes stores the lattice as `all_subuniverses`'s memo entry, and a
-    walk that starts from that entry reads each Sg(S) there (the smallest
-    stored subuniverse that holds S) instead of closing S: the same
-    subuniverses in the same order, so what a caller names does not depend
-    on what ran before.  The walk keeps nothing else."""
-    key = table_key(alg)
-    lattice = all_subuniverses.memo.get(key)
-    if lattice is not None:
-        yield from _walk(alg.domain, _smallest_holding(lattice))
-        return
+    A caller may stop at the first subuniverse it needs.  Every walk closes
+    its own generating sets, so the order never depends on what ran before;
+    a walk that finishes stores the lattice as `all_subuniverses`'s memo
+    entry if that entry is absent.  The walk keeps nothing else."""
     found = []
     for uni in _walk(alg.domain, _closer(alg)):
         found.append(uni)
         yield uni
-    all_subuniverses.memo.put(key, _by_size(found))
+    key = table_key(alg)
+    if all_subuniverses.memo.get(key) is None:
+        all_subuniverses.memo.put(key, _by_size(found))
 
 
 def _walk(domain: int, close):
@@ -454,25 +449,13 @@ def _walk(domain: int, close):
 
 
 def _closer(alg: Algebra):
-    """close(S) for a walk with no stored lattice: S itself when every
-    operation keeps it (each Sg{x} of an idempotent algebra), else
-    `sg_closure`, a closure that costs tens of microseconds."""
+    """close(S) for a walk: S itself when every operation keeps it (each
+    Sg{x} of an idempotent algebra), else `sg_closure`, a closure that
+    costs tens of microseconds."""
     def close(gens):
         if all(is_closed(op, gens) for op in alg.operations):
             return gens
         return sg_closure(alg, gens)
-
-    return close
-
-
-def _smallest_holding(lattice: tuple):
-    """close(S) over a stored lattice sorted by size: subuniverses are closed
-    under intersection, so the first one holding S is Sg(S)."""
-    masks = [(sum(1 << x for x in uni), uni) for uni in lattice]
-
-    def close(gens):
-        want = sum(1 << x for x in gens)
-        return next(uni for mask, uni in masks if mask & want == want)
 
     return close
 

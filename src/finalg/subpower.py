@@ -707,8 +707,10 @@ def decide_term(base: Algebra, k: int, cells, stages, max_steps=None, **exits) -
     probe had that budget.  A complete closure in the memo that this
     budget would let finish answers a "yes" at once (no sound stage can
     deny it) and a "no" at PROBE or at the end: the stages before PROBE
-    run first, as they would in a fresh process, so what a local "no"
-    says does not depend on what ran earlier.
+    run first, as they would in a fresh process, so a "no" from a stage
+    listed before PROBE does not depend on what ran earlier.  A stage after
+    PROBE is not reached then: where a fresh process would name it, the
+    memoized closure answers the same "no" as "closure".
     """
     gens = term_generators(base, k, cells)
 

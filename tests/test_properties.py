@@ -441,7 +441,8 @@ def test_lazy_absorption_matches_the_full_lattice_reference(case):
         naive = naive_absorbs(a, subset, arity, max_steps=20_000)
         assert not (naive is True and got is False)
     # the walk meets every subuniverse once, Sg{x} first; only a finished
-    # walk stores the lattice, and a walk from the stored lattice keeps the order
+    # walk stores the lattice, a walk with the lattice stored keeps the
+    # order, and a stored lattice is never replaced
     all_subuniverses.memo.clear()
     walk = walk_subuniverses(a)
     next(walk)
@@ -449,7 +450,9 @@ def test_lazy_absorption_matches_the_full_lattice_reference(case):
     assert len(all_subuniverses.memo) == 0
     cold = list(walk_subuniverses(a))
     assert len(all_subuniverses.memo) == 1
+    stored = all_subuniverses(a)
     assert list(walk_subuniverses(a)) == cold
+    assert all_subuniverses(a) is stored
     assert len(set(cold)) == len(cold) and sorted(cold) == sorted(all_subuniverses(a))
     every = {sg_closure(a, s) for r in range(1, a.domain + 1)
              for s in itertools.combinations(range(a.domain), r)}

@@ -439,7 +439,7 @@ def test_each_no_names_the_stage_that_decided_it(alg, monkeypatch):
 def test_a_stage_no_is_the_same_cold_and_warm(alg, monkeypatch):
     # what a local stage says, and names, does not depend on what ran
     # earlier in the process: neither a complete Clo_3 in the closure memo
-    # nor a stored lattice that the walk of the subuniverses replays
+    # nor a stored lattice of the subuniverses
     from finalg import certify, structure, subpower
     from finalg.certify import Assertion
 
@@ -485,10 +485,10 @@ def test_absorption_makes_no_nested_absorbs_call(alg, monkeypatch):
     t5n2 = product([alg("T5N"), alg("T5N")])
     for a, subset, n, holds in ((sxt4n, (0, 3), 2, True), (sxt4n, (2, 4), 2, False),
                                 (t5n2, (3, 6, 7, 8), 3, False), (t5n2, (0, 4, 8), 2, False)):
-        proper = len(all_congruences(a)) - 2
+        assert len(all_congruences(a)) > 2  # there are quotients to visit
         calls.clear()
         assert structure.absorbs(a, subset, n).holds is holds
-        assert 1 <= len(calls) <= 1 + proper, (subset, len(calls))
+        assert len(calls) == 1, (subset, len(calls))
 
 
 def test_clone_decision_rejects_a_table_of_another_domain(alg):
