@@ -40,7 +40,7 @@ from .congruence import (
 )
 from .search import Cyclic, Idempotent, RestrictionEquals, Symmetric, unique_completion
 from .memo import per_algebra
-from .subpower import free_algebra
+from .subpower import check_budget, free_algebra
 from .structure import all_subuniverses, decide_clone_membership, semilattice_edge
 
 
@@ -565,6 +565,7 @@ def term_equivalent(a: Algebra, b: Algebra, max_steps=None):
     other (`structure.decide_clone_membership`, which tries the cheap
     exclusion certificates first, so a "no" rarely needs a full free algebra).
     """
+    check_budget(max_steps)
     if a.domain != b.domain:
         raise AlgebraError("term_equivalent requires equal domains")
     inconclusive = False
@@ -638,6 +639,19 @@ def _transport_fingerprint(fp, perm, n):
     }
 
 
+def _fingerprint_shape(fp):
+    """Summaries of a fingerprint that no relabeling changes: the multisets
+    of subuniverse sizes and of the block-size profiles of the congruences,
+    the number of semilattice edges and the size of Clo_2 (None when Clo_2
+    ran out of its budget)."""
+    return {
+        "subuniverses": sorted(map(len, fp["subuniverses"])),
+        "congruences": sorted(tuple(sorted(map(len, blocks))) for blocks in fp["congruences"]),
+        "semilattice_edges": len(fp["semilattice_edges"]),
+        "clo2": None if fp["clo2"] is None else len(fp["clo2"]),
+    }
+
+
 def _fingerprints_differ(fa, fb):
     for key in fa:
         va, vb = fa[key], fb[key]
@@ -651,11 +665,18 @@ def equivalent_up_to_iso(a: Algebra, b: Algebra, max_steps=None):
 
     Returns (perm, conclusive): perm is None when no bijection works;
     conclusive=False when some candidate could not be settled within budget.
+
+    Fingerprints whose shapes differ (`_fingerprint_shape`) differ under
+    every bijection, so such a pair is answered before the scan; otherwise
+    each bijection whose transported fingerprint matches a's is tried.
     """
+    check_budget(max_steps)
     if a.domain != b.domain:
         raise AlgebraError("equivalent_up_to_iso requires equal domains")
     fa = invariant_fingerprint(a)
     fb = invariant_fingerprint(b)
+    if _fingerprints_differ(_fingerprint_shape(fa), _fingerprint_shape(fb)):
+        return None, True
     conclusive = True
     for perm in itertools.permutations(range(a.domain)):
         if _fingerprints_differ(fa, _transport_fingerprint(fb, perm, a.domain)):
@@ -671,6 +692,7 @@ def equivalent_up_to_iso(a: Algebra, b: Algebra, max_steps=None):
 def equivalent_to_entry(alg: Algebra, name: str, max_steps=None):
     """`equivalent_up_to_iso(alg, entry)` for the catalog entry `name`:
     (perm, conclusive), and (None, True) when the domains differ."""
+    check_budget(max_steps)
     want = get(name).algebra
     if alg.domain != want.domain:
         return None, True

@@ -15,7 +15,9 @@ subpower and clone membership one each, the Taylor test one per edge of
 its spanning forest, a cyclic term count one per counted table), and
 `check_assertion` re-evaluates each with `subpower.eval_term`, apart from
 the closure that found it: a pass whose witness does not replay fails with
-"witness does not replay".  Term equivalence and the isomorphism kinds
+"witness does not replay".  A "not simple" answer is replayed in its
+check handler: its congruence must pass `congruence.is_congruence` and be
+neither the identity nor full.  Term equivalence and the isomorphism kinds
 carry no witness yet: their decision procedures do not return their terms.
 """
 
@@ -294,8 +296,14 @@ def _check_two_generated(alg, args, max_steps):
 
 
 def _check_simple(alg, args, max_steps):
+    """A "not simple" answer carries its congruence, replayed by
+    `is_congruence` (apart from `principal_congruence`, which found it) and
+    checked to be neither the identity nor the full relation."""
     witness = simplicity_witness(alg)
     got = witness is None
+    if not got and (witness.is_identity() or witness.is_full()
+                    or not is_congruence(alg, witness)[0]):
+        return "fail", "witness congruence does not replay", ()
     return _reading(got, args[0], "simple" if got else f"witness congruence {witness}",
                     f"simple={got}, expected {args[0]}")
 

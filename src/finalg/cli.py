@@ -35,6 +35,7 @@ from .congruence import (
     simplicity_witness,
 )
 from .subpower import (
+    check_budget,
     cyclic_terms,
     free_algebra,
     generate,
@@ -401,6 +402,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        check_budget(args.max_steps)
         return args.func(args)
     except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)

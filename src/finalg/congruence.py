@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Algebra, AlgebraError, OperationTable, UnionFind
+from .core import Algebra, AlgebraError, OperationTable, UnionFind, translation_cells
 from .memo import per_algebra
 
 
@@ -158,9 +158,12 @@ def is_congruence(alg: Algebra, p: Partition):
 def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
     """Smallest congruence identifying a and b.
 
-    Worklist closure: each newly merged pair is pushed through every basic
-    operation with one free coordinate and all others frozen at constants;
-    the union-find supplies the reflexive-symmetric-transitive closure.
+    Worklist closure (Freese, "Computing congruences efficiently", 2008):
+    each newly merged pair (u, v) is pushed through every basic operation
+    with one free coordinate and all others frozen at constants.  The cells
+    with u and with v in coordinate i are two reads of the table
+    (`core.translation_cells`), zipped pairwise into the union-find, which
+    supplies the reflexive-symmetric-transitive closure.
     """
     n = alg.domain
     for x in (a, b):
@@ -171,13 +174,9 @@ def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
     while work:
         u, v = work.pop()
         for op in alg.operations:
-            r = op.arity
-            for i in range(r):
-                for rest in itertools.product(range(n), repeat=r - 1):
-                    args_u = rest[:i] + (u,) + rest[i:]
-                    args_v = rest[:i] + (v,) + rest[i:]
-                    pu = op.values[op.index(args_u)]
-                    pv = op.values[op.index(args_v)]
+            for i in range(op.arity):
+                for pu, pv in zip(translation_cells(n, op.arity, i, u)(op.values),
+                                  translation_cells(n, op.arity, i, v)(op.values)):
                     if uf.union(pu, pv):
                         work.append((pu, pv))
     return Partition(n, uf.blocks())

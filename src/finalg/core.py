@@ -152,6 +152,15 @@ def subset_cells(n: int, k: int, subset: tuple):
     return cell_getter([cell_index(args, n) for args in itertools.product(subset, repeat=k)])
 
 
+@functools.lru_cache(maxsize=1024)
+def translation_cells(n: int, k: int, i: int, x: int):
+    """Reads the cells of an n-element table of arity k whose argument i is
+    x, row-major over the other arguments: the values of the k-1 ary map
+    that freezes argument i at x."""
+    return cell_getter([cell_index(rest[:i] + (x,) + rest[i:], n)
+                        for rest in itertools.product(range(n), repeat=k - 1)])
+
+
 def restrict(op: OperationTable, subset) -> OperationTable:
     """Restriction of op to a closed subset, relabeled to 0..|subset|-1.
 

@@ -229,6 +229,12 @@ _MEMO_MAX_ELEMENTS = 50_000
 _closures = Memo(limit=_MEMO_MAX_ELEMENTS, weight=lambda entry: len(entry[0]))
 
 
+def check_budget(max_steps):
+    """Reject a work budget below 1 (None means unbounded)."""
+    if max_steps is not None and max_steps < 1:
+        raise AlgebraError(f"max_steps must be at least 1, got {max_steps}")
+
+
 def generate(
     base: Algebra,
     m: int,
@@ -259,8 +265,7 @@ def generate(
     closure order is canonical, so an early exit is a prefix of the stored
     order, and the answer is the one a fresh run gives.
     """
-    if max_steps is not None and max_steps < 1:
-        raise AlgebraError(f"max_steps must be at least 1, got {max_steps}")
+    check_budget(max_steps)
     gen_list = _generator_bytes(base, m, generators)
     if targets is not None:
         targets = [_checked_bytes(t, base.domain, "target") for t in targets]

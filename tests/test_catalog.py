@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 
-from finalg.core import (Algebra, OperationTable, is_malcev, parse_algebra, product,
-                         serialize_algebra)
+from finalg.core import (Algebra, AlgebraError, OperationTable, is_malcev, parse_algebra,
+                         product, serialize_algebra)
 from finalg.congruence import Partition, all_congruences
 from finalg import catalog
 
@@ -169,6 +170,69 @@ def test_screen_changes_no_answer(entries, alg):
             pairs.append((a, catalog.transport(a, tuple(range(a.domain))[::-1])))
     for a, b in pairs:
         assert catalog.equivalent_up_to_iso(a, b) == lexicographic_scan(a, b), a.label
+
+
+def full_transport_screen(a, b, max_steps=None):
+    """equivalent_up_to_iso without the shape screen: every bijection
+    transports b's whole fingerprint before it is compared with a's."""
+    fa, fb = catalog.invariant_fingerprint(a), catalog.invariant_fingerprint(b)
+    conclusive = True
+    for perm in itertools.permutations(range(a.domain)):
+        if catalog._fingerprints_differ(fa, catalog._transport_fingerprint(fb, perm, a.domain)):
+            continue
+        r = catalog.term_equivalent(a, catalog.transport(b, perm), max_steps=max_steps)
+        if r is True:
+            return perm, True
+        if r is None:
+            conclusive = False
+    return None, conclusive
+
+
+# the per-closure budget of the iso-classify benchmark workload
+_ISO_STEPS = 20_000_000
+
+
+def test_the_shape_screen_keeps_every_answer(entries):
+    # every equal-domain pair of entries (3 + 276 + 190), and each entry
+    # against a seeded relabeling of itself
+    rng = random.Random(18)
+    algs = [e.algebra for e in entries.values()]
+    pairs = [(a, b) for a, b in itertools.combinations(algs, 2) if a.domain == b.domain]
+    pairs += [(a, catalog.transport(a, rng.choice(list(itertools.permutations(range(a.domain))))))
+              for a in algs]
+    rejected = found = 0
+    for a, b in pairs:
+        shapes = [catalog._fingerprint_shape(catalog.invariant_fingerprint(x)) for x in (a, b)]
+        rejected += catalog._fingerprints_differ(*shapes)
+        got = catalog.equivalent_up_to_iso(a, b, max_steps=_ISO_STEPS)
+        assert got == full_transport_screen(a, b, max_steps=_ISO_STEPS), (a.label, b.label)
+        found += got[0] is not None
+    # the screen answers 451 of the 469 pairs; T4,12 ~ Z4aff and every
+    # relabeling are found
+    assert len(pairs) == 469 + 47
+    assert rejected == 451 and found == 1 + 47
+
+
+def test_the_shape_is_the_same_after_any_relabeling(entries):
+    for entry in entries.values():
+        a = entry.algebra
+        shape = catalog._fingerprint_shape(catalog.invariant_fingerprint(a))
+        for p in itertools.permutations(range(a.domain)):
+            b = catalog.transport(a, p)
+            assert catalog._fingerprint_shape(catalog.invariant_fingerprint(b)) == shape, \
+                (entry.name, p)
+
+
+def test_a_budget_below_one_is_rejected_before_any_screen(alg):
+    # T4,9 and T4,10 differ in shape, and a clone exclusion separates them
+    # before any closure runs: neither answer may hide a bad budget
+    for steps in (0, -1):
+        for decide in (catalog.equivalent_up_to_iso, catalog.term_equivalent):
+            with pytest.raises(AlgebraError, match=f"max_steps must be at least 1, got {steps}"):
+                decide(alg("T4,9"), alg("T4,10"), max_steps=steps)
+        # and an entry of another domain, answered without a bijection
+        with pytest.raises(AlgebraError, match=f"max_steps must be at least 1, got {steps}"):
+            catalog.equivalent_to_entry(alg("T4,9"), "S", max_steps=steps)
 
 
 def test_verify_subdirect_t41(alg):

@@ -7,6 +7,7 @@ import pytest
 from finalg.core import AlgebraError, OperationTable, ParseError, is_cyclic, projection
 from finalg import catalog, certify, structure, subpower
 from finalg.certify import Assertion
+from finalg.congruence import Partition, is_congruence
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -318,3 +319,15 @@ def test_a_corrupted_forest_fails_the_taylor_replay(monkeypatch, mutate):
     assert certify.check_assertion(t410, a) == ("pass", "taylor=True")
     _mutant_forest(monkeypatch, mutate)
     assert certify.check_assertion(t410, a) == ("fail", "witness does not replay")
+
+
+@pytest.mark.parametrize("blocks", ["{0,1}{2}{3}", "{0}{1}{2}{3}", "{0,1,2,3}"],
+                         ids=["not a congruence", "identity", "full"])
+def test_a_wrong_simplicity_witness_fails_the_replay(monkeypatch, blocks):
+    t414 = catalog.get("T4,14").algebra
+    a = Assertion("simple", (False,))
+    assert certify.check_assertion(t414, a) == ("pass", "witness congruence {0,3}{1}{2}")
+    witness = Partition.parse(blocks, 4)
+    assert is_congruence(t414, witness)[0] == (blocks != "{0,1}{2}{3}")
+    monkeypatch.setattr(certify, "simplicity_witness", lambda alg: witness)
+    assert certify.check_assertion(t414, a) == ("fail", "witness congruence does not replay")

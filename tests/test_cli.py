@@ -1,6 +1,7 @@
 import contextlib
 import io
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finalg import catalog
@@ -291,6 +292,21 @@ def test_cyclic_max_steps_below_one_is_an_error(capsys):
         code, out, err = run(["--max-steps", steps, "cyclic", "@T4,10", "--arity", "3"],
                              capsys)
         assert code == 2 and out == ""
+        assert err == f"error: max_steps must be at least 1, got {steps}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "@T4,9", "@T4,10"],
+    ["equiv", "@T4,9", "@T4,10", "--iso"],
+    ["equiv", "@S", "@M"],
+    ["catalog", "list"],
+], ids=["term-equivalence", "isomorphism", "a closure", "no closure"])
+def test_max_steps_below_one_is_an_error_on_every_path(capsys, argv):
+    # the first two are decided without a closure (a clone exclusion, the
+    # fingerprint shapes); the budget is rejected before any verb runs
+    for steps in ("0", "-3"):
+        code, out, err = run(["--max-steps", steps, *argv], capsys)
+        assert (code, out) == (2, "")
         assert err == f"error: max_steps must be at least 1, got {steps}\n"
 
 

@@ -9,12 +9,14 @@ from finalg.core import (
     AlgebraError,
     OperationTable,
     PartialTable,
+    UnionFind,
     is_cyclic,
     is_symmetric,
     parse_algebra,
     serialize_algebra,
 )
-from finalg.congruence import Partition, all_congruences, quotient_algebra, class_algebra
+from finalg.congruence import (Partition, all_congruences, class_algebra, principal_congruence,
+                               quotient_algebra)
 from finalg import subpower
 from finalg.subpower import eval_term, eval_term_table, generate, has_cyclic_term, sg_closure
 from finalg.structure import (absorbs, absorption_patterns, all_subuniverses, clone_excluded,
@@ -63,8 +65,8 @@ def test_join_meet_units(p):
 # serialization round trip over random algebras
 
 @st.composite
-def algebras(draw):
-    n = draw(st.integers(1, 4))
+def algebras(draw, sizes=st.integers(1, 4)):
+    n = draw(sizes)
     ops = []
     for i in range(draw(st.integers(1, 2))):
         arity = draw(st.integers(1, 3))
@@ -83,6 +85,62 @@ def test_serialize_parse_round_trip(a):
     assert b.domain == a.domain
     assert [o.values for o in b.operations] == [o.values for o in a.operations]
     assert serialize_algebra(b) == text
+
+
+# ---------------------------------------------------------------------------
+# principal congruences against the per-cell loop they replaced
+
+def reference_principal_congruence(alg, a, b):
+    """Cg(a, b) by the per-cell worklist: two argument tuples and two
+    `index` calls per cell of each translation."""
+    n = alg.domain
+    uf = UnionFind(n)
+    work = [(a, b)] if uf.union(a, b) else []
+    while work:
+        u, v = work.pop()
+        for op in alg.operations:
+            r = op.arity
+            for i in range(r):
+                for rest in itertools.product(range(n), repeat=r - 1):
+                    pu = op.values[op.index(rest[:i] + (u,) + rest[i:])]
+                    pv = op.values[op.index(rest[:i] + (v,) + rest[i:])]
+                    if uf.union(pu, pv):
+                        work.append((pu, pv))
+    return Partition(n, uf.blocks())
+
+
+@st.composite
+def algebras_with_congruences(draw):
+    """Algebras of 2-5 elements, 1-2 operations of arity 1-3.  Half of them
+    keep a random partition (each value's block depends only on the blocks
+    of the arguments), so their principal congruences are often proper."""
+    a = draw(algebras(st.integers(2, 5)))
+    if not draw(st.booleans()):
+        return a
+    n = a.domain
+    rep = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks = Partition.from_representatives(n, rep).blocks
+    idx = {x: i for i, b in enumerate(blocks) for x in b}
+    ops = []
+    for op in a.operations:
+        target = {}
+        vals = []
+        for args, v in zip(op.all_args(), op.values):
+            key = tuple(idx[x] for x in args)
+            block = blocks[target.setdefault(key, idx[v])]
+            vals.append(block[v % len(block)])
+        ops.append(OperationTable(op.name, op.arity, n, tuple(vals)))
+    return Algebra(n, tuple(ops))
+
+
+@given(algebras_with_congruences())
+@example(catalog.get("T4,14").algebra)
+@example(catalog.get("T4,1").algebra)
+@settings(max_examples=80, deadline=None)
+def test_principal_congruence_matches_the_per_cell_reference(a):
+    for x in range(a.domain):
+        for y in range(a.domain):
+            assert principal_congruence(a, x, y) == reference_principal_congruence(a, x, y), (x, y)
 
 
 # ---------------------------------------------------------------------------
