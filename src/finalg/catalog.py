@@ -13,7 +13,9 @@ Letter-labeled source tables use the fixed normalization a=0 b=1 c=2 d=3.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
@@ -26,7 +28,6 @@ from .core import (
     is_commutative,
     is_conservative,
     is_cyclic,
-    is_idempotent,
     is_symmetric,
     parse_algebra,
     restrict,
@@ -38,7 +39,7 @@ from .congruence import (
     is_congruence,
     quotient_algebra,
 )
-from .search import Cyclic, Idempotent, RestrictionEquals, Symmetric, unique_completion
+from .search import LAWS, Idempotent, RestrictionEquals, unique_completion
 from .memo import per_algebra
 from .subpower import check_budget, free_algebra
 from .structure import all_subuniverses, decide_clone_membership, semilattice_edge
@@ -190,9 +191,11 @@ _CYC4 = {
                (0, 2, 3): 3, (0, 3, 2): 3, (1, 2, 3): 0, (1, 3, 2): 0}),
 }
 
-# binary entries with full tables (row-major)
-_T47_VALUES = (0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 3)
-_T414_VALUES = (0, 2, 1, 0, 2, 1, 3, 2, 1, 3, 2, 1, 0, 2, 1, 3)
+# 4-element binary entries with full tables (row-major)
+_BINARY4 = {
+    "T4,7": (0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 0, 2, 1, 3),
+    "T4,14": (0, 2, 1, 0, 2, 1, 3, 2, 1, 3, 2, 1, 0, 2, 1, 3),
+}
 
 # shared values of the operations of T4,15..T4,18 (letters a..d as 0..3)
 _T4_15_18_COMMON = {
@@ -256,106 +259,124 @@ def _build_t2p() -> OperationTable:
     arguments agree, first argument on pairwise-distinct triples.  Determined
     by exhaustive search over all pairs-minority candidates (simple, no
     commutative binary term, no cyclic ternary term, minimal)."""
-    vals = []
-    for args in itertools.product(range(3), repeat=3):
-        s = set(args)
-        if len(s) == 1:
-            vals.append(args[0])
-        elif len(s) == 3:
-            vals.append(args[0])
-        else:
-            vals.append([v for v in args if args.count(v) == 1][0])
-    return OperationTable("g", 3, 3, tuple(vals))
+    return OperationTable("g", 3, 3, tuple(
+        min(a, key=a.count) if len(set(a)) == 2 else a[0]
+        for a in itertools.product(range(3), repeat=3)
+    ))
 
 
 def _build_t1p() -> OperationTable:
-    vals = []
-    for a in itertools.product(range(3), repeat=3):
-        if a[0] == a[1] or a[0] == a[2]:
-            vals.append(a[0])
-        elif a[1] == a[2]:
-            vals.append(a[1])
+    """T1P: the dual discriminator -- y where y = z, x otherwise."""
+    return OperationTable("g", 3, 3, tuple(
+        a[1] if a[1] == a[2] else a[0] for a in itertools.product(range(3), repeat=3)
+    ))
+
+
+def _build_t4_15_18(kind: str, rest) -> OperationTable:
+    """The operation of T4,15..T4,18: the shared values, the pair {a,d}
+    (`kind` on it) and the entry's own values on the remaining cells."""
+    full = dict(_T4_15_18_COMMON)
+    for x in range(4):
+        full[(x, x, x)] = x
+    for args in itertools.product((0, 3), repeat=3):
+        full[args] = (max if kind == "maj" else min)(args, key=args.count)
+    for cell, v in zip(_T4_15_18_REST_CELLS, rest):
+        full[cell] = v
+    return OperationTable("g", 3, 4, tuple(full[a] for a in itertools.product(range(4), repeat=3)))
+
+
+# ---------------------------------------------------------------------------
+# the table: one record per name, in catalog order
+
+@dataclass(frozen=True)
+class _Record:
+    source: str
+    build: Callable[[], OperationTable]  # the one operation, from source data
+    facts: tuple  # declared, independently re-checkable expectations
+    letters: bool  # transcribed in letters a..d
+
+
+_TABLE: dict = {}
+
+
+def _add(name, source, build, pairs=MappingProxyType({}), laws=(), letters=False):
+    """Record an entry; its facts are the restrictions to `pairs` (subset ->
+    kind, in order) followed by the whole-table properties `laws`."""
+    facts = tuple(("restriction", subset, kind) for subset, kind in pairs.items())
+    _TABLE[name] = _Record(source, build, facts + tuple((law,) for law in laws), letters)
+
+
+def _complete(name, source, domain, pairs, values, laws, letters=False):
+    """Record an entry whose table is the unique idempotent completion of
+    `values` under the law laws[0] and the restrictions to `pairs`: the same
+    pairs give the search its constraints and the entry its facts."""
+    def build():
+        constraints = [Idempotent(), LAWS[laws[0]]()]
+        constraints += [RestrictionEquals(s, pair_table(k, s)) for s, k in pairs.items()]
+        partial = PartialTable.from_entries("g", 3, domain, values)
+        return unique_completion(partial, constraints, name="g")
+
+    _add(name, source, build, pairs, laws, letters)
+
+
+def _fill():
+    """Fill _TABLE in catalog order: one line per fixed table, one loop per
+    completed family and one over T4,1..T4,18 keyed on each name's family."""
+    _add("S", "2-element semilattice", lambda: OperationTable("t", 2, 2, (0, 0, 0, 1)))
+    _add("M", "2-element majority algebra", lambda: OperationTable("g", 3, 2, maj_table().values))
+    _add("Z2aff", "affine algebra of Z2", lambda: zn_aff(2))
+    for name, (k01, k02, v112, v122, v012) in _SYM3.items():
+        _complete(name, "3-element, nonconservative symmetric family", 3,
+                  {(0, 1): k01, (0, 2): k02},
+                  {(1, 1, 2): v112, (1, 2, 2): v122, (0, 1, 2): v012}, ("symmetric",))
+    _add("T4N", "3-element, nonconservative: semilattice below 1 and 2",
+         lambda: OperationTable("t", 2, 3, (0, 0, 0, 0, 1, 0, 0, 0, 2)),
+         {(0, 1): "min0", (0, 2): "min0"}, ("commutative",))
+    _add("T5N", "3-element, nonconservative: affine algebra of Z3", lambda: zn_aff(3))
+    _add("T1S", "3-element, conservative commutative binary (rock-paper-scissors)",
+         lambda: OperationTable("t", 2, 3, (0, 0, 2, 0, 1, 1, 2, 1, 2)),
+         {(0, 1): "min0", (1, 2): "min1", (0, 2): "min2"}, ("commutative", "conservative"))
+    _add("T2S", "3-element, conservative commutative binary",
+         lambda: OperationTable("t", 2, 3, (0, 0, 0, 0, 1, 1, 0, 1, 2)),
+         {(0, 1): "min0", (1, 2): "min1", (0, 2): "min0"}, ("commutative", "conservative"))
+    _add("T1P", "3-element, conservative, dual discriminator", _build_t1p,
+         dict.fromkeys(((0, 1), (1, 2), (0, 2)), "maj"), ("conservative",))
+    _add("T2P", "3-element, conservative, simple nonabelian Mal'cev", _build_t2p,
+         dict.fromkeys(((0, 1), (1, 2), (0, 2)), "aff"), ("conservative",))
+    for name, (k01, k12, k02, v1, v2) in _CYC3.items():
+        _complete(name, "3-element, conservative cyclic family", 3,
+                  {(0, 1): k01, (1, 2): k12, (0, 2): k02},
+                  {(0, 1, 2): v1, (0, 2, 1): v2}, ("cyclic", "conservative"))
+    for i in range(1, 19):
+        # T4,13 onwards are transcribed in letters a..d
+        name, letters = f"T4,{i}", i >= 13
+        if name in _CYC4:
+            pairs, values = _CYC4[name]
+            _complete(name, "4-element 2-generated, cyclic operation", 4,
+                      dict(sorted(pairs.items())), values, ("cyclic",), letters)
+        elif name in _BINARY4:
+            _add(name, "4-element 2-generated, commutative binary operation",
+                 functools.partial(OperationTable, "t", 2, 4, _BINARY4[name]),
+                 laws=("commutative",), letters=letters)
         else:
-            vals.append(a[0])
-    return OperationTable("g", 3, 3, tuple(vals))
+            kind, rest = _T4_15_18[name]
+            _add(name, "4-element 2-generated, three-class affine quotient",
+                 functools.partial(_build_t4_15_18, kind, rest), {(0, 3): kind},
+                 letters=letters)
+    _add("Z4aff", "affine algebra of Z4", lambda: zn_aff(4))
+    _add("Z2xZ2aff", "affine algebra of Z2 x Z2", klein_aff)
+
+
+_fill()
 
 
 def build_algebra(name: str) -> Algebra:
     """Construct a catalog algebra from its source data (no golden check)."""
-    if name == "S":
-        return Algebra(2, [OperationTable("t", 2, 2, (0, 0, 0, 1))], label="S")
-    if name == "M":
-        return Algebra(2, [OperationTable("g", 3, 2, maj_table().values)], label="M")
-    if name == "Z2aff":
-        return Algebra(2, [zn_aff(2)], label="Z2aff")
-    if name in _SYM3:
-        k01, k02, v112, v122, v012 = _SYM3[name]
-        partial = PartialTable.from_entries(
-            "g", 3, 3, {(1, 1, 2): v112, (1, 2, 2): v122, (0, 1, 2): v012}
-        )
-        table = unique_completion(partial, [
-            Idempotent(), Symmetric(),
-            RestrictionEquals((0, 1), pair_table(k01, (0, 1))),
-            RestrictionEquals((0, 2), pair_table(k02, (0, 2))),
-        ], name="g")
-        return Algebra(3, [table], label=name)
-    if name == "T4N":
-        return Algebra(3, [OperationTable("t", 2, 3, (0, 0, 0, 0, 1, 0, 0, 0, 2))],
-                       label=name)
-    if name == "T5N":
-        return Algebra(3, [zn_aff(3)], label=name)
-    if name == "T1S":
-        return Algebra(3, [OperationTable("t", 2, 3, (0, 0, 2, 0, 1, 1, 2, 1, 2))],
-                       label=name)
-    if name == "T2S":
-        return Algebra(3, [OperationTable("t", 2, 3, (0, 0, 0, 0, 1, 1, 0, 1, 2))],
-                       label=name)
-    if name == "T1P":
-        return Algebra(3, [_build_t1p()], label=name)
-    if name == "T2P":
-        return Algebra(3, [_build_t2p()], label=name)
-    if name in _CYC3:
-        k01, k12, k02, v1, v2 = _CYC3[name]
-        partial = PartialTable.from_entries("g", 3, 3, {(0, 1, 2): v1, (0, 2, 1): v2})
-        table = unique_completion(partial, [
-            Idempotent(), Cyclic(),
-            RestrictionEquals((0, 1), pair_table(k01, (0, 1))),
-            RestrictionEquals((1, 2), pair_table(k12, (1, 2))),
-            RestrictionEquals((0, 2), pair_table(k02, (0, 2))),
-        ], name="g")
-        return Algebra(3, [table], label=name)
-    if name in _CYC4:
-        pairs, values = _CYC4[name]
-        partial = PartialTable.from_entries("g", 3, 4, values)
-        cons = [Idempotent(), Cyclic()]
-        for subset, kind in sorted(pairs.items()):
-            cons.append(RestrictionEquals(subset, pair_table(kind, subset)))
-        table = unique_completion(partial, cons, name="g")
-        return Algebra(4, [table], label=name)
-    if name == "T4,7":
-        return Algebra(4, [OperationTable("t", 2, 4, _T47_VALUES)], label=name)
-    if name == "T4,14":
-        return Algebra(4, [OperationTable("t", 2, 4, _T414_VALUES)], label=name)
-    if name in _T4_15_18:
-        kind, rest = _T4_15_18[name]
-        full = dict(_T4_15_18_COMMON)
-        for x in range(4):
-            full[(x, x, x)] = x
-        for args in itertools.product((0, 3), repeat=3):
-            if len(set(args)) == 1:
-                continue
-            lone = [v for v in args if args.count(v) == 1][0]
-            twice = [v for v in args if args.count(v) == 2][0]
-            full[args] = twice if kind == "maj" else lone
-        for cell, v in zip(_T4_15_18_REST_CELLS, rest):
-            full[cell] = v
-        vals = tuple(full[a] for a in itertools.product(range(4), repeat=3))
-        return Algebra(4, [OperationTable("g", 3, 4, vals)], label=name)
-    if name == "Z4aff":
-        return Algebra(4, [zn_aff(4)], label=name)
-    if name == "Z2xZ2aff":
-        return Algebra(4, [klein_aff()], label=name)
-    raise UnknownNameError(f"unknown catalog name {name!r}")
+    record = _TABLE.get(name)
+    if record is None:
+        raise UnknownNameError(f"unknown catalog name {name!r}")
+    op = record.build()
+    return Algebra(op.domain, [op], label=name)
 
 
 # ---------------------------------------------------------------------------
@@ -373,98 +394,12 @@ class CatalogEntry:
         return self.algebra.operations[0]
 
 
-_NAMES = (
-    ["S", "M", "Z2aff"]
-    + [f"T{i}N" for i in range(1, 6)]
-    + ["T1S", "T2S", "T1P", "T2P"]
-    + [f"T{i}C" for i in range(1, 16)]
-    + [f"T4,{i}" for i in range(1, 19)]
-    + ["Z4aff", "Z2xZ2aff"]
-)
-
 _ALIASES = {"Z3aff": "T5N"}
 
 
 def names():
     """All catalog names in their fixed order."""
-    return list(_NAMES)
-
-
-def _facts_for(name: str):
-    facts = []
-    if name in _SYM3:
-        k01, k02, *_ = _SYM3[name]
-        facts.append(("restriction", (0, 1), k01))
-        facts.append(("restriction", (0, 2), k02))
-        facts.append(("symmetric",))
-    elif name == "T4N":
-        facts.append(("restriction", (0, 1), "min0"))
-        facts.append(("restriction", (0, 2), "min0"))
-        facts.append(("commutative",))
-    elif name == "T1S":
-        facts += [("restriction", (0, 1), "min0"), ("restriction", (1, 2), "min1"),
-                  ("restriction", (0, 2), "min2"), ("commutative",), ("conservative",)]
-    elif name == "T2S":
-        facts += [("restriction", (0, 1), "min0"), ("restriction", (1, 2), "min1"),
-                  ("restriction", (0, 2), "min0"), ("commutative",), ("conservative",)]
-    elif name == "T1P":
-        facts += [("restriction", p, "maj") for p in ((0, 1), (1, 2), (0, 2))]
-        facts.append(("conservative",))
-    elif name == "T2P":
-        facts += [("restriction", p, "aff") for p in ((0, 1), (1, 2), (0, 2))]
-        facts.append(("conservative",))
-    elif name in _CYC3:
-        k01, k12, k02, *_ = _CYC3[name]
-        facts += [("restriction", (0, 1), k01), ("restriction", (1, 2), k12),
-                  ("restriction", (0, 2), k02), ("cyclic",), ("conservative",)]
-    elif name in _CYC4:
-        pairs, _ = _CYC4[name]
-        for subset, kind in sorted(pairs.items()):
-            facts.append(("restriction", subset, kind))
-        facts.append(("cyclic",))
-    elif name in ("T4,7", "T4,14"):
-        facts.append(("commutative",))
-    elif name in _T4_15_18:
-        kind, _ = _T4_15_18[name]
-        facts.append(("restriction", (0, 3), kind))
-    return tuple(facts)
-
-
-_SOURCES = {
-    "S": "2-element semilattice",
-    "M": "2-element majority algebra",
-    "Z2aff": "affine algebra of Z2",
-    "T4N": "3-element, nonconservative: semilattice below 1 and 2",
-    "T5N": "3-element, nonconservative: affine algebra of Z3",
-    "T1S": "3-element, conservative commutative binary (rock-paper-scissors)",
-    "T2S": "3-element, conservative commutative binary",
-    "T1P": "3-element, conservative, dual discriminator",
-    "T2P": "3-element, conservative, simple nonabelian Mal'cev",
-    "Z4aff": "affine algebra of Z4",
-    "Z2xZ2aff": "affine algebra of Z2 x Z2",
-}
-
-
-def _source_for(name):
-    if name in _SOURCES:
-        return _SOURCES[name]
-    if name in _SYM3:
-        return "3-element, nonconservative symmetric family"
-    if name in _CYC3:
-        return "3-element, conservative cyclic family"
-    if name in _CYC4:
-        return "4-element 2-generated, cyclic operation"
-    if name in ("T4,7", "T4,14"):
-        return "4-element 2-generated, commutative binary operation"
-    if name in _T4_15_18:
-        return "4-element 2-generated, three-class affine quotient"
-    return ""
-
-
-def _letter_map_for(name):
-    if name in _T4_15_18 or name in ("T4,13", "T4,14"):
-        return dict(LETTER_MAP)
-    return None
+    return list(_TABLE)
 
 
 _cache: dict = {}
@@ -480,8 +415,6 @@ def get(name: str) -> CatalogEntry:
     name = _ALIASES.get(name, name)
     if name in _cache:
         return _cache[name]
-    if name not in _NAMES:
-        raise UnknownNameError(f"unknown catalog name {name!r}")
     alg = build_algebra(name)
     try:
         golden = parse_algebra(_golden_text(name), label=name)
@@ -495,15 +428,24 @@ def get(name: str) -> CatalogEntry:
         )
     if not alg.is_idempotent():
         raise CatalogIntegrityError(f"{name}: operation not idempotent")
+    record = _TABLE[name]
     entry = CatalogEntry(
         name=name,
         algebra=alg,
-        source=_source_for(name),
-        letter_map=_letter_map_for(name),
-        facts=_facts_for(name),
+        source=record.source,
+        letter_map=dict(LETTER_MAP) if record.letters else None,
+        facts=record.facts,
     )
     _cache[name] = entry
     return entry
+
+
+_PROPERTIES = {
+    "cyclic": is_cyclic,
+    "symmetric": is_symmetric,
+    "commutative": is_commutative,
+    "conservative": is_conservative,
+}
 
 
 def check_facts(entry: CatalogEntry):
@@ -522,18 +464,9 @@ def check_facts(entry: CatalogEntry):
                 continue
             if got.values != want.values:
                 failures.append(f"{entry.name}: restriction to {subset} is not {label}")
-        elif kind == "cyclic":
-            if not is_cyclic(op):
-                failures.append(f"{entry.name}: operation not cyclic")
-        elif kind == "symmetric":
-            if not is_symmetric(op):
-                failures.append(f"{entry.name}: operation not symmetric")
-        elif kind == "commutative":
-            if not is_commutative(op):
-                failures.append(f"{entry.name}: operation not commutative")
-        elif kind == "conservative":
-            if not is_conservative(op):
-                failures.append(f"{entry.name}: operation not conservative")
+        elif kind in _PROPERTIES:
+            if not _PROPERTIES[kind](op):
+                failures.append(f"{entry.name}: operation not {kind}")
         else:
             failures.append(f"{entry.name}: unknown fact {fact!r}")
     return failures

@@ -96,10 +96,14 @@ def parse_certificate(text: str) -> Certificate:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "algebra":
+            if name is not None:
+                raise ParseError(f"second algebra header (the first names {name})", ln)
+            if len(rest.split()) != 1:
+                raise ParseError(f"algebra header needs one name, got {rest!r}", ln)
             name = rest
             continue
         if name is None:
-            raise AlgebraError(f"assertion before algebra header (line {ln})")
+            raise ParseError("assertion before algebra header", ln)
         if head not in _KINDS:
             raise ParseError(f"unknown assertion {head!r}", ln)
         try:

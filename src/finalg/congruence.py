@@ -165,10 +165,8 @@ def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
     (`core.translation_cells`), zipped pairwise into the union-find, which
     supplies the reflexive-symmetric-transitive closure.
     """
+    alg.check_elements(a, b)
     n = alg.domain
-    for x in (a, b):
-        if not 0 <= x < n:
-            raise AlgebraError(f"element {x} out of range for domain {n}")
     uf = UnionFind(n)
     work = [(a, b)] if uf.union(a, b) else []
     while work:

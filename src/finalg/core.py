@@ -330,6 +330,12 @@ class Algebra:
     def signature(self):
         return tuple((o.name, o.arity) for o in self.operations)
 
+    def check_elements(self, *xs):
+        """AlgebraError naming the first x that is not an element."""
+        for x in xs:
+            if not 0 <= x < self.domain:
+                raise AlgebraError(f"element {x} out of range for domain {self.domain}")
+
     def restrict(self, subset, label=None) -> "Algebra":
         """Subalgebra on a closed subset, relabeled by ascending original element."""
         return Algebra(

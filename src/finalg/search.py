@@ -481,6 +481,12 @@ def unique_completion(partial: PartialTable, constraints, name=None) -> Operatio
     return res.tables[0]
 
 
+# the whole-table constraints by name: the directives of a search spec that
+# take no arguments
+LAWS = {"idempotent": Idempotent, "cyclic": Cyclic, "symmetric": Symmetric,
+        "commutative": Commutative}
+
+
 def parse_constraint_file(text: str):
     """Line-oriented search spec.
 
@@ -501,23 +507,21 @@ def parse_constraint_file(text: str):
         rest = rest.strip()
         try:
             if head in ("domain", "arity", "cap"):
+                if head in sizes:
+                    raise ParseError(f"repeated {head} directive", ln)
                 sizes[head] = int(rest)
                 if sizes[head] < 1:
                     raise ParseError(f"{head} must be at least 1, got {sizes[head]}", ln)
-            elif head == "idempotent":
-                constraints.append(Idempotent())
-            elif head == "cyclic":
-                constraints.append(Cyclic())
-            elif head == "symmetric":
-                constraints.append(Symmetric())
-            elif head == "commutative":
-                constraints.append(Commutative())
+            elif head in LAWS:
+                if rest:
+                    raise ParseError(f"{head} takes no arguments, got {rest!r}", ln)
+                constraints.append(LAWS[head]())
             elif head in ("partition", "restrict", "value", "perm", "preserves"):
                 pending.append((head, rest, ln))
             else:
-                raise AlgebraError(f"unknown directive {head!r} (line {ln})")
+                raise ParseError(f"unknown directive {head!r}", ln)
         except ValueError:
-            raise AlgebraError(f"bad integer in directive (line {ln})") from None
+            raise ParseError("bad integer in directive", ln) from None
     domain, arity, cap = (sizes.get(k) for k in ("domain", "arity", "cap"))
     if domain is None or arity is None:
         raise AlgebraError("constraint file must declare domain and arity")

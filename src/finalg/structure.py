@@ -148,6 +148,7 @@ def semilattice_edge(alg: Algebra, a: int, b: int, max_steps=None):
     Equivalently (b,b) lies in Sg{(a,b),(b,a)} inside A^2.  Returns
     (True, witness term) / (False, None) / (None, None) on truncation.
     """
+    alg.check_elements(a, b)
     if a == b:
         raise AlgebraError("semilattice_edge requires a != b")
     return find_term(alg, 2, [(a, b), (b, a)], (b, b), max_steps=max_steps)
@@ -298,6 +299,7 @@ def edge_records(alg: Algebra, a: int, b: int, max_steps=None):
     quotient the tests run in the order semilattice (a -> b, then b -> a),
     majority, affine.  Each test's answer does not depend on the order.
     """
+    alg.check_elements(a, b)
     if a == b:
         raise AlgebraError("edge_records requires a != b")
     universe = sg_closure(alg, (a, b))

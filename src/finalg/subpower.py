@@ -845,6 +845,7 @@ class RabReport:
 
 def rab_analyze(base: Algebra, a: int, b: int, max_steps=None) -> RabReport:
     """Classify R_ab = Sg{(a,b),(b,a)} and report its diagonal and links."""
+    base.check_elements(a, b)
     if a == b:
         raise AlgebraError("rab_analyze requires a != b")
     rel = term_closure(base, 2, [(a, b), (b, a)], max_steps=max_steps)

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -314,3 +316,14 @@ def test_subdirect_irreducibility_of_the_rest(alg):
             for c1, c2 in itertools.combinations(congs, 2)
         )
         assert decomposes == (name in reducible), name
+
+
+def test_entry_metadata_matches_the_recorded_values():
+    # (looked-up name, name, source, letter map, facts) of every entry and
+    # of the alias, in catalog order; a dropped, added or reordered fact
+    # shows here even where check_facts still passes
+    path = pathlib.Path(__file__).parent / "data" / "catalog_entries.json"
+    want = json.loads(path.read_text())
+    got = [[key, e.name, e.source, e.letter_map, e.facts]
+           for key in catalog.names() + ["Z3aff"] for e in [catalog.get(key)]]
+    assert json.loads(json.dumps(got)) == want

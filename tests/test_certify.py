@@ -45,6 +45,18 @@ def test_parse_rejects_garbage():
                  "term-equiv S T1N"):
         with pytest.raises(ParseError, match=r"\(line 2\)"):
             certify.parse_certificate(f"algebra S\n{line}\n")
+    # one header of one word, before any assertion
+    for text, why in (
+        ("algebra T4,1\nsimple false\nalgebra S\nsimple false\n",
+         "second algebra header (the first names T4,1) (line 3)"),
+        ("algebra\nsimple false\n", "algebra header needs one name, got '' (line 1)"),
+        ("algebra S T1N\nsimple false\n",
+         "algebra header needs one name, got 'S T1N' (line 1)"),
+        ("simple true\nalgebra S\n", "assertion before algebra header (line 1)"),
+    ):
+        with pytest.raises(ParseError) as info:
+            certify.parse_certificate(text)
+        assert str(info.value) == why
 
 
 def test_t410_certificate_passes():

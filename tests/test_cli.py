@@ -241,6 +241,39 @@ def test_search_spec_errors_name_the_line(capsys, tmp_path):
         assert err == f"error: malformed {head} directive {rest!r}: {why} (line 3)\n"
 
 
+def test_search_spec_repeats_and_stray_text_name_the_line(capsys, tmp_path):
+    from finalg.core import ParseError
+    from finalg.search import parse_constraint_file
+
+    spec = tmp_path / "strict.spec"
+    cases = [("domain 3\narity 2\ndomain 2", "repeated domain directive", 3),
+             ("domain 3\narity 2\narity 3", "repeated arity directive", 3),
+             ("domain 3\ncap 4\narity 2\ncap 5", "repeated cap directive", 4),
+             ("domain 3\narity 2\nfrobnicate 1", "unknown directive 'frobnicate'", 3),
+             ("domain x\narity 2", "bad integer in directive", 1)]
+    cases += [(f"domain 3\narity 2\n{law} extra", f"{law} takes no arguments, got 'extra'", 3)
+              for law in ("idempotent", "cyclic", "symmetric", "commutative")]
+    for text, why, line in cases:
+        spec.write_text(f"{text}\n")
+        code, out, err = run(["search", "--spec", str(spec)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {why} (line {line})\n"
+        with pytest.raises(ParseError) as info:
+            parse_constraint_file(text)
+        assert info.value.line == line
+
+
+def test_pair_arguments_out_of_range_name_the_element(capsys):
+    for argv, bad in ((["edges", "@S", "--pair", "0", "9"], 9),
+                      (["edges", "@S", "--pair", "9", "9"], 9),
+                      (["rab", "@S", "0", "7"], 7),
+                      (["rab", "@T4,10", "4", "0"], 4)):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        domain = 4 if "@T4,10" in argv else 2
+        assert err == f"error: element {bad} out of range for domain {domain}\n"
+
+
 def test_search_spec_cap_below_one_is_an_error(capsys, tmp_path):
     spec = tmp_path / "cap.spec"
     for cap in ("0", "-1"):

@@ -5,7 +5,7 @@ import pytest
 
 from finalg.congruence import all_congruences
 from finalg.core import Algebra, AlgebraError, OperationTable, UnionFind, product, projection
-from finalg.subpower import eval_term, free_algebra, sg_closure
+from finalg.subpower import eval_term, free_algebra, rab_analyze, sg_closure
 from finalg.structure import (
     NotIdempotentError,
     absorbs,
@@ -14,6 +14,7 @@ from finalg.structure import (
     clone_excluded,
     decide_clone_membership,
     dominant_coordinate,
+    edge_records,
     has_malcev_term,
     is_taylor,
     naive_absorbs,
@@ -55,6 +56,13 @@ def test_absorbs_decomposition_shortcut(alg):
     res = absorbs(alg("T6C"), (0, 1), 3)
     assert res.holds is False
     assert res.reason is not None
+
+
+def test_pair_elements_are_checked_first(alg):
+    for call in (semilattice_edge, lambda *args: list(edge_records(*args)), rab_analyze):
+        for x, y, bad in ((0, 9, 9), (9, 9, 9), (-1, 0, -1)):
+            with pytest.raises(AlgebraError, match=f"^element {bad} out of range for domain 2$"):
+                call(alg("S"), x, y)
 
 
 def test_semilattice_edges_t4n(alg):
