@@ -18,6 +18,7 @@ import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
+from operator import itemgetter
 from types import MappingProxyType
 
 from .core import (
@@ -524,22 +525,35 @@ def invariant_fingerprint(alg: Algebra):
 
     Its closures never take the caller's budget, since the result is
     memoized by the operation tables alone (`memo.per_algebra`): Clo_2 runs
-    under the fixed _FP_BUDGET and the semilattice tests (in A^2) under
-    none.  Every call returns the one stored, read-only mapping."""
-    n = alg.domain
-    fp = {
+    under the fixed _FP_BUDGET, and the semilattice edges are read off it
+    (`_semilattice_edges`), so a semilattice test runs its own closure (in
+    A^2, under no budget) only for a pair that a cut-short Clo_2 does not
+    witness.  Every call returns the one stored, read-only mapping."""
+    f2 = free_algebra(alg, 2, max_steps=_FP_BUDGET)
+    return MappingProxyType({
         "subuniverses": frozenset(all_subuniverses(alg)),
         "congruences": frozenset(p.blocks for p in all_congruences(alg)),
-        "semilattice_edges": frozenset(
-            (x, y)
-            for x in range(n)
-            for y in range(n)
-            if x != y and semilattice_edge(alg, x, y)[0] is True
-        ),
-    }
-    f2 = free_algebra(alg, 2, max_steps=_FP_BUDGET)
-    fp["clo2"] = None if f2.truncated else frozenset(f2.tuples())
-    return MappingProxyType(fp)
+        "semilattice_edges": _semilattice_edges(alg, f2),
+        "clo2": None if f2.truncated else frozenset(f2.tuples()),
+    })
+
+
+def _semilattice_edges(alg: Algebra, f2):
+    """The pairs (x, y), x != y, with a binary term t(x,y) = t(y,x) = y.
+
+    Every element of the closure `f2` of the two projections is the table of
+    a binary term, so one whose cells (x,y) and (y,x) both hold y witnesses
+    the edge.  A complete f2 is all of Clo_2, and a pair it does not witness
+    is no edge; only a cut-short f2 leaves an unwitnessed pair to
+    `semilattice_edge`."""
+    n = alg.domain
+    edges = set()
+    for x, y in itertools.combinations(range(n), 2):
+        seen = set(map(itemgetter(x * n + y, y * n + x), f2.elements))
+        for a, b in ((x, y), (y, x)):
+            if (b, b) in seen or (f2.truncated and semilattice_edge(alg, a, b)[0] is True):
+                edges.add((a, b))
+    return frozenset(edges)
 
 
 # the fingerprint store under its own name: perfbench reads its size

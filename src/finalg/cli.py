@@ -264,8 +264,7 @@ def cmd_catalog(args):
             print(name)
         return EXIT_OK
     if args.name is None:
-        print("catalog show/export need a NAME", file=sys.stderr)
-        return EXIT_USAGE
+        raise AlgebraError("catalog show/export need a NAME")
     entry = catalog.get(args.name)
     if args.action == "export":
         sys.stdout.write(serialize_algebra(entry.algebra))

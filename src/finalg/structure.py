@@ -93,9 +93,14 @@ def absorbs(alg: Algebra, subset, n: int, max_steps=None) -> AbsorptionResult:
     its own: a quotient of A/theta is A over a coarser congruence, which
     the same pass visits.  Every closure runs under `max_steps`.
     """
-    subset = tuple(sorted(set(subset)))
-    if not subset or not set(subset) <= set(range(alg.domain)):
-        raise AlgebraError(f"bad subset {subset}")
+    subset = tuple(subset)
+    alg.check_elements(*subset)
+    if not subset:
+        raise AlgebraError("absorption needs a nonempty subset")
+    for i, x in enumerate(subset):
+        if x in subset[:i]:
+            raise AlgebraError(f"element {x} repeated in subset")
+    subset = tuple(sorted(subset))
     if n < 2:
         raise AlgebraError(f"absorption arity must be >= 2, got {n}")
     closed = all(is_closed(op, subset) for op in alg.operations)

@@ -8,7 +8,7 @@ import pytest
 from finalg.core import (Algebra, AlgebraError, OperationTable, is_malcev, parse_algebra,
                          product, serialize_algebra)
 from finalg.congruence import Partition, all_congruences
-from finalg import catalog
+from finalg import catalog, structure
 
 
 def test_names_fixed_order_and_count():
@@ -150,6 +150,60 @@ def test_renamed_copy_hits_the_fingerprint_cache(alg, monkeypatch):
     monkeypatch.setattr(catalog, "all_subuniverses", recompute)
     monkeypatch.setattr(catalog, "free_algebra", recompute)
     assert catalog.invariant_fingerprint(renamed) is fp
+
+
+@pytest.fixture
+def fresh_fingerprints():
+    """An empty fingerprint store during the test, and again after it, so
+    that no fingerprint made under a patched budget outlives the test."""
+    catalog._fp_cache.clear()
+    yield
+    catalog._fp_cache.clear()
+
+
+# an idempotent binary operation on 3 elements whose edge 0->1 no element
+# of Clo_2's first step witnesses, only a longer term
+_DEEP_EDGE = Algebra(3, (OperationTable("t", 2, 3, (0, 2, 2, 1, 1, 2, 0, 1, 2)),))
+
+
+def every_entry_and_a_relabeling(extra=()):
+    named = [(name, catalog.get(name).algebra) for name in catalog.names() + ["Z3aff"]]
+    for name, a in named + list(extra):
+        yield name, a
+        yield f"{name} reversed", catalog.transport(a, tuple(reversed(range(a.domain))))
+
+
+def closure_edges(a):
+    """The semilattice edges, one A^2 closure per ordered pair."""
+    return {(x, y) for x, y in itertools.permutations(range(a.domain), 2)
+            if structure.semilattice_edge(a, x, y)[0] is True}
+
+
+def test_fingerprint_edges_are_the_semilattice_edges(fresh_fingerprints):
+    for label, a in every_entry_and_a_relabeling():
+        fp = catalog.invariant_fingerprint(a)
+        assert fp["clo2"] is not None, label
+        assert fp["semilattice_edges"] == closure_edges(a), label
+
+
+def test_a_cut_short_clo2_falls_back_to_the_edge_closures(fresh_fingerprints, monkeypatch):
+    # at 1 step every Clo_2 closure here stops early: most edges are
+    # witnessed by that prefix, and _DEEP_EDGE's 0->1 only by its own closure
+    monkeypatch.setattr(catalog, "_FP_BUDGET", 1)
+    for label, a in every_entry_and_a_relabeling([("deep edge", _DEEP_EDGE)]):
+        fp = catalog.invariant_fingerprint(a)
+        assert fp["clo2"] is None, label
+        assert fp["semilattice_edges"] == closure_edges(a), label
+    assert (0, 1) in catalog.invariant_fingerprint(_DEEP_EDGE)["semilattice_edges"]
+
+
+def test_a_complete_clo2_runs_no_edge_closure(fresh_fingerprints, monkeypatch):
+    def closure(*args, **kwargs):
+        raise AssertionError("semilattice_edge called")
+
+    monkeypatch.setattr(catalog, "semilattice_edge", closure)
+    for label, a in every_entry_and_a_relabeling():
+        assert catalog.invariant_fingerprint(a)["clo2"] is not None, label
 
 
 def lexicographic_scan(a, b):

@@ -139,8 +139,13 @@ def test_catalog_show_and_export(capsys):
 def test_usage_errors(capsys):
     code, _, _ = run(["frobnicate"], capsys)
     assert code == 2
-    code, _, _ = run(["catalog", "show"], capsys)
-    assert code == 2
+
+
+@pytest.mark.parametrize("action", ["show", "export"])
+def test_catalog_show_and_export_need_a_name(capsys, action):
+    code, out, err = run(["catalog", action], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: catalog show/export need a NAME\n"
 
 
 def test_missing_file_reports_failure(capsys):
@@ -354,6 +359,18 @@ def test_absorb_bad_subset_text_is_an_error(capsys):
         code, out, err = run(["absorb", "@S", "--subset", text, "--arity", "2"], capsys)
         assert code == 2 and out == ""
         assert err == f"error: bad subset {text!r}: expected integers like 0,2\n"
+
+
+@pytest.mark.parametrize("subset, message", [
+    ("0,7", "element 7 out of range for domain 2"),
+    ("-1", "element -1 out of range for domain 2"),
+    ("0,0", "element 0 repeated in subset"),
+    ("1,0,1", "element 1 repeated in subset"),
+])
+def test_absorb_subset_outside_the_domain_or_repeated_is_an_error(capsys, subset, message):
+    code, out, err = run(["absorb", "@S", "--subset", subset, "--arity", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_verify_unknown_suite_is_a_usage_error(capsys):
