@@ -118,8 +118,12 @@ def parse_certificate(text: str) -> Certificate:
 
 # -- parse handlers: the text after the kind name -> the argument tuple
 
-def _parse_tuple(text):
-    return tuple(int(t) for t in text.split(","))
+def _parse_tuple(text, length=None):
+    """Comma-separated integers, exactly `length` of them unless None."""
+    tup = tuple(int(t) for t in text.split(","))
+    if length is not None and len(tup) != length:
+        raise ValueError(f"expected {length} integers, got {text!r}")
+    return tup
 
 
 def _choice(values: dict):
@@ -144,12 +148,17 @@ def _fields(*convert):
     return parse
 
 
+def _parse_count(word):
+    if int(word) < 0:
+        raise ValueError(f"expected a count of at least 0, got {word}")
+    return int(word)
+
+
 def _parse_edge(rest):
     """`a,b KIND [witness={..}{..}]`; the witness blocks become a tuple."""
     pair_text, kind, *extra = rest.split()
-    pair = _parse_tuple(pair_text)
-    if len(pair) != 2:
-        raise ValueError(f"expected a pair, got {pair_text!r}")
+    pair = _parse_tuple(pair_text, 2)
+    kind = _choice({k: k for k in _structure.EDGE_KINDS})(kind)
     blocks = None
     for text in extra:
         key, _, value = text.partition("=")
@@ -183,7 +192,7 @@ def _parse_unique_op(rest):
 
 
 def _parse_optional_pair(rest):
-    return (_parse_tuple(rest) if rest else None,)
+    return (_parse_tuple(rest, 2) if rest else None,)
 
 
 # -- check handlers: (alg, args, max_steps) -> (status, detail, witnesses)
@@ -291,7 +300,9 @@ def _check_unique_op(alg, args, max_steps):
 
 
 def _check_two_generated(alg, args, max_steps):
-    got, want = _structure.two_generated(alg), args[0]
+    want = args[0]
+    alg.check_elements(*(want or ()))
+    got = _structure.two_generated(alg)
     if got is None:
         return "fail", "no generating pair", ()
     if want not in (None, got):
@@ -373,7 +384,7 @@ _KINDS = {
     "simple": (_fields(_parse_bool), _check_simple),
     "term-equiv": (_fields(str), _check_term_equiv),
     "subdirect": (_fields(str, str, str, str), _check_subdirect),
-    "cyclic-count": (_fields(int, _choice({"==": "==", ">=": ">="}), int),
+    "cyclic-count": (_fields(int, _choice({"==": "==", ">=": ">="}), _parse_count),
                      _check_cyclic_count),
     "taylor": (_fields(_parse_bool), _check_taylor),
 }

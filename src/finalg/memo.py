@@ -1,12 +1,12 @@
-"""Process-lifetime memos for closures and per-algebra invariants.
+"""Process-lifetime memos for per-algebra invariants.
 
 Keys are built from operation tables only: the domain, then (arity, values)
 of each operation in declaration order.  Names and labels are left out, so
 an algebra and a renamed copy of it share entries; whatever a memoized
 result reports by name is rebuilt on the caller's algebra.  Nothing is
 written to disk: a memo lives exactly as long as the process.
-Per-algebra invariants are memoized by one decorator, `per_algebra`; the
-closures of `subpower.generate` have their own memo, weighed by elements.
+Per-algebra invariants are memoized by one decorator, `per_algebra`, the
+one cache of the package: `subpower` keeps no closure between calls.
 """
 
 from __future__ import annotations
@@ -46,15 +46,12 @@ def per_algebra(fn):
 
 
 class Memo:
-    """Map bounded by the total weight of its values; least recently used
-    entries are evicted first, and a value heavier than the limit is never
-    stored.  Safe to share between threads."""
+    """Map of at most `limit` entries; least recently used entries are
+    evicted first.  Safe to share between threads."""
 
-    def __init__(self, limit: int, weight=lambda value: 1):
+    def __init__(self, limit: int):
         self.limit = limit
-        self.weight = weight
-        self.entries = {}  # key -> (value, weight), least recently used first
-        self.total = 0
+        self.entries = {}  # key -> value, least recently used first
         self.lock = threading.Lock()
 
     def __len__(self):
@@ -62,27 +59,18 @@ class Memo:
 
     def get(self, key):
         with self.lock:
-            hit = self.entries.pop(key, None)
-            if hit is None:
-                return None
-            self.entries[key] = hit
-            return hit[0]
+            value = self.entries.pop(key, None)
+            if value is not None:
+                self.entries[key] = value
+            return value
 
     def put(self, key, value):
-        w = self.weight(value)
-        if w > self.limit:
-            return
         with self.lock:
-            old = self.entries.pop(key, None)
-            if old is not None:
-                self.total -= old[1]
-            while self.entries and self.total + w > self.limit:
-                oldest = next(iter(self.entries))
-                self.total -= self.entries.pop(oldest)[1]
-            self.entries[key] = (value, w)
-            self.total += w
+            self.entries.pop(key, None)
+            while self.entries and len(self.entries) >= self.limit:
+                del self.entries[next(iter(self.entries))]
+            self.entries[key] = value
 
     def clear(self):
         with self.lock:
             self.entries.clear()
-            self.total = 0

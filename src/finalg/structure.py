@@ -15,7 +15,8 @@ a proper subuniverse, or its image in a proper quotient, does not absorb
 there (`absorbs`).  A table is not a term operation if it breaks a
 subuniverse or a congruence, or restricts outside the (small) clone of a
 two-element subalgebra or quotient (`clone_excluded`, the first stage of
-`decide_clone_membership`, the one clone decision).  A local stage only
+`decide_clone_membership`, the one clone decision; the affine edge test
+reads the tables it keeps off one shared Clo_3).  A local stage only
 ever certifies "no", and names itself; "yes" always comes from an explicit
 witness.
 """
@@ -38,6 +39,7 @@ from .subpower import (
     PROBE,
     Decision,
     TermTree,
+    check_cells,
     clone_membership,
     decide_term,
     find_term,
@@ -103,6 +105,7 @@ def absorbs(alg: Algebra, subset, n: int, max_steps=None) -> AbsorptionResult:
     subset = tuple(sorted(subset))
     if n < 2:
         raise AlgebraError(f"absorption arity must be >= 2, got {n}")
+    check_cells(alg.domain, n, "absorption")
     closed = all(is_closed(op, subset) for op in alg.operations)
 
     if subset == tuple(range(alg.domain)):
@@ -159,11 +162,16 @@ def semilattice_edge(alg: Algebra, a: int, b: int, max_steps=None):
     return find_term(alg, 2, [(a, b), (b, a)], (b, b), max_steps=max_steps)
 
 
+# the kinds an EdgeRecord carries
+EDGE_KINDS = ("semilattice", "weak-semilattice", "majority", "weak-majority",
+              "strong-affine", "affine", "weak-affine")
+
+
 @dataclass
 class EdgeRecord:
     a: int
     b: int
-    kind: str  # semilattice | weak-semilattice | (weak-)majority | (weak-/strong-)affine
+    kind: str  # one of EDGE_KINDS
     directed: bool  # semilattice kinds point a -> b
     witness_blocks: tuple  # witnessing congruence as blocks of Sg{a,b}, original labels
     term: TermTree | None
@@ -340,21 +348,26 @@ def edge_records(alg: Algebra, a: int, b: int, max_steps=None):
         elif found is None:
             yield None
 
-        # affine: x-y+z of some abelian group structure is a quotient term
+        # affine: x-y+z of some abelian group structure is a quotient term.
+        # Each table `clone_excluded` keeps is looked up in one Clo_3, whose
+        # order depends on neither targets nor budget
         if quo.domain > 5:
             yield None
             continue
+        clo3 = None
         for _, _, table in affine_xyz_tables(quo.domain):
-            d = decide_clone_membership(quo, table, max_steps=max_steps)
-            if d.holds:
-                if not _upgraded(alg, universe, theta, maximal, qa, qb):
-                    kind = "weak-affine"
-                else:
-                    kind = "strong-affine" if theta.is_identity() else "affine"
+            if clone_excluded(quo, table, max_steps=max_steps):
+                continue
+            if clo3 is None:
+                clo3 = free_algebra(quo, 3, targets=[table.values], max_steps=max_steps)
+            found = clo3.contains(table.values)
+            if found:
+                kind = ("weak-affine" if not _upgraded(alg, universe, theta, maximal, qa, qb)
+                        else "strong-affine" if theta.is_identity() else "affine")
                 yield EdgeRecord(a, b, kind, False, orig_blocks,
-                                 d.closure.witness_term(table.values), xyz=table)
+                                 clo3.witness_term(table.values), xyz=table)
                 break
-            if d.holds is None:
+            if found is None:
                 yield None
 
 

@@ -63,24 +63,31 @@ elements per lane width, per row one row; nothing is replicated per
 element.  Wide lanes are built only for a closure with an operation that
 needs them.  The kernel counts the applications it makes, per completed
 row, the same way for every operation (`GeneratedSet.applications`); the
-step budget (`max_steps`) and the closure memo both read that count.
+step budget (`max_steps`) reads that count.  No closure is kept between
+calls; a caller that needs several answers from one closure reads them off
+it (see `structure.edge_records`).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import struct
 from dataclasses import dataclass, field
 
 from .core import (Algebra, AlgebraError, OperationTable, UnionFind, is_cyclic, is_symmetric,
                    rotation_permutation)
-from .memo import Memo, table_key
 
 # The element ceiling of every closure `generate` runs: a guard on memory,
 # not a work budget.  A closure that meets it stops with reason "cap".
 MAX_ELEMENTS = 5_000_000
+
+# The most argument cells n**k a k-ary question over n elements may list (a
+# free algebra, a cyclic term search, an absorption test; `check_cells`): a
+# guard on memory.  Clo_3 of a 9-element algebra has 729 cells.
+MAX_CELLS = 65_536
 
 
 @dataclass(frozen=True)
@@ -169,7 +176,7 @@ class GeneratedSet:
     generators: list = field(default_factory=list)  # bytes
     truncated: bool = False
     stop_reason: str | None = None  # "steps" | "cap" | "targets" | "region" | "predicate"
-    applications: int = 0  # made by the kernel in completed rows; 0 if served from the memo
+    applications: int = 0  # made by the kernel in completed rows, as `max_steps` counts
 
     def __len__(self):
         return len(self.elements)
@@ -221,18 +228,18 @@ class GeneratedSet:
         return "\n".join(lines) + "\n"
 
 
-# Closures that reached their fixpoint after at least _MEMO_MIN_STEPS
-# operation applications, keyed by operation tables, exponent and generator
-# list; at most _MEMO_MAX_ELEMENTS elements are kept over all entries.
-_MEMO_MIN_STEPS = 10_000
-_MEMO_MAX_ELEMENTS = 50_000
-_closures = Memo(limit=_MEMO_MAX_ELEMENTS, weight=lambda entry: len(entry[0]))
-
-
 def check_budget(max_steps):
     """Reject a work budget below 1 (None means unbounded)."""
     if max_steps is not None and max_steps < 1:
         raise AlgebraError(f"max_steps must be at least 1, got {max_steps}")
+
+
+def check_cells(n: int, k: int, what: str):
+    """Reject a k-ary question over n elements with more than MAX_CELLS
+    argument cells, before any of them is listed."""
+    if n**k > MAX_CELLS:
+        raise AlgebraError(f"{what} arity {k} gives {n}**{k} argument cells, "
+                           f"above the {MAX_CELLS} limit")
 
 
 def generate(
@@ -257,37 +264,15 @@ def generate(
         truncation points are reproducible.  The stop reason is "steps".
 
     Every closure also stops at MAX_ELEMENTS elements, with reason "cap".
-
-    Complete closures of at least _MEMO_MIN_STEPS applications are memoized
-    (see `_closures`).  A later call with the same tables, exponent and
-    generators is served from the memo when `max_steps` is unset or above
-    the applications the kernel counted, so a fresh run would finish; the
-    closure order is canonical, so an early exit is a prefix of the stored
-    order, and the answer is the one a fresh run gives.
+    Each call runs its own closure: nothing is kept between calls, so the
+    answer never depends on what ran earlier in the process.
     """
     check_budget(max_steps)
     gen_list = _generator_bytes(base, m, generators)
     if targets is not None:
         targets = [_checked_bytes(t, base.domain, "target") for t in targets]
-    stop_for = _stop_test(targets, region, stop_predicate)
-    key = (table_key(base), m, tuple(gen_list))
-    hit = _served(key, max_steps)
-    if hit is not None:
-        elements, witnesses, _steps = hit
-        return _replay(base, m, gen_list, elements, witnesses, stop_for)
-    gset = _closure(base, m, gen_list, MAX_ELEMENTS, stop_for, max_steps)
-    if not gset.truncated and gset.applications >= _MEMO_MIN_STEPS:
-        _closures.put(key, (tuple(gset.elements), tuple(gset.witnesses), gset.applications))
-    return gset
-
-
-def _served(key, max_steps: int | None):
-    """The memoized complete closure under `key` if this budget would let a
-    fresh run finish, else None."""
-    hit = _closures.get(key)
-    if hit is not None and (max_steps is None or max_steps > hit[2]):
-        return hit
-    return None
+    return _closure(base, m, gen_list, MAX_ELEMENTS,
+                    _stop_test(targets, region, stop_predicate), max_steps)
 
 
 def _generator_bytes(base: Algebra, m: int, generators) -> list:
@@ -354,32 +339,8 @@ def _orbit_kind(n: int, k: int, values: tuple):
     return "cyclic" if k == 3 else None
 
 
-def _replay(base, m, gen_list, elements, witnesses, stop_for) -> GeneratedSet:
-    """A memoized complete closure, cut where a fresh run's early exit stops.
-
-    The stop test meets the same elements in the same order as in
-    `_closure`: the distinct generators until one stops, then each later
-    element."""
-    stop = None
-    count = len(elements)
-    ngens = len(set(gen_list))  # the first ngens elements
-    for i, e in enumerate(elements):
-        stop = stop_for(e)
-        if stop:
-            count = max(i + 1, ngens)
-            break
-    gset = GeneratedSet(base=base, exponent=m, generators=list(gen_list))
-    gset.elements = list(elements[:count])
-    gset.witnesses = list(witnesses[:count])
-    gset.position = dict(zip(gset.elements, range(count)))
-    if stop:
-        gset.truncated = True
-        gset.stop_reason = stop
-    return gset
-
-
 def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
-    """The breadth-first closure itself (no memo); see `generate`.  At most
+    """The breadth-first closure itself; see `generate`.  At most
     `cap` elements are kept: the stop reason is "cap" once a further one
     turns up."""
     gset = GeneratedSet(base=base, exponent=m, generators=list(gen_list))
@@ -513,12 +474,19 @@ _ROW_MIN = 8
 # the plain walk's.
 _ORBIT_MIN = 32
 
+# The walk keeps one map of the n^k cells per non-identity permutation of
+# the k variables; a Clo_k whose maps would hold more indices than this runs
+# the plain walk (the same elements, in the plain order).  At n = 3, k = 10,
+# within MAX_CELLS, the maps would take 3,628,799 x 59,049 indices.
+_ORBIT_MAX_INDICES = 1 << 20
+
 
 def _variable_orbit(base: Algebra, m: int, gen_list: list):
     """The variable permutations of a closure the orbit walk serves: when
-    `gen_list` is the k projections of A^(n^k), k >= 2, n >= 2, and some
-    operation has arity at least 3, one coordinate map (bytes -> tuple of
-    values) per non-identity permutation of the k variables; else None.
+    `gen_list` is the k projections of A^(n^k), k >= 2, n >= 2, some
+    operation has arity at least 3 and k! * n^k is at most
+    _ORBIT_MAX_INDICES, one coordinate map (bytes -> tuple of values) per
+    non-identity permutation of the k variables; else None.
 
     Where every operation is at most binary, a row costs less than the
     images it would spare: T4,14 (one binary operation) answers
@@ -526,6 +494,8 @@ def _variable_orbit(base: Algebra, m: int, gen_list: list):
     its 1,000-step probe then admits most of its elements as images."""
     n, k = base.domain, len(gen_list)
     if k < 2 or n < 2 or n**k != m or all(op.arity < 3 for op in base.operations):
+        return None
+    if math.factorial(k) * m > _ORBIT_MAX_INDICES:
         return None
     if gen_list != list(_projections(n, k)):
         return None
@@ -660,6 +630,7 @@ def free_algebra(base: Algebra, k: int, **kw) -> GeneratedSet:
     """
     if k < 1:
         raise AlgebraError(f"free_algebra arity must be >= 1, got {k}")
+    check_cells(base.domain, k, "free_algebra")
     return term_closure(base, k, itertools.product(range(base.domain), repeat=k), **kw)
 
 
@@ -709,39 +680,23 @@ def decide_term(base: Algebra, k: int, cells, stages, max_steps=None, **exits) -
     the closure order does not depend on the budget, so unless it stops on
     that budget its answer is the full closure's.  If no stage decides, the
     global closure under `max_steps` does (stage "closure"), unless the
-    probe had that budget.  A complete closure in the memo that this
-    budget would let finish answers a "yes" at once (no sound stage can
-    deny it) and a "no" at PROBE or at the end: the stages before PROBE
-    run first, as they would in a fresh process, so a "no" from a stage
-    listed before PROBE does not depend on what ran earlier.  A stage after
-    PROBE is not reached then: where a fresh process would name it, the
-    memoized closure answers the same "no" as "closure".
+    probe had that budget.  Every closure runs afresh, so the deciding
+    stage depends only on the question and the budget.
     """
-    gens = term_generators(base, k, cells)
-
     def answer(stage, steps):
-        gset = generate(base, len(cells), gens, max_steps=steps, **exits)
+        gset = term_closure(base, k, cells, max_steps=steps, **exits)
         return Decision(None if gset.stop_reason in ("steps", "cap") else gset.truncated,
                         stage, gset)
 
-    served = None
-    if _served((table_key(base), len(cells), tuple(gens)), max_steps) is not None:
-        served = answer("closure", max_steps)
-        if served.holds:
-            return served
     steps = PROBE_STEPS if max_steps is None else min(max_steps, PROBE_STEPS)
     probe = None
     for name, test in stages:
         if name == PROBE:
-            if served is not None:
-                break
             probe = answer(PROBE, steps)
             if probe.closure.stop_reason != "steps":
                 return probe
         elif (argument := test()) is not None:
             return Decision(False, name, argument=argument)
-    if served is not None:
-        return served
     if probe is not None and steps == max_steps:
         return probe
     return answer("closure", max_steps)
@@ -798,6 +753,7 @@ def _cyclic_search(base: Algebra, k: int, limit, max_steps):
     if limit is not None and limit < 1:
         raise AlgebraError(f"cyclic_terms limit must be at least 1, got {limit}")
     n = base.domain
+    check_cells(n, k, "cyclic_terms")
     rot = rotation_permutation(n, k)
     rng = range(len(rot))
     hits = {}  # the cyclic elements met, in closure order
@@ -858,43 +814,21 @@ def rab_analyze(base: Algebra, a: int, b: int, max_steps=None) -> RabReport:
 
     diagonal = [(x, rel.witness_term((x, x))) for x, y in sorted(pairs) if x == y]
 
-    tol1 = sorted(
-        (x1, x2)
-        for x1 in left
-        for x2 in left
-        if x1 != x2 and left[x1] & left[x2]
-    )
-    tol2 = sorted(
-        (y1, y2)
-        for y1 in right
-        for y2 in right
-        if y1 != y2 and right[y1] & right[y2]
-    )
-
-    def closure_blocks(universe, tol):
+    def links(side):
+        # the pairs with a common neighbour, and the blocks they join
+        tol = sorted((x, y) for x in side for y in side if x != y and side[x] & side[y])
         uf = UnionFind(base.domain)
         for x, y in tol:
             uf.union(x, y)
-        return uf.blocks(universe)
+        return tuple(tol), uf.blocks(side)
 
-    blocks1 = closure_blocks(left, tol1)
-    blocks2 = closure_blocks(right, tol2)
-
+    (tol1, blocks1), (tol2, blocks2) = links(left), links(right)
     if rel.truncated:
         kind = None
-    elif all(len(v) == 1 for v in left.values()) and all(
-        len(v) == 1 for v in right.values()
-    ):
+    elif all(len(v) == 1 for side in (left, right) for v in side.values()):
         kind = "automorphism-graph"
     elif len(blocks1) == 1 and len(blocks2) == 1:
         kind = "linked"
     else:
         kind = "other"
-
-    return RabReport(
-        relation=rel,
-        kind=kind,
-        diagonal=diagonal,
-        link_tolerances=(tuple(tol1), tuple(tol2)),
-        link_congruences=(blocks1, blocks2),
-    )
+    return RabReport(rel, kind, diagonal, (tol1, tol2), (blocks1, blocks2))

@@ -42,7 +42,8 @@ def test_parse_rejects_garbage():
                  "cyclic-count 3 ==", "subdirect a b", "clone-contains x: 0 1",
                  "frobnicate 1 2", "simple maybe", "taylor", "cyclic-count 3 < 2",
                  "unique-op :: arity 3", "edge 0,1,2 majority", "edge 0,1 majority {0}{1}",
-                 "term-equiv S T1N"):
+                 "term-equiv S T1N", "edge 0,1 bogus", "cyclic-count 3 == -1",
+                 "cyclic-count 3 >= -2", "two-generated 0,1,2", "two-generated 0"):
         with pytest.raises(ParseError, match=r"\(line 2\)"):
             certify.parse_certificate(f"algebra S\n{line}\n")
     # one header of one word, before any assertion
@@ -57,6 +58,21 @@ def test_parse_rejects_garbage():
         with pytest.raises(ParseError) as info:
             certify.parse_certificate(text)
         assert str(info.value) == why
+
+
+def test_a_generating_pair_outside_the_domain_is_an_error_record():
+    cert = certify.parse_certificate("algebra T4,1\ntwo-generated 0,9\n")
+    (r,) = certify.check_certificate(cert)
+    assert (r.status, r.detail) == ("fail", "error: element 9 out of range for domain 4")
+
+
+def test_a_huge_arity_is_an_error_record():
+    # one budget step keeps a regression cheap; CI runs arity 40 under caps
+    cert = certify.parse_certificate("algebra T1N\ncyclic-count 11 == 1\nabsorbs 0,1 11 true\n")
+    assert [(r.status, r.detail) for r in certify.check_certificate(cert, max_steps=1)] == [
+        ("fail", f"error: {what} arity 11 gives 3**11 argument cells, above the 65536 limit")
+        for what in ("cyclic_terms", "absorption")
+    ]
 
 
 def test_t410_certificate_passes():
@@ -204,7 +220,6 @@ def _wrong_link(gset, i=-1):
 def wrong_links(monkeypatch):
     """A mutant closure engine: a closure that stops on the element it was
     looking for (targets, region) records a wrong parent index for it."""
-    subpower._closures.clear()
     real = subpower._closure
     corrupted = []
 
@@ -217,7 +232,6 @@ def wrong_links(monkeypatch):
 
     monkeypatch.setattr(subpower, "_closure", closure)
     yield corrupted
-    subpower._closures.clear()
 
 
 @pytest.mark.parametrize("kind", ["absorbs", "edge", "sg-contains", "clone-contains", "taylor"])
@@ -241,7 +255,6 @@ def test_a_wrong_link_to_a_cyclic_term_fails_the_replay(monkeypatch, rel):
     alg = catalog.get(cert.algebra_name).algebra
     n = alg.domain
     assert certify.check_assertion(alg, a)[0] == "pass"
-    subpower._closures.clear()
     real = subpower._closure
 
     def closure(*args):
@@ -254,10 +267,7 @@ def test_a_wrong_link_to_a_cyclic_term_fails_the_replay(monkeypatch, rel):
         return gset
 
     monkeypatch.setattr(subpower, "_closure", closure)
-    try:
-        assert certify.check_assertion(alg, a) == ("fail", "witness does not replay")
-    finally:
-        subpower._closures.clear()
+    assert certify.check_assertion(alg, a) == ("fail", "witness does not replay")
 
 
 @pytest.mark.parametrize("mutate", [
@@ -293,7 +303,6 @@ def test_an_edge_with_its_witness_stops_before_the_whole_algebra(monkeypatch):
     # T4,10's pair {1, 2} is checked on its quotients, coarsest first: the
     # walk stops at the asserted majority record, before any closure in A^6
     # over the 4-element algebra itself (the identity quotient comes last)
-    subpower._closures.clear()
     closures = []
     inner = subpower.generate
 

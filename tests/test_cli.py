@@ -354,6 +354,18 @@ def test_cyclic_limit_below_one_is_an_error(capsys):
     assert err == "error: cyclic_terms limit must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["clone", "@T1N", "--arity", "11"], "free_algebra"),
+    (["clone", "@T1N", "--arity", "11", "--list"], "free_algebra"),
+    (["cyclic", "@T1N", "--arity", "11", "--count"], "cyclic_terms"),
+])
+def test_a_huge_arity_is_an_error(capsys, argv, what):
+    # one budget step keeps a regression cheap; CI runs arity 40 under caps
+    code, out, err = run(["--max-steps", "1", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {what} arity 11 gives 3**11 argument cells, above the 65536 limit\n"
+
+
 def test_absorb_bad_subset_text_is_an_error(capsys):
     for text in ("a", ",", "0,,1"):
         code, out, err = run(["absorb", "@S", "--subset", text, "--arity", "2"], capsys)

@@ -446,14 +446,24 @@ def test_each_no_names_the_stage_that_decided_it(alg, monkeypatch):
 
 def test_a_stage_no_is_the_same_cold_and_warm(alg, monkeypatch):
     # what a local stage says, and names, does not depend on what ran
-    # earlier in the process: neither a complete Clo_3 in the closure memo
-    # nor a stored lattice of the subuniverses
-    from finalg import certify, structure, subpower
+    # earlier in the process: neither a complete Clo_3 built before nor a
+    # stored lattice of the subuniverses
+    from finalg import certify, subpower
     from finalg.certify import Assertion
 
     t45, table = alg("T4,5"), alg("T4,16").operations[0]
+    t414 = alg("T4,14")
     lacks = Assertion("clone-lacks", (3, table.values))
     mt1c = product([alg("M"), alg("T1C")])
+    decisions = []
+    inner = subpower.decide_term
+    monkeypatch.setattr(subpower, "decide_term",
+                        lambda *args, **kw: decisions.append(inner(*args, **kw)) or decisions[-1])
+
+    def cyclic_stage(a):
+        decisions.clear()
+        return subpower.has_cyclic_term(a, 3), decisions[-1].stage, decisions[-1].argument
+
     cases = [
         (lambda: certify.check_assertion(t45, lacks), ("pass", "excluded by invariant")),
         (lambda: clone_excluded(t45, table), "breaks subuniverse (0, 1)"),
@@ -461,18 +471,15 @@ def test_a_stage_no_is_the_same_cold_and_warm(alg, monkeypatch):
          "trace on subuniverse (0, 2) does not absorb"),
         (lambda: absorbs(mt1c, (0, 1, 2, 3, 5), 3).reason,
          "trace on subuniverse (1, 4, 5) does not absorb"),
+        (lambda: cyclic_stage(t414), (False, "cyclic_obstruction", (0, 0, 1))),
     ]
-    subpower._closures.clear()
     all_subuniverses.memo.clear()
     assert [run() for run, _ in cases] == [want for _, want in cases]
-    subpower.free_algebra(t45, 3)
+    for a in (t45, t414):
+        assert not subpower.free_algebra(a, 3).truncated
     for a in (t45, alg("T6C"), mt1c):
         all_subuniverses(a)
     assert [run() for run, _ in cases] == [want for _, want in cases]
-    # no stage can deny a "yes", so a memoized one answers at once
-    monkeypatch.setattr(structure, "clone_excluded", None)
-    d = decide_clone_membership(t45, t45.operations[0])
-    assert (d.holds, d.stage) == (True, "closure")
 
 
 def test_absorption_makes_no_nested_absorbs_call(alg, monkeypatch):
@@ -561,3 +568,104 @@ def test_all_subuniverses_memo_returns_the_stored_tuple(alg):
     first = all_subuniverses(a)
     assert type(first) is tuple and all_subuniverses(a) is first
     assert first == all_subuniverses.__wrapped__(a)
+
+
+# ---------------------------------------------------------------------------
+# the edge walk against the walk that decides each affine table on its own
+
+from finalg import structure  # noqa: E402
+from finalg.congruence import maximal_congruences, quotient_algebra  # noqa: E402
+from finalg.subpower import find_term, render_term  # noqa: E402
+
+# the products of two entries that the query-mix benchmark asks about
+QUERY_PRODUCTS = (
+    ("M", "Z2aff"), ("S", "S"), ("M", "M"), ("Z2aff", "Z2aff"),
+    ("M", "T1N"), ("Z2aff", "T5N"), ("S", "T4N"), ("M", "T1C"), ("Z2aff", "T2P"), ("S", "T1S"),
+    ("T1N", "T2N"), ("T5N", "T5N"), ("T1C", "T2C"), ("T4N", "T1S"), ("T1S", "T2S"),
+    ("T2P", "T3N"), ("M", "T4,1"),
+)
+
+
+def reference_edge_records(alg, a, b, max_steps=None):
+    """`edge_records` as it was written first: each x-y+z table is decided
+    by its own `decide_clone_membership`, which runs its own Clo_3."""
+    universe = sg_closure(alg, (a, b))
+    sub = alg.restrict(universe)
+    loc = {x: i for i, x in enumerate(universe)}
+    la, lb = loc[a], loc[b]
+    maximal = maximal_congruences(sub)
+    for theta in reversed(all_congruences(sub)):
+        idx = theta.block_index()
+        qa, qb = idx[la], idx[lb]
+        if qa == qb:
+            continue
+        quo, _ = quotient_algebra(sub, theta)
+        blocks = tuple(tuple(universe[x] for x in bl) for bl in theta.blocks)
+        upgraded = structure._upgraded(alg, universe, theta, maximal, qa, qb)
+        for u, v, x, y in ((qa, qb, a, b), (qb, qa, b, a)):
+            found, term = semilattice_edge(quo, u, v, max_steps=max_steps)
+            if found:
+                kind = "semilattice" if theta.is_identity() else "weak-semilattice"
+                yield structure.EdgeRecord(x, y, kind, True, blocks, term)
+            elif found is None:
+                yield None
+        found, term = find_term(quo, 3, structure._majority_on_pair_positions(qa, qb),
+                                (qa, qa, qa, qb, qb, qb), max_steps=max_steps)
+        if found:
+            yield structure.EdgeRecord(a, b, "majority" if upgraded else "weak-majority",
+                                       False, blocks, term)
+        elif found is None:
+            yield None
+        if quo.domain > 5:
+            yield None
+            continue
+        for _, _, table in affine_xyz_tables(quo.domain):
+            d = decide_clone_membership(quo, table, max_steps=max_steps)
+            if d.holds:
+                kind = ("weak-affine" if not upgraded
+                        else "strong-affine" if theta.is_identity() else "affine")
+                yield structure.EdgeRecord(a, b, kind, False, blocks,
+                                           d.closure.witness_term(table.values), xyz=table)
+                break
+            if d.holds is None:
+                yield None
+
+
+def _summary(r):
+    if r is None:
+        return None
+    xyz = r.xyz.values if r.xyz is not None else None
+    return (r.a, r.b, r.kind, r.directed, r.witness_blocks, xyz,
+            render_term(r.term, ["x", "y", "z"]))
+
+
+def _grouped(walk):
+    """`weak_edges` read off a walk: the records by witnessing congruence,
+    finest first, and whether no test hit its budget."""
+    by_theta = {}
+    for r in walk:
+        if r is not None:
+            by_theta.setdefault(r[4], []).append(r)
+    return [r for recs in reversed(by_theta.values()) for r in recs], None not in walk
+
+
+def test_weak_edges_match_the_per_table_affine_reference(entries):
+    # the whole walk is compared, each budget stop (None) in its place: a
+    # "no" turned into a budget stop hides in weak_edges behind the budget
+    # stops of the other tests of the same pair
+    algebras = {name: e.algebra for name, e in entries.items()}
+    for x, y in QUERY_PRODUCTS:
+        algebras[f"{x}x{y}"] = product([entries[x].algebra, entries[y].algebra])
+    cases = affine = 0
+    for name, a in algebras.items():
+        budgets = (None, 1_000, 150_000) if a.domain <= 4 else (1_000, 150_000)
+        for p, q in itertools.combinations(range(a.domain), 2):
+            for max_steps in budgets:
+                want = [_summary(r) for r in reference_edge_records(a, p, q, max_steps)]
+                assert [_summary(r) for r in edge_records(a, p, q, max_steps=max_steps)] \
+                    == want, (name, p, q, max_steps)
+                records, conclusive = weak_edges(a, p, q, max_steps=max_steps)
+                assert ([_summary(r) for r in records], conclusive) == _grouped(want)
+                cases += 1
+                affine += any(r is not None and r[2].endswith("affine") for r in want)
+    assert cases == 1325 and affine > 100

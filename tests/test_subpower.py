@@ -275,6 +275,10 @@ def test_cyclic_terms_majority(alg):
 def test_cyclic_terms_flag_lower_bound(alg):
     tables, complete = cyclic_terms(alg("T4,10"), 3, limit=1)
     assert len(tables) == 1 and not complete
+    # T4,5 has four: a limit it meets stops the closure, one above it does not
+    for limit, count, done in ((1, 1, False), (4, 4, False), (5, 4, True), (None, 4, True)):
+        tables, complete = cyclic_terms(alg("T4,5"), 3, limit=limit)
+        assert (len(tables), complete) == (count, done)
 
 
 def test_has_cyclic_term(alg):
@@ -400,12 +404,12 @@ def test_unary_fast_path_stops_on_steps():
     assert g.truncated and g.stop_reason == "steps"
 
 
-# -- the closure memo -------------------------------------------------------
+# -- closures as `_closure` runs them ----------------------------------------
 
 from finalg import subpower  # noqa: E402
 from finalg.subpower import MAX_ELEMENTS  # noqa: E402
 
-_uncached_closure = subpower._closure
+_kernel_closure = subpower._closure
 
 
 def projection_tuples(n, k):
@@ -414,168 +418,74 @@ def projection_tuples(n, k):
     return [tuple(c[j] for c in cells) for j in range(k)]
 
 
-@pytest.fixture
-def runs(monkeypatch):
-    """Empty closure memo; counts the closures actually run."""
-    subpower._closures.clear()
-    counter = {"n": 0}
-    inner = subpower._closure
-
-    def counting(*args):
-        counter["n"] += 1
-        return inner(*args)
-
-    monkeypatch.setattr(subpower, "_closure", counting)
-    yield counter
-    subpower._closures.clear()
-
-
 def fresh(base, m, gens, cap=None, targets=None, region=None,
           stop_predicate=None, max_steps=None):
-    """The same closure computed without the memo."""
-    return _uncached_closure(
+    """The closure `_closure` runs, with an element cap of its own."""
+    return _kernel_closure(
         base, m, subpower._generator_bytes(base, m, gens),
         MAX_ELEMENTS if cap is None else cap,
         subpower._stop_test(targets, region, stop_predicate), max_steps,
     )
 
 
-def assert_same(got, want):
-    assert got.elements == want.elements
-    assert got.witnesses == want.witnesses
-    assert got.position == want.position
-    assert got.generators == want.generators
-    assert got.truncated == want.truncated
-    assert got.stop_reason == want.stop_reason
-    names = ["x", "y", "z", "w"][: len(want.generators)]
-    for e in want.elements:
-        assert render_term(got.witness_term(e), names) == \
-            render_term(want.witness_term(e), names)
-
-
 def _clo3(a):
     return a.domain**3, projection_tuples(a.domain, 3)
 
 
-def test_memo_serves_complete_closure(alg, runs):
+def test_bad_generators_raise(alg):
     a = alg("T4,5")
     m, gens = _clo3(a)
-    first = generate(a, m, gens)
-    assert runs["n"] == 1 and not first.truncated
-    assert first.applications >= subpower._MEMO_MIN_STEPS
-    second = generate(a, m, gens)
-    assert runs["n"] == 1
-    assert second is not first and second.elements is not first.elements
-    assert_same(second, fresh(a, m, gens))
-    assert second.applications == 0  # served: the kernel made none
-
-
-def test_memo_skips_small_closures(alg, runs):
-    a = alg("T4,10")
-    generate(a, 2, [(0, 1), (1, 0)])
-    generate(a, 2, [(0, 1), (1, 0)])
-    assert runs["n"] == 2 and len(subpower._closures) == 0
-
-
-def test_memo_early_exits_replay_the_stored_order(alg, runs):
-    a = alg("T4,5")
-    m, gens = _clo3(a)
-    full = generate(a, m, gens)
-    middle, last = tuple(full.elements[10]), tuple(full.elements[-1])
-    absent = tuple(0 for _ in range(m))
-    for targets in ([middle], [middle, last], [gens[1]], [gens[2], gens[0]],
-                    [absent], []):
-        got = generate(a, m, gens, targets=targets)
-        assert_same(got, fresh(a, m, gens, targets=targets))
-    assert runs["n"] == 1
-
-    # a region met by a later element (T3N) and by none (T7C)
-    for name, subset in (("T3N", (0, 2)), ("T7C", (0, 2))):
-        b = alg(name)
-        pats = absorption_patterns(b.domain, subset, 3)
-        pgens = [tuple(t[j] for t in pats) for j in range(3)]
-        generate(b, len(pats), pgens)
-        n_runs = runs["n"]
-        got = generate(b, len(pats), pgens, region=set(subset))
-        assert runs["n"] == n_runs
-        assert_same(got, fresh(b, len(pats), pgens, region=set(subset)))
-    assert got.stop_reason is None
-
-    seen_served, seen_fresh = [], []
-    got = generate(a, m, gens, stop_predicate=lambda e: seen_served.append(e) or e == last)
-    want = fresh(a, m, gens, stop_predicate=lambda e: seen_fresh.append(e) or e == last)
-    assert_same(got, want)
-    assert seen_served == seen_fresh
-
-
-def test_memo_predicate_side_effects_match(alg, runs):
-    a = alg("T4,5")
-    want = {}
-    for limit in (1, 4, 5, None):
-        subpower._closures.clear()
-        want[limit] = cyclic_terms(a, 3, limit=limit)
-    generate(a, *_clo3(a))
-    n_runs = runs["n"]
-    for limit in (1, 4, 5, None):
-        tables, complete = cyclic_terms(a, 3, limit=limit)
-        assert [t.values for t in tables] == [t.values for t in want[limit][0]]
-        assert complete == want[limit][1]
-    assert runs["n"] == n_runs
-    assert [len(want[k][0]) for k in (1, 4, 5)] == [1, 4, 4]
-
-
-def test_memo_serves_only_within_budgets(alg, runs):
-    a = alg("T4,5")
-    m, gens = _clo3(a)
-    steps = generate(a, m, gens).applications
-    for max_steps, served in ((steps - 1, False), (steps, False), (steps + 1, True)):
-        n_runs = runs["n"]
-        got = generate(a, m, gens, max_steps=max_steps)
-        assert (runs["n"] == n_runs) == served
-        want = fresh(a, m, gens, max_steps=max_steps)
-        assert_same(got, want)
-        assert want.truncated == (not served)
-        assert got.applications == (0 if served else want.applications)
-        if not served:
-            assert got.applications >= max_steps
-
-
-def test_memo_witnesses_use_callers_names(alg, runs):
-    a = alg("T4,5")
-    renamed = Algebra(a.domain, [
-        OperationTable(f"r{i}", op.arity, op.domain, op.values)
-        for i, op in enumerate(a.operations)
-    ])
-    m, gens = _clo3(a)
-    generate(a, m, gens)
-    got = generate(renamed, m, gens)
-    assert runs["n"] == 1 and got.base is renamed
-    assert_same(got, fresh(renamed, m, gens))
-    deepest = got.witness_term(tuple(got.elements[-1]))
-    assert render_term(deepest, ["x", "y", "z"]).startswith("r0(")
-
-
-def test_memo_bad_generators_still_raise(alg, runs):
-    a = alg("T4,5")
-    m, gens = _clo3(a)
-    generate(a, m, gens)
     for bad in ([(9,) + gens[0][1:]], [(-1,) + gens[0][1:]], [gens[0][1:]], []):
         with pytest.raises(AlgebraError):
             generate(a, m, bad)
 
 
+def test_generate_keeps_no_closure_between_calls(alg, monkeypatch):
+    # a second identical call runs its closure again, and its answer is a
+    # new closure equal to the first
+    a = alg("T4,5")
+    m, gens = _clo3(a)
+    runs = []
+    monkeypatch.setattr(subpower, "_closure", lambda *args: runs.append(args) or
+                        _kernel_closure(*args))
+    first, second = generate(a, m, gens), generate(a, m, gens)
+    assert len(runs) == 2 and second is not first
+    assert second.elements == first.elements and second.witnesses == first.witnesses
+    assert second.applications == first.applications == 455_005
+
+
+def test_huge_arities_are_rejected(alg):
+    # arity 11, just above the limit, keeps a regression cheap: each call
+    # still lists its 3**11 cells but runs one budget step (CI runs arity 40,
+    # whose cells do not fit in memory, under a time and memory cap)
+    from finalg.structure import absorbs
+
+    t1n = alg("T1N")
+    assert 3**10 <= subpower.MAX_CELLS < 3**11
+    for run in (free_algebra, cyclic_terms, has_cyclic_term,
+                lambda a, k, max_steps: absorbs(a, (0, 1), k, max_steps=max_steps)):
+        with pytest.raises(AlgebraError, match=r"arity 11 gives 3\*\*11 argument cells, "
+                                               "above the 65536 limit"):
+            run(t1n, 11, max_steps=1)
+    # below the limit the variable-orbit maps may not fit: those of Clo_7
+    # would hold 5,039 x 2,187 indices, so the plain walk runs (checked
+    # first, as a regression here would take a lot of memory at arity 10)
+    assert subpower._variable_orbit(t1n, 3**7, list(subpower._projections(3, 7))) is None
+    assert subpower._variable_orbit(t1n, 3**5, list(subpower._projections(3, 5))) is not None
+    assert len(free_algebra(t1n, 10, max_steps=1)) >= 10
+
+
 def test_memo_evicts_least_recently_used():
     from finalg.memo import Memo
 
-    memo = Memo(limit=5, weight=len)
+    memo = Memo(limit=2)
     memo.put("a", "xx")
     memo.put("b", "yy")
     assert memo.get("a") == "xx"  # now "b" is the least recently used
     memo.put("c", "zz")
     assert memo.get("b") is None and memo.get("a") == "xx"
-    assert memo.total == 4
-    memo.put("d", "too long")  # heavier than the limit: never stored
-    assert memo.get("d") is None and len(memo) == 2
+    memo.put("a", "ww")  # a new value for a stored key evicts nothing
+    assert len(memo) == 2 and memo.get("c") == "zz" and memo.get("a") == "ww"
 
 
 def test_memo_shared_by_threads_keeps_its_total():
@@ -584,7 +494,7 @@ def test_memo_shared_by_threads_keeps_its_total():
 
     from finalg.memo import Memo
 
-    memo = Memo(limit=50, weight=len)
+    memo = Memo(limit=50)
 
     def work(t):
         for i in range(3000):
@@ -602,7 +512,7 @@ def test_memo_shared_by_threads_keeps_its_total():
         assert not any(th.is_alive() for th in threads)
     finally:
         sys.setswitchinterval(old)
-    assert memo.total == sum(w for _, w in memo.entries.values()) <= memo.limit
+    assert len(memo) == memo.limit
 
 
 # -- the row kernel against the per-application loop ------------------------
@@ -638,6 +548,8 @@ def variable_images(base, m, gen_list):
     None for any other closure."""
     n, k = base.domain, len(gen_list)
     if k < 2 or n < 2 or n**k != m or max(op.arity for op in base.operations) < 3:
+        return None
+    if math.factorial(k) * m > subpower._ORBIT_MAX_INDICES:
         return None
     if gen_list != [bytes(t) for t in projection_tuples(n, k)]:
         return None
@@ -769,7 +681,7 @@ def kernel_and_reference(base, m, gens, cap=None, targets=None, region=None,
     gen_list = subpower._generator_bytes(base, m, gens)
     cap = MAX_ELEMENTS if cap is None else cap
     runs = []
-    for closure in (_uncached_closure, reference_closure):
+    for closure in (_kernel_closure, reference_closure):
         seen = []
 
         def stop_predicate(e, seen=seen):
@@ -927,7 +839,6 @@ def test_cap_admits_at_most_cap_elements(alg, monkeypatch):
     assert [tuple(e) for e in g.elements] == [(0,), (1,)]
     assert g.stop_reason == "cap"
     # `generate` holds every closure to the ceiling MAX_ELEMENTS
-    subpower._closures.clear()
     monkeypatch.setattr(subpower, "MAX_ELEMENTS", 5)
     g = free_algebra(a, 2)
     assert len(g) == 5 and g.stop_reason == "cap"
@@ -1105,7 +1016,7 @@ def test_kernel_mixed_orbit_kinds():
 # the local obstructions for cyclic and Mal'cev terms against Clo_3
 
 from finalg.core import product  # noqa: E402
-from finalg.structure import has_malcev_term, malcev_obstruction  # noqa: E402
+from finalg.structure import malcev_obstruction  # noqa: E402
 
 
 def _malcev_cells(n):
@@ -1212,10 +1123,10 @@ def test_local_obstructions_of_four_element_entries_replay(alg):
     assert malcev_obstruction(alg("T4,16")) == (0, 3, 0, 3)
 
 
-def test_decide_term_runs_probe_local_test_full_closure_in_order(alg, runs, monkeypatch):
+def test_decide_term_runs_probe_local_test_full_closure_in_order(alg, monkeypatch):
     # T4,17 has a Mal'cev term, found after 8,001 steps: the probe stops on
     # its budget, the local test finds no failing quadruple, and the full
-    # closure finds the term; a memoized complete closure answers alone
+    # closure finds the term
     a = alg("T4,17")
     pats, target = _malcev_cells(4)
     budgets = []
@@ -1244,12 +1155,8 @@ def test_decide_term_runs_probe_local_test_full_closure_in_order(alg, runs, monk
     assert len(budgets) == 2 + 4 * 3 * 4 * 3
     got = eval_term_table(d.closure.witness_term(target), a, 3)
     assert tuple(got.values[got.index(p)] for p in pats) == target
-    # the complete closure, memoized, answers without a probe or a local test
-    full = generate(a, len(pats), subpower.term_generators(a, 3, pats))
-    assert not full.truncated
+    # a complete closure run before changes neither the stages nor the budgets
+    first = list(budgets)
+    assert not generate(a, len(pats), subpower.term_generators(a, 3, pats)).truncated
     budgets.clear()
-    assert decide(None).stage == "closure"
-    assert budgets == [(len(pats), None)]
-    budgets.clear()
-    assert has_malcev_term(a)[0] is True
-    assert budgets == [(len(pats), None)]
+    assert decide(150_000).stage == "closure" and budgets == first
