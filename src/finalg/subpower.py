@@ -27,15 +27,25 @@ operation applied coordinatewise.  Such a closure, of an algebra with an
 operation of arity at least 3, switches to the variable-orbit walk at the
 first round end with at least _ORBIT_MIN elements (see `_variable_orbit`).
 At each round end from then on (at the switch, over every element) the
-round's new elements are met in order: an element with no earlier image is
-an orbit representative, and its missing images join, each with the image
-of its witness, (op, (s.p1, ..., s.pk)) for the images s.pj of its
-parents, which are earlier.  Every later row of an operation of arity at
-least 2 starts with a representative; any other first argument s.r gives
-s applied to a value of a row that starts with r.  The closure ends with
-the same elements as the plain walk, in another order, and the order still
-does not depend on the budget; T4,5's Clo_3 takes 455,005 applications
-instead of 1,786,575.
+round's new elements are met in order: an element in no earlier element's
+orbit is its orbit's representative, and its missing images join, each
+with the image of its witness, (op, (s.p1, ..., s.pk)) for the images s.pj
+of its parents, which are earlier.  The rows then walk positions in a
+layout (`_OrbitLayout`) that lists the orbits one after another, each in
+admission order, so its representative comes first; element indices,
+witnesses and admission order stay as they are.  Every row of an operation
+of arity at least 2 starts with a representative r: any other first
+argument s.r gives s applied to a value of a row that starts with r.  As a
+symmetric or cyclic operation's later arguments come no earlier in the
+layout than r, they lie in orbits no earlier than r's, so each orbit of
+argument tuples under the variable maps and the operation's own symmetry
+is met about once.  Where some maps H fix r, a second argument y is skipped
+unless it comes first in the layout among its images under H:
+h.(r, y, z) = (r, h.y, h.z) gives h.op(r, y, z), which joins as an image.
+The closure ends with the same elements as the plain walk, in another
+order, which depends only on completed rounds, never on targets or the
+budget.  T4,5's Clo_3 takes 310,995 applications, against 1,786,575 for
+the plain walk and 297,809 orbits of argument tuples.
 
 Every operation is applied by one row kernel of lane arithmetic.  An
 operation with c = n**arity cells gets a lane width w: 1 byte when
@@ -58,10 +68,11 @@ the whole round).  One `to_bytes`, one lookup and a cached
 `struct` split then give the row's results, and only those not yet present
 go through the insert path.  With 1-byte lanes, rows shorter than
 _ROW_MIN are evaluated element by element, where the whole-row conversions
-cost more than they save.  Memory stays O(size * m * w): per round two integers of the round's
-elements per lane width, per row one row; nothing is replicated per
-element.  Wide lanes are built only for a closure with an operation that
-needs them.  The kernel counts the applications it makes, per completed
+cost more than they save.  Memory stays O(size * m * w): per round two
+integers of the round's elements per lane width, per row one row; nothing
+is replicated per element (the variable-orbit walk adds an index, an
+integer reference and two bit masks per element).  Wide lanes are built
+only for a closure with an operation that needs them.  The kernel counts the applications it makes, per completed
 row, the same way for every operation (`GeneratedSet.applications`); the
 step budget (`max_steps`) reads that count.  No closure is kept between
 calls; a caller that needs several answers from one closure reads them off
@@ -83,6 +94,11 @@ from .core import (Algebra, AlgebraError, OperationTable, UnionFind, is_cyclic, 
 # The element ceiling of every closure `generate` runs: a guard on memory,
 # not a work budget.  A closure that meets it stops with reason "cap".
 MAX_ELEMENTS = 5_000_000
+
+# The same ceiling on the bytes a closure's elements hold, one per
+# coordinate: a closure in A^m keeps at most MAX_BYTES // m elements.  The
+# kernel's round and row integers take a few times as much again.
+MAX_BYTES = 1 << 27
 
 # The most argument cells n**k a k-ary question over n elements may list (a
 # free algebra, a cyclic term search, an absorption test; `check_cells`): a
@@ -177,6 +193,7 @@ class GeneratedSet:
     truncated: bool = False
     stop_reason: str | None = None  # "steps" | "cap" | "targets" | "region" | "predicate"
     applications: int = 0  # made by the kernel in completed rows, as `max_steps` counts
+    rounds: int = 0  # breadth-first rounds the kernel started
 
     def __len__(self):
         return len(self.elements)
@@ -200,32 +217,38 @@ class GeneratedSet:
         key = bytes(tup)
         if key not in self.position:
             raise AlgebraError(f"tuple {tuple(tup)} is not a member")
-        gen_pos = {}
-        for j, g in enumerate(self.generators):
-            gen_pos.setdefault(g, j)
-        memo = {}
-
-        def build(i):
-            if i in memo:
-                return memo[i]
-            w = self.witnesses[i]
-            if w is None:
-                t = TermTree.variable(gen_pos[self.elements[i]])
-            else:
-                op_i, parents = w
-                t = TermTree.node(
-                    self.base.operations[op_i].name, [build(p) for p in parents]
-                )
-            memo[i] = t
-            return t
-
-        return build(self.position[key])
+        return _witness_tree(self, self.position[key])
 
     def export_text(self) -> str:
         lines = [f"exponent {self.exponent}", f"count {len(self.elements)}"]
         for e in self.elements:
             lines.append(" ".join(str(v) for v in e))
         return "\n".join(lines) + "\n"
+
+
+def _witness_tree(gset: GeneratedSet, root: int) -> TermTree:
+    """The term of element `root` read off the witness links, one shared
+    subterm per element.  It recurses through `_witness_node`, not through a
+    closure: a closure that calls itself is a reference cycle, which would
+    keep `gset` alive after the call until the next cyclic collection."""
+    gen_pos = {}
+    for j, g in enumerate(gset.generators):
+        gen_pos.setdefault(g, j)
+    link = (gset.witnesses, gset.elements, gen_pos, [op.name for op in gset.base.operations])
+    return _witness_node(root, link, {})
+
+
+def _witness_node(i: int, link: tuple, built: dict) -> TermTree:
+    t = built.get(i)
+    if t is None:
+        witnesses, elements, gen_pos, names = link
+        w = witnesses[i]
+        if w is None:
+            t = TermTree.variable(gen_pos[elements[i]])
+        else:
+            t = TermTree.node(names[w[0]], [_witness_node(p, link, built) for p in w[1]])
+        built[i] = t
+    return t
 
 
 def check_budget(max_steps):
@@ -263,7 +286,9 @@ def generate(
         `_prefix_rows`).  Spent per row of applications; deterministic, so
         truncation points are reproducible.  The stop reason is "steps".
 
-    Every closure also stops at MAX_ELEMENTS elements, with reason "cap".
+    Every closure also stops at MAX_ELEMENTS elements, and at MAX_BYTES
+    bytes of elements (an exponent-0 closure at MAX_ELEMENTS), with reason
+    "cap".
     Each call runs its own closure: nothing is kept between calls, so the
     answer never depends on what ran earlier in the process.
     """
@@ -271,8 +296,9 @@ def generate(
     gen_list = _generator_bytes(base, m, generators)
     if targets is not None:
         targets = [_checked_bytes(t, base.domain, "target") for t in targets]
-    return _closure(base, m, gen_list, MAX_ELEMENTS,
-                    _stop_test(targets, region, stop_predicate), max_steps)
+    cap = min(MAX_ELEMENTS, MAX_BYTES // m) if m else MAX_ELEMENTS
+    return _closure(base, m, gen_list, cap, _stop_test(targets, region, stop_predicate),
+                    max_steps)
 
 
 def _generator_bytes(base: Algebra, m: int, generators) -> list:
@@ -366,35 +392,39 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
         if g not in position:
             admit(g, None)
     appliers = [_Applier(op) for op in base.operations]
-    # the same in each wider lane width that some operation needs
+    # the walked elements in each wider lane width that some operation needs
     wide = {ap.lane: [] for ap in appliers if ap.lane > 1}
     known = position.__contains__
     # the variable permutations, if this closure is a Clo_k the orbit walk
-    # pays on; `reps` lists the orbit representatives once the walk is on
+    # pays on; `layout` is the walk's order of the elements once it is on
     var_maps = _variable_orbit(base, m, gen_list)
-    reps = None
+    layout = None
 
     applications = 0
     fstart = 0
     while fstart < len(elements) and not stop:
         size = len(elements)
-        firsts = range(size) if reps is None else reps
+        gset.rounds += 1
+        if layout is None:
+            walked, walked_ints = elements, ints
+        else:  # the elements in the layout's order
+            walked, walked_ints = list(map(elements.__getitem__, layout.order)), layout.ints
         for w, wints in wide.items():
-            wints.extend(int.from_bytes(_widen(e, w), "big") for e in elements[len(wints):])
+            wints.extend(int.from_bytes(_widen(e, w), "big") for e in walked[len(wints):])
         # per lane width: the whole round and its frontier suffix as one integer
         # (1-byte lanes only take the row step from _ROW_MIN elements on)
         round_lanes = {}
         for w in (1, *wide) if size >= _ROW_MIN else wide:
-            lanes = int.from_bytes(_widen(b"".join(elements), w), "big")
+            lanes = int.from_bytes(_widen(b"".join(walked), w), "big")
             round_lanes[w] = lanes, lanes & ((1 << (8 * w * m * (size - fstart))) - 1)
         for op_i, ap in enumerate(appliers):
             if stop:
                 break
             lut, wm = ap.lut, ap.lane * m
-            wints = ints if lut else wide[ap.lane]
+            wints = walked_ints if lut else wide[ap.lane]
             lanes, front_lanes = round_lanes.get(ap.lane, (0, 0))
             for prefix, acc, start in _prefix_rows(ap.coeffs[:-1], wints, size, fstart,
-                                                   ap.orbit, firsts):
+                                                   ap.orbit, layout):
                 width = size - start
                 if width < _ROW_MIN and lut:
                     for t in range(start, size):
@@ -429,20 +459,25 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
                     stop = "steps"
                     break
         new = len(elements)
-        if var_maps and new > size and not stop and (reps is not None or new >= _ORBIT_MIN):
+        fstart = size
+        if layout is not None:
+            # the rows named positions in the layout; the witnesses name indices
+            order = layout.order
+            for i in range(size, new):
+                op_i, args = witnesses[i]
+                witnesses[i] = op_i, tuple(map(order.__getitem__, args))
+        if var_maps and new > size and not stop and (layout is not None or new >= _ORBIT_MIN):
             # the round's new elements (all elements when the walk switches
             # on) in order: each is a representative unless an earlier element
             # is one of its images; its missing images join, each with the
             # image of its witness
-            first = size if reps is not None else 0
-            reps = reps if reps is not None else []
-            for i in range(first, new):
+            orbits = []
+            for i in range(0 if layout is None else size, new):
                 e = elements[i]
                 witness = witnesses[i]
                 images = [bytes(perm(e)) for perm in var_maps]
                 if any(position.get(img, new) < i for img in images):
                     continue
-                reps.append(i)
                 for perm, img in zip(var_maps, images):
                     if img not in position:
                         admit(img, (witness[0], tuple(position[bytes(perm(elements[p]))]
@@ -451,7 +486,14 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
                             break
                 if stop:
                     break
-        fstart = size
+                orbits.append((i, [position[img] for img in images]))
+            if not stop:
+                if layout is None:  # the walk starts over in the layout's order
+                    layout = _OrbitLayout()
+                    for wints in wide.values():
+                        wints.clear()
+                layout.extend(orbits, size, elements, ints, position, var_maps)
+                fstart = layout.fstart
 
     gset.applications = applications
     if stop:
@@ -460,18 +502,60 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
     return gset
 
 
+class _OrbitLayout:
+    """The order the variable-orbit walk lists a Clo_k's elements in: the
+    orbits one after another, each in admission order, so its representative
+    comes first.  The rows walk positions in it; element indices stay in
+    admission order.
+
+    Per position: the element's index (`order`) and integer of 1-byte lanes
+    (`ints`), the bit mask of the variable maps that send it to an earlier
+    position (`down`; within an orbit, positions follow indices) and, at a
+    representative, the mask of the maps that fix it (`stabs`, else 0).
+    `firsts` lists the representatives' positions; the frontier is the
+    suffix from `fstart`."""
+
+    __slots__ = ("order", "ints", "down", "stabs", "firsts", "fstart")
+
+    def __init__(self):
+        self.order, self.ints, self.down, self.stabs, self.firsts = [], [], [], [], []
+        self.fstart = 0
+
+    def extend(self, orbits, size, elements, ints, position, var_maps):
+        """Appends the orbits met at a round end: (representative, image
+        index per map), in the order met.  Those with every element below
+        `size` (there are such only when the walk switches on) go first, so
+        that the next round's frontier, the elements from `size` on, lies in
+        the suffix of the orbits after them."""
+        orbits = [(r, images, sorted({r, *images})) for r, images in orbits]
+        orbits.sort(key=lambda o: o[2][-1] >= size)  # stable
+        self.fstart = len(self.order) + sum(len(o[2]) for o in orbits if o[2][-1] < size)
+        for r, images, members in orbits:
+            self.firsts.append(len(self.order))
+            self.order.extend(members)
+            self.ints.extend(map(ints.__getitem__, members))
+            stab = sum(1 << s for s, j in enumerate(images) if j == r)
+            self.stabs.extend([stab] + [0] * (len(members) - 1))
+            self.down.append(0)
+            for j in members[1:]:
+                e = elements[j]
+                self.down.append(sum(1 << s for s, perm in enumerate(var_maps)
+                                     if position[bytes(perm(e))] < j))
+
+
 # Rows of 1-byte lanes shorter than this are evaluated one element at a time:
 # below it the conversions of a whole-row step cost more than they save.
 _ROW_MIN = 8
 
 # The variable-orbit walk switches on at the first round end with at least
-# this many elements.  On the complete Clo_3 of T3N, T4,3, T4,5, T4,8, T4,10
-# and T4,13, 16 and 32 give the same applications (T4,5: 455,005); 0 gives
-# from 1% fewer (T4,8) to 10% more (T4,10: 127,919 against 115,888), 64 up
-# to 35% more (T4,3: 96,492 against 71,322) and 128 up to 3.4x as many.
-# On the query-mix cyclic and clone queries (seeds 1 and 2, best of 5
-# each), 32 gave the lowest medians of 0, 16, 32 and 64, all within 3% of
-# the plain walk's.
+# this many elements.  Over the complete Clo_3 of T3N, T4,3, T4,4, T4,5,
+# T4,8, T4,10, T4,11 and T4,13, 16 and 32 give 638,675 applications (T4,5:
+# 310,995), 0 and 8 give 637,182 (0.2% fewer), 64 gives 744,417 (T4,3:
+# 76,241 against 44,357) and 128 gives 2,161,860.  On the query-mix cyclic
+# and clone queries (seeds 1 and 2, best of 5 each, on a shared 2-vCPU
+# host), the medians of 0, 8, 16, 32 and 64 and of the plain walk lay within
+# 2% of each other in one run and 7% in another, which is host noise: few of
+# those closures reach 32 elements.  32 keeps the walk off small closures.
 _ORBIT_MIN = 32
 
 # The walk keeps one map of the n^k cells per non-identity permutation of
@@ -546,7 +630,7 @@ def _row_split(m: int, width: int):
     return struct.Struct(f"{m}s" * width).unpack
 
 
-def _prefix_rows(coeffs, ints, size, fstart, orbit, firsts):
+def _prefix_rows(coeffs, ints, size, fstart, orbit, layout):
     """The rows of argument index tuples over range(size), in lex order.
 
     Yields (prefix, lane sum, start) per (k-1)-prefix of indices: `coeffs`
@@ -559,11 +643,15 @@ def _prefix_rows(coeffs, ints, size, fstart, orbit, firsts):
     prefixes.  A tuple that makes a new element is always the least of its
     orbit (that one comes first, gives the same value and uses the frontier
     iff the tuple does), so the walk admits the same elements with the same
-    witnesses as the walk over every tuple.  The first index of a prefix
-    runs over `firsts`, increasing and below size: range(size) in the plain
-    walk (the one the claim above is about), or the representatives of the
-    variable-orbit walk."""
-    rows = _prefixes(coeffs, ints, size, fstart, orbit is not None, firsts)
+    witnesses as the walk over every tuple.
+
+    With the variable-orbit walk's `layout` (`_OrbitLayout`), the indices
+    are its positions, the first index of a prefix runs over the
+    representatives only, and a second index y after a representative r
+    fixed by some maps H is skipped unless y comes first among its images
+    under H: h(r, y, z) = (r, hy, hz) gives h.op(r, y, z), which joins as an
+    image."""
+    rows = _prefixes(coeffs, ints, size, fstart, orbit is not None, layout)
     if orbit == "symmetric":
         return ((p, acc, max(p[-1], lo)) for p, acc, lo in rows)
     if orbit == "cyclic":
@@ -571,15 +659,22 @@ def _prefix_rows(coeffs, ints, size, fstart, orbit, firsts):
     return rows
 
 
-def _prefixes(coeffs, ints, size, fstart, nondecreasing, firsts):
+def _prefixes(coeffs, ints, size, fstart, nondecreasing, layout):
     """(prefix, lane sum, lo) for the prefixes of `_prefix_rows`; lo is 0 if
     the prefix uses the frontier, else fstart."""
     if not coeffs:
         yield (), 0, fstart
         return
     c = coeffs[-1]
-    for prefix, acc, lo in _prefixes(coeffs[:-1], ints, size, fstart, nondecreasing, firsts):
-        for i in range(prefix[-1] if nondecreasing else 0, size) if prefix else firsts:
+    for prefix, acc, lo in _prefixes(coeffs[:-1], ints, size, fstart, nondecreasing, layout):
+        if not prefix:
+            indices = range(size) if layout is None else layout.firsts
+        else:
+            indices = range(prefix[-1] if nondecreasing else 0, size)
+            if layout is not None and len(prefix) == 1 and (stab := layout.stabs[prefix[0]]):
+                down = layout.down
+                indices = [y for y in indices if not down[y] & stab]
+        for i in indices:
             yield prefix + (i,), acc + c * ints[i], lo if i < fstart else 0
 
 

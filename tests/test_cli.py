@@ -366,6 +366,16 @@ def test_a_huge_arity_is_an_error(capsys, argv, what):
     assert err == f"error: {what} arity 11 gives 3**11 argument cells, above the 65536 limit\n"
 
 
+def test_a_closure_past_its_byte_ceiling_is_truncated(capsys, monkeypatch):
+    # CI runs `clone @T1N --arity 10` under a memory cap: 2,272 elements of
+    # 59,049 bytes; here the ceiling is lowered to 10 of Clo_3's 13 elements
+    from finalg import subpower
+
+    monkeypatch.setattr(subpower, "MAX_BYTES", 27 * 10)
+    code, out, _ = run(["clone", "@T1N", "--arity", "3"], capsys)
+    assert (code, out) == (3, "count 10 (truncated)\n")
+
+
 def test_absorb_bad_subset_text_is_an_error(capsys):
     for text in ("a", ",", "0,,1"):
         code, out, err = run(["absorb", "@S", "--subset", text, "--arity", "2"], capsys)

@@ -66,6 +66,26 @@ def test_witness_of_generator_is_variable(alg):
     assert render_term(t, ["x", "y"]) == "x"
 
 
+def test_witness_term_leaves_no_reference_cycle(alg):
+    # with the cyclic collector off, a closure dies with its last reference
+    # also after a witness term was read off it
+    import gc
+    import weakref
+
+    a = alg("T4,13")
+    gset = free_algebra(a, 3)
+    target = gset.elements[-1]
+    gc.disable()
+    try:
+        ref = weakref.ref(gset)
+        term = gset.witness_term(target)
+        del gset
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert eval_term_table(term, a, 3).values == tuple(target)
+
+
 def test_witness_reevaluation_rab_t47(alg):
     a = alg("T4,7")
     r = generate(a, 2, [(3, 1), (1, 3)])
@@ -451,7 +471,12 @@ def test_generate_keeps_no_closure_between_calls(alg, monkeypatch):
     first, second = generate(a, m, gens), generate(a, m, gens)
     assert len(runs) == 2 and second is not first
     assert second.elements == first.elements and second.witnesses == first.witnesses
-    assert second.applications == first.applications == 455_005
+    assert second.applications == first.applications == 310_995
+    # the rounds start at 3, 11, 115 and 175 elements; the last finds nothing
+    assert second.rounds == first.rounds == 4
+    # a budget stop counts the round it stopped in
+    cut = generate(a, m, gens, max_steps=1_000)
+    assert (cut.stop_reason, len(cut), cut.rounds) == ("steps", 135, 3)
 
 
 def test_huge_arities_are_rejected(alg):
@@ -582,9 +607,14 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
     first round end with at least `_ORBIT_MIN` elements: at that round end
     every element, and at each later one the round's new elements, are met
     in order; one with no earlier image is a representative, and its
-    missing images join with the images of its witness's parents.  From
-    then on a tuple of arity at least 2 whose first entry is no
-    representative is skipped."""
+    missing images join with the images of its witness's parents.  The
+    tuples are then tuples of positions in a layout: the orbits met, each
+    in index order (its representative first), those with every element
+    older than the round first; the frontier is the positions of the other
+    orbits, and the layout grows by the orbits met at each round end.  A
+    tuple of arity at least 2 whose first entry is no representative is
+    skipped, and so is one of arity at least 3 whose second entry y has an
+    earlier image h.y under a variable map h that fixes the first."""
     gset = GeneratedSet(base=base, exponent=m, generators=list(gen_list))
     elements, position, witnesses = gset.elements, gset.position, gset.witnesses
     stop = None
@@ -604,12 +634,32 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
     for g in gen_list:
         insert(g, None)
     images = variable_images(base, m, gen_list)
-    reps = None  # the representatives, once the variable orbits are walked
+    if images:
+        images = functools.lru_cache(maxsize=None)(images)
+    layout = None  # the element index at each position, once the orbits are walked
+    reps = set()  # the representatives' positions
     spent = 0
     fstart = 0
+
+    def skipped(prefix, where):
+        # is no tuple of this row walked by the variable-orbit walk?
+        if layout is None or not prefix:
+            return False
+        if prefix[0] not in reps:
+            return True
+        if len(prefix) < 2:
+            return False
+        r, y = (elements[layout[p]] for p in prefix[:2])
+        return any(r_img == r and where[position[y_img]] < prefix[1]
+                   for r_img, y_img in zip(images(r), images(y)))
+
     while fstart < len(elements) and not stop:
         size = len(elements)
-        ints = [int.from_bytes(e, "big") for e in elements]
+        gset.rounds += 1
+        index = list(range(size)) if layout is None else layout  # position -> index
+        where = {i: p for p, i in enumerate(index)}
+        walked = [elements[i] for i in index]
+        ints = [int.from_bytes(e, "big") for e in walked]
         for op_i, op in enumerate(base.operations):
             if stop:
                 break
@@ -619,8 +669,8 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
             lut = bytes(op.values) + bytes(256 - n**k) if one_byte else b""
             group = orbit_group(op) if orbits else None
             for prefix in itertools.product(range(size), repeat=k - 1):
-                if reps is not None and prefix and prefix[0] not in reps:
-                    continue  # no tuple of this row starts with a representative
+                if skipped(prefix, where):
+                    continue
                 lo = 0 if any(i >= fstart for i in prefix) else fstart
                 applied = 0
                 for t in range(lo, size):
@@ -634,10 +684,10 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
                         res = acc.to_bytes(m, "big").translate(lut)
                     else:
                         res = bytes(
-                            op.values[sum(c * elements[i][x] for c, i in zip(coeffs, args))]
+                            op.values[sum(c * walked[i][x] for c, i in zip(coeffs, args))]
                             for x in range(m)
                         )
-                    insert(res, (op_i, args))
+                    insert(res, (op_i, tuple(index[i] for i in args)))
                     if stop:
                         break
                 if stop:
@@ -649,15 +699,14 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
                     stop = "steps"
                     break
         new = len(elements)
-        if images and new > size and not stop and (reps is not None
+        fstart = size
+        if images and new > size and not stop and (layout is not None
                                                     or new >= subpower._ORBIT_MIN):
-            first = 0 if reps is None else size
-            reps = set() if reps is None else reps
-            for i in range(first, new):
+            met = []
+            for i in range(0 if layout is None else size, new):
                 imgs = images(elements[i])
                 if any(position.get(img, new) < i for img in imgs):
                     continue
-                reps.add(i)
                 op_i, parents = witnesses[i] or (None, ())
                 parent_images = [images(elements[p]) for p in parents]
                 for s, img in enumerate(imgs):
@@ -666,7 +715,14 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
                         break
                 if stop:
                     break
-        fstart = size
+                met.append(sorted({i, *(position[img] for img in imgs)}))
+            if not stop:
+                old = [o for o in met if max(o) < size]
+                layout = layout or []
+                fstart = len(layout) + sum(map(len, old))
+                for orbit in old + [o for o in met if max(o) >= size]:
+                    reps.add(len(layout))
+                    layout = layout + orbit
     gset.applications = spent
     if stop:
         gset.truncated = True
@@ -699,6 +755,7 @@ def kernel_and_reference(base, m, gens, cap=None, targets=None, region=None,
     assert got.generators == want.generators
     assert (got.truncated, got.stop_reason) == (want.truncated, want.stop_reason)
     assert got.applications == want.applications  # the steps spent at the last row end
+    assert got.rounds == want.rounds
     if got.stop_reason == "steps":
         assert got.applications >= max_steps
     assert got_seen == want_seen
@@ -724,20 +781,62 @@ def test_kernel_matches_reference_on_free_algebras(entries):
             if variable_images(a, m, got.generators) and len(got) >= subpower._ORBIT_MIN:
                 walked[got.truncated] += 1
     assert complete > 100 and truncated > 10
-    assert walked == {False: 6, True: 16}
+    assert walked == {False: 7, True: 15}
+
+
+def test_kernel_matches_reference_on_clo4(alg):
+    # 23 variable maps, so stabilizers beyond those of S_3: T1N's complete
+    # Clo_4 (44 elements, the walk on from its third round) and T1C's cut
+    # by the budget
+    t1n, t1c = alg("T1N"), alg("T1C")
+    got = kernel_and_reference(t1n, *_free(t1n, 4))
+    with mock.patch.object(subpower, "_variable_orbit", lambda *args: None):
+        plain = fresh(t1n, *_free(t1n, 4))
+    assert (len(got), got.truncated, got.rounds) == (44, False, 3)
+    assert set(got.elements) == set(plain.elements)
+    assert kernel_and_reference(t1c, *_free(t1c, 4), max_steps=20_000).truncated
 
 
 def test_variable_orbit_walk_cuts_the_applications_of_clo3(alg):
     # the complete Clo_3 of T4,10 and T4,13: the elements of the plain walk
-    # with about 3x fewer kernel applications
-    for name, plain_steps, steps in (("T4,10", 357_760, 115_888),
-                                     ("T4,13", 357_760, 108_353)):
+    # with about 5.5x fewer kernel applications
+    for name, plain_steps, steps in (("T4,10", 357_760, 65_352),
+                                     ("T4,13", 357_760, 65_474)):
         a = alg(name)
         got = fresh(a, *_clo3(a))
         with mock.patch.object(subpower, "_variable_orbit", lambda *args: None):
             plain = fresh(a, *_clo3(a))
         assert not got.truncated and set(got.elements) == set(plain.elements)
         assert (plain.applications, got.applications) == (plain_steps, steps)
+
+
+def argument_tuple_orbits(gset):
+    """The orbits of the argument tuples of a Clo_k's basic operations over
+    its elements, under the variable maps (on every entry at once) and the
+    operation's argument symmetry (`orbit_group`), counted by brute force:
+    the tuples that are the least of their images."""
+    a = gset.base
+    images = variable_images(a, gset.exponent, gset.generators)
+    maps = [list(range(len(gset)))] + [list(col) for col in zip(*(
+        [gset.position[img] for img in images(e)] for e in gset.elements))]
+    count = 0
+    for op in a.operations:
+        perms = orbit_group(op) or [tuple(range(op.arity))]
+        for t in itertools.product(range(len(gset)), repeat=op.arity):
+            if all(tuple(s[t[j]] for j in perm) >= t for s in maps for perm in perms):
+                count += 1
+    return count
+
+
+def test_variable_orbit_walk_applies_about_one_tuple_per_orbit(alg):
+    # a symmetric (T3N, T1C) and a cyclic (T7C) ternary operation: the walk
+    # applies each orbit of argument tuples at least once, and few twice
+    for name, orbits in (("T3N", 22_001), ("T1C", 4_963), ("T7C", 3_844)):
+        a = alg(name)
+        got = fresh(a, *_clo3(a))
+        assert not got.truncated
+        assert argument_tuple_orbits(got) == orbits
+        assert orbits <= got.applications <= 1.3 * orbits, name
 
 
 def test_kernel_matches_reference_on_relations(entries):
@@ -803,7 +902,7 @@ def test_kernel_matches_reference_on_early_exits(alg):
     for targets in ([middle], [middle, last], [gens[1]], [absent], []):
         kernel_and_reference(a, m, gens, targets=targets)
     # a stop on each element, whole rows (Clo_2(T4,16)) and single ones, and
-    # in the variable-orbit walk (Clo_3(T1C), 55 elements, 4 of them admitted
+    # in the variable-orbit walk (Clo_3(T1C), 55 elements, 6 of them admitted
     # as images at a round end), also at each cap
     t1c = alg("T1C")
     for b, (bm, bgens) in ((a, (m, gens)), (alg("T4,16"), _clo2(alg("T4,16"))),
@@ -842,6 +941,23 @@ def test_cap_admits_at_most_cap_elements(alg, monkeypatch):
     monkeypatch.setattr(subpower, "MAX_ELEMENTS", 5)
     g = free_algebra(a, 2)
     assert len(g) == 5 and g.stop_reason == "cap"
+
+
+def test_generate_holds_a_closure_to_its_byte_ceiling(alg, monkeypatch):
+    # a closure in A^m keeps at most MAX_BYTES // m elements: a prefix of
+    # the whole closure, stopped with reason "cap"
+    a = alg("T4,10")
+    full = free_algebra(a, 2)  # 16 bytes an element
+    assert subpower.MAX_BYTES // 16 > len(full)
+    monkeypatch.setattr(subpower, "MAX_BYTES", 16 * 5 + 15)
+    g = free_algebra(a, 2)
+    assert (len(g), g.truncated, g.stop_reason) == (5, True, "cap")
+    assert g.elements == full.elements[:5] and g.witnesses == full.witnesses[:5]
+    # an exponent-0 closure (its one element holds no byte) keeps the
+    # element ceiling only
+    monkeypatch.setattr(subpower, "MAX_BYTES", 0)
+    g = term_closure(a, 2, [])
+    assert (g.elements, g.truncated) == ([b""], False)
 
 
 def _sweep_row_ends(base, m, gens, every=1, limit=KERNEL_BUDGET):
