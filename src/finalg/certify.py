@@ -23,6 +23,7 @@ carry no witness yet: their decision procedures do not return their terms.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ from .congruence import (
     quotient_algebra,
     simplicity_witness,
 )
-from .search import parse_constraint_file, search_ops
+from .search import parse_constraint_file, solutions
 from .subpower import cyclic_term_witnesses, eval_term, generate, render_term
 from . import catalog as _catalog
 from . import structure as _structure
@@ -288,13 +289,14 @@ def _check_clone(want, alg, args, max_steps):
 def _check_unique_op(alg, args, max_steps):
     expected, cons_text = args
     spec = parse_constraint_file("\n".join([f"domain {alg.domain}", *cons_text.split(";")]))
-    spec.cap = 2
-    res = search_ops(spec)
-    if res.truncated or len(res.tables) > 1:
-        return "fail", f"{len(res.tables)}+ solutions, not unique", ()
-    if not res.tables:
+    found = list(itertools.islice(solutions(spec, max_steps), 2))
+    if None in found:
+        return "inconclusive", "budget", ()
+    if len(found) > 1:
+        return "fail", "2+ solutions, not unique", ()
+    if not found:
         return "fail", "no solution", ()
-    if res.tables[0].values != (expected or alg.operations[0].values):
+    if found[0] != (expected or alg.operations[0].values):
         return "fail", "unique solution differs from expected table", ()
     return "pass", "unique solution matches", ()
 

@@ -282,10 +282,10 @@ def cmd_catalog(args):
 def cmd_search(args):
     spec = parse_constraint_file(_read_ascii(args.spec))
     if args.count:
-        n, truncated = count_ops(spec)
+        n, truncated = count_ops(spec, max_steps=args.max_steps)
         print(f"{n}{'+' if truncated else ''}")
         return EXIT_INCONCLUSIVE if truncated else EXIT_OK
-    res = search_ops(spec)
+    res = search_ops(spec, max_steps=args.max_steps)
     for t in res.tables:
         print(" ".join(str(v) for v in t.values))
     return EXIT_INCONCLUSIVE if res.truncated else EXIT_OK
@@ -310,7 +310,8 @@ def build_parser():
     parser.add_argument("--max-steps", type=int, default=None,
                         help="work budget for closures: the operation applications "
                              "made, one per argument orbit of a symmetric or cyclic "
-                             "ternary operation (at least 1)")
+                             "ternary operation; for a table search, the values tried "
+                             "at undecided cell orbits (at least 1)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("info", help="operations and basic predicates")

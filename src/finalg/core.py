@@ -118,9 +118,7 @@ def compose(outer: OperationTable, inners) -> OperationTable:
             raise AlgebraError("compose: inner operations must share arity and domain")
     vals = []
     for args in itertools.product(range(n), repeat=l):
-        idx = 0
-        for a in args:
-            idx = idx * n + a
+        idx = cell_index(args, n)
         inner_vals = tuple(g.values[idx] for g in inners)
         vals.append(outer.values[outer.index(inner_vals)])
     name = f"{outer.name}({','.join(g.name for g in inners)})"
@@ -369,10 +367,7 @@ class PartialTable:
         """Build from {args: value}; unspecified cells stay unknown."""
         vals = [None] * domain**arity
         for args, v in entries.items():
-            idx = 0
-            for a in args:
-                idx = idx * domain + a
-            vals[idx] = v
+            vals[cell_index(args, domain)] = v
         return PartialTable(name, arity, domain, tuple(vals))
 
 

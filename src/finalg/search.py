@@ -8,6 +8,15 @@ permutation-commuting propagates transformed values; relation preservation
 prunes where all needed cells are known.  Solutions arrive in lexicographic
 order of their value sequences.
 
+One generator, `solutions`, walks the orbits with an explicit stack of
+frames and yields each solution's flat value tuple as it is found;
+`search_ops` builds tables from it up to the spec's cap, `count_ops`
+counts without building any, and a uniqueness question reads at most two.
+Its work budget is counted in steps, one per value tried at an undecided
+orbit, so it is deterministic.  A walk that stops on it yields None last:
+`search_ops` and `count_ops` then report truncated, the `unique-op`
+certificate check inconclusive.
+
 Every leaf is still checked in full against every constraint, propagated or
 not, by the check `satisfies` runs.  Each constraint is compiled once per
 search (and cached per constraint, domain and arity) into a check on the
@@ -38,6 +47,7 @@ from .core import (
     swapped_cells,
 )
 from .congruence import Partition
+from .subpower import check_budget
 
 
 class NoCompletionError(AlgebraError):
@@ -342,13 +352,16 @@ def _propagators(spec, cells, position):
     return partitions, perms, relations
 
 
-def search_ops(spec: SearchSpec, name="f") -> SearchResult:
-    """All tables satisfying the spec, lexicographic by value sequence."""
+def solutions(spec: SearchSpec, max_steps=None):
+    """The streaming core: yields the flat value tuple of each table that
+    passes every compiled check, in lexicographic order, and None as its last
+    item if it stops after `max_steps` steps (None is unbounded)."""
+    check_budget(max_steps)
     n, k = spec.domain, spec.arity
     cells, position, orbit_of, orbits = _argument_orbits(n, k, spec.constraints)
     forced = _forced_cells(spec, cells, position)
     if forced is None:
-        return SearchResult([], False)
+        return
     # the full check of every constraint, run at each leaf
     checks = [_check(c, n, k) for c in spec.constraints]
     partitions, perms, relations = _propagators(spec, cells, position)
@@ -403,62 +416,67 @@ def search_ops(spec: SearchSpec, name="f") -> SearchResult:
                     return False
         return True
 
-    ok = True
-    for idx, v in forced.items():
-        if not assign(orbit_of[idx], v):
-            ok = False
-            break
-    if not ok or not relation_check():
-        return SearchResult([], False)
+    if not all(assign(orbit_of[idx], v) for idx, v in forced.items()) or not relation_check():
+        return
+    prune = relations and all(len(r.tuples) ** k <= _RELATION_COMBOS for r in relations)
 
-    solutions = []
-    truncated = False
-    check_relations_incrementally = all(
-        len(r.tuples) ** k <= _RELATION_COMBOS for r in relations
-    )
-
-    def undo(mark):
-        while len(trail) > mark:
-            tag = trail.pop()
-            if tag[0] == "orbit":
-                orbit_val[tag[1]] = -1
-            else:
-                del group_block[tag[1]][tag[2]]
-
-    def dfs(pos):
-        nonlocal truncated
-        if truncated:
-            return
-        # orbits are decided in index order, the lex order of their representatives
+    # orbits are decided in index order, the lex order of their representatives;
+    # one frame [orbit, next value, trail mark] per undecided orbit on the path
+    frames, pos, steps = [], 0, 0
+    while True:
         while pos < len(orbits) and orbit_val[pos] != -1:
             pos += 1
-        if pos == len(orbits):
+        if pos < len(orbits):
+            frames.append([pos, 0, len(trail)])
+        else:
             vals = tuple(map(orbit_val.__getitem__, orbit_of))
             for check in checks:
                 if not check(vals):
-                    return
-            if spec.cap is not None and len(solutions) >= spec.cap:
-                truncated = True
+                    break
             else:
-                solutions.append(OperationTable(name, k, n, vals))
-            return
-        for v in range(n):
-            mark = len(trail)
-            if assign(pos, v) and (not relations or not check_relations_incrementally
-                                 or relation_check()):
-                dfs(pos + 1)
-            undo(mark)
-            if truncated:
+                yield vals
+        while frames:
+            o, v, mark = frame = frames[-1]
+            while len(trail) > mark:
+                tag = trail.pop()
+                if tag[0] == "orbit":
+                    orbit_val[tag[1]] = -1
+                else:
+                    del group_block[tag[1]][tag[2]]
+            if v == n:
+                frames.pop()
+                continue
+            if steps == max_steps:
+                yield None
                 return
+            steps += 1
+            frame[1] = v + 1
+            if assign(o, v) and (not prune or relation_check()):
+                pos = o + 1
+                break
+        else:
+            return
 
-    dfs(0)
-    return SearchResult(solutions, truncated)
+
+def search_ops(spec: SearchSpec, max_steps=None) -> SearchResult:
+    """The tables "f" of the spec's solutions up to `spec.cap`; truncated when
+    one more exists or the budget stopped the walk first."""
+    tables = []
+    for vals in solutions(spec, max_steps):
+        if vals is None or len(tables) == spec.cap:
+            return SearchResult(tables, True)
+        tables.append(OperationTable("f", spec.arity, spec.domain, vals))
+    return SearchResult(tables, False)
 
 
-def count_ops(spec: SearchSpec):
-    """(number of solutions under the cap, truncated flag)."""
-    res = search_ops(spec)
-    return len(res.tables), res.truncated
+def count_ops(spec: SearchSpec, max_steps=None):
+    """`search_ops`'s (number of tables, truncated flag), with no table built."""
+    count = 0
+    for vals in solutions(spec, max_steps):
+        if vals is None or count == spec.cap:
+            return count, True
+        count += 1
+    return count, False
 
 
 def unique_completion(partial: PartialTable, constraints, name=None) -> OperationTable:
@@ -467,18 +485,14 @@ def unique_completion(partial: PartialTable, constraints, name=None) -> Operatio
     Raises NoCompletionError / NonUniqueCompletionError otherwise -- both are
     fatal for catalog integrity, because a transcription slip shows up here.
     """
-    spec = SearchSpec(
-        domain=partial.domain,
-        arity=partial.arity,
-        constraints=tuple(constraints) + (PartialValues(partial),),
-        cap=2,
-    )
-    res = search_ops(spec, name=name or partial.name)
-    if not res.tables:
+    spec = SearchSpec(partial.domain, partial.arity,
+                      tuple(constraints) + (PartialValues(partial),))
+    found = list(itertools.islice(solutions(spec), 2))
+    if not found:
         raise NoCompletionError(f"no completion of {partial.name}")
-    if len(res.tables) > 1 or res.truncated:
+    if len(found) > 1:
         raise NonUniqueCompletionError(f"completion of {partial.name} is not unique")
-    return res.tables[0]
+    return OperationTable(name or partial.name, partial.arity, partial.domain, found[0])
 
 
 # the whole-table constraints by name: the directives of a search spec that

@@ -158,6 +158,16 @@ def test_unique_op_assertion_inline():
     assert r.status == "pass"
 
 
+def test_unique_op_budget_stop_is_inconclusive():
+    # T4,1's uniqueness argument tries 36 orbit values; a stop before the
+    # second solution has been ruled out decides nothing
+    (a,) = [a for c in certify.shipped_certificates() if c.algebra_name == "T4,1"
+            for a in c.assertions if a.kind == "unique-op"]
+    alg = catalog.get("T4,1").algebra
+    assert certify.check_assertion(alg, a, max_steps=35) == ("inconclusive", "budget")
+    assert certify.check_assertion(alg, a, max_steps=36) == ("pass", "unique solution matches")
+
+
 def test_format_report_modes():
     cert = certify.parse_certificate("algebra S\nsimple true\n")
     _, results = certify.run_suite([cert])

@@ -128,6 +128,16 @@ def test_search_spec_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "1"
 
 
+def test_search_stops_on_the_step_budget(capsys, tmp_path):
+    # 4**20 candidate tables: unbudgeted, the walk would run for hours
+    spec = tmp_path / "big.spec"
+    spec.write_text("domain 4\narity 3\nidempotent\ncyclic\n")
+    code, out, _ = run(["--max-steps", "1000", "search", "--spec", str(spec), "--count"], capsys)
+    assert (code, out) == (3, "738+\n")
+    code, out, _ = run(["--max-steps", "1000", "search", "--spec", str(spec)], capsys)
+    assert code == 3 and len(out.splitlines()) == 738
+
+
 def test_catalog_show_and_export(capsys):
     code, out, _ = run(["catalog", "show", "T4,14"], capsys)
     assert code == 0

@@ -1,8 +1,12 @@
+import dataclasses
+import gc
 import itertools
 import random
 import tracemalloc
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finalg.core import AlgebraError, OperationTable, ParseError, PartialTable
 from finalg.congruence import Partition
@@ -176,6 +180,40 @@ def test_randomized_agreement_cyclic_3_3():
         spec = _random_spec(rnd, 3, 3, force_cyclic=True)
         got = sorted(t.values for t in search_ops(spec).tables)
         assert got == brute_force(spec), spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+       st.sampled_from([None, 1, 3]))
+def test_budgeted_search_streams_a_prefix_of_the_full_search(rnd, shape, cap):
+    spec = _random_spec(rnd, *shape, force_cyclic=False)
+    full = [t.values for t in search_ops(spec).tables]
+    assert full == brute_force(spec)  # the same tables in the same order
+    spec = dataclasses.replace(spec, cap=cap)
+    for budget in (1, 10, None):
+        res = search_ops(spec, max_steps=budget)
+        got = [t.values for t in res.tables]
+        assert got == full[:len(got)]
+        assert count_ops(spec, max_steps=budget) == (len(got), res.truncated)
+        # one step is one value tried, so each step reaches at most one leaf
+        assert len(got) <= max(budget or len(full), 1)
+        if len(got) < len(full):
+            assert res.truncated  # a budget stop or the cap
+        if budget is None:
+            assert got == full[:cap] and res.truncated == (len(got) < len(full))
+
+
+def test_search_leaves_no_reference_cycle():
+    # with the collector off, the tables die with the last reference to them
+    gc.disable()
+    try:
+        res = search_ops(SearchSpec(3, 3, (Idempotent(), Cyclic())))
+        assert len(res.tables) == 6561
+        first = weakref.ref(res.tables[0])
+        del res
+        assert first() is None
+    finally:
+        gc.enable()
 
 
 def _random_spec(rnd, n, k, force_cyclic):
