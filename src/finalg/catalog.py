@@ -94,16 +94,16 @@ def pair_table(kind: str, subset, arity=3) -> OperationTable:
     raise AlgebraError(f"unknown pair kind {kind!r}")
 
 
-def zn_aff(n: int, name="g") -> OperationTable:
+def zn_aff(n: int) -> OperationTable:
     return OperationTable(
-        name, 3, n,
+        "g", 3, n,
         tuple((x - y + z) % n for x, y, z in itertools.product(range(n), repeat=3)),
     )
 
 
-def klein_aff(name="g") -> OperationTable:
+def klein_aff() -> OperationTable:
     return OperationTable(
-        name, 3, 4,
+        "g", 3, 4,
         tuple(x ^ y ^ z for x, y, z in itertools.product(range(4), repeat=3)),
     )
 
@@ -315,7 +315,7 @@ def _complete(name, source, domain, pairs, values, laws, letters=False):
         constraints = [Idempotent(), LAWS[laws[0]]()]
         constraints += [RestrictionEquals(s, pair_table(k, s)) for s, k in pairs.items()]
         partial = PartialTable.from_entries("g", 3, domain, values)
-        return unique_completion(partial, constraints, name="g")
+        return unique_completion(partial, constraints)
 
     _add(name, source, build, pairs, laws, letters)
 

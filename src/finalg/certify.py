@@ -279,7 +279,7 @@ def _check_clone(want, alg, args, max_steps):
     arity, vals = args
     op = OperationTable("f", arity, alg.domain, vals)
     d = _structure.decide_clone_membership(alg, op, max_steps=max_steps)
-    term = d.closure.witness_term(vals) if d.holds else None
+    term = d.witness(vals)
     witnesses = [(term, list(op.all_args()), [{v} for v in vals])] if d.holds else []
     passed = (render_term(term, [f"x{i+1}" for i in range(arity)]) if d.holds
               else "excluded by invariant" if d.argument else "exhausted")
@@ -406,10 +406,9 @@ def check_assertion(alg: Algebra, a: Assertion, max_steps=DEFAULT_ASSERTION_STEP
     return status, detail
 
 
-def check_certificate(cert: Certificate, max_steps=DEFAULT_ASSERTION_STEPS, alg=None):
+def check_certificate(cert: Certificate, max_steps=DEFAULT_ASSERTION_STEPS):
     """Evaluate all assertions in order; returns a list of AssertionResult."""
-    if alg is None:
-        alg = _catalog.get(cert.algebra_name).algebra
+    alg = _catalog.get(cert.algebra_name).algebra
     results = []
     for idx, a in enumerate(cert.assertions):
         t0 = time.perf_counter()

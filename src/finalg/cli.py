@@ -131,7 +131,7 @@ def cmd_clone(args):
             return EXIT_INCONCLUSIVE
         print("member" if d.holds else "not-member")
         if d.holds:
-            print(render_term(d.closure.witness_term(op.values), _var_names(op.arity)))
+            print(render_term(d.witness(op.values), _var_names(op.arity)))
         return EXIT_OK
     gset = free_algebra(alg, args.arity, max_steps=args.max_steps)
     print(f"count {len(gset.elements)}{' (truncated)' if gset.truncated else ''}")

@@ -227,7 +227,7 @@ def simplicity_witness(alg: Algebra):
                  for p in (principal_congruence(alg, a, b),) if not p.is_full()), None)
 
 
-def quotient_algebra(alg: Algebra, p: Partition, label=None):
+def quotient_algebra(alg: Algebra, p: Partition):
     """(quotient Algebra, block labeling).  Blocks are labeled 0.. by
     ascending minimum element; operations act on representatives."""
     ok, violation = is_congruence(alg, p)
@@ -243,10 +243,10 @@ def quotient_algebra(alg: Algebra, p: Partition, label=None):
             for args in itertools.product(range(k), repeat=op.arity)
         )
         ops.append(OperationTable(op.name, op.arity, k, vals))
-    return Algebra(k, tuple(ops), label=label), p.blocks
+    return Algebra(k, tuple(ops)), p.blocks
 
 
-def class_algebra(alg: Algebra, p: Partition, block, label=None) -> Algebra:
+def class_algebra(alg: Algebra, p: Partition, block) -> Algebra:
     """Restriction of the algebra to one congruence block, relabeled."""
     block = tuple(sorted(block))
     if block not in p.blocks:
@@ -254,4 +254,4 @@ def class_algebra(alg: Algebra, p: Partition, block, label=None) -> Algebra:
     ok, violation = is_congruence(alg, p)
     if not ok:
         raise NotACongruenceError(f"not a congruence, violation: {violation}")
-    return alg.restrict(block, label=label)
+    return alg.restrict(block)

@@ -334,13 +334,9 @@ class Algebra:
             if not 0 <= x < self.domain:
                 raise AlgebraError(f"element {x} out of range for domain {self.domain}")
 
-    def restrict(self, subset, label=None) -> "Algebra":
+    def restrict(self, subset) -> "Algebra":
         """Subalgebra on a closed subset, relabeled by ascending original element."""
-        return Algebra(
-            len(set(subset)),
-            tuple(restrict(o, subset) for o in self.operations),
-            label=label,
-        )
+        return Algebra(len(set(subset)), tuple(restrict(o, subset) for o in self.operations))
 
 
 @dataclass(frozen=True)

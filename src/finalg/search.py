@@ -110,6 +110,9 @@ class AgreesOnTuples:
     items: tuple  # ((args, value), ...)
 
 
+SEARCH_LIMITS = {"arity": 4, "domain": 5}  # the largest a table search supports
+
+
 @dataclass
 class SearchSpec:
     domain: int
@@ -118,10 +121,9 @@ class SearchSpec:
     cap: int | None = None  # max solutions to return
 
     def __post_init__(self):
-        if not 1 <= self.arity <= 4:
-            raise AlgebraError(f"search supports arity 1 to 4, got {self.arity}")
-        if not 1 <= self.domain <= 5:
-            raise AlgebraError(f"search supports domain 1 to 5, got {self.domain}")
+        for what, limit in SEARCH_LIMITS.items():
+            if not 1 <= (value := getattr(self, what)) <= limit:
+                raise AlgebraError(f"search supports {what} 1 to {limit}, got {value}")
         if self.cap is not None and self.cap < 1:
             raise AlgebraError(f"search cap must be at least 1, got {self.cap}")
         self.constraints = tuple(self.constraints)
@@ -479,7 +481,7 @@ def count_ops(spec: SearchSpec, max_steps=None):
     return count, False
 
 
-def unique_completion(partial: PartialTable, constraints, name=None) -> OperationTable:
+def unique_completion(partial: PartialTable, constraints) -> OperationTable:
     """The single table extending `partial` under the constraints.
 
     Raises NoCompletionError / NonUniqueCompletionError otherwise -- both are
@@ -492,7 +494,7 @@ def unique_completion(partial: PartialTable, constraints, name=None) -> Operatio
         raise NoCompletionError(f"no completion of {partial.name}")
     if len(found) > 1:
         raise NonUniqueCompletionError(f"completion of {partial.name} is not unique")
-    return OperationTable(name or partial.name, partial.arity, partial.domain, found[0])
+    return OperationTable(partial.name, partial.arity, partial.domain, found[0])
 
 
 # the whole-table constraints by name: the directives of a search spec that
@@ -513,6 +515,7 @@ def parse_constraint_file(text: str):
     sizes = {}  # domain, arity, cap
     constraints = []
     pending = []  # (directive, payload, line) resolved once domain/arity known
+    commutative_line = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -526,10 +529,15 @@ def parse_constraint_file(text: str):
                 sizes[head] = int(rest)
                 if sizes[head] < 1:
                     raise ParseError(f"{head} must be at least 1, got {sizes[head]}", ln)
+                if sizes[head] > SEARCH_LIMITS.get(head, sizes[head]):
+                    raise ParseError(f"search supports {head} 1 to {SEARCH_LIMITS[head]}, "
+                                     f"got {sizes[head]}", ln)
             elif head in LAWS:
                 if rest:
                     raise ParseError(f"{head} takes no arguments, got {rest!r}", ln)
                 constraints.append(LAWS[head]())
+                if head == "commutative":
+                    commutative_line = ln
             elif head in ("partition", "restrict", "value", "perm", "preserves"):
                 pending.append((head, rest, ln))
             else:
@@ -539,6 +547,8 @@ def parse_constraint_file(text: str):
     domain, arity, cap = (sizes.get(k) for k in ("domain", "arity", "cap"))
     if domain is None or arity is None:
         raise AlgebraError("constraint file must declare domain and arity")
+    if commutative_line is not None and arity != 2:
+        raise ParseError(f"commutative requires arity 2, got arity {arity}", commutative_line)
 
     for head, rest, ln in pending:
         try:

@@ -8,16 +8,17 @@ witness-related pair generates the same subalgebra; an affine edge whose
 witness is the identity is "strong-affine".  A plain semilattice edge is the
 identity-witnessed weak semilattice edge.
 
-Absorption, clone membership and Mal'cev terms are decided by
-`subpower.decide_term`: named sound local stages, in a fixed order per
-condition, before the global closure.  A set cannot absorb if its trace on
-a proper subuniverse, or its image in a proper quotient, does not absorb
-there (`absorbs`).  A table is not a term operation if it breaks a
-subuniverse or a congruence, or restricts outside the (small) clone of a
-two-element subalgebra or quotient (`clone_excluded`, the first stage of
+Absorption, clone membership, Mal'cev terms and the semilattice and
+majority edge tests are decided by `subpower.decide_term`: named sound
+local stages (none for the edge tests), in a fixed order per condition,
+before the global closure.  A set cannot absorb if its trace on a proper
+subuniverse, or its image in a proper quotient, does not absorb there
+(`absorbs`).  A table is not a term operation if it breaks a subuniverse or
+a congruence, or restricts outside the (small) clone of a two-element
+subalgebra or quotient (`clone_excluded`, the first stage of
 `decide_clone_membership`, the one clone decision; the affine edge test
-reads the tables it keeps off one shared Clo_3).  A local stage only
-ever certifies "no", and names itself; "yes" always comes from an explicit
+reads the tables it keeps off one shared Clo_3).  A local stage only ever
+certifies "no", and names itself; "yes" always comes from an explicit
 witness.
 """
 
@@ -42,9 +43,9 @@ from .subpower import (
     check_cells,
     clone_membership,
     decide_term,
-    find_term,
     free_algebra,
     generate,  # not called here; perfbench/test_smoke.py checks the tracer rebinds it
+    local_obstruction,
     sg_closure,
     term_closure,
 )
@@ -125,7 +126,7 @@ def absorbs(alg: Algebra, subset, n: int, max_steps=None) -> AbsorptionResult:
 
     d = decide_term(alg, n, absorption_patterns(alg.domain, subset, n),
                     [("trace", lambda: _failing_trace(alg, bset, n, max_steps)),
-                     ("image", image)], max_steps=max_steps, region=bset)
+                     ("image", image)], max_steps=max_steps, stop_predicate=bset.issuperset)
     witness = d.closure.witness_term(d.closure.elements[-1]) if d.holds else None
     reason = {"trace": f"trace on subuniverse {d.argument} does not absorb",
               "image": f"image under {d.argument} does not absorb the quotient"}.get(d.stage)
@@ -136,7 +137,7 @@ def _region_closure(alg: Algebra, bset: set, n: int, max_steps):
     """The n-ary terms' values on the patterns of B, stopped at the first
     inside B: complete (not truncated) exactly when B does not absorb."""
     return term_closure(alg, n, absorption_patterns(alg.domain, bset, n),
-                        region=bset, max_steps=max_steps)
+                        stop_predicate=bset.issuperset, max_steps=max_steps)
 
 
 def _failing_trace(alg: Algebra, bset: set, n: int, max_steps):
@@ -159,7 +160,8 @@ def semilattice_edge(alg: Algebra, a: int, b: int, max_steps=None):
     alg.check_elements(a, b)
     if a == b:
         raise AlgebraError("semilattice_edge requires a != b")
-    return find_term(alg, 2, [(a, b), (b, a)], (b, b), max_steps=max_steps)
+    d = decide_term(alg, 2, [(a, b), (b, a)], [], max_steps=max_steps, targets=[(b, b)])
+    return d.holds, d.witness((b, b))
 
 
 # the kinds an EdgeRecord carries
@@ -329,23 +331,26 @@ def edge_records(alg: Algebra, a: int, b: int, max_steps=None):
         quo, _ = quotient_algebra(sub, theta)
         orig_blocks = tuple(tuple(universe[x] for x in bl) for bl in theta.blocks)
 
-        # semilattice direction tests on the quotient
-        for (u, v, x, y) in ((qa, qb, a, b), (qb, qa, b, a)):
-            found, term = semilattice_edge(quo, u, v, max_steps=max_steps)
-            if found:
+        # both semilattice directions off Sg{(qa,qb),(qb,qa)}: the closure of the
+        # swapped generators is its coordinate swap, element by element
+        pair = decide_term(quo, 2, [(qa, qb), (qb, qa)], [], max_steps=max_steps,
+                           targets=[(qb, qb), (qa, qa)])
+        for x, y, loop in ((a, b, (qb, qb)), (b, a, (qa, qa))):
+            if (term := pair.witness(loop)) is not None:
                 kind = "semilattice" if theta.is_identity() else "weak-semilattice"
                 yield EdgeRecord(x, y, kind, True, orig_blocks, term)
-            elif found is None:
+            elif pair.holds is None:
                 yield None
 
         # majority on the two quotient classes of a and b
-        found, term = find_term(quo, 3, _majority_on_pair_positions(qa, qb),
-                                (qa, qa, qa, qb, qb, qb), max_steps=max_steps)
-        if found:
+        target = (qa, qa, qa, qb, qb, qb)
+        d = decide_term(quo, 3, _majority_on_pair_positions(qa, qb), [], max_steps=max_steps,
+                        targets=[target])
+        if (term := d.witness(target)) is not None:
             kind = "majority" if _upgraded(alg, universe, theta, maximal, qa, qb) \
                 else "weak-majority"
             yield EdgeRecord(a, b, kind, False, orig_blocks, term)
-        elif found is None:
+        elif d.holds is None:
             yield None
 
         # affine: x-y+z of some abelian group structure is a quotient term.
@@ -551,7 +556,7 @@ def has_malcev_term(alg: Algebra, max_steps=None):
         (PROBE, None),
         ("malcev_obstruction", lambda: malcev_obstruction(alg, max_steps=max_steps)),
     ], max_steps=max_steps, targets=[target])
-    return d.holds, d.closure.witness_term(target) if d.holds else None
+    return d.holds, d.witness(target)
 
 
 def malcev_obstruction(alg: Algebra, max_steps=None):
@@ -560,19 +565,13 @@ def malcev_obstruction(alg: Algebra, max_steps=None):
     A Mal'cev term p has p(a,b,b) = a and p(c,c,d) = d, so for every a != b
     and c != d the ternary terms' values on the cells (a,b,b), (c,c,d) must
     include (a, d), a closure in A^2 (Freese & Valeriote, IJAC 2009).
-    Returns the first quadruple in lex order whose closure completes without
-    (a, d).  A closure cut short by `max_steps` proves nothing; None
-    when no quadruple fails.
+    The candidates of `local_obstruction` are the quadruples in lex order.
     """
     n = alg.domain
-    for a, b, c, d in itertools.product(range(n), repeat=4):
-        if a == b or c == d:
-            continue
-        gset = term_closure(alg, 3, [(a, b, b), (c, c, d)], targets=[(a, d)],
-                            max_steps=max_steps)
-        if gset.contains((a, d)) is False:
-            return a, b, c, d
-    return None
+    return local_obstruction(alg, 3, (
+        ((a, b, c, d), [(a, b, b), (c, c, d)], {"targets": [(a, d)]})
+        for a, b, c, d in itertools.product(range(n), repeat=4) if a != b and c != d
+    ), max_steps)
 
 
 def two_generated(alg: Algebra):

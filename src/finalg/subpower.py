@@ -20,7 +20,7 @@ witnesses as a walk over every tuple, with about k! (symmetric) or 3
 (cyclic) times fewer applications.
 
 A closure of the k projections of A^(n^k), k >= 2 (a Clo_k: `free_algebra`,
-`cyclic_terms`, and `clone_membership` / `find_term` of a k-ary table on
+`cyclic_terms`, and `clone_membership` / `decide_term` of a k-ary table on
 all its cells) is a union of orbits of S_k, which permutes the variables:
 a fixed permutation of the n^k coordinates that commutes with every
 operation applied coordinatewise.  Such a closure, of an algebra with an
@@ -191,7 +191,7 @@ class GeneratedSet:
     witnesses: list = field(default_factory=list)  # per element: None or (op_i, parent idxs)
     generators: list = field(default_factory=list)  # bytes
     truncated: bool = False
-    stop_reason: str | None = None  # "steps" | "cap" | "targets" | "region" | "predicate"
+    stop_reason: str | None = None  # "steps" | "cap" | "targets" | "predicate"
     applications: int = 0  # made by the kernel in completed rows, as `max_steps` counts
     rounds: int = 0  # breadth-first rounds the kernel started
 
@@ -270,7 +270,6 @@ def generate(
     m: int,
     generators,
     targets=None,
-    region=None,
     stop_predicate=None,
     max_steps: int | None = None,
 ) -> GeneratedSet:
@@ -278,9 +277,8 @@ def generate(
 
     Early exits (all flagged via `truncated` + `stop_reason`):
       - targets: iterable of tuples; stop once every target has appeared;
-      - region: set of allowed values; stop once some element lies entirely
-        inside it (used for absorption-style tests);
-      - stop_predicate: bytes -> bool, stop once it accepts a new element;
+      - stop_predicate: bytes -> bool, stop once it accepts a new element
+        (absorption passes `B.issuperset`: an element inside B);
       - max_steps: the work budget, at least 1: the operation applications
         made (one per argument orbit of a symmetric or cyclic operation, see
         `_prefix_rows`).  Spent per row of applications; deterministic, so
@@ -297,8 +295,7 @@ def generate(
     if targets is not None:
         targets = [_checked_bytes(t, base.domain, "target") for t in targets]
     cap = min(MAX_ELEMENTS, MAX_BYTES // m) if m else MAX_ELEMENTS
-    return _closure(base, m, gen_list, cap, _stop_test(targets, region, stop_predicate),
-                    max_steps)
+    return _closure(base, m, gen_list, cap, _stop_test(targets, stop_predicate), max_steps)
 
 
 def _generator_bytes(base: Algebra, m: int, generators) -> list:
@@ -331,19 +328,16 @@ def _checked_bytes(tup, n: int, what: str) -> bytes:
     return b
 
 
-def _stop_test(targets, region, stop_predicate):
+def _stop_test(targets, stop_predicate):
     """The early-exit test run on each new element: bytes -> stop reason or
     None."""
     target_set = {bytes(t) for t in targets} if targets is not None else None
-    region_set = frozenset(region) if region is not None else None
 
     def stop_for(e: bytes):
         if target_set is not None:
             target_set.discard(e)
             if not target_set:
                 return "targets"
-        if region_set is not None and set(e) <= region_set:
-            return "region"
         if stop_predicate is not None and stop_predicate(e):
             return "predicate"
         return None
@@ -694,7 +688,7 @@ def term_closure(base: Algebra, k: int, cells, **budgets) -> GeneratedSet:
     A^len(cells): element j of a member is t(cells[j]) for one k-ary term t,
     and a complete closure holds every such value vector.  This is the one
     encoding of term conditions (Freese & Valeriote, IJAC 2009); `budgets`
-    (targets, region, stop_predicate, max_steps) go to `generate`.  `k`
+    (targets, stop_predicate, max_steps) go to `generate`.  `k`
     is explicit because `cells` may be empty.
     """
     cells = list(cells)
@@ -705,16 +699,6 @@ def term_generators(base: Algebra, k: int, cells: list) -> list:
     """The generators of `term_closure(base, k, cells)`: the k columns of the
     cells (a list of k-tuples), as checked bytes."""
     return _generator_bytes(base, len(cells), list(zip(*cells))[:k] if cells else [()] * k)
-
-
-def find_term(base: Algebra, k: int, cells, target, max_steps=None):
-    """Is there a k-ary term t with t(cells[j]) = target[j] for every j?
-
-    Returns (True, witness term) / (False, None) / (None, None) when the
-    closure was cut short without reaching the target."""
-    gset = term_closure(base, k, cells, targets=[target], max_steps=max_steps)
-    found = gset.contains(target)
-    return found, gset.witness_term(target) if found else None
 
 
 def free_algebra(base: Algebra, k: int, **kw) -> GeneratedSet:
@@ -734,7 +718,8 @@ def clone_membership(base: Algebra, op: OperationTable, max_steps=None):
     / (None, None) when the search was truncated without a hit."""
     if op.domain != base.domain:
         raise AlgebraError("clone_membership: domain mismatch")
-    return find_term(base, op.arity, op.all_args(), op.values, max_steps=max_steps)
+    d = decide_term(base, op.arity, op.all_args(), [], max_steps=max_steps, targets=[op.values])
+    return d.holds, d.witness(op.values)
 
 
 # The step budget of the global probe in `decide_term`.  Measured on the
@@ -752,13 +737,18 @@ PROBE_STEPS = 1_000
 class Decision:
     """The answer of `decide_term` and the stage that gave it: holds is
     True / False / None (inconclusive).  A global closure's answer (stage
-    PROBE or "closure") carries the `closure`, from which a "yes" reads its
-    witness; a local stage's "no" carries what it failed on, `argument`."""
+    PROBE or "closure") carries the `closure`, from which `witness(target)`
+    reads a target's term (None if absent); a local stage's "no" carries
+    what it failed on, `argument`."""
 
     holds: bool | None
     stage: str
     closure: GeneratedSet | None = None
     argument: object = None
+
+    def witness(self, target) -> TermTree | None:
+        found = self.closure is not None and self.closure.contains(target)
+        return self.closure.witness_term(target) if found else None
 
 
 PROBE = "probe"
@@ -768,7 +758,7 @@ def decide_term(base: Algebra, k: int, cells, stages, max_steps=None, **exits) -
     """Decides a term condition by sound stages, in the order given.
 
     The global closure is `term_closure(base, k, cells, **exits)`: "yes" if
-    it stops on an early exit (targets, region, stop_predicate), "no" if it
+    it stops on an early exit (targets, stop_predicate), "no" if it
     completes.  `stages` lists (name, test): test() runs a sound local test
     and returns the argument it fails on, or None.  The stage PROBE (test
     None) is the global closure under min(max_steps, PROBE_STEPS) steps;
@@ -797,26 +787,32 @@ def decide_term(base: Algebra, k: int, cells, stages, max_steps=None, **exits) -
     return answer("closure", max_steps)
 
 
+def local_obstruction(base: Algebra, k: int, tests, max_steps=None):
+    """The sub-condition search, a sound local "no": the argument of the
+    first (argument, cells, exits) in `tests` whose `term_closure(base, k,
+    cells, **exits)` completes, or None.  A term with a condition's values
+    on all its cells has them on every subset; a closure cut short by
+    `max_steps` proves nothing."""
+    for argument, cells, exits in tests:
+        if not term_closure(base, k, cells, max_steps=max_steps, **exits).truncated:
+            return argument
+    return None
+
+
 def cyclic_obstruction(base: Algebra, k: int, max_steps=None):
     """A sound local "no" for a k-ary cyclic term: the argument a it fails on.
 
     A cyclic term t gives t(a) = t(rot a) = ... for every a in A^k, so the
-    values of the k-ary terms on the k rotations of a (`term_closure`) must
-    include a constant tuple (Barto & Kozik, LMCS 2012).  Tries each
-    non-constant a that is the least of its rotations, in lex order, and
-    returns the first whose closure completes without one.  A closure cut
-    short by `max_steps` proves nothing; None when no a fails.
+    values of the k-ary terms on the k rotations of a must include a
+    constant tuple (Barto & Kozik, LMCS 2012).  The candidates of
+    `local_obstruction` are each non-constant a that is the least of its
+    rotations, in lex order.
     """
-    n = base.domain
-    for a in itertools.product(range(n), repeat=k):
-        rotations = [a[i:] + a[:i] for i in range(k)]
-        if a.count(a[0]) == k or min(rotations) != a:
-            continue
-        gset = term_closure(base, k, rotations, max_steps=max_steps,
-                            stop_predicate=lambda e: e == e[:1] * k)
-        if not gset.truncated:
-            return a
-    return None
+    constant = {"stop_predicate": lambda e: e == e[:1] * k}
+    rotated = ((a, [a[i:] + a[:i] for i in range(k)])
+               for a in itertools.product(range(base.domain), repeat=k) if a.count(a[0]) < k)
+    return local_obstruction(base, k, ((a, rotations, constant) for a, rotations in rotated
+                                       if min(rotations) == a), max_steps)
 
 
 def cyclic_terms(base: Algebra, k: int, limit=None, max_steps=None):
@@ -890,7 +886,6 @@ class RabReport:
     relation: GeneratedSet
     kind: str | None  # "automorphism-graph" | "linked" | "other"; None = inconclusive
     diagonal: list  # [(c, TermTree)] for each (c, c) in R -- loop witnesses
-    link_tolerances: tuple  # (tol1, tol2) as sorted tuples of pairs
     link_congruences: tuple  # (blocks1, blocks2) as tuples of sorted-tuple blocks
 
 
@@ -910,14 +905,14 @@ def rab_analyze(base: Algebra, a: int, b: int, max_steps=None) -> RabReport:
     diagonal = [(x, rel.witness_term((x, x))) for x, y in sorted(pairs) if x == y]
 
     def links(side):
-        # the pairs with a common neighbour, and the blocks they join
-        tol = sorted((x, y) for x in side for y in side if x != y and side[x] & side[y])
+        # the blocks joined by the pairs with a common neighbour
         uf = UnionFind(base.domain)
-        for x, y in tol:
-            uf.union(x, y)
-        return tuple(tol), uf.blocks(side)
+        for x, y in itertools.product(side, repeat=2):
+            if side[x] & side[y]:
+                uf.union(x, y)
+        return uf.blocks(side)
 
-    (tol1, blocks1), (tol2, blocks2) = links(left), links(right)
+    blocks1, blocks2 = links(left), links(right)
     if rel.truncated:
         kind = None
     elif all(len(v) == 1 for side in (left, right) for v in side.values()):
@@ -926,4 +921,4 @@ def rab_analyze(base: Algebra, a: int, b: int, max_steps=None) -> RabReport:
         kind = "linked"
     else:
         kind = "other"
-    return RabReport(rel, kind, diagonal, (tol1, tol2), (blocks1, blocks2))
+    return RabReport(rel, kind, diagonal, (blocks1, blocks2))

@@ -228,18 +228,33 @@ def _wrong_link(gset, i=-1):
 
 @pytest.fixture
 def wrong_links(monkeypatch):
-    """A mutant closure engine: a closure that stops on the element it was
-    looking for (targets, region) records a wrong parent index for it."""
-    real = subpower._closure
+    """A mutant closure engine: a closure records a wrong parent index for
+    each element it was looking for and found, every target it holds and
+    the element its predicate stopped on.  (One closure may answer several
+    targets: the edge walk's semilattice pair closure looks for two loops,
+    and the one a record reads need not be the last element.)"""
+    real_closure, real_stop_test = subpower._closure, subpower._stop_test
+    looked_for = {}  # stop test -> the targets it was made with, as bytes
     corrupted = []
 
-    def closure(*args):
-        gset = real(*args)
-        if gset.stop_reason in ("targets", "region") and gset.witnesses[-1] is not None:
-            gset.witnesses[-1] = _wrong_link(gset)
+    def stop_test(targets, stop_predicate):
+        stop_for = real_stop_test(targets, stop_predicate)
+        looked_for[stop_for] = [bytes(t) for t in targets or ()]
+        return stop_for
+
+    def closure(base, m, gen_list, cap, stop_for, max_steps):
+        gset = real_closure(base, m, gen_list, cap, stop_for, max_steps)
+        found = [gset.position[t] for t in looked_for.get(stop_for, ()) if t in gset.position]
+        if gset.stop_reason == "predicate":
+            found.append(len(gset) - 1)
+        found = [i for i in found if gset.witnesses[i] is not None]
+        for i in found:
+            gset.witnesses[i] = _wrong_link(gset, i)
+        if found:
             corrupted.append(gset)
         return gset
 
+    monkeypatch.setattr(subpower, "_stop_test", stop_test)
     monkeypatch.setattr(subpower, "_closure", closure)
     yield corrupted
 

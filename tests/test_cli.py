@@ -311,6 +311,20 @@ def test_search_spec_domain_or_arity_below_one_is_an_error(capsys, tmp_path):
             assert err == f"error: {why}\n"
 
 
+def test_search_spec_out_of_range_sizes_name_the_line(capsys, tmp_path):
+    spec = tmp_path / "size.spec"
+    for text, why in (
+            ("domain 6\narity 2\n", "search supports domain 1 to 5, got 6 (line 1)"),
+            ("domain 3\narity 5\n", "search supports arity 1 to 4, got 5 (line 2)"),
+            ("domain 3\narity 3\ncommutative\n",
+             "commutative requires arity 2, got arity 3 (line 3)")):
+        spec.write_text(text)
+        for count in ([], ["--count"]):
+            code, out, err = run(["search", "--spec", str(spec), *count], capsys)
+            assert code == 2 and out == ""
+            assert err == f"error: {why}\n"
+
+
 def test_verify_budget_defaults_to_the_assertion_steps(capsys, monkeypatch):
     from finalg import certify
 

@@ -238,7 +238,7 @@ def test_kernel_orbit_rows_match_the_reference_over_every_tuple(closure):
     a, m, gens, cap, targets = closure
     gen_list = subpower._generator_bytes(a, m, gens)
     got, want = (
-        run(a, m, gen_list, cap, subpower._stop_test(targets, None, None), None)
+        run(a, m, gen_list, cap, subpower._stop_test(targets, None), None)
         for run in (subpower._closure,
                     lambda *args: reference_closure(*args, orbits=False))
     )
@@ -297,7 +297,7 @@ def test_variable_orbit_walk_keeps_the_elements_of_clo_k(case):
 
     def closure(max_steps):
         return subpower._closure(a, n**k, gens, CLO_K_CAP,
-                                 subpower._stop_test(None, None, None), max_steps)
+                                 subpower._stop_test(None, None), max_steps)
 
     full = closure(CLO_K_STEPS)
     with mock.patch.object(subpower, "_variable_orbit", lambda *args: None):
@@ -352,7 +352,7 @@ def test_local_obstructions_never_deny_a_term_of_clo3(a):
     # Clo_3 cut at 1,000 elements (the kernel's own ceiling argument) as
     # well as 20,000 steps keeps the scans below cheap
     clo3 = subpower._closure(a, len(cells), subpower.term_generators(a, 3, cells), 1_000,
-                             subpower._stop_test(None, None, None), 20_000)
+                             subpower._stop_test(None, None), 20_000)
     cyclic = any(all(e[at[c]] == e[at[c[1:] + c[:1]]] for c in cells) for e in clo3.elements)
     malcev = any(all(e[at[(x, y, y)]] == x == e[at[(y, y, x)]] for x in range(n) for y in range(n))
                  for e in clo3.elements)
@@ -399,8 +399,8 @@ def reference_absorbs(alg, subset, n, max_steps=None, _decompose=True):
                     quo, image, n, max_steps=max_steps) is False:
                 return False
     gset = subpower.term_closure(alg, n, absorption_patterns(alg.domain, subset, n),
-                                 region=set(subset), max_steps=max_steps)
-    if gset.stop_reason == "region":
+                                 stop_predicate=set(subset).issuperset, max_steps=max_steps)
+    if gset.stop_reason == "predicate":
         return True
     return None if gset.truncated else False
 

@@ -148,6 +148,26 @@ def test_domain_or_arity_below_one_is_an_error():
         assert info.value.line == line
 
 
+def test_domain_or_arity_above_the_search_limit_names_the_line():
+    for domain, arity, line, what, value in ((6, 2, 1, "domain", 6), (3, 5, 2, "arity", 5)):
+        with pytest.raises(AlgebraError, match=f"search supports {what} 1 to ., got {value}$"):
+            SearchSpec(domain, arity, (Idempotent(),))
+        with pytest.raises(ParseError, match=f"search supports {what} 1 to ., got {value} ") \
+                as info:
+            parse_constraint_file(f"domain {domain}\narity {arity}\n")
+        assert info.value.line == line
+
+
+def test_commutative_at_another_arity_names_its_line():
+    for arity in (1, 3, 4):
+        with pytest.raises(ParseError, match=f"commutative requires arity 2, got arity {arity}") \
+                as info:
+            parse_constraint_file(f"# a comment\ncommutative\ndomain 2\narity {arity}\n")
+        assert info.value.line == 2
+    spec = parse_constraint_file("domain 2\narity 2\ncommutative\n")
+    assert [t.values for t in search_ops(spec).tables] == brute_force(spec)
+
+
 def test_preserves_relation():
     edges = ((0, 0), (1, 1), (0, 1))
     spec = SearchSpec(2, 2, (Idempotent(), PreservesRelation(2, edges)))

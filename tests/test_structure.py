@@ -575,7 +575,7 @@ def test_all_subuniverses_memo_returns_the_stored_tuple(alg):
 
 from finalg import structure  # noqa: E402
 from finalg.congruence import maximal_congruences, quotient_algebra  # noqa: E402
-from finalg.subpower import find_term, render_term  # noqa: E402
+from finalg.subpower import render_term, term_closure  # noqa: E402
 
 # the products of two entries that the query-mix benchmark asks about
 QUERY_PRODUCTS = (
@@ -586,9 +586,19 @@ QUERY_PRODUCTS = (
 )
 
 
+def _term_read(quo, k, cells, target, max_steps):
+    """(found, term) off one `term_closure` of the cells that stops on the
+    target: True / False, or None when the budget cut it short first."""
+    gset = term_closure(quo, k, cells, targets=[target], max_steps=max_steps)
+    found = gset.contains(target)
+    return found, gset.witness_term(target) if found else None
+
+
 def reference_edge_records(alg, a, b, max_steps=None):
-    """`edge_records` as it was written first: each x-y+z table is decided
-    by its own `decide_clone_membership`, which runs its own Clo_3."""
+    """`edge_records` as it was written first: one closure per semilattice
+    direction and one for the majority test, each read inline, and each
+    x-y+z table decided by its own `decide_clone_membership`, which runs its
+    own Clo_3."""
     universe = sg_closure(alg, (a, b))
     sub = alg.restrict(universe)
     loc = {x: i for i, x in enumerate(universe)}
@@ -603,14 +613,14 @@ def reference_edge_records(alg, a, b, max_steps=None):
         blocks = tuple(tuple(universe[x] for x in bl) for bl in theta.blocks)
         upgraded = structure._upgraded(alg, universe, theta, maximal, qa, qb)
         for u, v, x, y in ((qa, qb, a, b), (qb, qa, b, a)):
-            found, term = semilattice_edge(quo, u, v, max_steps=max_steps)
+            found, term = _term_read(quo, 2, [(u, v), (v, u)], (v, v), max_steps)
             if found:
                 kind = "semilattice" if theta.is_identity() else "weak-semilattice"
                 yield structure.EdgeRecord(x, y, kind, True, blocks, term)
             elif found is None:
                 yield None
-        found, term = find_term(quo, 3, structure._majority_on_pair_positions(qa, qb),
-                                (qa, qa, qa, qb, qb, qb), max_steps=max_steps)
+        found, term = _term_read(quo, 3, structure._majority_on_pair_positions(qa, qb),
+                                 (qa, qa, qa, qb, qb, qb), max_steps)
         if found:
             yield structure.EdgeRecord(a, b, "majority" if upgraded else "weak-majority",
                                        False, blocks, term)
@@ -652,13 +662,15 @@ def _grouped(walk):
 def test_weak_edges_match_the_per_table_affine_reference(entries):
     # the whole walk is compared, each budget stop (None) in its place: a
     # "no" turned into a budget stop hides in weak_edges behind the budget
-    # stops of the other tests of the same pair
+    # stops of the other tests of the same pair.  Budgets of 1, 5 and 40 cut
+    # short the closures in A^2, which both semilattice directions share, so
+    # each direction's budget stop is compared too
     algebras = {name: e.algebra for name, e in entries.items()}
     for x, y in QUERY_PRODUCTS:
         algebras[f"{x}x{y}"] = product([entries[x].algebra, entries[y].algebra])
     cases = affine = 0
     for name, a in algebras.items():
-        budgets = (None, 1_000, 150_000) if a.domain <= 4 else (1_000, 150_000)
+        budgets = (1, 5, 40, 1_000, 150_000) + ((None,) if a.domain <= 4 else ())
         for p, q in itertools.combinations(range(a.domain), 2):
             for max_steps in budgets:
                 want = [_summary(r) for r in reference_edge_records(a, p, q, max_steps)]
@@ -668,4 +680,35 @@ def test_weak_edges_match_the_per_table_affine_reference(entries):
                 assert ([_summary(r) for r in records], conclusive) == _grouped(want)
                 cases += 1
                 affine += any(r is not None and r[2].endswith("affine") for r in want)
-    assert cases == 1325 and affine > 100
+    assert cases == 2984 and affine > 100
+
+
+def test_one_pair_closure_per_separating_congruence(entries, monkeypatch):
+    # both semilattice directions of a quotient are read off one closure in
+    # A^2, so an edge walk runs one exponent-2 closure per congruence of
+    # Sg{a, b} that separates a and b (no other test of the walk closes in A^2)
+    from finalg import subpower
+
+    exponents = []
+    inner = subpower.generate
+
+    def spy(base, m, generators, **kw):
+        exponents.append(m)
+        return inner(base, m, generators, **kw)
+
+    monkeypatch.setattr(subpower, "generate", spy)
+    algebras = [entries[name].algebra for name in ("T4,1", "T4,10", "T4,13", "T6C")]
+    algebras.append(product([entries["S"].algebra, entries["S"].algebra]))
+    pairs = separating = 0
+    for a in algebras:
+        for x, y in itertools.combinations(range(a.domain), 2):
+            universe = sg_closure(a, (x, y))
+            lx, ly = universe.index(x), universe.index(y)
+            want = sum(theta.block_index()[lx] != theta.block_index()[ly]
+                       for theta in all_congruences(a.restrict(universe)))
+            exponents.clear()
+            list(edge_records(a, x, y))
+            assert exponents.count(2) == want, (x, y)
+            pairs += 1
+            separating += want
+    assert separating > pairs  # some pairs are separated by several congruences

@@ -11,9 +11,9 @@ from finalg.subpower import (
     TermTree,
     clone_membership,
     cyclic_terms,
+    decide_term,
     eval_term,
     eval_term_table,
-    find_term,
     free_algebra,
     generate,
     has_cyclic_term,
@@ -238,10 +238,11 @@ def _term_condition_cases(alg):
         yield op.arity, list(op.all_args()), op.values
 
 
-def test_find_term_matches_free_algebra_scan(entries):
-    """find_term against a scan of Clo_k for an element with the target
-    values on the cells.  Clo_3 of T6C, T9C and T10C does not complete in
-    the budget; there a hit of the scan must still be found."""
+def test_decide_term_matches_free_algebra_scan(entries):
+    """`decide_term` with no stage against a scan of Clo_k for an element
+    with the target values on the cells.  Clo_3 of T6C, T9C and T10C does
+    not complete in the budget; there a hit of the scan must still be
+    found."""
     budget = 2_000_000
     decided = 0
     for entry in entries.values():
@@ -257,7 +258,8 @@ def test_find_term_matches_free_algebra_scan(entries):
             at = [index[c] for c in cells]
             scan = any(all(e[i] == v for i, v in zip(at, target))
                        for e in clo[k].elements)
-            found, witness = find_term(a, k, cells, target, max_steps=budget)
+            d = decide_term(a, k, cells, [], max_steps=budget, targets=[target])
+            found, witness = d.holds, d.witness(target)
             if clo[k].truncated:
                 assert found is True or not scan, (entry.name, cells)
             else:
@@ -438,13 +440,12 @@ def projection_tuples(n, k):
     return [tuple(c[j] for c in cells) for j in range(k)]
 
 
-def fresh(base, m, gens, cap=None, targets=None, region=None,
-          stop_predicate=None, max_steps=None):
+def fresh(base, m, gens, cap=None, targets=None, stop_predicate=None, max_steps=None):
     """The closure `_closure` runs, with an element cap of its own."""
     return _kernel_closure(
         base, m, subpower._generator_bytes(base, m, gens),
         MAX_ELEMENTS if cap is None else cap,
-        subpower._stop_test(targets, region, stop_predicate), max_steps,
+        subpower._stop_test(targets, stop_predicate), max_steps,
     )
 
 
@@ -730,8 +731,8 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
     return gset
 
 
-def kernel_and_reference(base, m, gens, cap=None, targets=None, region=None,
-                         predicate=None, max_steps=None):
+def kernel_and_reference(base, m, gens, cap=None, targets=None, predicate=None,
+                         max_steps=None):
     """Runs one closure through `_closure` and the reference and checks that
     they agree; a predicate must also be shown the same elements."""
     gen_list = subpower._generator_bytes(base, m, gens)
@@ -744,9 +745,7 @@ def kernel_and_reference(base, m, gens, cap=None, targets=None, region=None,
             seen.append(e)
             return predicate(e)
 
-        stop_for = subpower._stop_test(
-            targets, region, stop_predicate if predicate else None
-        )
+        stop_for = subpower._stop_test(targets, stop_predicate if predicate else None)
         runs.append((closure(base, m, gen_list, cap, stop_for, max_steps), seen))
     (got, got_seen), (want, want_seen) = runs
     assert got.elements == want.elements
@@ -856,7 +855,7 @@ def test_kernel_matches_reference_on_edge_and_absorption_patterns(entries):
         for subset in itertools.combinations(range(a.domain), 2):
             pats = absorption_patterns(a.domain, subset, 3)
             gens = [tuple(t[j] for t in pats) for j in range(3)]
-            kernel_and_reference(a, len(pats), gens, region=set(subset),
+            kernel_and_reference(a, len(pats), gens, predicate=set(subset).issuperset,
                                  max_steps=KERNEL_BUDGET // 8)
 
 
@@ -867,7 +866,7 @@ def _with_and_without_orbits(base, m, gens, cap=ORBIT_CAP):
     """The reference with and without the orbit filter gives the same
     elements and witnesses on a complete or capped closure."""
     gen_list = subpower._generator_bytes(base, m, gens)
-    runs = [reference_closure(base, m, gen_list, cap, subpower._stop_test(None, None, None),
+    runs = [reference_closure(base, m, gen_list, cap, subpower._stop_test(None, None),
                               None, orbits=orbits) for orbits in (True, False)]
     (got, want) = runs
     assert got.elements == want.elements
@@ -918,7 +917,7 @@ def test_kernel_matches_reference_on_early_exits(alg):
         b = alg(name)
         pats = absorption_patterns(b.domain, subset, 3)
         pgens = [tuple(t[j] for t in pats) for j in range(3)]
-        kernel_and_reference(b, len(pats), pgens, region=set(subset))
+        kernel_and_reference(b, len(pats), pgens, predicate=set(subset).issuperset)
     kernel_and_reference(a, m, gens, predicate=lambda e: e == last)
     kernel_and_reference(a, m, gens, predicate=lambda e: False)
     for cap in (1, 2, 3, 4, 10, size - 1, size, size + 1):
@@ -966,7 +965,7 @@ def _sweep_row_ends(base, m, gens, every=1, limit=KERNEL_BUDGET):
     ends = []
     gen_list = subpower._generator_bytes(base, m, gens)
     reference_closure(base, m, gen_list, MAX_ELEMENTS,
-                      subpower._stop_test(None, None, None), limit, ends)
+                      subpower._stop_test(None, None), limit, ends)
     assert ends
     for end in ends[::every] + ends[-1:]:
         for max_steps in (end - 1, end, end + 1):
@@ -1099,7 +1098,7 @@ def test_kernel_walks_one_tuple_per_orbit():
                 m, gens = _free(a, k)
                 ends = []
                 full = reference_closure(a, m, subpower._generator_bytes(a, m, gens),
-                                         MAX_ELEMENTS, subpower._stop_test(None, None, None),
+                                         MAX_ELEMENTS, subpower._stop_test(None, None),
                                          KERNEL_BUDGET, ends)
                 if full.truncated:
                     continue
@@ -1160,7 +1159,7 @@ def _clo3_terms(a):
     if clo3.truncated:
         assert cyclic, "no cyclic term in a partial Clo_3"
         if not malcev:
-            malcev, _ = find_term(a, 3, pats, target)
+            malcev = decide_term(a, 3, pats, [], targets=[target]).holds
             assert malcev is False
     return cyclic, malcev
 
@@ -1181,7 +1180,7 @@ def _replay_cyclic_obstruction(a, k, tup):
     """The rotation closure of `tup`, recomputed by the reference closure."""
     rotations = [tup[i:] + tup[:i] for i in range(k)]
     gens = subpower.term_generators(a, k, rotations)
-    ref = reference_closure(a, k, gens, MAX_ELEMENTS, subpower._stop_test(None, None, None),
+    ref = reference_closure(a, k, gens, MAX_ELEMENTS, subpower._stop_test(None, None),
                             None)
     assert not ref.truncated
     assert not any(len(set(e)) == 1 for e in ref.elements)
@@ -1191,7 +1190,7 @@ def _replay_malcev_obstruction(a, quad):
     x, y, z, w = quad
     assert x != y and z != w
     gens = subpower.term_generators(a, 3, [(x, y, y), (z, z, w)])
-    ref = reference_closure(a, 2, gens, MAX_ELEMENTS, subpower._stop_test(None, None, None),
+    ref = reference_closure(a, 2, gens, MAX_ELEMENTS, subpower._stop_test(None, None),
                             None)
     assert not ref.truncated and bytes((x, w)) not in ref.position
 
