@@ -12,7 +12,6 @@ from .core import (
     NotClosedError,
     OperationTable,
     ParseError,
-    PartialTable,
     compose,
     parse_algebra,
     product,
@@ -30,7 +29,6 @@ __all__ = [
     "NotClosedError",
     "OperationTable",
     "ParseError",
-    "PartialTable",
     "Partition",
     "TermTree",
     "compose",

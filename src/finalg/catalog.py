@@ -25,7 +25,6 @@ from .core import (
     Algebra,
     AlgebraError,
     OperationTable,
-    PartialTable,
     is_commutative,
     is_conservative,
     is_cyclic,
@@ -40,7 +39,7 @@ from .congruence import (
     is_congruence,
     quotient_algebra,
 )
-from .search import LAWS, Idempotent, RestrictionEquals, unique_completion
+from .search import LAWS, AgreesOnTuples, Idempotent, SearchSpec, restriction, solutions
 from .memo import per_algebra
 from .subpower import check_budget, free_algebra
 from .structure import all_subuniverses, decide_clone_membership, semilattice_edge
@@ -308,14 +307,19 @@ def _add(name, source, build, pairs=MappingProxyType({}), laws=(), letters=False
 
 
 def _complete(name, source, domain, pairs, values, laws, letters=False):
-    """Record an entry whose table is the unique idempotent completion of
-    `values` under the law laws[0] and the restrictions to `pairs`: the same
-    pairs give the search its constraints and the entry its facts."""
+    """Record an entry whose ternary table is the one idempotent table with
+    the transcribed `values` ({args: value}), the law laws[0] and the
+    restrictions to `pairs`: the same pairs give the search its pins and the
+    entry its facts.  The search reads at most two solutions; no table or
+    two is a transcription slip, a CatalogIntegrityError naming the entry."""
     def build():
-        constraints = [Idempotent(), LAWS[laws[0]]()]
-        constraints += [RestrictionEquals(s, pair_table(k, s)) for s, k in pairs.items()]
-        partial = PartialTable.from_entries("g", 3, domain, values)
-        return unique_completion(partial, constraints)
+        constraints = [Idempotent(), LAWS[laws[0]](), AgreesOnTuples(tuple(values.items()))]
+        constraints += [restriction(s, pair_table(k, s)) for s, k in pairs.items()]
+        found = list(itertools.islice(solutions(SearchSpec(domain, 3, constraints)), 2))
+        if len(found) != 1:
+            raise CatalogIntegrityError(
+                f"{name}: {'more than one' if found else 'no'} completion of its transcription")
+        return OperationTable("g", 3, domain, found[0])
 
     _add(name, source, build, pairs, laws, letters)
 

@@ -42,13 +42,7 @@ from .subpower import (
     rab_analyze,
     render_term,
 )
-from .search import (
-    NoCompletionError,
-    NonUniqueCompletionError,
-    count_ops,
-    parse_constraint_file,
-    search_ops,
-)
+from .search import count_ops, parse_constraint_file, search_ops
 from . import catalog, certify, structure
 
 EXIT_OK = 0
@@ -59,8 +53,7 @@ EXIT_INCONCLUSIVE = 3
 
 # Errors that report a failed property of well-formed input, or a file that
 # cannot be read (exit 1); every other AlgebraError is an input error (exit 2)
-_FAILURES = (CatalogIntegrityError, NotACongruenceError, NotClosedError,
-             NoCompletionError, NonUniqueCompletionError, OSError)
+_FAILURES = (CatalogIntegrityError, NotACongruenceError, NotClosedError, OSError)
 
 
 def _read_ascii(path: str) -> str:

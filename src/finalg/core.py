@@ -339,34 +339,6 @@ class Algebra:
         return Algebra(len(set(subset)), tuple(restrict(o, subset) for o in self.operations))
 
 
-@dataclass(frozen=True)
-class PartialTable:
-    """Operation table with unknown entries (None); search-module input only."""
-
-    name: str
-    arity: int
-    domain: int
-    values: tuple  # entries in [0, domain) or None
-
-    def __post_init__(self):
-        if len(self.values) != self.domain**self.arity:
-            raise AlgebraError(
-                f"partial table {self.name}: expected {self.domain ** self.arity} "
-                f"entries, got {len(self.values)}"
-            )
-        for v in self.values:
-            if v is not None and not 0 <= v < self.domain:
-                raise AlgebraError(f"partial table {self.name}: value {v} out of range")
-
-    @staticmethod
-    def from_entries(name, arity, domain, entries) -> "PartialTable":
-        """Build from {args: value}; unspecified cells stay unknown."""
-        vals = [None] * domain**arity
-        for args, v in entries.items():
-            vals[cell_index(args, domain)] = v
-        return PartialTable(name, arity, domain, tuple(vals))
-
-
 def product(algebras, label=None) -> Algebra:
     """Direct product; elements encoded mixed-radix, first factor most significant."""
     algebras = list(algebras)
@@ -455,6 +427,8 @@ def parse_algebra(text: str, label=None) -> Algebra:
         if kw != "op":
             raise ParseError(f"expected 'op', got {kw!r}", ln)
         name, _ = take("operation name")
+        if any(o.name == name for o in ops):
+            raise ParseError(f"duplicate operation name {name!r}", ln)
         arity, ln = take_int("arity")
         if arity < 1:
             raise ParseError(f"arity must be positive, got {arity}", ln)

@@ -1,12 +1,13 @@
 """Constrained enumeration of operation tables.
 
 Backtracking over table cells with the cells of one argument-permutation
-orbit (cyclic / symmetric / commutative) collapsed into a single decision
-variable.  Forced cells (idempotence, partial values, restrictions) are
-pinned before the search; partition invariance propagates block choices;
-permutation-commuting propagates transformed values; relation preservation
-prunes where all needed cells are known.  Solutions arrive in lexicographic
-order of their value sequences.
+orbit (cyclic / symmetric) collapsed into a single decision variable.
+Forced cells (idempotence and the cell pins of `AgreesOnTuples`, which
+also state restrictions) are pinned before the search; partition
+invariance propagates block choices; permutation-commuting propagates
+transformed values; relation preservation prunes where all needed cells
+are known.  Solutions arrive in lexicographic order of their value
+sequences.
 
 One generator, `solutions`, walks the orbits with an explicit stack of
 frames and yields each solution's flat value tuple as it is found;
@@ -38,24 +39,14 @@ from .core import (
     AlgebraError,
     OperationTable,
     ParseError,
-    PartialTable,
     cell_getter,
     cell_index,
     diagonal_cells,
     rotated_cells,
-    subset_cells,
     swapped_cells,
 )
 from .congruence import Partition
 from .subpower import check_budget
-
-
-class NoCompletionError(AlgebraError):
-    pass
-
-
-class NonUniqueCompletionError(AlgebraError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -74,11 +65,6 @@ class Symmetric:
 
 
 @dataclass(frozen=True)
-class Commutative:
-    pass
-
-
-@dataclass(frozen=True)
 class PreservesRelation:
     arity: int
     tuples: tuple  # sorted tuple of tuples
@@ -87,17 +73,6 @@ class PreservesRelation:
 @dataclass(frozen=True)
 class InvariantPartition:
     partition: Partition
-
-
-@dataclass(frozen=True)
-class RestrictionEquals:
-    subset: tuple  # ascending original elements
-    table: OperationTable  # over the relabeled domain 0..len(subset)-1
-
-
-@dataclass(frozen=True)
-class PartialValues:
-    partial: PartialTable
 
 
 @dataclass(frozen=True)
@@ -159,13 +134,6 @@ def _symmetric(c, n, k):
     return lambda values: rotated(values) == values and swapped(values) == values
 
 
-def _commutative(c, n, k):
-    if k != 2:
-        raise AlgebraError(f"is_commutative expects a binary operation, got arity {k}")
-    swapped = swapped_cells(n, k)
-    return lambda values: swapped(values) == values
-
-
 # A relation of at most this many k-tuple combinations is pruned on as cells
 # are decided, and its leaf check reads the cells of all the combinations
 # through one getter (at most this many times r indices).  A larger one is
@@ -209,25 +177,6 @@ def _invariant_partition(c, n, k):
     return lambda values: len(set(zip(sigs, map(block.__getitem__, values)))) == len(sig_ids)
 
 
-def _restriction_equals(c, n, k):
-    sub = tuple(sorted(set(c.subset)))
-    label = {a: i for i, a in enumerate(sub)}.get  # None for a value outside sub
-    cells, want = subset_cells(n, k, sub), c.table.values
-    return lambda values: tuple(map(label, cells(values))) == want
-
-
-def _pinned(pins):
-    """values -> whether each (cell, value) pin holds."""
-    cells = cell_getter([i for i, _ in pins])
-    want = tuple(v for _, v in pins)
-    return lambda values: cells(values) == want
-
-
-def _partial_values(c, n, k):
-    # a partial table of another shape is compared on the cells both have
-    return _pinned([(i, v) for i, v in enumerate(c.partial.values[:n**k]) if v is not None])
-
-
 def _commutes_with_permutation(c, n, k):
     p = c.perm
     moved = cell_getter([cell_index(tuple(p[x] for x in args), n)
@@ -235,19 +184,28 @@ def _commutes_with_permutation(c, n, k):
     return lambda values: moved(values) == tuple(map(p.__getitem__, values))
 
 
+def _pins(c, n, k):
+    """The (cell, value) pins of an AgreesOnTuples; AlgebraError for an
+    argument tuple of the wrong length or outside the domain."""
+    for args, _ in c.items:
+        if len(args) != k or not all(0 <= x < n for x in args):
+            raise AlgebraError(f"argument tuple {tuple(args)} malformed "
+                               f"for arity {k}, domain {n}")
+    return [(cell_index(args, n), v) for args, v in c.items]
+
+
 def _agrees_on_tuples(c, n, k):
-    return _pinned([(cell_index(args, n), v) for args, v in c.items])
+    pins = _pins(c, n, k)
+    cells, want = cell_getter([i for i, _ in pins]), tuple(v for _, v in pins)
+    return lambda values: cells(values) == want
 
 
 _CHECKS = {
     Idempotent: _idempotent,
     Cyclic: _cyclic,
     Symmetric: _symmetric,
-    Commutative: _commutative,
     PreservesRelation: _preserves_relation,
     InvariantPartition: _invariant_partition,
-    RestrictionEquals: _restriction_equals,
-    PartialValues: _partial_values,
     CommutesWithPermutation: _commutes_with_permutation,
     AgreesOnTuples: _agrees_on_tuples,
 }
@@ -274,16 +232,12 @@ def _check(c, n: int, k: int):
 
 def _argument_orbits(n, k, constraints):
     """Cells grouped under the argument-permutation symmetries requested."""
-    if any(isinstance(c, Symmetric) for c in constraints) or (
-        k == 2 and any(isinstance(c, Commutative) for c in constraints)
-    ):
+    if any(isinstance(c, Symmetric) for c in constraints):
         perms = list(itertools.permutations(range(k)))
     elif any(isinstance(c, Cyclic) for c in constraints):
         perms = [tuple((i + s) % k for i in range(k)) for s in range(k)]
     else:
         perms = [tuple(range(k))]
-    if any(isinstance(c, Commutative) for c in constraints) and k != 2:
-        raise AlgebraError("Commutative constraint requires arity 2")
 
     cells = list(itertools.product(range(n), repeat=k))
     position = {t: i for i, t in enumerate(cells)}
@@ -304,37 +258,16 @@ def _forced_cells(spec, cells, position):
     """Cell values pinned outright by the constraints; None on contradiction."""
     n, k = spec.domain, spec.arity
     forced = {}
-
-    def pin(idx, v):
-        if not 0 <= v < n:
-            return False
-        if forced.setdefault(idx, v) != v:
-            return False
-        return True
-
     for c in spec.constraints:
         if isinstance(c, Idempotent):
-            for x in range(n):
-                if not pin(position[(x,) * k], x):
-                    return None
+            pins = [(position[(x,) * k], x) for x in range(n)]
         elif isinstance(c, AgreesOnTuples):
-            for args, v in c.items:
-                if not pin(position[tuple(args)], v):
-                    return None
-        elif isinstance(c, PartialValues):
-            if c.partial.arity != k or c.partial.domain != n:
-                raise AlgebraError("partial table does not match the search spec")
-            for idx, v in enumerate(c.partial.values):
-                if v is not None and not pin(idx, v):
-                    return None
-        elif isinstance(c, RestrictionEquals):
-            sub = list(c.subset)
-            if c.table.arity != k or c.table.domain != len(sub):
-                raise AlgebraError("restriction table does not match the search spec")
-            for local_args in itertools.product(range(len(sub)), repeat=k):
-                v = c.table.values[c.table.index(local_args)]
-                if not pin(position[tuple(sub[a] for a in local_args)], sub[v]):
-                    return None
+            pins = _pins(c, n, k)
+        else:
+            continue
+        for idx, v in pins:
+            if not 0 <= v < n or forced.setdefault(idx, v) != v:
+                return None
     return forced
 
 
@@ -481,26 +414,23 @@ def count_ops(spec: SearchSpec, max_steps=None):
     return count, False
 
 
-def unique_completion(partial: PartialTable, constraints) -> OperationTable:
-    """The single table extending `partial` under the constraints.
-
-    Raises NoCompletionError / NonUniqueCompletionError otherwise -- both are
-    fatal for catalog integrity, because a transcription slip shows up here.
-    """
-    spec = SearchSpec(partial.domain, partial.arity,
-                      tuple(constraints) + (PartialValues(partial),))
-    found = list(itertools.islice(solutions(spec), 2))
-    if not found:
-        raise NoCompletionError(f"no completion of {partial.name}")
-    if len(found) > 1:
-        raise NonUniqueCompletionError(f"completion of {partial.name} is not unique")
-    return OperationTable(partial.name, partial.arity, partial.domain, found[0])
+def restriction(subset, table: OperationTable) -> AgreesOnTuples:
+    """The pins that put `table`, over 0..len(subset)-1, on subset^k: a table
+    meets them iff its restriction to the ascending `subset` is `table`."""
+    sub = sorted(set(subset))
+    if table.domain != len(sub):
+        raise AlgebraError(f"restriction table has domain {table.domain}, "
+                           f"subset {tuple(sub)} has {len(sub)} elements")
+    return AgreesOnTuples(tuple(
+        (tuple(sub[a] for a in args), sub[v])
+        for args, v in zip(itertools.product(range(len(sub)), repeat=table.arity),
+                           table.values)))
 
 
 # the whole-table constraints by name: the directives of a search spec that
-# take no arguments
+# take no arguments; `commutative` is `symmetric` at arity 2
 LAWS = {"idempotent": Idempotent, "cyclic": Cyclic, "symmetric": Symmetric,
-        "commutative": Commutative}
+        "commutative": Symmetric}
 
 
 def parse_constraint_file(text: str):
@@ -575,7 +505,7 @@ def _parse_pending(head: str, rest: str, domain: int, arity: int):
         if len(set(subset)) != len(subset):
             raise ValueError(f"repeated element in {subset}")
         vals = tuple(int(t) for t in vals_text.split())
-        return RestrictionEquals(subset, OperationTable("r", arity, len(subset), vals))
+        return restriction(subset, OperationTable("r", arity, len(subset), vals))
     if head == "perm":
         return CommutesWithPermutation(_parse_perm(rest, domain))
     r_text, _, tup_text = rest.partition(":")  # preserves

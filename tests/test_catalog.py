@@ -55,6 +55,19 @@ def test_build_algebra_spot_values(alg):
     assert catalog.build_algebra("T4,5").op("g")(0, 1, 2) == 0
 
 
+def test_a_transcription_without_one_completion_names_the_entry(monkeypatch):
+    pairs, values = catalog._CYC4["T4,1"]
+    conflicting = {**values, (0, 0, 1): 1}  # maj on {0,1} has g(0,0,1) = 0
+    loose = {args: v for args, v in values.items() if args != (1, 2, 3)}  # one orbit free
+    for slip, what in ((conflicting, "no"), (loose, "more than one")):
+        monkeypatch.setitem(catalog._CYC4, "T4,1", (pairs, slip))
+        monkeypatch.setattr(catalog, "_TABLE", {})
+        catalog._fill()
+        with pytest.raises(catalog.CatalogIntegrityError,
+                           match=f"^T4,1: {what} completion of its transcription$"):
+            catalog.build_algebra("T4,1")
+
+
 def test_t412_is_negated_sum(alg):
     want = tuple((-(x + y + z)) % 4 for x, y, z in itertools.product(range(4), repeat=3))
     assert alg("T4,12").op("g").values == want

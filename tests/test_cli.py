@@ -232,6 +232,25 @@ def test_non_ascii_algebra_file_is_an_error(capsys, tmp_path):
     assert err == f"error: {path}: non-ASCII byte 0xc3 (line 4)\n"
 
 
+def test_duplicate_operation_name_is_an_error_with_its_line(capsys, tmp_path):
+    path = tmp_path / "twice.alg"
+    path.write_text("domain 2\nop f 1\n0 1\n# again\nop f 1\n1 0\n")
+    code, out, err = run(["info", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: duplicate operation name 'f' (line 5)\n"
+
+
+def test_a_catalog_entry_without_one_completion_exits_1(capsys, monkeypatch):
+    pairs, values = catalog._CYC4["T4,1"]
+    monkeypatch.setitem(catalog._CYC4, "T4,1", (pairs, {**values, (0, 0, 1): 1}))
+    monkeypatch.setattr(catalog, "_TABLE", {})
+    monkeypatch.setattr(catalog, "_cache", {})
+    catalog._fill()
+    code, out, err = run(["info", "@T4,1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: T4,1: no completion of its transcription\n"
+
+
 def test_edges_graph_components(capsys):
     code, out, _ = run(["edges", "@T4,7", "--graph"], capsys)
     assert code == 0
@@ -248,6 +267,8 @@ def test_search_spec_errors_name_the_line(capsys, tmp_path):
         ("preserves 2 : 0,1 1,5", "element 5 outside domain 3"),
         ("preserves 3 : 0,1", "a tuple is not of length 3"),
         ("perm (0 1)(1 2)", "an element is repeated in the cycles"),
+        ("restrict 0,1 := 0 0 1", "operation r: expected 4 values, got 3"),
+        ("restrict 0,1 := 0 0 0 2", "operation r: value 2 out of range"),
     ):
         spec.write_text(f"domain 3\narity 2\n{line}\n")
         code, out, err = run(["search", "--spec", str(spec)], capsys)

@@ -187,6 +187,12 @@ def test_parse_value_out_of_range():
     assert exc.value.line == 4
 
 
+def test_parse_duplicate_operation_name_names_its_line():
+    with pytest.raises(ParseError, match=r"^duplicate operation name 'f' \(line 4\)$") as exc:
+        parse_algebra("domain 2\nop f 1\n0 1\nop f 1\n1 0\n")
+    assert exc.value.line == 4
+
+
 def test_parse_comments_and_whitespace():
     text = "# header\ndomain 2  # two elements\nop t 2\n 0 0\n\t0 1\n"
     a = parse_algebra(text)

@@ -8,7 +8,6 @@ from finalg.core import (
     Algebra,
     AlgebraError,
     OperationTable,
-    PartialTable,
     UnionFind,
     is_cyclic,
     is_symmetric,
@@ -24,9 +23,9 @@ from finalg.structure import (absorbs, absorption_patterns, all_subuniverses, cl
                               naive_absorbs, walk_subuniverses, weak_edges)
 from finalg import catalog
 from finalg.certify import parse_certificate
-from finalg.search import (AgreesOnTuples, Commutative, CommutesWithPermutation, Cyclic,
-                           Idempotent, InvariantPartition, PartialValues, PreservesRelation,
-                           RestrictionEquals, Symmetric, parse_constraint_file, satisfies)
+from finalg.search import (AgreesOnTuples, CommutesWithPermutation, Cyclic, Idempotent,
+                           InvariantPartition, PreservesRelation, Symmetric,
+                           parse_constraint_file, restriction, satisfies)
 from test_subpower import reference_closure
 
 
@@ -666,10 +665,6 @@ def reference_satisfies(table, c):
         return reference_is_cyclic(table)
     if isinstance(c, Symmetric):
         return reference_is_symmetric(table)
-    if isinstance(c, Commutative):
-        if table.arity != 2:
-            raise AlgebraError("commutative needs arity 2")
-        return all(table(x, y) == table(y, x) for x, y in table.all_args())
     if isinstance(c, PreservesRelation):
         rel = set(c.tuples)
         k = table.arity
@@ -690,11 +685,6 @@ def reference_satisfies(table, c):
             if groups.setdefault(sig, v) != v:
                 return False
         return True
-    if isinstance(c, RestrictionEquals):
-        return reference_restrict(table, c.subset) == c.table.values
-    if isinstance(c, PartialValues):
-        return all(want is None or got == want
-                   for got, want in zip(table.values, c.partial.values))
     if isinstance(c, CommutesWithPermutation):
         p = c.perm
         return all(
@@ -707,6 +697,11 @@ def reference_satisfies(table, c):
     raise AssertionError(c)
 
 
+def reference_commutative(table):
+    """The commutative law of a binary table, one cell at a time."""
+    return all(table(x, y) == table(y, x) for x, y in table.all_args())
+
+
 _KINDS = ["idempotent", "cyclic", "symmetric", "commutative", "relation", "partition",
           "restriction", "partial", "perm", "agrees"]
 
@@ -717,8 +712,10 @@ def constrained_tables(draw, kind):
     symmetric) and one constraint of the given kind, drawn so that it holds
     about as often as not: restrictions and partial tables are read off the
     table and sometimes changed in one value, relations and partitions
-    include the trivial ones every table satisfies."""
-    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    include the trivial ones every table satisfies.  The commutative kind
+    is Symmetric on a binary table; the restriction kind is drawn as
+    (subset, table over the subset), for `restriction` to pin."""
+    n, k = draw(st.integers(1, 4)), 2 if kind == "commutative" else draw(st.integers(1, 3))
     cells = list(itertools.product(range(n), repeat=k))
     pos = {c: i for i, c in enumerate(cells)}
     base = _random_table(draw, n, k)
@@ -745,7 +742,7 @@ def constrained_tables(draw, kind):
 
     if kind in ("idempotent", "cyclic", "symmetric", "commutative"):
         c = {"idempotent": Idempotent(), "cyclic": Cyclic(), "symmetric": Symmetric(),
-             "commutative": Commutative()}[kind]
+             "commutative": Symmetric()}[kind]
     elif kind == "relation":
         r = draw(st.integers(1, 3))
         every = list(itertools.product(range(n), repeat=r))
@@ -765,20 +762,16 @@ def constrained_tables(draw, kind):
         subset = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
         s = len(subset)
         closed = reference_restrict(table, subset)
-        size = draw(st.sampled_from(["right", "right", "arity", "domain"]))
-        if size == "arity":
-            want = OperationTable("r", k + 1, s, (0,) * s ** (k + 1))
-        elif size == "domain":
-            want = OperationTable("r", k, s + 1, (0,) * (s + 1) ** k)
-        elif closed is None:
+        if closed is None:
             want = OperationTable("r", k, s, tuple(_random_table(draw, s, k)))
         else:
             values = maybe_changed(closed)
             want = OperationTable("r", k, s, tuple(v % s for v in values))
-        c = RestrictionEquals(subset, want)
+        c = (subset, want)
     elif kind == "partial":
-        values = [None if draw(st.integers(0, 3)) == 0 else v for v in maybe_changed(table.values)]
-        c = PartialValues(PartialTable("p", k, n, tuple(values)))
+        known = [(args, v) for args, v in zip(cells, maybe_changed(table.values))
+                 if draw(st.integers(0, 3)) != 0]
+        c = AgreesOnTuples(tuple(known))
     elif kind == "perm":
         if draw(st.booleans()):  # a projection commutes with every permutation
             table = OperationTable("f", k, n, tuple(maybe_changed(c[0] for c in cells)))
@@ -804,21 +797,23 @@ def _same_verdict(table, c):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_compiled_checks_match_the_per_cell_reference(kind, data):
-    _same_verdict(*data.draw(constrained_tables(kind)))
+    table, c = data.draw(constrained_tables(kind))
+    if kind == "restriction":
+        subset, want = c
+        assert satisfies(table, restriction(subset, want)) == (
+            reference_restrict(table, subset) == want.values)
+        return
+    _same_verdict(table, c)
+    if kind == "commutative":
+        assert satisfies(table, c) == reference_commutative(table)
 
 
 def test_compiled_checks_match_the_per_cell_reference_on_edge_cases():
-    # a restriction table of the wrong size, a subset that is not closed,
-    # and a commutative constraint on a ternary table (an error)
-    cases = [
-        (OperationTable("f", 2, 2, (0, 1, 1, 1)),
-         RestrictionEquals((0, 1), OperationTable("r", 2, 1, (0,)))),
-        (OperationTable("f", 2, 3, (0, 2, 0, 0, 1, 0, 0, 0, 2)),
-         RestrictionEquals((0, 1), OperationTable("r", 2, 2, (0, 0, 0, 1)))),
-        (OperationTable("f", 3, 2, (0,) * 7 + (1,)), Commutative()),
-    ]
-    for table, c in cases:
-        _same_verdict(table, c)
-    assert not satisfies(*cases[0]) and not satisfies(*cases[1])
-    with pytest.raises(AlgebraError):
-        satisfies(*cases[2])
+    # a subset that is not closed (2 = f(0, 1) lies outside {0, 1}), and a
+    # binary table that is not commutative under the symmetric law
+    table = OperationTable("f", 2, 3, (0, 2, 0, 0, 1, 0, 0, 0, 2))
+    want = OperationTable("r", 2, 2, (0, 0, 0, 1))
+    assert reference_restrict(table, (0, 1)) is None
+    assert not satisfies(table, restriction((0, 1), want))
+    assert not reference_commutative(table) and not satisfies(table, Symmetric())
+    _same_verdict(table, Symmetric())

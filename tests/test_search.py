@@ -2,33 +2,29 @@ import dataclasses
 import gc
 import itertools
 import random
+import re
 import tracemalloc
 import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finalg.core import AlgebraError, OperationTable, ParseError, PartialTable
+from finalg.core import AlgebraError, OperationTable, ParseError
 from finalg.congruence import Partition
 from finalg.search import (
     AgreesOnTuples,
-    Commutative,
     CommutesWithPermutation,
     Cyclic,
     Idempotent,
     InvariantPartition,
-    NoCompletionError,
-    NonUniqueCompletionError,
-    PartialValues,
     PreservesRelation,
-    RestrictionEquals,
     SearchSpec,
     Symmetric,
     count_ops,
     parse_constraint_file,
+    restriction,
     satisfies,
     search_ops,
-    unique_completion,
 )
 from finalg import catalog, search
 
@@ -46,7 +42,7 @@ def brute_force(spec):
     n, k = spec.domain, spec.arity
     cells = list(itertools.product(range(n), repeat=k))
     if any(isinstance(c, Cyclic) for c in spec.constraints) and not any(
-        isinstance(c, (Symmetric, Commutative)) for c in spec.constraints
+        isinstance(c, Symmetric) for c in spec.constraints
     ):
         index = {t: i for i, t in enumerate(cells)}
         orbits = []
@@ -96,16 +92,18 @@ def test_t1n_row_determines_table_under_symmetry(alg):
         for args in itertools.product(sub, repeat=3):
             entries[args] = t1n.values[t1n.index(args)]
     entries.update({(1, 1, 2): 1, (1, 2, 2): 0, (0, 1, 2): 0})
-    partial = PartialTable.from_entries("g", 3, 3, entries)
-    res = search_ops(SearchSpec(3, 3, (Idempotent(), Symmetric(), PartialValues(partial))))
+    pins = AgreesOnTuples(tuple(entries.items()))
+    res = search_ops(SearchSpec(3, 3, (Idempotent(), Symmetric(), pins)))
     assert [t.values for t in res.tables] == [t1n.values]
     # cyclicity alone leaves the reversed orbit free
-    res2 = search_ops(SearchSpec(3, 3, (Idempotent(), Cyclic(), PartialValues(partial))))
+    res2 = search_ops(SearchSpec(3, 3, (Idempotent(), Cyclic(), pins)))
     assert len(res2.tables) == 3
 
 
 def test_count_idempotent_commutative_two_elements():
-    n, truncated = count_ops(SearchSpec(2, 2, (Idempotent(), Commutative())))
+    spec = parse_constraint_file("domain 2\narity 2\nidempotent\ncommutative\n")
+    assert spec.constraints == (Idempotent(), Symmetric())
+    n, truncated = count_ops(spec)
     assert (n, truncated) == (2, False)
 
 
@@ -115,7 +113,7 @@ def test_claim_style_unique_t41(alg):
         Idempotent(), Cyclic(),
         InvariantPartition(Partition.parse("{0,1}{2}{3}", 4)),
         InvariantPartition(Partition.parse("{0,2}{1,3}", 4)),
-        RestrictionEquals((0, 1, 2), t1n),
+        restriction((0, 1, 2), t1n),
         AgreesOnTuples((((2, 2, 3), 0), ((2, 3, 3), 1),
                         ((0, 0, 3), 0), ((1, 1, 3), 1), ((0, 3, 3), 1), ((1, 3, 3), 1),
                         ((0, 1, 3), 1), ((0, 3, 1), 1))),
@@ -243,7 +241,7 @@ def _random_spec(rnd, n, k, force_cyclic):
     if force_cyclic or rnd.random() < 0.7:
         cons.append(Idempotent())
     if k == 2 and rnd.random() < 0.3:
-        cons.append(Commutative())
+        cons.append(Symmetric())
     for _ in range(rnd.randrange(0, 3)):
         args = tuple(rnd.randrange(n) for _ in range(k))
         cons.append(AgreesOnTuples(((args, rnd.randrange(n)),)))
@@ -343,9 +341,9 @@ def test_constraints_holding_lists_are_checked():
     assert not satisfies(t, AgreesOnTuples([([0, 1], 1)]))
     assert satisfies(t, CommutesWithPermutation([1, 0, 2]))
     assert satisfies(t, PreservesRelation(2, [(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)]))
-    assert satisfies(t, RestrictionEquals([1, 2], OperationTable("r", 2, 2, (0, 1, 1, 1))))
-    assert not satisfies(t, RestrictionEquals([0, 1], OperationTable("r", 2, 2, (0, 0, 0, 1))))
-    spec = SearchSpec(3, 2, (Idempotent(), Commutative(), CommutesWithPermutation([1, 0, 2]),
+    assert satisfies(t, restriction([1, 2], OperationTable("r", 2, 2, (0, 1, 1, 1))))
+    assert not satisfies(t, restriction([0, 1], OperationTable("r", 2, 2, (0, 0, 0, 1))))
+    spec = SearchSpec(3, 2, (Idempotent(), Symmetric(), CommutesWithPermutation([1, 0, 2]),
                              AgreesOnTuples([([0, 2], 2)])))
     assert [x.values for x in search_ops(spec).tables] == brute_force(spec)
     assert t.values in brute_force(spec)
@@ -363,21 +361,39 @@ def test_determinism():
 
 def test_unique_completion_total_table(alg):
     t47 = alg("T4,7").op("t")
-    partial = PartialTable("t", 2, 4, t47.values)
-    assert unique_completion(partial, [Idempotent(), Commutative()]).values == t47.values
+    pins = AgreesOnTuples(tuple(zip(t47.all_args(), t47.values)))
+    spec = SearchSpec(4, 2, (Idempotent(), Symmetric(), pins))
+    assert [t.values for t in search_ops(spec).tables] == [t47.values]
 
 
 def test_unique_completion_t45_spot_value(alg):
     assert catalog.build_algebra("T4,5").op("g")(0, 1, 2) == 0
 
 
-def test_unique_completion_errors():
-    partial = PartialTable.from_entries("f", 2, 2, {})
-    with pytest.raises(NonUniqueCompletionError):
-        unique_completion(partial, [Idempotent()])
-    conflicted = PartialTable.from_entries("f", 2, 2, {(0, 0): 1})
-    with pytest.raises(NoCompletionError):
-        unique_completion(conflicted, [Idempotent()])
+def test_malformed_argument_tuples_are_an_error():
+    # a negative or too large element, too few or too many arguments: none
+    # names a cell, so neither the check nor the search may read one
+    t = OperationTable("f", 2, 2, (0, 0, 0, 1))
+    for args in ((1, -1), (0,), (0, 5), (0, 1, 1)):
+        c = AgreesOnTuples(((args, 0),))
+        for ask in (lambda: satisfies(t, c), lambda: search_ops(SearchSpec(2, 2, (c,)))):
+            with pytest.raises(AlgebraError,
+                               match=re.escape(f"argument tuple {args} malformed for arity 2")):
+                ask()
+    # a value outside the domain names a cell: no table meets it
+    c = AgreesOnTuples((((0, 1), 2),))
+    assert not satisfies(t, c) and count_ops(SearchSpec(2, 2, (c,))) == (0, False)
+
+
+def test_restriction_pins_the_table_on_the_subset():
+    # min with bottom 0, relabeled onto {0, 2}; the subset's order is immaterial
+    c = restriction([2, 0], OperationTable("r", 2, 2, (0, 0, 0, 1)))
+    assert c == AgreesOnTuples((((0, 0), 0), ((0, 2), 0), ((2, 0), 0), ((2, 2), 2)))
+    with pytest.raises(AlgebraError, match=r"domain 3, subset \(0, 1\) has 2 elements"):
+        restriction((0, 1), OperationTable("r", 2, 3, (0,) * 9))
+    # a table of another arity pins argument tuples of the wrong length
+    with pytest.raises(AlgebraError, match="malformed for arity 2"):
+        satisfies(OperationTable("f", 2, 3, (0,) * 9), restriction((0, 1), MAJ))
 
 
 def test_constraint_file_round_trip():
@@ -405,7 +421,7 @@ def test_constraint_file_restrict_and_preserves():
         "preserves 2 : 0,0 1,1 0,1\n"
     )
     spec = parse_constraint_file(text)
-    assert any(isinstance(c, RestrictionEquals) for c in spec.constraints)
+    assert restriction((0, 1), OperationTable("r", 2, 2, (0, 0, 0, 1))) in spec.constraints
     assert any(isinstance(c, PreservesRelation) for c in spec.constraints)
 
 
