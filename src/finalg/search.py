@@ -504,8 +504,14 @@ def _parse_pending(head: str, rest: str, domain: int, arity: int):
         subset = tuple(sorted(_elements(sub_text.strip().split(","), domain)))
         if len(set(subset)) != len(subset):
             raise ValueError(f"repeated element in {subset}")
-        vals = tuple(int(t) for t in vals_text.split())
-        return restriction(subset, OperationTable("r", arity, len(subset), vals))
+        vals, size = tuple(int(t) for t in vals_text.split()), len(subset)
+        if len(vals) != size**arity:
+            raise ValueError(f"a {size}-element subset at arity {arity} takes {size**arity} "
+                             f"values, got {len(vals)}")
+        if bad := [v for v in vals if not 0 <= v < size]:
+            raise ValueError(f"a {size}-element subset takes values 0 to {size - 1} "
+                             f"(positions in the subset), got {bad[0]}")
+        return restriction(subset, OperationTable("r", arity, size, vals))
     if head == "perm":
         return CommutesWithPermutation(_parse_perm(rest, domain))
     r_text, _, tup_text = rest.partition(":")  # preserves

@@ -19,13 +19,17 @@ frontier iff it does, so the closure keeps the same elements, order and
 witnesses as a walk over every tuple, with about k! (symmetric) or 3
 (cyclic) times fewer applications.
 
-A closure of the k projections of A^(n^k), k >= 2 (a Clo_k: `free_algebra`,
-`cyclic_terms`, and `clone_membership` / `decide_term` of a k-ary table on
-all its cells) is a union of orbits of S_k, which permutes the variables:
-a fixed permutation of the n^k coordinates that commutes with every
-operation applied coordinatewise.  Such a closure, of an algebra with an
-operation of arity at least 3, switches to the variable-orbit walk at the
-first round end with at least _ORBIT_MIN elements (see `_variable_orbit`).
+A closure's m cells are the argument tuples (g_1[j], ..., g_k[j]) of its
+k generators: each element is the value vector of a k-ary term on them.
+Where the cells are distinct and a permutation s of the k variables keeps
+their set, s is a fixed permutation of the m coordinates that commutes with
+every operation applied coordinatewise, and the closure is a union of its
+orbits: all of S_k for a Clo_k (`free_algebra`, `cyclic_terms`,
+`clone_membership` on all cells), S_3 for the edge walk's majority cells
+and for absorption patterns, the reversal for the Mal'cev cells.  Such a
+closure, of an algebra with an operation of arity at least 3, switches to
+the variable-orbit walk at the first round end with at least _ORBIT_MIN
+elements (see `_symmetries`).
 At each round end from then on (at the switch, over every element) the
 round's new elements are met in order: an element in no earlier element's
 orbit is its orbit's representative, and its missing images join, each
@@ -46,6 +50,17 @@ The closure ends with the same elements as the plain walk, in another
 order, which depends only on completed rounds, never on targets or the
 budget.  T4,5's Clo_3 takes 310,995 applications, against 1,786,575 for
 the plain walk and 297,809 orbits of argument tuples.
+
+At the same switch the closure reads a second symmetry off its cells, the
+coordinate view (`_View`).  An automorphism g of A that keeps the set of
+cells gives t(g.c) = g(t(c)) for every term t, and in an idempotent
+algebra t(a, ..., a) = a; so one cell per orbit of those automorphisms,
+constant cells aside, fixes a term's values on all m.  From then on the
+rows, their integers and the membership test work on those kept
+coordinates only, and each new element is expanded to all m by one getter,
+one lane offset and one `translate`.  The elements, their order,
+witnesses, stop tests and applications stay exactly as without the view:
+T4,5's Clo_3 keeps 30 of 64 bytes an element, T4,10's 15.
 
 Every operation is applied by one row kernel of lane arithmetic.  An
 operation with c = n**arity cells gets a lane width w: 1 byte when
@@ -71,8 +86,9 @@ _ROW_MIN are evaluated element by element, where the whole-row conversions
 cost more than they save.  Memory stays O(size * m * w): per round two
 integers of the round's elements per lane width, per row one row; nothing
 is replicated per element (the variable-orbit walk adds an index, an
-integer reference and two bit masks per element).  Wide lanes are built
-only for a closure with an operation that needs them.  The kernel counts the applications it makes, per completed
+integer reference and two bit masks per element, the view a key and its
+index).  Wide lanes are built only for a closure with an operation that
+needs them.  The kernel counts the applications it makes, per completed
 row, the same way for every operation (`GeneratedSet.applications`); the
 step budget (`max_steps`) reads that count.  No closure is kept between
 calls; a caller that needs several answers from one closure reads them off
@@ -84,12 +100,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import struct
 from dataclasses import dataclass, field
 
-from .core import (Algebra, AlgebraError, OperationTable, UnionFind, is_cyclic, is_symmetric,
-                   rotation_permutation)
+from .core import (Algebra, AlgebraError, OperationTable, UnionFind, cell_getter, is_cyclic,
+                   is_symmetric, rotation_permutation)
+from .memo import per_algebra
 
 # The element ceiling of every closure `generate` runs: a guard on memory,
 # not a work budget.  A closure that meets it stops with reason "cap".
@@ -367,10 +383,13 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
     elements = gset.elements
     position = gset.position
     witnesses = gset.witnesses
-    ints = []  # each element as an integer of 1-byte lanes
+    # what the rows work on: each element's key (the element, or its
+    # coordinates kept by the view once that is on), their index, their
+    # integers of 1-byte lanes and their length
+    keys, seen, ints, coords = elements, position, [], m
     stop = None
 
-    def admit(res, witness):
+    def admit(key, witness, res):
         # the one place an element joins the closure; the cap is checked first
         nonlocal stop
         if len(elements) >= cap:
@@ -378,21 +397,25 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
             return
         position[res] = len(elements)
         elements.append(res)
-        ints.append(int.from_bytes(res, "big"))
+        if keys is not elements:
+            seen[key] = len(keys)
+            keys.append(key)
+        ints.append(int.from_bytes(key, "big"))
         witnesses.append(witness)
         stop = stop or stop_for(res)
 
     for g in gen_list:
         if g not in position:
-            admit(g, None)
+            admit(g, None, g)
     appliers = [_Applier(op) for op in base.operations]
-    # the walked elements in each wider lane width that some operation needs
+    # the walked keys in each wider lane width that some operation needs
     wide = {ap.lane: [] for ap in appliers if ap.lane > 1}
-    known = position.__contains__
-    # the variable permutations, if this closure is a Clo_k the orbit walk
-    # pays on; `layout` is the walk's order of the elements once it is on
-    var_maps = _variable_orbit(base, m, gen_list)
-    layout = None
+    known = seen.__contains__
+    # the variable maps and the view, read off the generators at the first
+    # round end with _ORBIT_MIN elements; `layout` is the variable-orbit
+    # walk's order of the elements once it is on
+    var_maps = view = layout = None
+    switched = False
 
     applications = 0
     fstart = 0
@@ -400,9 +423,9 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
         size = len(elements)
         gset.rounds += 1
         if layout is None:
-            walked, walked_ints = elements, ints
-        else:  # the elements in the layout's order
-            walked, walked_ints = list(map(elements.__getitem__, layout.order)), layout.ints
+            walked, walked_ints = keys, ints
+        else:  # the keys in the layout's order
+            walked, walked_ints = list(map(keys.__getitem__, layout.order)), layout.ints
         for w, wints in wide.items():
             wints.extend(int.from_bytes(_widen(e, w), "big") for e in walked[len(wints):])
         # per lane width: the whole round and its frontier suffix as one integer
@@ -410,11 +433,11 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
         round_lanes = {}
         for w in (1, *wide) if size >= _ROW_MIN else wide:
             lanes = int.from_bytes(_widen(b"".join(walked), w), "big")
-            round_lanes[w] = lanes, lanes & ((1 << (8 * w * m * (size - fstart))) - 1)
+            round_lanes[w] = lanes, lanes & ((1 << (8 * w * coords * (size - fstart))) - 1)
         for op_i, ap in enumerate(appliers):
             if stop:
                 break
-            lut, wm = ap.lut, ap.lane * m
+            lut, wm = ap.lut, ap.lane * coords
             wints = walked_ints if lut else wide[ap.lane]
             lanes, front_lanes = round_lanes.get(ap.lane, (0, 0))
             for prefix, acc, start in _prefix_rows(ap.coeffs[:-1], wints, size, fstart,
@@ -422,9 +445,10 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
                 width = size - start
                 if width < _ROW_MIN and lut:
                     for t in range(start, size):
-                        res = (acc + wints[t]).to_bytes(m, "big").translate(lut)
-                        if res not in position:
-                            admit(res, (op_i, prefix + (t,)))
+                        res = (acc + wints[t]).to_bytes(coords, "big").translate(lut)
+                        if res not in seen:
+                            admit(res, (op_i, prefix + (t,)),
+                                  res if view is None else view.expand(res))
                             if stop:
                                 break
                 else:
@@ -437,13 +461,14 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
                     cells = (
                         int.from_bytes(acc.to_bytes(wm, "big") * width, "big") + tail
                     ).to_bytes(wm * width, "big")
-                    row = _row_split(m, width)(
-                        cells.translate(lut) if lut else ap.lookup(cells, m * width)
+                    row = _row_split(coords, width)(
+                        cells.translate(lut) if lut else ap.lookup(cells, coords * width)
                     )
                     if not all(map(known, row)):
                         for t, res in enumerate(row, start):
-                            if res not in position:
-                                admit(res, (op_i, prefix + (t,)))
+                            if res not in seen:
+                                admit(res, (op_i, prefix + (t,)),
+                                      res if view is None else view.expand(res))
                                 if stop:
                                     break
                 if stop:
@@ -460,7 +485,18 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
             for i in range(size, new):
                 op_i, args = witnesses[i]
                 witnesses[i] = op_i, tuple(map(order.__getitem__, args))
-        if var_maps and new > size and not stop and (layout is not None or new >= _ORBIT_MIN):
+        if not switched and new >= _ORBIT_MIN and new > size and not stop:
+            # the walked keys or their order change from the next round on
+            switched = True
+            var_maps, view = _symmetries(base, gen_list)
+            for wints in wide.values():
+                wints.clear()
+            if view is not None:  # the rows go on over the kept coordinates
+                keys = list(map(view.reduce, elements))
+                seen = {key: i for i, key in enumerate(keys)}
+                ints[:] = [int.from_bytes(key, "big") for key in keys]
+                coords, known = view.coords, seen.__contains__
+        if var_maps and new > size and not stop:
             # the round's new elements (all elements when the walk switches
             # on) in order: each is a representative unless an earlier element
             # is one of its images; its missing images join, each with the
@@ -474,8 +510,9 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
                     continue
                 for perm, img in zip(var_maps, images):
                     if img not in position:
-                        admit(img, (witness[0], tuple(position[bytes(perm(elements[p]))]
-                                                      for p in witness[1])))
+                        admit(img if view is None else view.reduce(img),
+                              (witness[0], tuple(position[bytes(perm(elements[p]))]
+                                                 for p in witness[1])), img)
                         if stop:
                             break
                 if stop:
@@ -484,8 +521,6 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
             if not stop:
                 if layout is None:  # the walk starts over in the layout's order
                     layout = _OrbitLayout()
-                    for wints in wide.values():
-                        wints.clear()
                 layout.extend(orbits, size, elements, ints, position, var_maps)
                 fstart = layout.fstart
 
@@ -552,52 +587,127 @@ _ROW_MIN = 8
 # those closures reach 32 elements.  32 keeps the walk off small closures.
 _ORBIT_MIN = 32
 
-# The walk keeps one map of the n^k cells per non-identity permutation of
-# the k variables; a Clo_k whose maps would hold more indices than this runs
-# the plain walk (the same elements, in the plain order).  At n = 3, k = 10,
-# within MAX_CELLS, the maps would take 3,628,799 x 59,049 indices.
+# A cell list whose k! variable permutations would take more indices than
+# this to test runs the plain walk (the same elements, in the plain order):
+# for Clo_10 of a 3-element algebra, 3,628,800 x 59,049 indices.
 _ORBIT_MAX_INDICES = 1 << 20
 
-
-def _variable_orbit(base: Algebra, m: int, gen_list: list):
-    """The variable permutations of a closure the orbit walk serves: when
-    `gen_list` is the k projections of A^(n^k), k >= 2, n >= 2, some
-    operation has arity at least 3 and k! * n^k is at most
-    _ORBIT_MAX_INDICES, one coordinate map (bytes -> tuple of values) per
-    non-identity permutation of the k variables; else None.
-
-    Where every operation is at most binary, a row costs less than the
-    images it would spare: T4,14 (one binary operation) answers
-    has_cyclic_term in 1.5 ms without the walk and 3.5 ms with it, because
-    its 1,000-step probe then admits most of its elements as images."""
-    n, k = base.domain, len(gen_list)
-    if k < 2 or n < 2 or n**k != m or all(op.arity < 3 for op in base.operations):
-        return None
-    if math.factorial(k) * m > _ORBIT_MAX_INDICES:
-        return None
-    if gen_list != list(_projections(n, k)):
-        return None
-    return _coordinate_maps(n, k)
+# Automorphisms are sought by trying every bijection of domains up to this
+# size; above it the view uses the trivial group (the diagonal alone).
+_AUT_MAX_DOMAIN = 5
 
 
-@functools.lru_cache(maxsize=64)
-def _projections(n: int, k: int) -> tuple:
-    """The k projections of A^(n^k), cells in row-major order, as bytes."""
-    cells = list(itertools.product(range(n), repeat=k))
-    return tuple(bytes(c[j] for c in cells) for j in range(k))
+@per_algebra
+def automorphisms(alg: Algebra) -> tuple:
+    """The automorphisms of `alg` as tuples of images, in lex order (the
+    identity first): every bijection of the domain that commutes with each
+    operation, tried one by one up to _AUT_MAX_DOMAIN elements; the identity
+    alone above.  Memoized by the operation tables (`memo.per_algebra`)."""
+    n = alg.domain
+    if n > _AUT_MAX_DOMAIN:
+        return (tuple(range(n)),)
+    cells = {k: list(itertools.product(range(n), repeat=k))
+             for k in {op.arity for op in alg.operations}}
+    return tuple(p for p in itertools.permutations(range(n)) if all(
+        op.values[op.index(tuple(map(p.__getitem__, c)))] == p[v]
+        for op in alg.operations for c, v in zip(cells[op.arity], op.values)))
 
 
-@functools.lru_cache(maxsize=64)
-def _coordinate_maps(n: int, k: int) -> tuple:
-    """Per non-identity permutation s of the k variables, in lex order: the
-    map e -> s.e on the n^k cells, (s.e)[c] = e[c[s(0)], ..., c[s(k-1)]].
-    It sends projection j to projection s(j) and commutes with every
-    operation applied coordinatewise."""
-    cells = list(itertools.product(range(n), repeat=k))
-    index = {c: i for i, c in enumerate(cells)}
-    return tuple(
-        operator.itemgetter(*(index[tuple(c[j] for j in s)] for c in cells))
-        for s in itertools.permutations(range(k)) if s != tuple(range(k)))
+def _symmetries(base: Algebra, gen_list: list):
+    """(variable maps, view) of a closure, read off its cell list: the m
+    cells (g_1[j], ..., g_k[j]) of its k generators.  Each element is then
+    the values t(cell) of a k-ary term t on the cells.  A list with a
+    repeated cell, or with fewer than two, has neither.
+
+    The variable maps: for each permutation s of the k variables that keeps
+    the set of cells, in lex order, the map e -> s.e, (s.e)[c] =
+    e[c[s(0)], ..., c[s(k-1)]], as a getter (bytes -> tuple); the same map
+    once, and none that moves no coordinate.  s.e is the term t(x_s(0),
+    ..., x_s(k-1)) on the cells, so the map keeps the closure; it commutes
+    with every operation applied coordinatewise.  None where there is no
+    such map, where every operation is at most binary (a row there costs
+    less than the images it would spare: T4,14, one binary operation,
+    answers has_cyclic_term in 1.5 ms without the walk and 3.5 ms with it)
+    or where k! * m exceeds _ORBIT_MAX_INDICES.
+
+    The view (`_View`), or None where it would keep no coordinate or more
+    than half of them, or its relabel table would not fit in a byte: each
+    element it admits pays an expansion of all m coordinates, so on
+    closures that admit about one element per application views keeping
+    60 of 64 coordinates cost a quarter more time than none."""
+    m, k = len(gen_list[0]), len(gen_list)
+    cells = list(zip(*gen_list))
+    index = {c: j for j, c in enumerate(cells)}
+    if m < 2 or len(index) < m:
+        return None, None
+    var_maps = {}
+    if any(op.arity >= 3 for op in base.operations) and math.factorial(k) * m <= \
+            _ORBIT_MAX_INDICES:
+        for s in itertools.permutations(range(k)):
+            image = tuple(index.get(tuple(map(c.__getitem__, s))) for c in cells)
+            if None not in image:
+                var_maps.setdefault(image)
+        var_maps.pop(tuple(range(m)), None)
+    group = [g for g in automorphisms(base)
+             if all(tuple(map(g.__getitem__, c)) in index for c in cells)]
+    view = _View.of(base, cells, index, group)
+    return tuple(map(cell_getter, var_maps)) or None, view
+
+
+class _View:
+    """The coordinates a closure keeps once its cell list has symmetries.
+
+    For an automorphism g of A that keeps the set of cells, a term t has
+    t(g.c) = g(t(c)) at every cell c; in an idempotent algebra, t(a, ...,
+    a) = a.  So one cell per orbit of those automorphisms (the first in the
+    list), the constant cells of an idempotent algebra aside, fixes the
+    values on all m cells: reading the kept cells (`reduce`) is one-to-one
+    on the closure, and it commutes with every operation applied
+    coordinatewise, so the rows run on the `coords` kept coordinates alone.
+    `expand` rebuilds an element from them: per cell, the kept value it is
+    an image of, offset into the row of its automorphism (or of its
+    constant) in a relabel table of (|G| + n) * n entries, which one
+    `translate` reads."""
+
+    __slots__ = ("m", "coords", "keep", "getter", "offset", "table")
+
+    @staticmethod
+    def of(base, cells, index, group):
+        n, m = base.domain, len(cells)
+        if (len(group) + n) * n > 256:
+            return None
+        idempotent = base.is_idempotent()
+        kept, codes = [], [None] * m  # per cell: (kept position, table row)
+        for j, c in enumerate(cells):
+            if codes[j] is not None:
+                continue
+            if idempotent and c.count(c[0]) == len(c):
+                codes[j] = 0, len(group) + c[0]
+                continue
+            for row, g in enumerate(group):
+                i = index[tuple(map(g.__getitem__, c))]
+                if codes[i] is None:
+                    codes[i] = len(kept), row
+            kept.append(j)
+        if not 0 < 2 * len(kept) <= m:
+            return None
+        view = _View()
+        view.m, view.coords, view.keep = m, len(kept), cell_getter(kept)
+        view.getter = cell_getter([p for p, _ in codes])
+        view.offset = int.from_bytes(bytes(row * n for _, row in codes), "big")
+        table = bytes(g[v] for g in group for v in range(n)) + bytes(
+            a for a in range(n) for _ in range(n))
+        view.table = table + bytes(256 - len(table))
+        return view
+
+    def reduce(self, e: bytes) -> bytes:
+        """The kept coordinates of element `e`."""
+        return bytes(self.keep(e))
+
+    def expand(self, key: bytes) -> bytes:
+        """The element whose kept coordinates are `key`."""
+        full = int.from_bytes(bytes(self.getter(key)), "big") + self.offset
+        return full.to_bytes(self.m, "big").translate(self.table)
 
 
 def _widen(data: bytes, w: int):

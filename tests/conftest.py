@@ -1,9 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import settings
 
 from finalg.core import Algebra, OperationTable, compose, projection
 from finalg import catalog
+
+# One fixed draw for every Hypothesis test, so that two runs of the suite
+# (two trees, or before and after a change) time the same examples:
+# `pytest --hypothesis-profile=timing`.  The default profile keeps its
+# random draw.
+settings.register_profile("timing", derandomize=True)
 
 
 @pytest.fixture(scope="session")

@@ -267,14 +267,18 @@ def test_search_spec_errors_name_the_line(capsys, tmp_path):
         ("preserves 2 : 0,1 1,5", "element 5 outside domain 3"),
         ("preserves 3 : 0,1", "a tuple is not of length 3"),
         ("perm (0 1)(1 2)", "an element is repeated in the cycles"),
-        ("restrict 0,1 := 0 0 1", "operation r: expected 4 values, got 3"),
-        ("restrict 0,1 := 0 0 0 2", "operation r: value 2 out of range"),
+        ("restrict 0,1 := 0 0 1", "a 2-element subset at arity 2 takes 4 values, got 3"),
+        ("restrict 0,1 := 0 0 0 2",
+         "a 2-element subset takes values 0 to 1 (positions in the subset), got 2"),
+        ("restrict 0,1,2 := 0 0 0 0 0 0 0 0 -1",
+         "a 3-element subset takes values 0 to 2 (positions in the subset), got -1"),
     ):
         spec.write_text(f"domain 3\narity 2\n{line}\n")
         code, out, err = run(["search", "--spec", str(spec)], capsys)
         head, _, rest = line.partition(" ")
         assert code == 2 and out == ""
         assert err == f"error: malformed {head} directive {rest!r}: {why} (line 3)\n"
+        assert "operation r" not in err  # the spec names no operation r
 
 
 def test_search_spec_repeats_and_stray_text_name_the_line(capsys, tmp_path):

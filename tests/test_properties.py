@@ -26,7 +26,7 @@ from finalg.certify import parse_certificate
 from finalg.search import (AgreesOnTuples, CommutesWithPermutation, Cyclic, Idempotent,
                            InvariantPartition, PreservesRelation, Symmetric,
                            parse_constraint_file, restriction, satisfies)
-from test_subpower import reference_closure
+from test_subpower import kernel_and_reference, reference_closure
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def test_variable_orbit_walk_keeps_the_elements_of_clo_k(case):
                                  subpower._stop_test(None, None), max_steps)
 
     full = closure(CLO_K_STEPS)
-    with mock.patch.object(subpower, "_variable_orbit", lambda *args: None):
+    with mock.patch.object(subpower, "_symmetries", lambda *args: (None, None)):
         plain = closure(CLO_K_STEPS)
     if not (full.truncated or plain.truncated):
         assert set(full.elements) == set(plain.elements)
@@ -309,6 +309,122 @@ def test_variable_orbit_walk_keeps_the_elements_of_clo_k(case):
     short, long = sorted((cut, full), key=len)
     assert short.elements == long.elements[:len(short)]
     assert short.witnesses == long.witnesses[:len(short)]
+
+
+# ---------------------------------------------------------------------------
+# closures whose cell lists have symmetries: the kernel's variable maps and
+# view against the reference, which keeps every coordinate and finds the
+# variable maps on its own
+
+def _group(n, gens):
+    """The permutations of range(n) that `gens` generate, sorted."""
+    group, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return sorted(group)
+
+
+def _invariant_table(draw, name, n, k, group, idempotent, conservative):
+    """A k-ary table on n elements that commutes with every permutation in
+    `group`: one value per orbit of cells, drawn at its first cell c among
+    the elements fixed by every g that fixes c (among c's own entries if
+    `conservative`, which keeps many closures small enough to finish; a
+    constant cell (a, ..., a) takes a if `idempotent`); the orbit's other
+    cells g.c take g(value)."""
+    cells = list(itertools.product(range(n), repeat=k))
+    values = {}
+    for c in cells:
+        if c in values:
+            continue
+        if idempotent and c.count(c[0]) == k:
+            v = c[0]
+        elif conservative:
+            v = draw(st.sampled_from(sorted(set(c))))
+        else:
+            stab = [g for g in group if all(g[x] == x for x in c)]
+            v = draw(st.sampled_from([x for x in range(n) if all(g[x] == x for g in stab)]))
+        for g in group:
+            values[tuple(g[x] for x in c)] = g[v]
+    return OperationTable(name, k, n, tuple(map(values.__getitem__, cells)))
+
+
+@st.composite
+def automorphic_algebras(draw):
+    """(algebra, group): a 2-4 element algebra with a ternary and maybe a
+    binary operation, both commuting with the group that one or two drawn
+    permutations generate; idempotent or not, conservative or not."""
+    n = draw(st.integers(2, 4))
+    perms = st.permutations(range(n)).map(tuple)
+    group = _group(n, draw(st.lists(perms, min_size=1, max_size=2)))
+    laws = draw(st.booleans()), draw(st.booleans())  # idempotent, conservative
+    ops = [_invariant_table(draw, "f", n, 3, group, *laws)]
+    if draw(st.booleans()):
+        ops.append(_invariant_table(draw, "g", n, 2, group, *laws))
+    return Algebra(n, tuple(ops)), group
+
+
+# the element cap of an unbounded closure, which keeps the reference's
+# last round small
+SYMMETRIC_CAP = 100
+
+
+@st.composite
+def symmetric_cell_closures(draw):
+    """(algebra, k, cells, switch): an `automorphic_algebras` algebra, a
+    cell list closed under some permutations of the variables (all of A^k,
+    the majority cells of a pair, the Mal'cev cells, or the S_3-closure of
+    a few drawn cells) and the element count at which the closure reads
+    its symmetries (`_ORBIT_MIN`, lowered so that small closures read them
+    too)."""
+    a, _ = draw(automorphic_algebras())
+    n = a.domain
+    kind = draw(st.sampled_from(["all", "majority", "malcev", "closed"]))
+    k = draw(st.integers(2, 3)) if kind == "all" else 3
+    if kind == "all":
+        cells = list(itertools.product(range(n), repeat=k))
+    elif kind == "majority":
+        x, y = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        cells = [(x, x, y), (x, y, x), (y, x, x), (y, y, x), (y, x, y), (x, y, y)]
+    elif kind == "malcev":
+        cells = sorted({(x, y, y) for x in range(n) for y in range(n) if x != y}
+                       | {(y, y, x) for x in range(n) for y in range(n) if x != y})
+    else:
+        seeds = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), min_size=1, max_size=4))
+        cells = sorted({tuple(c[i] for i in s) for c in seeds
+                        for s in itertools.permutations(range(3))})
+    return a, k, cells, draw(st.sampled_from([1, 8, subpower._ORBIT_MIN]))
+
+
+@given(symmetric_cell_closures())
+# T4,10's majority test on (1, 2): four automorphisms keep its six cells,
+# and the walk and the view are both on from the first round end at 32
+@example((catalog.get("T4,10").algebra, 3,
+          [(1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 1, 2), (1, 2, 2)], 32))
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_the_reference_on_cell_lists_with_symmetries(case):
+    # at budgets of 1, 50 and 1,000 steps and unbounded (up to the cap)
+    a, k, cells, switch = case
+    gens = subpower.term_generators(a, k, cells)
+    with mock.patch.object(subpower, "_ORBIT_MIN", switch):
+        for budget in (1, 50, 1_000):
+            kernel_and_reference(a, len(cells), gens, max_steps=budget)
+        kernel_and_reference(a, len(cells), gens, cap=SYMMETRIC_CAP)
+
+
+@given(automorphic_algebras())
+@settings(max_examples=60, deadline=None)
+def test_automorphisms_are_the_bijections_transport_keeps(case):
+    a, group = case
+    tables = [op.values for op in a.operations]
+    want = tuple(p for p in itertools.permutations(range(a.domain))
+                 if [op.values for op in catalog.transport(a, p).operations] == tables)
+    assert subpower.automorphisms(a) == want
+    assert set(group) <= set(want)
 
 
 # ---------------------------------------------------------------------------

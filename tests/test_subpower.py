@@ -496,8 +496,9 @@ def test_huge_arities_are_rejected(alg):
     # below the limit the variable-orbit maps may not fit: those of Clo_7
     # would hold 5,039 x 2,187 indices, so the plain walk runs (checked
     # first, as a regression here would take a lot of memory at arity 10)
-    assert subpower._variable_orbit(t1n, 3**7, list(subpower._projections(3, 7))) is None
-    assert subpower._variable_orbit(t1n, 3**5, list(subpower._projections(3, 5))) is not None
+    for k, walked in ((7, False), (5, True)):
+        gens = subpower.term_generators(t1n, k, list(itertools.product(range(3), repeat=k)))
+        assert (subpower._symmetries(t1n, gens)[0] is not None) == walked
     assert len(free_algebra(t1n, 10, max_steps=1)) >= 10
 
 
@@ -544,6 +545,7 @@ def test_memo_shared_by_threads_keeps_its_total():
 # -- the row kernel against the per-application loop ------------------------
 
 from finalg.subpower import GeneratedSet  # noqa: E402
+from finalg.catalog import transport as catalog_transport  # noqa: E402
 
 
 def argument_group(op):
@@ -568,19 +570,22 @@ def orbit_group(op):
 
 
 def variable_images(base, m, gen_list):
-    """For a closure of the k >= 2 projections of A^(n^k), n >= 2, of an
-    algebra with an operation of arity at least 3: the images of an element
-    under the non-identity permutations of the k variables, in lex order.
-    None for any other closure."""
-    n, k = base.domain, len(gen_list)
-    if k < 2 or n < 2 or n**k != m or max(op.arity for op in base.operations) < 3:
+    """For a closure whose m >= 2 cells (the columns of its k generators)
+    are distinct, of an algebra with an operation of arity at least 3: the
+    images of an element under the non-identity permutations s of the k
+    variables that keep the set of cells, in lex order, (s.e)[c] =
+    e[s.c] with (s.c)_j = c_s(j).  None where there is no such s, and for
+    any other closure."""
+    k = len(gen_list)
+    cells = list(zip(*gen_list))
+    if m < 2 or len(set(cells)) < m or max(op.arity for op in base.operations) < 3:
         return None
     if math.factorial(k) * m > subpower._ORBIT_MAX_INDICES:
         return None
-    if gen_list != [bytes(t) for t in projection_tuples(n, k)]:
+    perms = [s for s in itertools.permutations(range(k)) if s != tuple(range(k))
+             and {tuple(c[j] for j in s) for c in cells} == set(cells)]
+    if not perms:
         return None
-    cells = list(itertools.product(range(n), repeat=k))
-    perms = [s for s in itertools.permutations(range(k)) if s != tuple(range(k))]
 
     def images(e):
         value = dict(zip(cells, e))
@@ -590,7 +595,7 @@ def variable_images(base, m, gen_list):
 
 
 def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None,
-                      orbits=True):
+                      orbits=True, variables=True):
     """The closure one operation application at a time: the kernel's loop
     before it evaluated whole rows, kept to check the kernel.
 
@@ -604,7 +609,8 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
     applied by byte-lane arithmetic, a larger one coordinate by
     coordinate.
 
-    A closure with `variable_images` walks the variable orbits from the
+    A closure with `variable_images` (unless `variables` is false) walks
+    the variable orbits from the
     first round end with at least `_ORBIT_MIN` elements: at that round end
     every element, and at each later one the round's new elements, are met
     in order; one with no earlier image is a representative, and its
@@ -634,7 +640,7 @@ def reference_closure(base, m, gen_list, cap, stop_for, max_steps, row_ends=None
 
     for g in gen_list:
         insert(g, None)
-    images = variable_images(base, m, gen_list)
+    images = variable_images(base, m, gen_list) if variables else None
     if images:
         images = functools.lru_cache(maxsize=None)(images)
     layout = None  # the element index at each position, once the orbits are walked
@@ -789,7 +795,7 @@ def test_kernel_matches_reference_on_clo4(alg):
     # by the budget
     t1n, t1c = alg("T1N"), alg("T1C")
     got = kernel_and_reference(t1n, *_free(t1n, 4))
-    with mock.patch.object(subpower, "_variable_orbit", lambda *args: None):
+    with mock.patch.object(subpower, "_symmetries", lambda *args: (None, None)):
         plain = fresh(t1n, *_free(t1n, 4))
     assert (len(got), got.truncated, got.rounds) == (44, False, 3)
     assert set(got.elements) == set(plain.elements)
@@ -803,10 +809,57 @@ def test_variable_orbit_walk_cuts_the_applications_of_clo3(alg):
                                      ("T4,13", 357_760, 65_474)):
         a = alg(name)
         got = fresh(a, *_clo3(a))
-        with mock.patch.object(subpower, "_variable_orbit", lambda *args: None):
+        with mock.patch.object(subpower, "_symmetries", lambda *args: (None, None)):
             plain = fresh(a, *_clo3(a))
         assert not got.truncated and set(got.elements) == set(plain.elements)
         assert (plain.applications, got.applications) == (plain_steps, steps)
+
+
+def test_cell_list_symmetries_of_the_cyclic_count_algebras(alg):
+    # the view of each complete Clo_3 of `cyclic-count`: one coordinate per
+    # orbit of the automorphisms, the diagonal left out (T4,3 and T3N, with
+    # the diagonal alone, would keep more than half and have none); the
+    # elements and the applications are those of the walk without a view
+    for name, group, coords in (("T4,5", 2, 30), ("T4,8", 2, 30), ("T4,11", 2, 30),
+                                ("T4,10", 4, 15), ("T4,13", 4, 18), ("T4,3", 1, None),
+                                ("T3N", 1, None)):
+        a = alg(name)
+        m, gens = _clo3(a)
+        gen_list = subpower._generator_bytes(a, m, gens)
+        assert len(subpower.automorphisms(a)) == group
+        var_maps, view = subpower._symmetries(a, gen_list)
+        assert len(var_maps) == 5 and (view and view.coords) == coords
+        got = fresh(a, m, gens)
+        with mock.patch.object(subpower, "_symmetries", lambda *args: (var_maps, None)):
+            full = fresh(a, m, gens)
+        assert (got.elements, got.witnesses, got.applications, got.rounds) == \
+            (full.elements, full.witnesses, full.applications, full.rounds)
+        if view:
+            assert all(view.expand(view.reduce(e)) == e for e in got.elements)
+
+
+def test_automorphisms_of_the_catalog_are_the_bijections_transport_keeps(entries):
+    for e in entries.values():
+        a = e.algebra
+        if a.domain <= 4:
+            want = tuple(p for p in itertools.permutations(range(a.domain))
+                         if catalog_transport(a, p).operations == a.operations)
+            assert subpower.automorphisms(a) == want, e.name
+    # above five elements, the identity alone
+    big = Algebra(6, [_table("t", 6, 2, max)])
+    assert subpower.automorphisms(big) == (tuple(range(6)),)
+
+
+def test_the_t410_majority_test_completes_within_the_query_budget(alg):
+    # its six cells are closed under S_3 and under four automorphisms, so
+    # the walk and the view both apply; without them the closure stopped on
+    # 150,000 steps with its 128 elements
+    a = alg("T4,10")
+    cells = _majority_on_pair_positions(1, 2)
+    d = decide_term(a, 3, cells, [], max_steps=150_000, targets=[(1, 1, 1, 2, 2, 2)])
+    assert (d.holds, d.stage) == (False, "closure")
+    assert (len(d.closure), d.closure.applications, d.closure.stop_reason) == \
+        (128, 65_352, None)
 
 
 def argument_tuple_orbits(gset):
@@ -864,14 +917,23 @@ ORBIT_CAP = 40
 
 def _with_and_without_orbits(base, m, gens, cap=ORBIT_CAP):
     """The reference with and without the orbit filter gives the same
-    elements and witnesses on a complete or capped closure."""
+    elements and witnesses on a complete or capped closure of the plain
+    walk.  Where the variable-orbit walk applies, it meets the argument
+    tuples in another order with the filter than without, so only its
+    complete closures are compared, with both filters, to the plain one's
+    elements."""
     gen_list = subpower._generator_bytes(base, m, gens)
     runs = [reference_closure(base, m, gen_list, cap, subpower._stop_test(None, None),
-                              None, orbits=orbits) for orbits in (True, False)]
+                              None, orbits=orbits, variables=False) for orbits in (True, False)]
     (got, want) = runs
     assert got.elements == want.elements
     assert got.witnesses == want.witnesses
     assert (got.truncated, got.stop_reason) == (want.truncated, want.stop_reason)
+    if variable_images(base, m, gen_list) and not got.truncated:
+        for orbits in (True, False):
+            walked = reference_closure(base, m, gen_list, cap, subpower._stop_test(None, None),
+                                       None, orbits=orbits)
+            assert walked.truncated or set(walked.elements) == set(got.elements)
     return got
 
 
@@ -1037,6 +1099,19 @@ def test_kernel_four_byte_lanes():
     kernel_and_reference(b, 3, [(0, 1, 2), (4, 8, 0), (3, 0, 5)],
                          max_steps=KERNEL_BUDGET // 4)
     _sweep_row_ends(b, 2, [(0, 7), (7, 0)], every=5, limit=3_000)
+
+
+def test_kernel_view_on_two_byte_lanes():
+    # 2x+2y+3z-2w on Z5: 625 cells (2-byte lanes), commuting with the four
+    # maps x -> ux, u a unit; from a switch at 8 elements Clo_2's rows keep
+    # 7 of its 25 coordinates
+    a = Algebra(5, [_table("q", 5, 4, lambda x, y, z, w: (2 * x + 2 * y + 3 * z - 2 * w) % 5)])
+    m, gens = _free(a, 2)
+    assert subpower._symmetries(a, subpower._generator_bytes(a, m, gens))[1].coords == 7
+    with mock.patch.object(subpower, "_ORBIT_MIN", 8):
+        for max_steps in (1_000, 3_013, 20_000):
+            got = kernel_and_reference(a, m, gens, max_steps=max_steps)
+    assert (len(got), got.rounds) == (25, 3)
 
 
 def _free(a, k):
