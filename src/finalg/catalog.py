@@ -25,11 +25,9 @@ from .core import (
     Algebra,
     AlgebraError,
     OperationTable,
-    is_commutative,
-    is_conservative,
-    is_cyclic,
-    is_symmetric,
+    TABLE_PROPERTIES,
     parse_algebra,
+    relabeling,
     restrict,
 )
 from .congruence import (
@@ -445,14 +443,6 @@ def get(name: str) -> CatalogEntry:
     return entry
 
 
-_PROPERTIES = {
-    "cyclic": is_cyclic,
-    "symmetric": is_symmetric,
-    "commutative": is_commutative,
-    "conservative": is_conservative,
-}
-
-
 def check_facts(entry: CatalogEntry):
     """Re-check the declared facts; returns a list of failure strings."""
     failures = []
@@ -469,8 +459,8 @@ def check_facts(entry: CatalogEntry):
                 continue
             if got.values != want.values:
                 failures.append(f"{entry.name}: restriction to {subset} is not {label}")
-        elif kind in _PROPERTIES:
-            if not _PROPERTIES[kind](op):
+        elif kind in TABLE_PROPERTIES:
+            if not TABLE_PROPERTIES[kind](op):
                 failures.append(f"{entry.name}: operation not {kind}")
         else:
             failures.append(f"{entry.name}: unknown fact {fact!r}")
@@ -481,19 +471,11 @@ def check_facts(entry: CatalogEntry):
 # term equivalence and isomorphism
 
 def transport(alg: Algebra, perm) -> Algebra:
-    """Relabel an algebra along a domain bijection."""
-    n = alg.domain
-    inv = [0] * n
-    for i, v in enumerate(perm):
-        inv[v] = i
-    ops = []
-    for op in alg.operations:
-        vals = tuple(
-            perm[op.values[op.index(tuple(inv[x] for x in args))]]
-            for args in itertools.product(range(n), repeat=op.arity)
-        )
-        ops.append(OperationTable(op.name, op.arity, n, vals))
-    return Algebra(n, tuple(ops), label=alg.label)
+    """Relabel an algebra along a domain bijection (`core.relabeling`)."""
+    n, perm = alg.domain, tuple(perm)
+    return Algebra(n, tuple(
+        OperationTable(op.name, op.arity, n, relabeling(n, op.arity, perm)(op.values))
+        for op in alg.operations), label=alg.label)
 
 
 def term_equivalent(a: Algebra, b: Algebra, max_steps=None):
@@ -566,11 +548,7 @@ _fp_cache = invariant_fingerprint.memo
 
 def _transport_fingerprint(fp, perm, n):
     """The fingerprint of transport(alg, perm), derived without recomputation."""
-    inv = [0] * n
-    for i, v in enumerate(perm):
-        inv[v] = i
-    # cell (x, y) of a transported binary table reads cell (inv x, inv y)
-    cells = [inv[x] * n + inv[y] for x, y in itertools.product(range(n), repeat=2)]
+    relabel = relabeling(n, 2, tuple(perm))
 
     def tset(s):
         return tuple(sorted(perm[x] for x in s))
@@ -585,7 +563,7 @@ def _transport_fingerprint(fp, perm, n):
             (perm[x], perm[y]) for x, y in fp["semilattice_edges"]
         ),
         "clo2": None if fp["clo2"] is None else frozenset(
-            tuple(perm[vals[c]] for c in cells) for vals in fp["clo2"]
+            map(relabel, fp["clo2"])
         ),
     }
 

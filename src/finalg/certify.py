@@ -38,7 +38,7 @@ from .congruence import (
     quotient_algebra,
     simplicity_witness,
 )
-from .search import parse_constraint_file, solutions
+from .search import DIRECTIVES, parse_constraint_file, solutions
 from .subpower import cyclic_term_witnesses, eval_term, generate, render_term
 from . import catalog as _catalog
 from . import structure as _structure
@@ -184,12 +184,24 @@ def _parse_clone(rest):
 
 
 def _parse_unique_op(rest):
-    """`expect=@self|v0,v1,... :: directive; directive; ...`; @self is None."""
+    """`expect=@self|v0,v1,... :: directive; directive; ...`; @self is None.
+    The directives are a search spec's (`search.DIRECTIVES`) without
+    `domain`, the algebra's; their heads are checked here, the rest once
+    the domain is known."""
     expect_text, _, cons_text = rest.partition("::")
     key, _, expect = expect_text.strip().partition("=")
     if key != "expect":
         raise ValueError("needs expect=")
-    return None if expect == "@self" else _parse_tuple(expect), cons_text.strip()
+    directives = tuple(d.strip() for d in cons_text.split(";"))
+    heads = [d.partition(" ")[0] for d in directives if d]
+    for head in heads:
+        if head not in DIRECTIVES:
+            raise ValueError(f"unknown directive {head!r}")
+        if head == "domain":
+            raise ValueError("the domain is the algebra's, not a directive")
+    if "arity" not in heads:
+        raise ValueError("needs an arity directive")
+    return None if expect == "@self" else _parse_tuple(expect), directives
 
 
 def _parse_optional_pair(rest):
@@ -287,8 +299,11 @@ def _check_clone(want, alg, args, max_steps):
 
 
 def _check_unique_op(alg, args, max_steps):
-    expected, cons_text = args
-    spec = parse_constraint_file("\n".join([f"domain {alg.domain}", *cons_text.split(";")]))
+    expected, directives = args
+    try:
+        spec = parse_constraint_file("\n".join(directives), domain=alg.domain)
+    except ParseError as exc:  # its line is the directive's position after `::`
+        raise AlgebraError(f"{exc.reason} (directive {exc.line} of the :: list)") from None
     found = list(itertools.islice(solutions(spec, max_steps), 2))
     if None in found:
         return "inconclusive", "budget", ()

@@ -18,12 +18,8 @@ from .core import (
     AlgebraError,
     NotClosedError,
     ParseError,
+    TABLE_PROPERTIES,
     UnionFind,
-    is_commutative,
-    is_conservative,
-    is_cyclic,
-    is_idempotent,
-    is_symmetric,
     parse_algebra,
     serialize_algebra,
 )
@@ -90,15 +86,7 @@ def cmd_info(args):
     alg = _load(args.file)
     print(f"domain {alg.domain}")
     for op in alg.operations:
-        props = []
-        for label, pred in (
-            ("idempotent", is_idempotent), ("cyclic", is_cyclic),
-            ("symmetric", is_symmetric), ("conservative", is_conservative),
-        ):
-            if pred(op):
-                props.append(label)
-        if op.arity == 2 and is_commutative(op):
-            props.append("commutative")
+        props = [label for label, holds in TABLE_PROPERTIES.items() if holds(op)]
         print(f"op {op.name} arity={op.arity} [{', '.join(props)}]")
     return EXIT_OK
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Algebra, AlgebraError, OperationTable, UnionFind, translation_cells
+from .core import (Algebra, AlgebraError, OperationTable, UnionFind, image_cells,
+                   translation_cells)
 from .memo import per_algebra
 
 
@@ -234,16 +235,12 @@ def quotient_algebra(alg: Algebra, p: Partition):
     if not ok:
         raise NotACongruenceError(f"not a congruence, violation: {violation}")
     idx = p.block_index()
-    reps = [b[0] for b in p.blocks]
+    reps = tuple(b[0] for b in p.blocks)
     k = len(p.blocks)
-    ops = []
-    for op in alg.operations:
-        vals = tuple(
-            idx[op.values[op.index(tuple(reps[a] for a in args))]]
-            for args in itertools.product(range(k), repeat=op.arity)
-        )
-        ops.append(OperationTable(op.name, op.arity, k, vals))
-    return Algebra(k, tuple(ops)), p.blocks
+    return Algebra(k, tuple(
+        OperationTable(op.name, op.arity, k, tuple(map(
+            idx.__getitem__, image_cells(alg.domain, op.arity, reps)(op.values))))
+        for op in alg.operations)), p.blocks
 
 
 def class_algebra(alg: Algebra, p: Partition, block) -> Algebra:

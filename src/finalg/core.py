@@ -3,7 +3,13 @@
 An operation table stores a total k-ary operation on {0..n-1} as a flat
 row-major value sequence: the tuple (x1,...,xk) lives at index
 sum(xi * n**(k-i)), first argument most significant.  This indexing is the
-one convention used everywhere (files, hashing, witness replay).
+one convention used everywhere (files, hashing, witness replay), and it
+has one implementation: a table read on rearranged cells is read through
+one of two cached cell maps.  The value map `image_cells` reads the cells
+(f[x1], ..., f[xk]): a subset, a quotient's block representatives or,
+through `relabeling`, a bijection.  The argument map `argument_cells` reads
+the cells (x[order[0]], ...): the diagonal and the argument permutations.
+(`translation_cells` freezes one argument.)
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ class NotClosedError(AlgebraError):
 
 class ParseError(AlgebraError):
     def __init__(self, message, line=None):
-        self.line = line
+        self.reason, self.line = message, line
         where = f" (line {line})" if line is not None else ""
         super().__init__(message + where)
 
@@ -116,13 +122,10 @@ def compose(outer: OperationTable, inners) -> OperationTable:
     for g in inners:
         if g.arity != l or g.domain != n:
             raise AlgebraError("compose: inner operations must share arity and domain")
-    vals = []
-    for args in itertools.product(range(n), repeat=l):
-        idx = cell_index(args, n)
-        inner_vals = tuple(g.values[idx] for g in inners)
-        vals.append(outer.values[outer.index(inner_vals)])
+    # cell by cell, the inner values (g1(x), ..., gk(x)) index the outer table
+    vals = tuple(outer.values[cell_index(args, n)] for args in zip(*(g.values for g in inners)))
     name = f"{outer.name}({','.join(g.name for g in inners)})"
-    return OperationTable(name, l, n, tuple(vals))
+    return OperationTable(name, l, n, vals)
 
 
 def cell_getter(indices):
@@ -143,11 +146,34 @@ def cell_index(args, n: int) -> int:
     return idx
 
 
+@functools.lru_cache(maxsize=1024)
+def image_cells(n: int, k: int, f: tuple):
+    """The value map: reads the cells (f[x1], ..., f[xk]) of an n-element
+    table of arity k, row-major over x in range(len(f))^k.  An ascending
+    `f` reads a subset, block representatives a quotient, the inverse of a
+    bijection a relabeling (`relabeling`)."""
+    return cell_getter([cell_index(args, n) for args in itertools.product(f, repeat=k)])
+
+
 @functools.lru_cache(maxsize=256)
-def subset_cells(n: int, k: int, subset: tuple):
-    """Reads the cells of subset^k, in row-major order, from an n-element
-    table of arity k; `subset` is ascending."""
-    return cell_getter([cell_index(args, n) for args in itertools.product(subset, repeat=k)])
+def argument_cells(n: int, order: tuple):
+    """The argument map: reads the cells (x[order[0]], ..., x[order[-1]]) of
+    an n-element table of arity len(order), row-major over x in
+    range(n)^(max(order) + 1).  The order (0,)*k reads the diagonal, a
+    rotation or a swap the table on rotated or swapped arguments.  Reading
+    range(n**k) gives the index of each cell's image."""
+    return cell_getter([cell_index([x[i] for i in order], n)
+                        for x in itertools.product(range(n), repeat=max(order) + 1)])
+
+
+@functools.lru_cache(maxsize=1024)
+def relabeling(n: int, k: int, perm: tuple):
+    """values -> the values of the k-ary table relabeled along the bijection
+    `perm` of range(n): its cell (perm[x1], ..., perm[xk]) holds perm[v]
+    where the table's cell (x1, ..., xk) holds v.  A bijection whose
+    relabeling keeps every table of an algebra is an automorphism."""
+    inverse = image_cells(n, k, tuple(sorted(range(n), key=perm.__getitem__)))
+    return lambda values: tuple(map(perm.__getitem__, inverse(values)))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -167,7 +193,7 @@ def restrict(op: OperationTable, subset) -> OperationTable:
     """
     subset = tuple(sorted(set(subset)))
     pos = {a: i for i, a in enumerate(subset)}
-    vals = subset_cells(op.domain, op.arity, subset)(op.values)
+    vals = image_cells(op.domain, op.arity, subset)(op.values)
     try:
         relabeled = tuple(map(pos.__getitem__, vals))
     except KeyError:
@@ -180,7 +206,7 @@ def restrict(op: OperationTable, subset) -> OperationTable:
 def is_closed(op: OperationTable, subset) -> bool:
     subset = set(subset)
     return subset.issuperset(
-        subset_cells(op.domain, op.arity, tuple(sorted(subset)))(op.values))
+        image_cells(op.domain, op.arity, tuple(sorted(subset)))(op.values))
 
 
 class UnionFind:
@@ -213,57 +239,40 @@ class UnionFind:
         return tuple(tuple(b) for b in groups.values())
 
 
-@functools.lru_cache(maxsize=64)
-def diagonal_cells(n: int, k: int):
-    """Reads the cells (x,...,x), x = 0..n-1."""
-    return cell_getter([cell_index((x,) * k, n) for x in range(n)])
-
-
 def is_idempotent(op: OperationTable) -> bool:
-    return diagonal_cells(op.domain, op.arity)(op.values) == tuple(range(op.domain))
-
-
-@functools.lru_cache(maxsize=64)
-def rotation_permutation(n: int, k: int) -> tuple:
-    """Index of the cell (x2,...,xk,x1) for each cell (x1,...,xk), row-major."""
-    cells = list(itertools.product(range(n), repeat=k))
-    pos = {cell: i for i, cell in enumerate(cells)}
-    return tuple(pos[cell[1:] + cell[:1]] for cell in cells)
-
-
-@functools.lru_cache(maxsize=64)
-def rotated_cells(n: int, k: int):
-    """Reads a table as it is after a cyclic shift of the arguments."""
-    return cell_getter(rotation_permutation(n, k))
-
-
-@functools.lru_cache(maxsize=64)
-def swapped_cells(n: int, k: int):
-    """Reads a table as it is after swapping the first two arguments: the
-    cell (x2,x1,x3,...,xk) for each cell (x1,...,xk), row-major."""
-    return cell_getter([cell_index(cell[1::-1] + cell[2:], n)
-                        for cell in itertools.product(range(n), repeat=k)])
+    return argument_cells(op.domain, (0,) * op.arity)(op.values) == tuple(range(op.domain))
 
 
 def is_cyclic(op: OperationTable) -> bool:
     """Invariant under cyclic shift of the arguments."""
-    return rotated_cells(op.domain, op.arity)(op.values) == op.values
+    return argument_cells(op.domain, (*range(1, op.arity), 0))(op.values) == op.values
 
 
 def is_symmetric(op: OperationTable) -> bool:
     """Invariant under every permutation of the arguments.  The cyclic shift
     and the swap of the first two arguments generate them all."""
-    return is_cyclic(op) and swapped_cells(op.domain, op.arity)(op.values) == op.values
+    return is_cyclic(op) and (op.arity < 2 or argument_cells(
+        op.domain, (1, 0, *range(2, op.arity)))(op.values) == op.values)
 
 
 def is_commutative(op: OperationTable) -> bool:
-    if op.arity != 2:
-        raise AlgebraError(f"is_commutative expects a binary operation, got arity {op.arity}")
-    return swapped_cells(op.domain, 2)(op.values) == op.values
+    """Binary and symmetric; False for every other arity."""
+    return op.arity == 2 and is_symmetric(op)
 
 
 def is_conservative(op: OperationTable) -> bool:
-    return all(op.values[op.index(args)] in args for args in op.all_args())
+    return all(v in args for args, v in zip(op.all_args(), op.values))
+
+
+# the whole-table properties `alg info` reports, in its order, and the facts
+# a catalog entry may declare (the search constraints are `search.LAWS`)
+TABLE_PROPERTIES = {
+    "idempotent": is_idempotent,
+    "cyclic": is_cyclic,
+    "symmetric": is_symmetric,
+    "conservative": is_conservative,
+    "commutative": is_commutative,
+}
 
 
 def _require_ternary(op, what):

@@ -39,11 +39,11 @@ from .core import (
     AlgebraError,
     OperationTable,
     ParseError,
+    argument_cells,
     cell_getter,
     cell_index,
-    diagonal_cells,
-    rotated_cells,
-    swapped_cells,
+    image_cells,
+    relabeling,
 )
 from .congruence import Partition
 from .subpower import check_budget
@@ -120,17 +120,20 @@ def satisfies(table: OperationTable, c) -> bool:
 
 
 def _idempotent(c, n, k):
-    diagonal, want = diagonal_cells(n, k), tuple(range(n))
+    diagonal, want = argument_cells(n, (0,) * k), tuple(range(n))
     return lambda values: diagonal(values) == want
 
 
 def _cyclic(c, n, k):
-    rotated = rotated_cells(n, k)
+    rotated = argument_cells(n, (*range(1, k), 0))
     return lambda values: rotated(values) == values
 
 
 def _symmetric(c, n, k):
-    rotated, swapped = rotated_cells(n, k), swapped_cells(n, k)
+    if k < 2:
+        return lambda values: True
+    rotated = argument_cells(n, (*range(1, k), 0))
+    swapped = argument_cells(n, (1, 0, *range(2, k)))
     return lambda values: rotated(values) == values and swapped(values) == values
 
 
@@ -178,10 +181,8 @@ def _invariant_partition(c, n, k):
 
 
 def _commutes_with_permutation(c, n, k):
-    p = c.perm
-    moved = cell_getter([cell_index(tuple(p[x] for x in args), n)
-                         for args in itertools.product(range(n), repeat=k)])
-    return lambda values: moved(values) == tuple(map(p.__getitem__, values))
+    relabel = relabeling(n, k, tuple(c.perm))
+    return lambda values: relabel(values) == values
 
 
 def _pins(c, n, k):
@@ -238,29 +239,28 @@ def _argument_orbits(n, k, constraints):
         perms = [tuple((i + s) % k for i in range(k)) for s in range(k)]
     else:
         perms = [tuple(range(k))]
-
-    cells = list(itertools.product(range(n), repeat=k))
-    position = {t: i for i, t in enumerate(cells)}
-    orbit_of = [-1] * len(cells)
+    # per permutation, the index of the cell each cell is moved to
+    images = [argument_cells(n, perm)(range(n**k)) for perm in perms]
+    orbit_of = [-1] * n**k
     orbits = []
-    for i, t in enumerate(cells):
+    for i in range(n**k):
         if orbit_of[i] >= 0:
             continue
-        members = sorted({position[tuple(t[p] for p in perm)] for perm in perms})
+        members = sorted({image[i] for image in images})
         oid = len(orbits)
         for m in members:
             orbit_of[m] = oid
         orbits.append(members)
-    return cells, position, orbit_of, orbits
+    return orbit_of, orbits
 
 
-def _forced_cells(spec, cells, position):
+def _forced_cells(spec):
     """Cell values pinned outright by the constraints; None on contradiction."""
     n, k = spec.domain, spec.arity
     forced = {}
     for c in spec.constraints:
         if isinstance(c, Idempotent):
-            pins = [(position[(x,) * k], x) for x in range(n)]
+            pins = zip(argument_cells(n, (0,) * k)(range(n**k)), range(n))
         elif isinstance(c, AgreesOnTuples):
             pins = _pins(c, n, k)
         else:
@@ -271,17 +271,18 @@ def _forced_cells(spec, cells, position):
     return forced
 
 
-def _propagators(spec, cells, position):
+def _propagators(spec):
     """What a decided cell propagates to and prunes: per invariant partition
     (the block of each element, the block signature of each cell), per
     commuting permutation (the permutation, the cell each cell maps to), and
     the relations to preserve."""
+    n, k = spec.domain, spec.arity
     partitions = []
     for c in spec.constraints:
         if isinstance(c, InvariantPartition):
             block = c.partition.block_index()
-            partitions.append((block, [tuple(block[x] for x in t) for t in cells]))
-    perms = [(c.perm, [position[tuple(c.perm[x] for x in t)] for t in cells])
+            partitions.append((block, list(itertools.product(block, repeat=k))))
+    perms = [(c.perm, image_cells(n, k, tuple(c.perm))(range(n**k)))
              for c in spec.constraints if isinstance(c, CommutesWithPermutation)]
     relations = [c for c in spec.constraints if isinstance(c, PreservesRelation)]
     return partitions, perms, relations
@@ -293,13 +294,13 @@ def solutions(spec: SearchSpec, max_steps=None):
     item if it stops after `max_steps` steps (None is unbounded)."""
     check_budget(max_steps)
     n, k = spec.domain, spec.arity
-    cells, position, orbit_of, orbits = _argument_orbits(n, k, spec.constraints)
-    forced = _forced_cells(spec, cells, position)
+    orbit_of, orbits = _argument_orbits(n, k, spec.constraints)
+    forced = _forced_cells(spec)
     if forced is None:
         return
     # the full check of every constraint, run at each leaf
     checks = [_check(c, n, k) for c in spec.constraints]
-    partitions, perms, relations = _propagators(spec, cells, position)
+    partitions, perms, relations = _propagators(spec)
 
     orbit_val = [-1] * len(orbits)
     group_block = [dict() for _ in partitions]
@@ -341,8 +342,8 @@ def solutions(spec: SearchSpec, max_steps=None):
             rset = set(tuples)
             for combo in itertools.product(tuples, repeat=k):
                 out = []
-                for j in range(rel.arity):
-                    ov = orbit_val[orbit_of[position[tuple(combo[i][j] for i in range(k))]]]
+                for column in zip(*combo):
+                    ov = orbit_val[orbit_of[cell_index(column, n)]]
                     if ov == -1:
                         out = None
                         break
@@ -431,18 +432,22 @@ def restriction(subset, table: OperationTable) -> AgreesOnTuples:
 # take no arguments; `commutative` is `symmetric` at arity 2
 LAWS = {"idempotent": Idempotent, "cyclic": Cyclic, "symmetric": Symmetric,
         "commutative": Symmetric}
+# the directives that take an element list, read once the domain and arity are known
+_TABLE_DIRECTIVES = ("partition", "restrict", "value", "perm", "preserves")
+DIRECTIVES = ("domain", "arity", "cap", *LAWS, *_TABLE_DIRECTIVES)
 
 
-def parse_constraint_file(text: str):
+def parse_constraint_file(text: str, domain=None):
     """Line-oriented search spec.
 
-    Directives: `domain N`, `arity K`, `cap N`, `idempotent`, `cyclic`,
-    `symmetric`, `commutative`, `partition {0,2}{1,3}`,
-    `restrict 0,2 := v...`, `value x,y,z := v`, `perm (0 2)(1 3)`,
-    `preserves R : x,y x,z ...`.  `#` comments.  Unknown directives are
-    rejected.
+    Directives (`DIRECTIVES`): `domain N`, `arity K`, `cap N`,
+    `idempotent`, `cyclic`, `symmetric`, `commutative`,
+    `partition {0,2}{1,3}`, `restrict 0,2 := v...`, `value x,y,z := v`,
+    `perm (0 2)(1 3)`, `preserves R : x,y x,z ...`.  `#` comments.  Unknown
+    directives are rejected.  A given `domain` stands for a `domain`
+    directive the text does not hold.
     """
-    sizes = {}  # domain, arity, cap
+    sizes = {} if domain is None else {"domain": domain}  # domain, arity, cap
     constraints = []
     pending = []  # (directive, payload, line) resolved once domain/arity known
     commutative_line = None
@@ -468,7 +473,7 @@ def parse_constraint_file(text: str):
                 constraints.append(LAWS[head]())
                 if head == "commutative":
                     commutative_line = ln
-            elif head in ("partition", "restrict", "value", "perm", "preserves"):
+            elif head in _TABLE_DIRECTIVES:
                 pending.append((head, rest, ln))
             else:
                 raise ParseError(f"unknown directive {head!r}", ln)

@@ -28,7 +28,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import Algebra, AlgebraError, OperationTable, UnionFind, is_closed, restrict
+from .core import (Algebra, AlgebraError, OperationTable, UnionFind, is_closed, relabeling,
+                   restrict)
 from .congruence import (
     all_congruences,
     is_congruence,
@@ -229,19 +230,10 @@ def affine_xyz_tables(n: int) -> tuple:
     out = []
     seen = set()
     for gname, add in _abelian_group_tables(n):
-        neg = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if add[i][j] == 0:
-                    neg[i] = j
+        neg = [row.index(0) for row in add]  # the inverse of each element
+        base = tuple(add[add[x][neg[y]]][z] for x, y, z in itertools.product(range(n), repeat=3))
         for lab in itertools.permutations(range(n)):
-            inv = [0] * n
-            for i, v in enumerate(lab):
-                inv[v] = i
-            vals = tuple(
-                lab[add[add[inv[x]][neg[inv[y]]]][inv[z]]]
-                for x, y, z in itertools.product(range(n), repeat=3)
-            )
+            vals = relabeling(n, 3, lab)(base)
             if vals not in seen:
                 seen.add(vals)
                 out.append((gname, lab, OperationTable("xyz", 3, n, vals)))

@@ -103,8 +103,8 @@ import math
 import struct
 from dataclasses import dataclass, field
 
-from .core import (Algebra, AlgebraError, OperationTable, UnionFind, cell_getter, is_cyclic,
-                   is_symmetric, rotation_permutation)
+from .core import (Algebra, AlgebraError, OperationTable, UnionFind, argument_cells, cell_getter,
+                   relabeling)
 from .memo import per_algebra
 
 # The element ceiling of every closure `generate` runs: a guard on memory,
@@ -367,10 +367,9 @@ def _orbit_kind(n: int, k: int, values: tuple):
     a table invariant under every permutation of its arguments, "cyclic" for
     a ternary one invariant under their rotation only, else None (every
     tuple, as for a unary table)."""
-    op = OperationTable("f", k, n, values)
-    if k < 2 or not is_cyclic(op):
+    if k < 2 or argument_cells(n, (*range(1, k), 0))(values) != values:
         return None
-    if is_symmetric(op):
+    if argument_cells(n, (1, 0, *range(2, k)))(values) == values:
         return "symmetric"
     return "cyclic" if k == 3 else None
 
@@ -601,16 +600,14 @@ _AUT_MAX_DOMAIN = 5
 def automorphisms(alg: Algebra) -> tuple:
     """The automorphisms of `alg` as tuples of images, in lex order (the
     identity first): every bijection of the domain that commutes with each
-    operation, tried one by one up to _AUT_MAX_DOMAIN elements; the identity
+    operation (whose relabeling along it, `core.relabeling`, keeps every
+    table), tried one by one up to _AUT_MAX_DOMAIN elements; the identity
     alone above.  Memoized by the operation tables (`memo.per_algebra`)."""
     n = alg.domain
     if n > _AUT_MAX_DOMAIN:
         return (tuple(range(n)),)
-    cells = {k: list(itertools.product(range(n), repeat=k))
-             for k in {op.arity for op in alg.operations}}
     return tuple(p for p in itertools.permutations(range(n)) if all(
-        op.values[op.index(tuple(map(p.__getitem__, c)))] == p[v]
-        for op in alg.operations for c, v in zip(cells[op.arity], op.values)))
+        relabeling(n, op.arity, p)(op.values) == op.values for op in alg.operations))
 
 
 def _symmetries(base: Algebra, gen_list: list):
@@ -955,7 +952,7 @@ def _cyclic_search(base: Algebra, k: int, limit, max_steps):
         raise AlgebraError(f"cyclic_terms limit must be at least 1, got {limit}")
     n = base.domain
     check_cells(n, k, "cyclic_terms")
-    rot = rotation_permutation(n, k)
+    rot = argument_cells(n, (*range(1, k), 0))(range(n**k))  # the cell each cell rotates to
     rng = range(len(rot))
     hits = {}  # the cyclic elements met, in closure order
 

@@ -51,3 +51,11 @@ def naive_clone(algebra: Algebra, k: int, max_rounds=30):
             return set(tables)
         order.extend(new)
     raise RuntimeError("naive clone did not converge")
+
+
+def reference_relabel(op: OperationTable, perm) -> tuple:
+    """The values of op relabeled along the bijection perm, cell by cell:
+    the cell (perm[x1], ..., perm[xk]) holds perm[op(x1, ..., xk)].  Reads
+    the table through `eval` alone, no cell map."""
+    moved = {tuple(perm[x] for x in args): perm[op.eval(args)] for args in op.all_args()}
+    return tuple(moved[args] for args in op.all_args())

@@ -158,6 +158,33 @@ def test_unique_op_assertion_inline():
     assert r.status == "pass"
 
 
+def test_unique_op_directive_errors_name_the_certificate():
+    # a directive head the search spec does not know, a `domain` (the
+    # algebra's) or no `arity` is rejected by the parser, with the line of
+    # the assertion in the certificate
+    for directives, why in (
+        ("arity 3; idempotent; bogus", "unknown directive 'bogus'"),
+        ("arity 3; domain 4; idempotent", "the domain is the algebra's, not a directive"),
+        ("idempotent; cyclic", "needs an arity directive"),
+    ):
+        with pytest.raises(ParseError) as info:
+            certify.parse_certificate(
+                f"algebra T4,1\n# note: x\nunique-op expect=@self :: {directives}\n")
+        assert info.value.line == 3 and str(info.value).endswith(f": {why} (line 3)")
+    # an error that needs the domain names the directive by its text and by
+    # its position in the `::` list, not by a line of a spec nobody wrote
+    cert = certify.parse_certificate(
+        "algebra T4,1\n"
+        "unique-op expect=@self :: arity 3; idempotent; restrict 0,7 := 0 0 0 0 0 0 0 1\n"
+        "unique-op expect=@self :: arity 3;; idempotent; cyclic; value 0,1 := 2\n")
+    assert [r.detail for r in certify.check_certificate(cert)] == [
+        "error: malformed restrict directive '0,7 := 0 0 0 0 0 0 0 1': element 7 outside "
+        "domain 4 (directive 3 of the :: list)",
+        "error: malformed value directive '0,1 := 2': 2 arguments for arity 3 "
+        "(directive 5 of the :: list)",
+    ]
+
+
 def test_unique_op_budget_stop_is_inconclusive():
     # T4,1's uniqueness argument tries 36 orbit values; a stop before the
     # second solution has been ruled out decides nothing

@@ -8,6 +8,7 @@ from finalg.core import (
     NotClosedError,
     OperationTable,
     ParseError,
+    TABLE_PROPERTIES,
     compose,
     is_commutative,
     is_conservative,
@@ -124,6 +125,24 @@ def test_predicates_on_catalog(alg):
     assert is_commutative(alg("T4,7").op("t"))
     with pytest.raises(AlgebraError):
         is_majority(alg("T4,7").op("t"))
+
+
+def test_commutative_is_binary_and_symmetric():
+    # False, not an error, at any other arity, symmetric or not
+    for k in (1, 3, 4):
+        const = OperationTable("c", k, 2, (0,) * 2**k)
+        assert is_symmetric(const) and not is_commutative(const)
+    assert is_commutative(OperationTable("m", 2, 2, (0, 0, 0, 1)))
+    assert not is_commutative(OperationTable("p", 2, 2, (0, 0, 1, 1)))
+
+
+def test_table_properties_in_info_order(alg):
+    # one table serves `alg info` (in this order) and the catalog's facts
+    assert list(TABLE_PROPERTIES) == [
+        "idempotent", "cyclic", "symmetric", "conservative", "commutative"]
+    t = alg("T4,7").op("t")
+    assert [name for name, holds in TABLE_PROPERTIES.items() if holds(t)] == [
+        "idempotent", "cyclic", "symmetric", "commutative"]
 
 
 def test_product_unary(alg):

@@ -9,9 +9,12 @@ from finalg.core import (
     AlgebraError,
     OperationTable,
     UnionFind,
+    argument_cells,
+    image_cells,
     is_cyclic,
     is_symmetric,
     parse_algebra,
+    relabeling,
     serialize_algebra,
 )
 from finalg.congruence import (Partition, all_congruences, class_algebra, principal_congruence,
@@ -26,6 +29,7 @@ from finalg.certify import parse_certificate
 from finalg.search import (AgreesOnTuples, CommutesWithPermutation, Cyclic, Idempotent,
                            InvariantPartition, PreservesRelation, Symmetric,
                            parse_constraint_file, restriction, satisfies)
+from conftest import reference_relabel
 from test_subpower import kernel_and_reference, reference_closure
 
 
@@ -193,6 +197,42 @@ _ROTATING = tuple(int(c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
 def test_cyclic_and_symmetric_match_the_per_cell_definition(op):
     assert is_cyclic(op) == reference_is_cyclic(op)
     assert is_symmetric(op) == reference_is_symmetric(op)
+
+
+# ---------------------------------------------------------------------------
+# the two cell maps and the relabeling against their per-cell definitions
+
+@st.composite
+def tables_and_cell_maps(draw):
+    """A random n-element table (n <= 5) of arity k <= 4, an order of k
+    argument positions (repeats allowed), a value map f (an ascending
+    subset, any map, or a bijection) and a bijection."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    order = tuple(draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k)))
+    rng = draw(st.randoms(use_true_random=False))
+    op = OperationTable("f", k, n, tuple(rng.randrange(n) for _ in range(n**k)))
+    kind = draw(st.sampled_from(["subset", "map", "bijection"]))
+    if kind == "subset":
+        f = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    elif kind == "map":
+        f = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 1)))
+    else:
+        f = tuple(draw(st.permutations(range(n))))
+    return op, order, f, tuple(draw(st.permutations(range(n))))
+
+
+@given(tables_and_cell_maps())
+@example((OperationTable("f", 3, 2, tuple(range(2)) * 4), (0, 0, 0), (1, 1, 0), (1, 0)))
+@settings(max_examples=300, deadline=None)
+def test_cell_maps_match_their_per_cell_definitions(case):
+    op, order, f, perm = case
+    n, k = op.domain, op.arity
+    assert image_cells(n, k, f)(op.values) == tuple(
+        op.eval([f[x] for x in args]) for args in itertools.product(range(len(f)), repeat=k))
+    assert argument_cells(n, order)(op.values) == tuple(
+        op.eval([x[i] for i in order])
+        for x in itertools.product(range(n), repeat=max(order) + 1))
+    assert relabeling(n, k, perm)(op.values) == reference_relabel(op, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +461,14 @@ def test_kernel_matches_the_reference_on_cell_lists_with_symmetries(case):
 def test_automorphisms_are_the_bijections_transport_keeps(case):
     a, group = case
     tables = [op.values for op in a.operations]
-    want = tuple(p for p in itertools.permutations(range(a.domain))
+    perms = list(itertools.permutations(range(a.domain)))
+    want = tuple(p for p in perms
                  if [op.values for op in catalog.transport(a, p).operations] == tables)
     assert subpower.automorphisms(a) == want
     assert set(group) <= set(want)
+    # transport and automorphisms read the same relabeling; this reads every cell
+    assert want == tuple(p for p in perms
+                         if [reference_relabel(op, p) for op in a.operations] == tables)
 
 
 # ---------------------------------------------------------------------------

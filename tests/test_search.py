@@ -292,8 +292,8 @@ def test_leaf_check_alone_returns_only_solutions(monkeypatch):
     # permutation or relation propagated or pruned on; 3**9 leaves
     plain = search._argument_orbits(3, 2, ())
     monkeypatch.setattr(search, "_argument_orbits", lambda n, k, constraints: plain)
-    monkeypatch.setattr(search, "_forced_cells", lambda spec, cells, position: {})
-    monkeypatch.setattr(search, "_propagators", lambda spec, cells, position: ([], [], []))
+    monkeypatch.setattr(search, "_forced_cells", lambda spec: {})
+    monkeypatch.setattr(search, "_propagators", lambda spec: ([], [], []))
     got = search_ops(spec).tables
     assert all(satisfies(t, c) for t in got for c in spec.constraints)
     assert [t.values for t in got] == want == brute_force(spec)

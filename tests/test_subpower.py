@@ -23,7 +23,7 @@ from finalg.subpower import (
     term_closure,
 )
 from finalg.structure import _majority_on_pair_positions, absorption_patterns
-from conftest import naive_clone
+from conftest import naive_clone, reference_relabel
 
 
 def test_generate_t4n_pair(alg):
@@ -842,9 +842,12 @@ def test_automorphisms_of_the_catalog_are_the_bijections_transport_keeps(entries
     for e in entries.values():
         a = e.algebra
         if a.domain <= 4:
-            want = tuple(p for p in itertools.permutations(range(a.domain))
-                         if catalog_transport(a, p).operations == a.operations)
+            perms = list(itertools.permutations(range(a.domain)))
+            want = tuple(p for p in perms if catalog_transport(a, p).operations == a.operations)
             assert subpower.automorphisms(a) == want, e.name
+            # transport and automorphisms read the same relabeling; this reads every cell
+            assert want == tuple(p for p in perms if all(
+                reference_relabel(op, p) == op.values for op in a.operations)), e.name
     # above five elements, the identity alone
     big = Algebra(6, [_table("t", 6, 2, max)])
     assert subpower.automorphisms(big) == (tuple(range(6)),)
