@@ -26,20 +26,15 @@ from .core import (
     AlgebraError,
     OperationTable,
     TABLE_PROPERTIES,
+    check_budget,
     parse_algebra,
     relabeling,
     restrict,
 )
-from .congruence import (
-    NotACongruenceError,
-    Partition,
-    all_congruences,
-    is_congruence,
-    quotient_algebra,
-)
+from .congruence import Partition, all_congruences, quotient_algebra
 from .search import LAWS, AgreesOnTuples, Idempotent, SearchSpec, restriction, solutions
 from .memo import per_algebra
-from .subpower import check_budget, free_algebra
+from .subpower import free_algebra
 from .structure import all_subuniverses, decide_clone_membership, semilattice_edge
 
 
@@ -633,14 +628,10 @@ def verify_subdirect(alg: Algebra, theta1: Partition, theta2: Partition,
     """Check a subdirect-product presentation: the two congruences meet to
     the identity and the quotients match the named catalog entries up to
     isomorphism and term equivalence.  True/False/None."""
-    for theta in (theta1, theta2):
-        ok, violation = is_congruence(alg, theta)
-        if not ok:
-            raise NotACongruenceError(f"not a congruence: {violation}")
+    quotients = [quotient_algebra(alg, theta)[0] for theta in (theta1, theta2)]
     if not theta1.meet(theta2).is_identity():
         return False
-    for theta, nm in ((theta1, name1), (theta2, name2)):
-        quo, _ = quotient_algebra(alg, theta)
+    for quo, nm in zip(quotients, (name1, name2)):
         perm, conclusive = equivalent_to_entry(quo, nm, max_steps=max_steps)
         if perm is None:
             return None if not conclusive else False

@@ -35,6 +35,7 @@ from .congruence import (
     Partition,
     class_algebra,
     is_congruence,
+    parse_blocks,
     quotient_algebra,
     simplicity_witness,
 )
@@ -109,7 +110,7 @@ def parse_certificate(text: str) -> Certificate:
             raise ParseError(f"unknown assertion {head!r}", ln)
         try:
             args = _KINDS[head][0](rest)
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, AlgebraError) as exc:
             raise ParseError(f"malformed {head} assertion {rest!r}: {exc}", ln) from None
         assertions.append(Assertion(head, args, ln))
     if name is None:
@@ -125,6 +126,12 @@ def _parse_tuple(text, length=None):
     if length is not None and len(tup) != length:
         raise ValueError(f"expected {length} integers, got {text!r}")
     return tup
+
+
+def _parse_partition(text):
+    """Partition text, kept as text; its domain is checked at replay."""
+    parse_blocks(text)
+    return text
 
 
 def _choice(values: dict):
@@ -163,9 +170,9 @@ def _parse_edge(rest):
     blocks = None
     for text in extra:
         key, _, value = text.partition("=")
-        if key != "witness" or not (value.startswith("{") and value.endswith("}")):
+        if key != "witness":
             raise ValueError(f"expected witness={{..}}, got {text!r}")
-        blocks = tuple(_parse_tuple(b) for b in value[1:-1].split("}{"))
+        blocks = parse_blocks(value)
     return pair, kind, blocks
 
 
@@ -387,9 +394,9 @@ def _check_taylor(alg, args, max_steps):
 
 # kind -> (parse handler, check handler)
 _KINDS = {
-    "is-congruence": (_fields(str), _check_congruence),
-    "quotient-equiv": (_fields(str, str), _check_quotient),
-    "class-equiv": (_fields(str, _parse_tuple, str), _check_class),
+    "is-congruence": (_fields(_parse_partition), _check_congruence),
+    "quotient-equiv": (_fields(_parse_partition, str), _check_quotient),
+    "class-equiv": (_fields(_parse_partition, _parse_tuple, str), _check_class),
     "absorbs": (_fields(_parse_tuple, int, _parse_bool), _check_absorbs),
     "edge": (_parse_edge, _check_edge),
     "sg-contains": (_parse_sg, partial(_check_sg, True)),
@@ -400,7 +407,7 @@ _KINDS = {
     "two-generated": (_parse_optional_pair, _check_two_generated),
     "simple": (_fields(_parse_bool), _check_simple),
     "term-equiv": (_fields(str), _check_term_equiv),
-    "subdirect": (_fields(str, str, str, str), _check_subdirect),
+    "subdirect": (_fields(_parse_partition, _parse_partition, str, str), _check_subdirect),
     "cyclic-count": (_fields(int, _choice({"==": "==", ">=": ">="}), _parse_count),
                      _check_cyclic_count),
     "taylor": (_fields(_parse_bool), _check_taylor),

@@ -20,6 +20,7 @@ from .core import (
     ParseError,
     TABLE_PROPERTIES,
     UnionFind,
+    check_budget,
     parse_algebra,
     serialize_algebra,
 )
@@ -27,11 +28,11 @@ from .catalog import CatalogIntegrityError
 from .congruence import (
     NotACongruenceError,
     all_congruences,
+    format_blocks,
     principal_congruence,
     simplicity_witness,
 )
 from .subpower import (
-    check_budget,
     cyclic_terms,
     free_algebra,
     generate,
@@ -185,9 +186,7 @@ def cmd_edges(args):
         if recs:
             components.union(a, b)
     if args.graph:
-        print("components " + " ".join(
-            "{" + ",".join(map(str, c)) + "}" for c in components.blocks()
-        ))
+        print("components " + " ".join(format_blocks([c]) for c in components.blocks()))
     return EXIT_OK if conclusive else EXIT_INCONCLUSIVE
 
 
@@ -195,7 +194,7 @@ def cmd_taylor(args):
     alg = _load(args.file)
     verdict, reports = structure.is_taylor(alg, max_steps=args.max_steps)
     for uni, connected, edges in reports:
-        print(f"subuniverse {{{','.join(map(str, uni))}}} "
+        print(f"subuniverse {format_blocks([uni])} "
               f"connected={'true' if connected else 'false'} edges={len(edges)}")
     if verdict is None:
         print("taylor=inconclusive")
@@ -212,9 +211,7 @@ def cmd_rab(args):
     for c, witness in rep.diagonal:
         print(f"loop {c} term={render_term(witness, ['x', 'y'])}")
     for i, blocks in enumerate(rep.link_congruences, start=1):
-        print(f"link{i} " + "".join(
-            "{" + ",".join(map(str, b)) + "}" for b in blocks
-        ))
+        print(f"link{i} {format_blocks(blocks)}")
     return EXIT_INCONCLUSIVE if rep.kind is None else EXIT_OK
 
 

@@ -1,13 +1,15 @@
 """Partitions, congruences, congruence lattices, quotients, class algebras.
 
 Partitions are kept in a canonical form throughout: blocks sorted by their
-minimum element, elements ascending inside each block.  The text form
-`{0,2}{1,3}` serializes exactly that order with no spaces.
+minimum element, elements ascending inside each block.  Every block list
+has one text form, `{0,2}{1,3}`, read by `parse_blocks` and written by
+`format_blocks`.  Compatibility has one rule: with r(x) the least element
+of x's block, a partition is a congruence of a table f iff f(x) and
+f(r(x)) share a block for every cell x (blockwise-equal cells share r(x)).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import (Algebra, AlgebraError, OperationTable, UnionFind, image_cells,
@@ -17,6 +19,35 @@ from .memo import per_algebra
 
 class NotACongruenceError(AlgebraError):
     pass
+
+
+def parse_blocks(text: str) -> tuple:
+    """The blocks of the `{0,2}{1,3}` text as written, integer tuples;
+    AlgebraError if malformed.  No domain is checked."""
+    text = text.strip()
+    if not text:
+        raise AlgebraError("empty partition text")
+    blocks = []
+    rest = text
+    while rest:
+        if not rest.startswith("{"):
+            raise AlgebraError(f"bad partition syntax: {text!r}")
+        body, brace, rest = rest[1:].partition("}")
+        if not brace:
+            raise AlgebraError(f"unbalanced braces in {text!r}")
+        body = body.strip()
+        if not body:
+            raise AlgebraError(f"empty block in {text!r}")
+        try:
+            blocks.append(tuple(int(t) for t in body.split(",")))
+        except ValueError:
+            raise AlgebraError(f"bad block {body!r} in {text!r}") from None
+    return tuple(blocks)
+
+
+def format_blocks(blocks) -> str:
+    """The `{0,2}{1,3}` text of a sequence of blocks, in their order."""
+    return "".join("{" + ",".join(map(str, b)) + "}" for b in blocks)
 
 
 @dataclass(frozen=True)
@@ -60,30 +91,11 @@ class Partition:
 
     @staticmethod
     def parse(text: str, size: int) -> "Partition":
-        """Parse the `{0,2}{1,3}` form."""
-        text = text.strip()
-        if not text:
-            raise AlgebraError("empty partition text")
-        blocks = []
-        rest = text
-        while rest:
-            if not rest.startswith("{"):
-                raise AlgebraError(f"bad partition syntax: {text!r}")
-            end = rest.find("}")
-            if end < 0:
-                raise AlgebraError(f"unbalanced braces in {text!r}")
-            body = rest[1:end].strip()
-            if not body:
-                raise AlgebraError(f"empty block in {text!r}")
-            try:
-                blocks.append([int(t) for t in body.split(",")])
-            except ValueError:
-                raise AlgebraError(f"bad block {body!r} in {text!r}") from None
-            rest = rest[end + 1:]
-        return Partition.of(size, blocks)
+        """Parse the `{0,2}{1,3}` form (`parse_blocks`)."""
+        return Partition.of(size, parse_blocks(text))
 
     def __str__(self):
-        return "".join("{" + ",".join(str(x) for x in b) + "}" for b in self.blocks)
+        return format_blocks(self.blocks)
 
     def block_index(self):
         """element -> index of its block, blocks in canonical order."""
@@ -93,14 +105,11 @@ class Partition:
                 rep[x] = i
         return rep
 
-    def block_of(self, x: int):
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise AlgebraError(f"element {x} out of range")
-
     def related(self, x: int, y: int) -> bool:
-        return self.block_of(x) == self.block_of(y)
+        if not (0 <= x < self.size and 0 <= y < self.size):
+            raise AlgebraError(f"elements {x}, {y} not both in range({self.size})")
+        idx = self.block_index()
+        return idx[x] == idx[y]
 
     def is_identity(self) -> bool:
         return len(self.blocks) == self.size
@@ -128,32 +137,33 @@ class Partition:
         )
 
 
+def at_representatives(p: Partition, k: int):
+    """values -> a k-ary table's values at (r(x1), ..., r(xk)), row-major over every x."""
+    return image_cells(p.size, k, tuple(p.blocks[i][0] for i in p.block_index()))
+
+
 def is_congruence(alg: Algebra, p: Partition):
     """(True, None) or (False, violation) with a concrete violating instance.
 
     A violation is (op_name, args1, args2, value1, value2): blockwise-equal
-    argument tuples sent to different blocks.
+    argument tuples sent to different blocks, args2 at the representatives.
     """
     if p.size != alg.domain:
         raise AlgebraError("partition size does not match algebra domain")
-    n = alg.domain
-    idx = p.block_index()
-    others = [[y for y in p.blocks[idx[x]] if y != x] for x in range(n)]
+    r = [p.blocks[i][0] for i in p.block_index()]  # same block iff same r
     for op in alg.operations:
-        r = op.arity
-        weights = [n ** (r - 1 - i) for i in range(r)]
-        # one-coordinate perturbations suffice: compatibility is checked
-        # coordinatewise and composed transitively.  Cells are row-major, so
-        # moving argument i from x to y moves the cell by (y - x) * weights[i]
-        for cell, args in enumerate(itertools.product(range(n), repeat=r)):
-            v = op.values[cell]
-            for i, w in enumerate(weights):
-                x = args[i]
-                for y in others[x]:
-                    v2 = op.values[cell + (y - x) * w]
-                    if idx[v] != idx[v2]:
-                        return False, (op.name, args, args[:i] + (y,) + args[i + 1:], v, v2)
+        at_reps = at_representatives(p, op.arity)(op.values)
+        for args, v, w in zip(op.all_args(), op.values, at_reps):
+            if r[v] != r[w]:
+                return False, (op.name, args, tuple(map(r.__getitem__, args)), v, w)
     return True, None
+
+
+def require_congruence(alg: Algebra, p: Partition):
+    """NotACongruenceError naming a violation unless p is a congruence."""
+    ok, violation = is_congruence(alg, p)
+    if not ok:
+        raise NotACongruenceError(f"not a congruence, violation: {violation}")
 
 
 def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
@@ -231,9 +241,7 @@ def simplicity_witness(alg: Algebra):
 def quotient_algebra(alg: Algebra, p: Partition):
     """(quotient Algebra, block labeling).  Blocks are labeled 0.. by
     ascending minimum element; operations act on representatives."""
-    ok, violation = is_congruence(alg, p)
-    if not ok:
-        raise NotACongruenceError(f"not a congruence, violation: {violation}")
+    require_congruence(alg, p)
     idx = p.block_index()
     reps = tuple(b[0] for b in p.blocks)
     k = len(p.blocks)
@@ -248,7 +256,5 @@ def class_algebra(alg: Algebra, p: Partition, block) -> Algebra:
     block = tuple(sorted(block))
     if block not in p.blocks:
         raise AlgebraError(f"{block} is not a block of {p}")
-    ok, violation = is_congruence(alg, p)
-    if not ok:
-        raise NotACongruenceError(f"not a congruence, violation: {violation}")
+    require_congruence(alg, p)
     return alg.restrict(block)

@@ -44,6 +44,12 @@ class ParseError(AlgebraError):
         super().__init__(message + where)
 
 
+def check_budget(max_steps):
+    """Reject a work budget below 1 (None means unbounded)."""
+    if max_steps is not None and max_steps < 1:
+        raise AlgebraError(f"max_steps must be at least 1, got {max_steps}")
+
+
 _BYTES = bytes(range(256))
 
 

@@ -42,11 +42,11 @@ from .core import (
     argument_cells,
     cell_getter,
     cell_index,
+    check_budget,
     image_cells,
     relabeling,
 )
-from .congruence import Partition
-from .subpower import check_budget
+from .congruence import Partition, at_representatives
 
 
 @dataclass(frozen=True)
@@ -172,12 +172,10 @@ def _preserves_relation(c, n, k):
 
 
 def _invariant_partition(c, n, k):
-    block = c.partition.block_index()
-    sig_ids = {}
-    sigs = [sig_ids.setdefault(tuple(map(block.__getitem__, args)), len(sig_ids))
-            for args in itertools.product(range(n), repeat=k)]
-    # invariant iff each signature's cells have values in one block
-    return lambda values: len(set(zip(sigs, map(block.__getitem__, values)))) == len(sig_ids)
+    # invariant iff every cell's value shares a block with its representative cell's
+    block, at_reps = c.partition.block_index(), at_representatives(c.partition, k)
+    return lambda values: (list(map(block.__getitem__, values))
+                           == list(map(block.__getitem__, at_reps(values))))
 
 
 def _commutes_with_permutation(c, n, k):

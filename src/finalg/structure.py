@@ -32,6 +32,7 @@ from .core import (Algebra, AlgebraError, OperationTable, UnionFind, is_closed, 
                    restrict)
 from .congruence import (
     all_congruences,
+    format_blocks,
     is_congruence,
     maximal_congruences,
     quotient_algebra,
@@ -182,8 +183,7 @@ class EdgeRecord:
 
     def render(self) -> str:
         arrow = "->" if self.directed else "-"
-        wit = "".join("{" + ",".join(map(str, bl)) + "}" for bl in self.witness_blocks)
-        return f"{self.a}{arrow}{self.b} {self.kind} witness={wit}"
+        return f"{self.a}{arrow}{self.b} {self.kind} witness={format_blocks(self.witness_blocks)}"
 
     def term_condition(self):
         """(cells, allowed), in the original labels: the term's value on

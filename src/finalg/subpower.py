@@ -104,7 +104,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .core import (Algebra, AlgebraError, OperationTable, UnionFind, argument_cells, cell_getter,
-                   relabeling)
+                   check_budget, relabeling)
 from .memo import per_algebra
 
 # The element ceiling of every closure `generate` runs: a guard on memory,
@@ -265,12 +265,6 @@ def _witness_node(i: int, link: tuple, built: dict) -> TermTree:
             t = TermTree.node(names[w[0]], [_witness_node(p, link, built) for p in w[1]])
         built[i] = t
     return t
-
-
-def check_budget(max_steps):
-    """Reject a work budget below 1 (None means unbounded)."""
-    if max_steps is not None and max_steps < 1:
-        raise AlgebraError(f"max_steps must be at least 1, got {max_steps}")
 
 
 def check_cells(n: int, k: int, what: str):

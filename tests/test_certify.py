@@ -60,6 +60,25 @@ def test_parse_rejects_garbage():
         assert str(info.value) == why
 
 
+@pytest.mark.parametrize("line, bad", [
+    ("is-congruence {0,1}{2,3", "unbalanced braces in '{0,1}{2,3'"),
+    ("quotient-equiv {0,1}x{2,3} S", "bad partition syntax: '{0,1}x{2,3}'"),
+    ("class-equiv {0,1}{} 0,1 S", "empty block in '{0,1}{}'"),
+    ("subdirect {0,1}{2,3} {0,2}{1,a} S S", "bad block '1,a' in '{0,2}{1,a}'"),
+], ids=["is-congruence", "quotient-equiv", "class-equiv", "subdirect"])
+def test_a_malformed_partition_is_a_parse_error_with_its_line(line, bad):
+    with pytest.raises(ParseError) as info:
+        certify.parse_certificate(f"algebra T4,1\n{line}\n")
+    assert info.value.line == 2
+    assert str(info.value).endswith(f": {bad} (line 2)")
+
+
+def test_a_partition_outside_the_domain_fails_at_replay():
+    cert = certify.parse_certificate("algebra T4,1\nis-congruence {0,1}{2,3,4}\n")
+    (r,) = certify.check_certificate(cert)
+    assert (r.status, r.detail) == ("fail", "error: blocks do not partition range(4)")
+
+
 def test_a_generating_pair_outside_the_domain_is_an_error_record():
     cert = certify.parse_certificate("algebra T4,1\ntwo-generated 0,9\n")
     (r,) = certify.check_certificate(cert)

@@ -8,8 +8,10 @@ from finalg.congruence import (
     Partition,
     all_congruences,
     class_algebra,
+    format_blocks,
     is_congruence,
     maximal_congruences,
+    parse_blocks,
     principal_congruence,
     quotient_algebra,
     simplicity_witness,
@@ -34,6 +36,28 @@ def test_partition_parse():
         Partition.parse("{0,2}{1)", 4)
     with pytest.raises(AlgebraError):
         Partition.parse("{0,2}", 4)  # does not cover
+
+
+def test_block_text_is_read_and_written_in_one_place():
+    assert parse_blocks(" {0,2}{1, 3} ") == ((0, 2), (1, 3))
+    assert parse_blocks("{2,0}{1}") == ((2, 0), (1,))  # as written, not canonical
+    assert format_blocks([(0, 1, 2)]) == "{0,1,2}"
+    for text, message in (("", "empty partition text"),
+                          ("{0,1}x{2}", "bad partition syntax: '{0,1}x{2}'"),
+                          ("{0,1}{2,3", "unbalanced braces in '{0,1}{2,3'"),
+                          ("{0}{}", "empty block in '{0}{}'"),
+                          ("{0,a}", "bad block '0,a' in '{0,a}'")):
+        with pytest.raises(AlgebraError) as info:
+            parse_blocks(text)
+        assert str(info.value) == message
+
+
+def test_related_reads_the_block_index():
+    p = Partition.parse("{0,2}{1,3}", 4)
+    assert p.related(0, 2) and p.related(3, 1) and not p.related(0, 1)
+    for x, y in ((0, 4), (-1, 2)):
+        with pytest.raises(AlgebraError):
+            p.related(x, y)
 
 
 def test_partition_join_meet():
@@ -76,6 +100,32 @@ def test_is_congruence_violation_reported(alg):
     a = alg("T4,10")
     assert a.op(op_name).eval(args1) == v1
     assert a.op(op_name).eval(args2) == v2
+
+
+def test_every_partition_of_every_entry_is_tested_against_the_lattice(entries):
+    """is_congruence accepts exactly the members of all_congruences: the
+    426 partitions of the 47 entries' domains hold 161 congruences."""
+    total = accepted = 0
+    for entry in entries.values():
+        a = entry.algebra
+        congs = set(all_congruences(a))
+        for p in {Partition.from_representatives(a.domain, rep)
+                  for rep in itertools.product(range(a.domain), repeat=a.domain)}:
+            ok, _ = is_congruence(a, p)
+            assert ok == (p in congs), (entry.name, str(p))
+            total, accepted = total + 1, accepted + ok
+    assert (total, accepted) == (426, 161)
+
+
+def test_one_message_for_a_partition_that_is_not_a_congruence(alg):
+    t410, p = alg("T4,10"), Partition.parse("{0,1}{2,3}", 4)
+    want = f"not a congruence, violation: {is_congruence(t410, p)[1]}"
+    for call in (lambda: quotient_algebra(t410, p),
+                 lambda: class_algebra(t410, p, (0, 1)),
+                 lambda: catalog.verify_subdirect(t410, p, Partition.identity(4), "S", "S")):
+        with pytest.raises(NotACongruenceError) as info:
+            call()
+        assert str(info.value) == want
 
 
 def test_principal_reflexive_is_identity(alg):

@@ -17,7 +17,8 @@ from finalg.core import (
     relabeling,
     serialize_algebra,
 )
-from finalg.congruence import (Partition, all_congruences, class_algebra, principal_congruence,
+from finalg.congruence import (Partition, all_congruences, class_algebra, format_blocks,
+                               is_congruence, parse_blocks, principal_congruence,
                                quotient_algebra)
 from finalg import subpower
 from finalg.subpower import eval_term, eval_term_table, generate, has_cyclic_term, sg_closure
@@ -112,17 +113,14 @@ def reference_principal_congruence(alg, a, b):
     return Partition(n, uf.blocks())
 
 
-@st.composite
-def algebras_with_congruences(draw):
-    """Algebras of 2-5 elements, 1-2 operations of arity 1-3.  Half of them
-    keep a random partition (each value's block depends only on the blocks
-    of the arguments), so their principal congruences are often proper."""
-    a = draw(algebras(st.integers(2, 5)))
-    if not draw(st.booleans()):
-        return a
-    n = a.domain
+def _random_partition(draw, n):
     rep = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    blocks = Partition.from_representatives(n, rep).blocks
+    return Partition.from_representatives(n, rep)
+
+
+def _keeping(a, blocks):
+    """a with each value moved into a block that depends only on the blocks
+    of the arguments: an algebra with the congruence `blocks`."""
     idx = {x: i for i, b in enumerate(blocks) for x in b}
     ops = []
     for op in a.operations:
@@ -132,8 +130,19 @@ def algebras_with_congruences(draw):
             key = tuple(idx[x] for x in args)
             block = blocks[target.setdefault(key, idx[v])]
             vals.append(block[v % len(block)])
-        ops.append(OperationTable(op.name, op.arity, n, tuple(vals)))
-    return Algebra(n, tuple(ops))
+        ops.append(OperationTable(op.name, op.arity, a.domain, tuple(vals)))
+    return Algebra(a.domain, tuple(ops))
+
+
+@st.composite
+def algebras_with_congruences(draw):
+    """Algebras of 2-5 elements, 1-2 operations of arity 1-3.  Half of them
+    keep a random partition (each value's block depends only on the blocks
+    of the arguments), so their principal congruences are often proper."""
+    a = draw(algebras(st.integers(2, 5)))
+    if not draw(st.booleans()):
+        return a
+    return _keeping(a, _random_partition(draw, a.domain).blocks)
 
 
 @given(algebras_with_congruences())
@@ -144,6 +153,65 @@ def test_principal_congruence_matches_the_per_cell_reference(a):
     for x in range(a.domain):
         for y in range(a.domain):
             assert principal_congruence(a, x, y) == reference_principal_congruence(a, x, y), (x, y)
+
+
+# ---------------------------------------------------------------------------
+# the one compatibility test against the definition of a congruence
+
+def reference_is_congruence(alg, p):
+    """Every pair of blockwise-equal argument tuples is sent into one block,
+    read through `eval` alone, no cell map."""
+    idx = p.block_index()
+    return all(idx[op.eval(x)] == idx[op.eval(y)]
+               for op in alg.operations for x in op.all_args() for y in op.all_args()
+               if all(idx[u] == idx[v] for u, v in zip(x, y)))
+
+
+@st.composite
+def algebras_and_partitions(draw):
+    """An algebra of 1-4 elements with 1-2 operations of arity 1-3 and a
+    random partition.  A third of the algebras keep the partition, and a
+    third keep it but for one value, so that a violation may sit at any
+    one cell."""
+    a = draw(algebras())
+    p = _random_partition(draw, a.domain)
+    shape = draw(st.sampled_from(["random", "kept", "one value off"]))
+    if shape == "random":
+        return a, p
+    a = _keeping(a, p.blocks)
+    if shape == "one value off":
+        op = draw(st.sampled_from(a.operations))
+        vals = list(op.values)
+        vals[draw(st.integers(0, len(vals) - 1))] = draw(st.integers(0, a.domain - 1))
+        a = Algebra(a.domain, [OperationTable(o.name, o.arity, a.domain, tuple(vals))
+                               if o is op else o for o in a.operations])
+    return a, p
+
+
+@given(algebras_and_partitions())
+@example((catalog.get("T4,10").algebra, Partition.parse("{0,1}{2,3}", 4)))
+@example((catalog.get("T4,10").algebra, Partition.parse("{0,2}{1,3}", 4)))
+@settings(max_examples=400, deadline=None)
+def test_is_congruence_matches_the_definition(case):
+    a, p = case
+    ok, violation = is_congruence(a, p)
+    assert ok == reference_is_congruence(a, p)
+    if not ok:  # blockwise-equal arguments sent to different blocks
+        name, args1, args2, v1, v2 = violation
+        idx = p.block_index()
+        assert [idx[x] for x in args1] == [idx[x] for x in args2]
+        assert (a.op(name).eval(args1), a.op(name).eval(args2)) == (v1, v2)
+        assert idx[v1] != idx[v2]
+    for op in a.operations:  # the search's partition check reads the same rule
+        assert satisfies(op, InvariantPartition(p)) == is_congruence(
+            Algebra(a.domain, [op]), p)[0]
+
+
+@given(st.lists(st.lists(st.integers(-3, 20), min_size=1, max_size=4).map(tuple),
+                min_size=1, max_size=5).map(tuple))
+@settings(max_examples=100)
+def test_block_text_round_trip(blocks):
+    assert parse_blocks(format_blocks(blocks)) == blocks
 
 
 # ---------------------------------------------------------------------------
