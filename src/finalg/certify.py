@@ -163,7 +163,8 @@ def _parse_count(word):
 
 
 def _parse_edge(rest):
-    """`a,b KIND [witness={..}{..}]`; the witness blocks become a tuple."""
+    """`a,b KIND [witness={..}{..}]`; the witness blocks become a tuple, in
+    which no element may repeat.  Their domain is checked at replay."""
     pair_text, kind, *extra = rest.split()
     pair = _parse_tuple(pair_text, 2)
     kind = _choice({k: k for k in _structure.EDGE_KINDS})(kind)
@@ -173,6 +174,10 @@ def _parse_edge(rest):
         if key != "witness":
             raise ValueError(f"expected witness={{..}}, got {text!r}")
         blocks = parse_blocks(value)
+        elements = [x for block in blocks for x in block]
+        for i, x in enumerate(elements):
+            if x in elements[:i]:
+                raise ValueError(f"element {x} repeated in {value!r}")
     return pair, kind, blocks
 
 
@@ -276,6 +281,8 @@ def _check_absorbs(alg, args, max_steps):
 
 def _check_edge(alg, args, max_steps):
     (x, y), kind, blocks = args
+    if blocks is not None:
+        alg.check_elements(*(v for block in blocks for v in block))
     r, conclusive = _structure.first_edge(
         alg, x, y, max_steps=max_steps,
         accept=lambda r: r.kind == kind and blocks in (None, r.witness_blocks)

@@ -105,8 +105,10 @@ class OperationTable:
         return itertools.product(range(self.domain), repeat=self.arity)
 
 
+@functools.lru_cache(maxsize=256)
 def projection(arity: int, coord: int, domain: int, name=None) -> OperationTable:
-    """The coord-th k-ary projection as an ordinary table (0-based coord)."""
+    """The coord-th k-ary projection as an ordinary table (0-based coord).
+    Cached: a term's table is composed from its variables' projections."""
     if not 0 <= coord < arity:
         raise AlgebraError(f"projection coordinate {coord} out of range for arity {arity}")
     vals = tuple(t[coord] for t in itertools.product(range(domain), repeat=arity))
@@ -114,7 +116,10 @@ def projection(arity: int, coord: int, domain: int, name=None) -> OperationTable
 
 
 def compose(outer: OperationTable, inners) -> OperationTable:
-    """Pointwise composition outer(g1(x),...,gk(x)); inners share arity and domain."""
+    """Pointwise composition outer(g1(x),...,gk(x)); inners share arity and
+    domain.  The result keeps the outer operation's name: a name spelling
+    out the inners would double in length with each level of a term that
+    reuses a subterm."""
     inners = list(inners)
     if len(inners) != outer.arity:
         raise AlgebraError(
@@ -128,10 +133,12 @@ def compose(outer: OperationTable, inners) -> OperationTable:
     for g in inners:
         if g.arity != l or g.domain != n:
             raise AlgebraError("compose: inner operations must share arity and domain")
-    # cell by cell, the inner values (g1(x), ..., gk(x)) index the outer table
-    vals = tuple(outer.values[cell_index(args, n)] for args in zip(*(g.values for g in inners)))
-    name = f"{outer.name}({','.join(g.name for g in inners)})"
-    return OperationTable(name, l, n, vals)
+    # the row-major index of (g1(x), ..., gk(x)), one inner table at a time
+    index = inners[0].values
+    for g in inners[1:]:
+        index = [i * n + v for i, v in zip(index, g.values)]
+    vals = tuple(map(outer.values.__getitem__, index))
+    return OperationTable(outer.name, l, n, vals)
 
 
 def cell_getter(indices):

@@ -17,9 +17,10 @@ subuniverse, or its image in a proper quotient, does not absorb there
 a congruence, or restricts outside the (small) clone of a two-element
 subalgebra or quotient (`clone_excluded`, the first stage of
 `decide_clone_membership`, the one clone decision; the affine edge test
-reads the tables it keeps off one shared Clo_3).  A local stage only ever
-certifies "no", and names itself; "yes" always comes from an explicit
-witness.
+reads the tables it keeps off one shared Clo_3).  A local stage certifies
+"no" and names itself, except the Mal'cev stage "compose", whose "yes"
+is a term composed from local terms (`compose_malcev_term`); every "yes"
+comes with an explicit witness.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import (Algebra, AlgebraError, OperationTable, UnionFind, is_closed, relabeling,
-                   restrict)
+from .core import (Algebra, AlgebraError, OperationTable, UnionFind, compose, is_closed,
+                   is_malcev, projection, relabeling, restrict)
 from .congruence import (
     all_congruences,
     format_blocks,
@@ -45,10 +46,12 @@ from .subpower import (
     check_cells,
     clone_membership,
     decide_term,
+    eval_term_table,
     free_algebra,
     generate,  # not called here; perfbench/test_smoke.py checks the tracer rebinds it
     local_obstruction,
     sg_closure,
+    substitute,
     term_closure,
 )
 
@@ -535,8 +538,11 @@ def has_malcev_term(alg: Algebra, max_steps=None):
     """Target-vector test for a term with p(x,y,y) = p(y,y,x) = x.
 
     Returns (True, witness) / (False, None) / (None, None) on truncation.
-    Runs through `decide_term`, so a "no" may rest on a local obstruction
-    (`malcev_obstruction`) instead of an exhausted closure.
+    Runs through `decide_term`.  An idempotent algebra's first stage,
+    "compose", builds the term from local terms in A^2, or names the local
+    closure that rules it out (`compose_malcev_term`); if a budget cuts a
+    local closure short, and for every other algebra, the probe, a local
+    obstruction (`malcev_obstruction`) and the global closure follow.
     """
     n = alg.domain
     pats = sorted(
@@ -544,11 +550,63 @@ def has_malcev_term(alg: Algebra, max_steps=None):
         | {(y, y, x) for x in range(n) for y in range(n) if x != y}
     )
     target = tuple(t[0] if t[1] == t[2] else t[2] for t in pats)
+    compose_stage = [("compose", lambda: compose_malcev_term(alg, max_steps=max_steps))]
     d = decide_term(alg, 3, pats, [
+        *(compose_stage if alg.is_idempotent() else []),
         (PROBE, None),
         ("malcev_obstruction", lambda: malcev_obstruction(alg, max_steps=max_steps)),
     ], max_steps=max_steps, targets=[target])
     return d.holds, d.witness(target)
+
+
+def compose_malcev_term(alg: Algebra, max_steps=None):
+    """A Mal'cev term of an idempotent algebra composed from local terms
+    (Freese & Valeriote, IJAC 2009; Horowitz, IJAC 2013): the term, the
+    (a, f, e, d) that rules one out, or None when `max_steps` cuts a local
+    closure short.
+
+    A local term w has w(a,f,f) = a and w(e,e,d) = d, read off the closure
+    in A^2 on those two cells with target (a, d), as in
+    `malcev_obstruction`; one that completes without (a, d) is a sound "no".
+    The term t starts as x, so t(x,y,y) = x, and the pairs (c, d) are walked
+    once, in lex order: where e = t(c,c,d) is not d, t becomes
+    s(t(x,y,z), t(y,y,z), z) for an s with s(x,y,y) = x and s(e,e,d) = d.
+    By idempotence the new t keeps t(x,y,y) = x and every t(y,y,z) = z that
+    held, so a pair once met stays met.  Likewise s starts as z and, for
+    each pair (a, b) in turn with f = s(a,b,b) not a, becomes
+    w(x, s(x,y,y), s(x,y,z)), which keeps s(e,e,d) = d and every
+    s(x,y,y) = x that held.  So at most n^2 (n-1)^2 local closures run.  The
+    tables follow the terms through `compose`, and the term is returned only
+    if `eval_term_table` replays it as a Mal'cev operation.
+    """
+    if not alg.is_idempotent():
+        raise NotIdempotentError("compose_malcev_term requires an idempotent algebra")
+    n = alg.domain
+    x, y, z = (TermTree.variable(i) for i in range(3))
+    px, py, pz = (projection(3, i, n) for i in range(3))
+    pairs = list(itertools.product(range(n), repeat=2))
+    local = {}  # (a, f, e, d) -> w and its table
+    t, t_table = x, px
+    for c, d in pairs:
+        if (e := t_table(c, c, d)) == d:
+            continue
+        s, s_table = z, pz
+        for a, b in pairs:
+            if (f := s_table(a, b, b)) == a:
+                continue
+            if (a, f, e, d) not in local:
+                closure = term_closure(alg, 3, [(a, f, f), (e, e, d)], targets=[(a, d)],
+                                       max_steps=max_steps)
+                if not closure.contains((a, d)):
+                    return None if closure.truncated else (a, f, e, d)
+                w = closure.witness_term((a, d))
+                local[a, f, e, d] = w, eval_term_table(w, alg, 3)
+            w, w_table = local[a, f, e, d]
+            s, s_table = (substitute(w, (x, substitute(s, (x, y, y)), s)),
+                          compose(w_table, (px, compose(s_table, (px, py, py)), s_table)))
+        t, t_table = (substitute(s, (t, substitute(t, (y, y, z)), z)),
+                      compose(s_table, (t_table, compose(t_table, (py, py, pz)), pz)))
+    return t if is_malcev(eval_term_table(t, alg, 3)) else None
 
 
 def malcev_obstruction(alg: Algebra, max_steps=None):

@@ -100,11 +100,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 
 from .core import (Algebra, AlgebraError, OperationTable, UnionFind, argument_cells, cell_getter,
-                   check_budget, relabeling)
+                   check_budget, compose, projection, relabeling)
 from .memo import per_algebra
 
 # The element ceiling of every closure `generate` runs: a guard on memory,
@@ -169,12 +170,52 @@ def _eval_node(t: TermTree, alg: Algebra, args, memo: dict) -> int:
 
 
 def eval_term_table(tree: TermTree, alg: Algebra, arity: int) -> OperationTable:
-    """The term operation's full table (row-major)."""
-    vals = tuple(
-        eval_term(tree, alg, args)
-        for args in itertools.product(range(alg.domain), repeat=arity)
-    )
-    return OperationTable("t", arity, alg.domain, vals)
+    """The term operation's full table (row-major).  A variable's table is
+    a projection and a node's is its operation composed with its children's
+    tables (`core.compose`), once per distinct node."""
+    tables = {}  # id(node) -> its table
+    for t in _distinct_nodes(tree):
+        if t.op is None:
+            tables[id(t)] = projection(arity, t.var, alg.domain)
+            continue
+        op = alg.op(t.op)
+        if len(t.children) != op.arity:
+            raise AlgebraError(f"operation {op.name}: expected {op.arity} arguments, "
+                               f"got {len(t.children)}")
+        tables[id(t)] = compose(op, [tables[id(c)] for c in t.children])
+    return OperationTable("t", arity, alg.domain, tables[id(tree)].values)
+
+
+def substitute(tree: TermTree, args) -> TermTree:
+    """The term tree(args[0], args[1], ...): variable i becomes the term
+    args[i].  A node shared in `tree` is built once, so it stays shared,
+    and a subterm that comes out unchanged is the same node."""
+    built = {}  # id(node) -> its image
+    for t in _distinct_nodes(tree):
+        if t.op is None:
+            built[id(t)] = args[t.var]
+            continue
+        children = tuple(built[id(c)] for c in t.children)
+        same = all(map(operator.is_, children, t.children))
+        built[id(t)] = t if same else TermTree.node(t.op, children)
+    return built[id(tree)]
+
+
+def _distinct_nodes(tree: TermTree) -> list:
+    """Each distinct node of `tree` once, after its children.  No recursion:
+    a composed term may be deeper than the interpreter's recursion limit.
+    A node is expanded once; in a tree without cycles every node below it
+    is listed before it."""
+    order, seen, stack = [], set(), [(tree, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if expanded:
+            order.append(t)
+        elif id(t) not in seen:
+            seen.add(id(t))
+            stack.append((t, True))
+            stack.extend((c, False) for c in t.children)
+    return order
 
 
 class _Applier:
@@ -825,12 +866,13 @@ def clone_membership(base: Algebra, op: OperationTable, max_steps=None):
 
 # The step budget of the global probe in `decide_term`.  Measured on the
 # query-mix algebras (the 2-, 3- and 4-element entries and the products of
-# two small entries): every ternary cyclic or Mal'cev term that exists is
-# found within a budget of 45 steps, except T4,17's Mal'cev term, which
-# needs 8,001; a closure that answers "no" needs 11 to 110,593 steps to
-# finish, and six do not finish within 150,000.  So a probe of 1,000 steps
-# keeps the cost of a "yes" and of a cheap "no", and a costly "no" goes to
-# the local test.
+# two small entries): every ternary cyclic term that exists is found within
+# a budget of 45 steps; a closure that answers "no" needs 11 to 110,593
+# steps to finish, and six do not finish within 150,000.  So a probe of
+# 1,000 steps keeps the cost of a "yes" and of a cheap "no", and a costly
+# "no" goes to the local test.  (A Mal'cev term of an idempotent algebra is
+# composed before any probe runs: in the global closure T4,17's needs 8,001
+# steps and T4,18's more than 150,000.)
 PROBE_STEPS = 1_000
 
 
@@ -839,15 +881,20 @@ class Decision:
     """The answer of `decide_term` and the stage that gave it: holds is
     True / False / None (inconclusive).  A global closure's answer (stage
     PROBE or "closure") carries the `closure`, from which `witness(target)`
-    reads a target's term (None if absent); a local stage's "no" carries
-    what it failed on, `argument`."""
+    reads a target's term (None if absent).  A local stage's "no" carries
+    what it failed on, `argument`; its "yes" carries its replayed `term`,
+    with the one target it meets as `argument`, and `witness(target)`
+    returns that term for that target."""
 
     holds: bool | None
     stage: str
     closure: GeneratedSet | None = None
     argument: object = None
+    term: TermTree | None = None
 
     def witness(self, target) -> TermTree | None:
+        if self.term is not None:
+            return self.term if tuple(target) == self.argument else None
         found = self.closure is not None and self.closure.contains(target)
         return self.closure.witness_term(target) if found else None
 
@@ -861,13 +908,16 @@ def decide_term(base: Algebra, k: int, cells, stages, max_steps=None, **exits) -
     The global closure is `term_closure(base, k, cells, **exits)`: "yes" if
     it stops on an early exit (targets, stop_predicate), "no" if it
     completes.  `stages` lists (name, test): test() runs a sound local test
-    and returns the argument it fails on, or None.  The stage PROBE (test
-    None) is the global closure under min(max_steps, PROBE_STEPS) steps;
-    the closure order does not depend on the budget, so unless it stops on
-    that budget its answer is the full closure's.  If no stage decides, the
-    global closure under `max_steps` does (stage "closure"), unless the
-    probe had that budget.  Every closure runs afresh, so the deciding
-    stage depends only on the question and the budget.
+    and returns None when it does not decide, the argument it fails on for
+    a "no", or for a "yes" a `TermTree` that it has replayed and found to
+    take the values of the one target of `exits` on all of `cells`.  The
+    stage PROBE (test None) is the global closure under min(max_steps,
+    PROBE_STEPS) steps; the closure order does not depend on the budget, so
+    unless it stops on that budget its answer is the full closure's.  If no
+    stage decides, the global closure under `max_steps` does (stage
+    "closure"), unless the probe had that budget.  Every closure runs
+    afresh, so the deciding stage depends only on the question and the
+    budget.
     """
     def answer(stage, steps):
         gset = term_closure(base, k, cells, max_steps=steps, **exits)
@@ -881,7 +931,10 @@ def decide_term(base: Algebra, k: int, cells, stages, max_steps=None, **exits) -
             probe = answer(PROBE, steps)
             if probe.closure.stop_reason != "steps":
                 return probe
-        elif (argument := test()) is not None:
+        elif isinstance(argument := test(), TermTree):
+            (target,) = exits["targets"]
+            return Decision(True, name, argument=tuple(target), term=argument)
+        elif argument is not None:
             return Decision(False, name, argument=argument)
     if probe is not None and steps == max_steps:
         return probe

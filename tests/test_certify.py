@@ -65,7 +65,10 @@ def test_parse_rejects_garbage():
     ("quotient-equiv {0,1}x{2,3} S", "bad partition syntax: '{0,1}x{2,3}'"),
     ("class-equiv {0,1}{} 0,1 S", "empty block in '{0,1}{}'"),
     ("subdirect {0,1}{2,3} {0,2}{1,a} S S", "bad block '1,a' in '{0,2}{1,a}'"),
-], ids=["is-congruence", "quotient-equiv", "class-equiv", "subdirect"])
+    ("edge 0,1 majority witness={0,0}{9}", "element 0 repeated in '{0,0}{9}'"),
+    ("edge 0,1 majority witness={0,2}{1,2}", "element 2 repeated in '{0,2}{1,2}'"),
+], ids=["is-congruence", "quotient-equiv", "class-equiv", "subdirect", "edge-in-a-block",
+        "edge-across-blocks"])
 def test_a_malformed_partition_is_a_parse_error_with_its_line(line, bad):
     with pytest.raises(ParseError) as info:
         certify.parse_certificate(f"algebra T4,1\n{line}\n")
@@ -83,6 +86,13 @@ def test_a_generating_pair_outside_the_domain_is_an_error_record():
     cert = certify.parse_certificate("algebra T4,1\ntwo-generated 0,9\n")
     (r,) = certify.check_certificate(cert)
     assert (r.status, r.detail) == ("fail", "error: element 9 out of range for domain 4")
+
+
+def test_an_edge_witness_outside_the_domain_is_an_error_record():
+    # not a verdict on the edge: the witness names no block of Sg{0, 1}
+    cert = certify.parse_certificate("algebra T4,10\nedge 0,1 majority witness={0,2}{1,3}{7}\n")
+    (r,) = certify.check_certificate(cert)
+    assert (r.status, r.detail) == ("fail", "error: element 7 out of range for domain 4")
 
 
 def test_a_huge_arity_is_an_error_record():

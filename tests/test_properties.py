@@ -12,6 +12,7 @@ from finalg.core import (
     argument_cells,
     image_cells,
     is_cyclic,
+    is_malcev,
     is_symmetric,
     parse_algebra,
     relabeling,
@@ -23,15 +24,15 @@ from finalg.congruence import (Partition, all_congruences, class_algebra, format
 from finalg import subpower
 from finalg.subpower import eval_term, eval_term_table, generate, has_cyclic_term, sg_closure
 from finalg.structure import (absorbs, absorption_patterns, all_subuniverses, clone_excluded,
-                              decide_clone_membership, has_malcev_term, malcev_obstruction,
-                              naive_absorbs, walk_subuniverses, weak_edges)
+                              compose_malcev_term, decide_clone_membership, has_malcev_term,
+                              malcev_obstruction, naive_absorbs, walk_subuniverses, weak_edges)
 from finalg import catalog
 from finalg.certify import parse_certificate
 from finalg.search import (AgreesOnTuples, CommutesWithPermutation, Cyclic, Idempotent,
                            InvariantPartition, PreservesRelation, Symmetric,
                            parse_constraint_file, restriction, satisfies)
 from conftest import reference_relabel
-from test_subpower import kernel_and_reference, reference_closure
+from test_subpower import _replay_malcev_obstruction, kernel_and_reference, reference_closure
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +592,35 @@ def test_local_obstructions_never_deny_a_term_of_clo3(a):
     if not clo3.truncated:
         assert has_cyclic_term(a, 3) is cyclic
         assert has_malcev_term(a)[0] is malcev
+
+
+@given(idempotent_ternary_algebras())
+@settings(max_examples=300, deadline=None)
+def test_composed_malcev_terms_agree_with_the_scan_of_clo3(a):
+    # the "compose" stage against a scan of Clo_3 (cut as in the test above):
+    # unbounded it always decides, and as the complete scan does; every
+    # "yes" replays as a Mal'cev operation and every "no" as a complete
+    # closure in A^2 without (a, d); under budgets that cut local closures
+    # short no answer contradicts the scan
+    n = a.domain
+    cells = list(itertools.product(range(n), repeat=3))
+    at = {c: i for i, c in enumerate(cells)}
+    clo3 = subpower._closure(a, len(cells), subpower.term_generators(a, 3, cells), 1_000,
+                             subpower._stop_test(None, None), 20_000)
+    malcev = any(all(e[at[(x, y, y)]] == x == e[at[(y, y, x)]] for x in range(n) for y in range(n))
+                 for e in clo3.elements)
+    for max_steps in (None, 1, 5, 40):
+        got = compose_malcev_term(a, max_steps=max_steps)
+        if isinstance(got, subpower.TermTree):
+            assert is_malcev(eval_term_table(got, a, 3))
+            assert malcev or clo3.truncated
+        elif got is not None:
+            _replay_malcev_obstruction(a, got)
+            assert not malcev
+        else:
+            assert max_steps is not None
+        if max_steps is None and not clo3.truncated:
+            assert isinstance(got, subpower.TermTree) is malcev
 
 
 # ---------------------------------------------------------------------------

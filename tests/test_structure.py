@@ -12,6 +12,7 @@ from finalg.structure import (
     affine_xyz_tables,
     all_subuniverses,
     clone_excluded,
+    compose_malcev_term,
     decide_clone_membership,
     dominant_coordinate,
     edge_records,
@@ -299,6 +300,69 @@ def test_has_malcev(alg):
     assert has_malcev_term(alg("T4,16"), max_steps=150_000)[0] is False
 
 
+def _malcev_spies(monkeypatch):
+    """Records each Mal'cev decision's stage names and answer, and the
+    (exponent, budget) of each closure run."""
+    from finalg import structure, subpower
+
+    stages, decisions, closures = [], [], []
+    decide, generate = subpower.decide_term, subpower.generate
+
+    def spy_decide(base, k, cells, listed, **kw):
+        stages.append([name for name, _ in listed])
+        decisions.append(decide(base, k, cells, listed, **kw))
+        return decisions[-1]
+
+    def spy_generate(base, m, generators, **kw):
+        closures.append((m, kw.get("max_steps")))
+        return generate(base, m, generators, **kw)
+
+    monkeypatch.setattr(structure, "decide_term", spy_decide)
+    monkeypatch.setattr(subpower, "generate", spy_generate)
+    return stages, decisions, closures
+
+
+def test_t418_malcev_term_is_composed_from_local_terms(alg, monkeypatch):
+    # the global closure in A^24 stops on this budget; the "compose" stage
+    # builds the term from closures in A^2, at most 4^2 * 3^2 of them
+    from finalg.core import is_malcev
+    from finalg.subpower import eval_term_table
+
+    stages, decisions, closures = _malcev_spies(monkeypatch)
+    a = alg("T4,18")
+    holds, term = has_malcev_term(a, max_steps=150_000)
+    assert holds is True and is_malcev(eval_term_table(term, a, 3))
+    (d,) = decisions
+    assert stages == [["compose", "probe", "malcev_obstruction"]]
+    assert d.stage == "compose" and d.term is term and d.closure is None
+    assert d.witness(d.argument) is term and d.witness(d.argument[::-1]) is None
+    assert {m for m, _ in closures} == {2} and len(closures) <= 144
+
+
+def test_a_non_idempotent_algebra_keeps_its_malcev_stages(monkeypatch):
+    # "compose" needs t(y,y,y) = y, so it is not listed: the probe decides
+    stages, decisions, _ = _malcev_spies(monkeypatch)
+    minority = OperationTable("m", 3, 2, tuple(sum(c) % 2
+                                               for c in itertools.product(range(2), repeat=3)))
+    meet = OperationTable("f", 2, 2, (0, 0, 0, 1))
+    for op, want in ((minority, True), (meet, False)):
+        a = Algebra(2, [op, OperationTable("u", 1, 2, (1, 0) if want else (0, 0))])
+        assert has_malcev_term(a, max_steps=150_000)[0] is want
+        assert stages[-1] == ["probe", "malcev_obstruction"]
+        assert decisions[-1].stage == "probe"
+        with pytest.raises(NotIdempotentError):
+            compose_malcev_term(a)
+
+
+def test_a_budget_that_cuts_a_local_closure_falls_through_to_the_probe(alg, monkeypatch):
+    # T4,7's first local closure does not finish in 7 steps: the probe in
+    # A^24 runs next, under the same budget, then the local obstruction
+    _, decisions, closures = _malcev_spies(monkeypatch)
+    assert has_malcev_term(alg("T4,7"), max_steps=7)[0] is False
+    assert closures[:2] == [(2, 7), (24, 7)]
+    assert decisions[-1].stage == "malcev_obstruction"
+
+
 def test_malcev_agrees_with_free_scan(alg):
     # dual route: exhaustive ternary term scan on the 3-element semilattice
     a = alg("T4N")
@@ -435,7 +499,7 @@ def test_each_no_names_the_stage_that_decided_it(alg, monkeypatch):
     assert decided(subpower.cyclic_terms(alg("T4,16"), 3)) == (
         ([], True), "cyclic_obstruction", (0, 0, 1))
     assert decided(has_malcev_term(alg("T4,16"))) == (
-        (False, None), "malcev_obstruction", (0, 3, 0, 3))
+        (False, None), "compose", (0, 3, 0, 3))
     # an exhausted global closure: the majority operation is not a term of
     # the semilattice, and no invariant shows it
     maj = OperationTable("m", 3, 2, (0, 0, 0, 1, 0, 1, 1, 1))
