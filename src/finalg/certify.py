@@ -13,12 +13,13 @@ max_steps -> status, detail, witnesses).  The witnesses are a list of
 `allowed[j]`.  Passes that rest on terms carry them (absorption, edges,
 subpower and clone membership one each, the Taylor test one per edge of
 its spanning forest, a cyclic term count one per counted table), and
-`check_assertion` re-evaluates each with `subpower.eval_term`, apart from
-the closure that found it: a pass whose witness does not replay fails with
-"witness does not replay".  A "not simple" answer is replayed in its
-check handler: its congruence must pass `congruence.is_congruence` and be
-neither the identity nor full.  Term equivalence and the isomorphism kinds
-carry no witness yet: their decision procedures do not return their terms.
+`check_assertion` re-evaluates each on all its cells with one
+`subpower.term_values` call, apart from the closure that found it: a pass
+whose witness does not replay fails with "witness does not replay".  A
+"not simple" answer is replayed in its check handler: its congruence must
+pass `congruence.is_congruence` and be neither the identity nor full.
+Term equivalence and the isomorphism kinds carry no witness yet: their
+decision procedures do not return their terms.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .congruence import (
     simplicity_witness,
 )
 from .search import DIRECTIVES, parse_constraint_file, solutions
-from .subpower import cyclic_term_witnesses, eval_term, generate, render_term
+from .subpower import cyclic_term_witnesses, generate, render_term, term_values
 from . import catalog as _catalog
 from . import structure as _structure
 
@@ -163,8 +164,8 @@ def _parse_count(word):
 
 
 def _parse_edge(rest):
-    """`a,b KIND [witness={..}{..}]`; the witness blocks become a tuple, in
-    which no element may repeat.  Their domain is checked at replay."""
+    """`a,b KIND [witness={..}{..}]`; the witness blocks become a tuple.
+    Their domain is checked at replay."""
     pair_text, kind, *extra = rest.split()
     pair = _parse_tuple(pair_text, 2)
     kind = _choice({k: k for k in _structure.EDGE_KINDS})(kind)
@@ -174,10 +175,6 @@ def _parse_edge(rest):
         if key != "witness":
             raise ValueError(f"expected witness={{..}}, got {text!r}")
         blocks = parse_blocks(value)
-        elements = [x for block in blocks for x in block]
-        for i, x in enumerate(elements):
-            if x in elements[:i]:
-                raise ValueError(f"element {x} repeated in {value!r}")
     return pair, kind, blocks
 
 
@@ -430,7 +427,8 @@ def check_assertion(alg: Algebra, a: Assertion, max_steps=DEFAULT_ASSERTION_STEP
         raise AlgebraError(f"unknown assertion kind {a.kind!r}")
     status, detail, witnesses = _KINDS[a.kind][1](alg, a.args, max_steps)
     for term, cells, allowed in witnesses:
-        if any(eval_term(term, alg, c) not in ok for c, ok in zip(cells, allowed, strict=True)):
+        values = term_values(term, alg, cells)
+        if any(v not in ok for v, ok in zip(values, allowed, strict=True)):
             return "fail", "witness does not replay"
     return status, detail
 

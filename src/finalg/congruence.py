@@ -23,7 +23,8 @@ class NotACongruenceError(AlgebraError):
 
 def parse_blocks(text: str) -> tuple:
     """The blocks of the `{0,2}{1,3}` text as written, integer tuples;
-    AlgebraError if malformed.  No domain is checked."""
+    AlgebraError if malformed or if an element repeats, within a block or
+    across blocks.  No domain is checked."""
     text = text.strip()
     if not text:
         raise AlgebraError("empty partition text")
@@ -42,6 +43,10 @@ def parse_blocks(text: str) -> tuple:
             blocks.append(tuple(int(t) for t in body.split(",")))
         except ValueError:
             raise AlgebraError(f"bad block {body!r} in {text!r}") from None
+    elements = [x for block in blocks for x in block]
+    for i, x in enumerate(elements):
+        if x in elements[:i]:
+            raise AlgebraError(f"element {x} repeated in {text!r}")
     return tuple(blocks)
 
 

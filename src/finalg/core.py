@@ -105,14 +105,12 @@ class OperationTable:
         return itertools.product(range(self.domain), repeat=self.arity)
 
 
-@functools.lru_cache(maxsize=256)
 def projection(arity: int, coord: int, domain: int, name=None) -> OperationTable:
-    """The coord-th k-ary projection as an ordinary table (0-based coord).
-    Cached: a term's table is composed from its variables' projections."""
+    """The coord-th k-ary projection as an ordinary table (0-based coord)."""
     if not 0 <= coord < arity:
         raise AlgebraError(f"projection coordinate {coord} out of range for arity {arity}")
-    vals = tuple(t[coord] for t in itertools.product(range(domain), repeat=arity))
-    return OperationTable(name or f"p{coord + 1}", arity, domain, vals)
+    vals = tuple(x for x in range(domain) for _ in range(domain ** (arity - 1 - coord)))
+    return OperationTable(name or f"p{coord + 1}", arity, domain, vals * domain**coord)
 
 
 def compose(outer: OperationTable, inners) -> OperationTable:
@@ -133,12 +131,18 @@ def compose(outer: OperationTable, inners) -> OperationTable:
     for g in inners:
         if g.arity != l or g.domain != n:
             raise AlgebraError("compose: inner operations must share arity and domain")
-    # the row-major index of (g1(x), ..., gk(x)), one inner table at a time
-    index = inners[0].values
-    for g in inners[1:]:
-        index = [i * n + v for i, v in zip(index, g.values)]
-    vals = tuple(map(outer.values.__getitem__, index))
-    return OperationTable(outer.name, l, n, vals)
+    return OperationTable(outer.name, l, n, _composed_values(outer, [g.values for g in inners]))
+
+
+def _composed_values(outer: OperationTable, columns) -> tuple:
+    """outer(c1[j], ..., ck[j]) for each j, from one column of elements per
+    argument, all of one length: the row-major index of each argument
+    tuple, one column at a time (no range checks)."""
+    n = outer.domain
+    index = columns[0]
+    for column in columns[1:]:
+        index = [i * n + v for i, v in zip(index, column)]
+    return tuple(map(outer.values.__getitem__, index))
 
 
 def cell_getter(indices):

@@ -104,8 +104,8 @@ import operator
 import struct
 from dataclasses import dataclass, field
 
-from .core import (Algebra, AlgebraError, OperationTable, UnionFind, argument_cells, cell_getter,
-                   check_budget, compose, projection, relabeling)
+from .core import (Algebra, AlgebraError, OperationTable, UnionFind, _composed_values,
+                   argument_cells, cell_getter, check_budget, relabeling)
 from .memo import per_algebra
 
 # The element ceiling of every closure `generate` runs: a guard on memory,
@@ -144,46 +144,49 @@ class TermTree:
 
 
 def render_term(tree: TermTree, names) -> str:
-    """Fully parenthesized prefix form, e.g. g(x, g(x, y, z), z)."""
-    if tree.is_variable():
-        return names[tree.var]
-    inner = ", ".join(render_term(c, names) for c in tree.children)
-    return f"{tree.op}({inner})"
+    """Fully parenthesized prefix form, e.g. g(x, g(x, y, z), z); one string per node."""
+    text = {}  # id(node) -> its string
+    for t in _distinct_nodes(tree):
+        text[id(t)] = (names[t.var] if t.op is None else
+                       f"{t.op}({', '.join(text[id(c)] for c in t.children)})")
+    return text[id(tree)]
 
 
-def eval_term(tree: TermTree, alg: Algebra, args) -> int:
-    """Evaluate a term tree on domain elements.  A witness term shares its
-    subterms (see `GeneratedSet.witness_term`), so each distinct node is
-    evaluated once."""
-    return _eval_node(tree, alg, args, {})
-
-
-def _eval_node(t: TermTree, alg: Algebra, args, memo: dict) -> int:
-    # memo: id(node) -> value; every node stays alive in the caller's tree
-    if t.op is None:
-        return args[t.var]
-    v = memo.get(id(t))
-    if v is None:
-        v = memo[id(t)] = alg.op(t.op).eval([_eval_node(c, alg, args, memo)
-                                             for c in t.children])
-    return v
-
-
-def eval_term_table(tree: TermTree, alg: Algebra, arity: int) -> OperationTable:
-    """The term operation's full table (row-major).  A variable's table is
-    a projection and a node's is its operation composed with its children's
-    tables (`core.compose`), once per distinct node."""
-    tables = {}  # id(node) -> its table
+def term_values(tree: TermTree, alg: Algebra, cells) -> tuple:
+    """The term's value on each cell (argument tuple), in order: the one
+    term evaluator.  Each distinct node is one column of values over all the
+    cells, a variable's the cells' coordinate and a node's its operation on
+    its children's columns.  AlgebraError for a cell entry outside the
+    domain, a variable outside the arity (the shortest cell's length) or a
+    node with the wrong number of children."""
+    cells = list(cells)
+    columns = list(zip(*cells))  # one per variable
+    alg.check_elements(*set().union(*columns))
+    got = {}  # id(node) -> its column
     for t in _distinct_nodes(tree):
         if t.op is None:
-            tables[id(t)] = projection(arity, t.var, alg.domain)
+            if cells and not 0 <= t.var < len(columns):
+                raise AlgebraError(f"variable {t.var} outside arity {len(columns)}")
+            got[id(t)] = columns[t.var] if cells else ()
             continue
         op = alg.op(t.op)
         if len(t.children) != op.arity:
             raise AlgebraError(f"operation {op.name}: expected {op.arity} arguments, "
                                f"got {len(t.children)}")
-        tables[id(t)] = compose(op, [tables[id(c)] for c in t.children])
-    return OperationTable("t", arity, alg.domain, tables[id(tree)].values)
+        got[id(t)] = _composed_values(op, [got[id(c)] for c in t.children])
+    return got[id(tree)]
+
+
+def eval_term(tree: TermTree, alg: Algebra, args) -> int:
+    """The term's value on one argument tuple (`term_values`)."""
+    return term_values(tree, alg, [args])[0]
+
+
+def eval_term_table(tree: TermTree, alg: Algebra, arity: int) -> OperationTable:
+    """The term operation's full table: its values on the n**arity cells in
+    row-major order (`term_values`)."""
+    cells = itertools.product(range(alg.domain), repeat=arity)
+    return OperationTable("t", arity, alg.domain, term_values(tree, alg, cells))
 
 
 def substitute(tree: TermTree, args) -> TermTree:
@@ -274,38 +277,28 @@ class GeneratedSet:
         key = bytes(tup)
         if key not in self.position:
             raise AlgebraError(f"tuple {tuple(tup)} is not a member")
-        return _witness_tree(self, self.position[key])
+        root = self.position[key]
+        below, stack = {root}, [root]  # the elements the root's links reach
+        while stack:
+            w = self.witnesses[stack.pop()]
+            for p in w[1] if w is not None else ():
+                if p not in below:
+                    below.add(p)
+                    stack.append(p)
+        gen_pos = {g: j for j, g in reversed(list(enumerate(self.generators)))}  # first index
+        names = [op.name for op in self.base.operations]
+        built = {}  # element index -> its term, one shared subterm per element
+        for i in sorted(below):  # a link names earlier elements, built first
+            w = self.witnesses[i]
+            built[i] = (TermTree.variable(gen_pos[self.elements[i]]) if w is None else
+                        TermTree.node(names[w[0]], [built[p] for p in w[1]]))
+        return built[root]
 
     def export_text(self) -> str:
         lines = [f"exponent {self.exponent}", f"count {len(self.elements)}"]
         for e in self.elements:
             lines.append(" ".join(str(v) for v in e))
         return "\n".join(lines) + "\n"
-
-
-def _witness_tree(gset: GeneratedSet, root: int) -> TermTree:
-    """The term of element `root` read off the witness links, one shared
-    subterm per element.  It recurses through `_witness_node`, not through a
-    closure: a closure that calls itself is a reference cycle, which would
-    keep `gset` alive after the call until the next cyclic collection."""
-    gen_pos = {}
-    for j, g in enumerate(gset.generators):
-        gen_pos.setdefault(g, j)
-    link = (gset.witnesses, gset.elements, gen_pos, [op.name for op in gset.base.operations])
-    return _witness_node(root, link, {})
-
-
-def _witness_node(i: int, link: tuple, built: dict) -> TermTree:
-    t = built.get(i)
-    if t is None:
-        witnesses, elements, gen_pos, names = link
-        w = witnesses[i]
-        if w is None:
-            t = TermTree.variable(gen_pos[elements[i]])
-        else:
-            t = TermTree.node(names[w[0]], [_witness_node(p, link, built) for p in w[1]])
-        built[i] = t
-    return t
 
 
 def check_cells(n: int, k: int, what: str):

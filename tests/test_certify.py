@@ -67,8 +67,9 @@ def test_parse_rejects_garbage():
     ("subdirect {0,1}{2,3} {0,2}{1,a} S S", "bad block '1,a' in '{0,2}{1,a}'"),
     ("edge 0,1 majority witness={0,0}{9}", "element 0 repeated in '{0,0}{9}'"),
     ("edge 0,1 majority witness={0,2}{1,2}", "element 2 repeated in '{0,2}{1,2}'"),
+    ("is-congruence {0,0}{1}{2}{3}", "element 0 repeated in '{0,0}{1}{2}{3}'"),
 ], ids=["is-congruence", "quotient-equiv", "class-equiv", "subdirect", "edge-in-a-block",
-        "edge-across-blocks"])
+        "edge-across-blocks", "is-congruence-repeat"])
 def test_a_malformed_partition_is_a_parse_error_with_its_line(line, bad):
     with pytest.raises(ParseError) as info:
         certify.parse_certificate(f"algebra T4,1\n{line}\n")

@@ -272,6 +272,7 @@ def test_search_spec_errors_name_the_line(capsys, tmp_path):
          "a 2-element subset takes values 0 to 1 (positions in the subset), got 2"),
         ("restrict 0,1,2 := 0 0 0 0 0 0 0 0 -1",
          "a 3-element subset takes values 0 to 2 (positions in the subset), got -1"),
+        ("partition {0,1,0}{2}", "element 0 repeated in '{0,1,0}{2}'"),
     ):
         spec.write_text(f"domain 3\narity 2\n{line}\n")
         code, out, err = run(["search", "--spec", str(spec)], capsys)

@@ -212,7 +212,12 @@ def test_is_congruence_matches_the_definition(case):
                 min_size=1, max_size=5).map(tuple))
 @settings(max_examples=100)
 def test_block_text_round_trip(blocks):
-    assert parse_blocks(format_blocks(blocks)) == blocks
+    elements = [x for b in blocks for x in b]
+    if len(set(elements)) == len(elements):
+        assert parse_blocks(format_blocks(blocks)) == blocks
+    else:  # an element repeated within a block or across blocks
+        with pytest.raises(AlgebraError, match="repeated in"):
+            parse_blocks(format_blocks(blocks))
 
 
 # ---------------------------------------------------------------------------

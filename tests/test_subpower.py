@@ -21,6 +21,7 @@ from finalg.subpower import (
     render_term,
     sg_closure,
     term_closure,
+    term_values,
 )
 from finalg.structure import _majority_on_pair_positions, absorption_patterns
 from conftest import naive_clone, reference_relabel
@@ -145,12 +146,47 @@ def test_eval_term_matches_the_tree_walk(alg):
                 want = tuple(tree_walk(t, a, c) for c in cells)
                 assert tuple(eval_term(t, a, c) for c in cells) == want
                 assert eval_term_table(t, a, k).values == want
-    # a node with the wrong number of arguments is an error either way
+                # any cell list, repeated cells and the empty list included
+                some = rnd.choices(cells, k=rnd.randrange(8))
+                assert term_values(t, a, some) == tuple(tree_walk(t, a, c) for c in some)
+    # a node with the wrong number of arguments, a variable outside the
+    # arity and an argument outside the domain are errors either way
     bad = TermTree.node("g", [TermTree.variable(0)] * 2)
-    for evaluate in (lambda: eval_term(bad, two_ops, (0, 1)),
-                     lambda: eval_term_table(bad, two_ops, 2)):
-        with pytest.raises(AlgebraError, match="expected 3 arguments, got 2"):
-            evaluate()
+    x, z = TermTree.variable(0), TermTree.variable(2)
+    for tree, args, why in ((bad, (0, 1), "expected 3 arguments, got 2"),
+                            (z, (0, 1), "variable 2 outside arity 2"),
+                            (TermTree.node("t", [x, z]), (0, 1), "variable 2 outside arity 2")):
+        for evaluate in (lambda: eval_term(tree, two_ops, args),
+                         lambda: eval_term_table(tree, two_ops, len(args)),
+                         lambda: term_values(tree, two_ops, [args, args])):
+            with pytest.raises(AlgebraError, match=why):
+                evaluate()
+    for tree in (x, TermTree.node("t", [x, x])):
+        for args in ((3, 0), (0, -1)):
+            with pytest.raises(AlgebraError, match="out of range for domain 3"):
+                eval_term(tree, two_ops, args)
+    # no cells, no values: only the nodes' child counts are checked
+    assert term_values(TermTree.node("t", [x, z]), two_ops, []) == ()
+    with pytest.raises(AlgebraError, match="expected 3 arguments, got 2"):
+        term_values(bad, two_ops, [])
+
+
+def test_a_term_deeper_than_the_recursion_limit_evaluates_and_renders(alg):
+    # 3,000 nested g(t, y, y): each node is met once, by a loop
+    a = alg("T4,5")
+    x, y = TermTree.variable(0), TermTree.variable(1)
+    t = x
+    for _ in range(3000):
+        t = TermTree.node("g", [t, y, y])
+    cells = list(itertools.product(range(4), repeat=2))
+    g, want = a.op("g"), tuple(c for c, _ in cells)
+    for _ in range(3000):  # the chain's values, one level at a time
+        want = tuple(g(v, b, b) for v, (_, b) in zip(want, cells))
+    assert term_values(t, a, cells) == want
+    assert eval_term_table(t, a, 2).values == want
+    assert [eval_term(t, a, c) for c in cells[:3]] == list(want[:3])
+    text = render_term(t, ["x", "y"])
+    assert text == "g(" * 3000 + "x" + ", y, y)" * 3000
 
 
 def test_free_algebra_semilattice_binary(alg):
