@@ -51,35 +51,42 @@ def check_budget(max_steps):
 
 
 _BYTES = bytes(range(256))
+_set_field = object.__setattr__  # the write a frozen dataclass's own __init__ makes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OperationTable:
     name: str
     arity: int
     domain: int
     values: tuple
 
-    def __post_init__(self):
-        if self.arity < 1:
-            raise AlgebraError(f"arity must be >= 1, got {self.arity}")
-        if self.domain < 1:
-            raise AlgebraError(f"domain must be >= 1, got {self.domain}")
-        if len(self.values) != self.domain**self.arity:
+    def __init__(self, name: str, arity: int, domain: int, values: tuple):
+        # the arguments are checked before the table exists, and then each
+        # field is set once (a table search builds one table per solution);
+        # object.__setattr__ keeps the instance's compact attribute storage,
+        # which writing through self.__dict__ would turn into a dict of its own
+        if arity < 1:
+            raise AlgebraError(f"arity must be >= 1, got {arity}")
+        if domain < 1:
+            raise AlgebraError(f"domain must be >= 1, got {domain}")
+        if len(values) != domain**arity:
             raise AlgebraError(
-                f"operation {self.name}: expected {self.domain ** self.arity} "
-                f"values, got {len(self.values)}"
-            )
+                f"operation {name}: expected {domain ** arity} values, got {len(values)}")
         # bytes() and translate() check every value in C; the loop runs only
         # to name a bad value, or for values that do not fit in a byte
         try:
-            stray = bytes(self.values).translate(None, _BYTES[:self.domain])
+            stray = bytes(values).translate(None, _BYTES[:domain])
         except (TypeError, ValueError):
             stray = True
         if stray:
-            for v in self.values:
-                if not 0 <= v < self.domain:
-                    raise AlgebraError(f"operation {self.name}: value {v} out of range")
+            for v in values:
+                if not 0 <= v < domain:
+                    raise AlgebraError(f"operation {name}: value {v} out of range")
+        _set_field(self, "name", name)
+        _set_field(self, "arity", arity)
+        _set_field(self, "domain", domain)
+        _set_field(self, "values", values)
 
     def index(self, args) -> int:
         """Row-major index of an argument tuple (no range checks)."""

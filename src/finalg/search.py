@@ -16,7 +16,23 @@ counts without building any, and a uniqueness question reads at most two.
 Its work budget is counted in steps, one per value tried at an undecided
 orbit, so it is deterministic.  A walk that stops on it yields None last:
 `search_ops` and `count_ops` then report truncated, the `unique-op`
-certificate check inconclusive.
+certificate check inconclusive.  A relation is pruned on at each step
+through the combinations of its tuples that read an orbit the step
+decided, directly or by propagation (indexed by orbit once per search).
+If one relation has more than _RELATION_COMBOS combinations, none is
+pruned on: the leaf checks alone test them, and no walk over a
+relation's combinations runs outside the budget.
+
+The block.  When the spec has no invariant partition, no commuting
+permutation and no relation pruned on, nothing propagates: the undecided
+orbits take every combination of values.  The last j of them are then
+enumerated as one block, j as large as n**j <= _BLOCK_LEAVES allows, and
+the frames walk only the orbits before it.  The block's combinations come
+in lexicographic order (`_block`, cached per n and j), and each leaf's
+value tuple is one `cell_getter` read of the other orbits' values followed
+by the combination.  The budget stays exact: reaching a combination costs
+the values a walk of one value per step would try for it, so a budget
+that ends inside the block yields the leaves that walk reaches, then None.
 
 Every leaf is still checked in full against every constraint, propagated or
 not, by the check `satisfies` runs.  Each constraint is compiled once per
@@ -31,6 +47,7 @@ the search returns.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -286,6 +303,39 @@ def _propagators(spec):
     return partitions, perms, relations
 
 
+def _relation_combos(relations, n, k, orbit_of):
+    """(orbits, tuples) per combination of k tuples of each relation: the
+    orbit of each cell the combination's columns name, and the relation's
+    tuples as a frozenset, which the values of those cells must form one of."""
+    for rel in relations:
+        rset = frozenset(rel.tuples)
+        # per argument position d, each tuple times n**(k-1-d): a column's
+        # cell index is the sum of its entries
+        weighted = [[tuple(x * n ** (k - 1 - d) for x in t) for t in rel.tuples]
+                    for d in range(k)]
+        for combo in itertools.product(*weighted):
+            yield tuple(map(orbit_of.__getitem__, map(sum, zip(*combo)))), rset
+
+
+# the most value combinations one block enumerates (n**j <= _BLOCK_LEAVES)
+_BLOCK_LEAVES = 729
+
+
+@functools.lru_cache(maxsize=None)
+def _block(n: int, j: int):
+    """The combinations of j values in lexicographic order, and per
+    combination the steps a walk has made in the block once it reaches it:
+    each reach costs the values tried from the first position where the
+    combination differs from the one before (all j for the first).  The
+    last is the block's whole cost, n + n**2 + ... + n**j."""
+    combos = tuple(itertools.product(range(n), repeat=j))
+    reached, steps = [], 0
+    for before, combo in zip(((-1,) * j,) + combos, combos):
+        steps += j - next((i for i in range(j) if combo[i] != before[i]), j)
+        reached.append(steps)
+    return combos, reached
+
+
 def solutions(spec: SearchSpec, max_steps=None):
     """The streaming core: yields the flat value tuple of each table that
     passes every compiled check, in lexicographic order, and None as its last
@@ -333,42 +383,70 @@ def solutions(spec: SearchSpec, max_steps=None):
                     stack.append((orbit_of[perm_cell[ci]], mapped_v))
         return True
 
-    def relation_check():
-        """Prune on relation combos whose needed cells are all decided."""
-        for rel in relations:
-            tuples = rel.tuples
-            rset = set(tuples)
-            for combo in itertools.product(tuples, repeat=k):
-                out = []
-                for column in zip(*combo):
-                    ov = orbit_val[orbit_of[cell_index(column, n)]]
-                    if ov == -1:
-                        out = None
-                        break
-                    out.append(ov)
-                if out is not None and tuple(out) not in rset:
-                    return False
-        return True
+    def violated(combos):
+        """Whether a combination whose cells are all decided leaves its relation."""
+        for cols, rset in combos:
+            out = tuple(map(orbit_val.__getitem__, cols))
+            if out not in rset and -1 not in out:
+                return True
+        return False
 
-    if not all(assign(orbit_of[idx], v) for idx, v in forced.items()) or not relation_check():
-        return
+    # relations are pruned on only if all are small enough; a larger one is
+    # checked at the leaves alone, so no walk over its combinations runs
+    # outside the step budget
     prune = relations and all(len(r.tuples) ** k <= _RELATION_COMBOS for r in relations)
+    if prune:
+        # per orbit, the combinations that read it: a step tests only those
+        # of the orbits it decided (combinations that read the same orbits
+        # for the same relation are one test)
+        combos = list(dict.fromkeys(_relation_combos(relations, n, k, orbit_of)))
+        combos_of = [[] for _ in orbits]
+        for combo in combos:
+            for o in set(combo[0]):
+                combos_of[o].append(combo)
+    if (not all(assign(orbit_of[idx], v) for idx, v in forced.items())
+            or prune and violated(combos)):
+        return
+
+    # The last j undecided orbits form the block when nothing propagates to
+    # them or prunes on them.  Otherwise j is 0: the block's one combination
+    # is empty and the frames reach every leaf.
+    free = [o for o, v in enumerate(orbit_val) if v == -1]
+    j = 0
+    if not (partitions or perms or prune):
+        while j < len(free) and n ** (j + 1) <= _BLOCK_LEAVES:
+            j += 1
+    block = free[len(free) - j:]
+    stop = block[0] if block else len(orbits)
+    leaves, reached = _block(n, j)
+    # a leaf's key: the values of the other orbits, then the block's combination
+    rest = sorted(set(range(len(orbits))).difference(block))
+    slot = {o: i for i, o in enumerate(rest + block)}
+    pick = cell_getter([slot[o] for o in orbit_of])
 
     # orbits are decided in index order, the lex order of their representatives;
     # one frame [orbit, next value, trail mark] per undecided orbit on the path
     frames, pos, steps = [], 0, 0
     while True:
-        while pos < len(orbits) and orbit_val[pos] != -1:
+        while pos < stop and orbit_val[pos] != -1:
             pos += 1
-        if pos < len(orbits):
+        if pos < stop:
             frames.append([pos, 0, len(trail)])
         else:
-            vals = tuple(map(orbit_val.__getitem__, orbit_of))
-            for check in checks:
-                if not check(vals):
-                    break
-            else:
-                yield vals
+            prefix = tuple(map(orbit_val.__getitem__, rest))
+            reach = (len(leaves) if max_steps is None
+                     else bisect.bisect_right(reached, max_steps - steps))
+            for combo in itertools.islice(leaves, reach):
+                vals = pick(prefix + combo)
+                for check in checks:
+                    if not check(vals):
+                        break
+                else:
+                    yield vals
+            if reach < len(leaves):
+                yield None
+                return
+            steps += reached[-1]
         while frames:
             o, v, mark = frame = frames[-1]
             while len(trail) > mark:
@@ -385,7 +463,9 @@ def solutions(spec: SearchSpec, max_steps=None):
                 return
             steps += 1
             frame[1] = v + 1
-            if assign(o, v) and (not prune or relation_check()):
+            if assign(o, v) and not (prune and violated(
+                    combo for tag in trail[mark:] if tag[0] == "orbit"
+                    for combo in combos_of[tag[1]])):
                 pos = o + 1
                 break
         else:

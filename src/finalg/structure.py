@@ -419,7 +419,7 @@ def all_subuniverses(alg: Algebra) -> tuple:
     The end of a walk (`walk_subuniverses`).  Memoized by the operation
     tables (`memo.per_algebra`): every call returns the one stored tuple,
     which a finished walk may have stored first."""
-    return _by_size(_walk(alg.domain, _closer(alg)))
+    return _by_size(_walk(alg.domain, functools.partial(sg_closure, alg)))
 
 
 def walk_subuniverses(alg: Algebra):
@@ -433,7 +433,7 @@ def walk_subuniverses(alg: Algebra):
     a walk that finishes stores the lattice as `all_subuniverses`'s memo
     entry if that entry is absent.  The walk keeps nothing else."""
     found = []
-    for uni in _walk(alg.domain, _closer(alg)):
+    for uni in _walk(alg.domain, functools.partial(sg_closure, alg)):
         found.append(uni)
         yield uni
     key = table_key(alg)
@@ -466,18 +466,6 @@ def _walk(domain: int, close):
                     bigger.append(sub)
                     yield sub
         level = bigger
-
-
-def _closer(alg: Algebra):
-    """close(S) for a walk: S itself when every operation keeps it (each
-    Sg{x} of an idempotent algebra), else `sg_closure`, a closure that
-    costs tens of microseconds."""
-    def close(gens):
-        if all(is_closed(op, gens) for op in alg.operations):
-            return gens
-        return sg_closure(alg, gens)
-
-    return close
 
 
 def _by_size(unis) -> tuple:

@@ -1,7 +1,8 @@
 """Closure computation inside finite powers A^m.
 
-This is the engine behind subuniverse generation, free algebras / clone
-membership, cyclic-term search and the binary relation Sg{(a,b),(b,a)}.
+This is the engine behind free algebras / clone membership, cyclic-term
+search and the binary relation Sg{(a,b),(b,a)}.  A subuniverse of A itself
+is a fixpoint read off the tables (`sg_closure`), with no closure in a power.
 
 Power tuples are stored as `bytes`, one byte per coordinate (so a domain
 has at most 256 elements), and the closure order is canonical:
@@ -105,7 +106,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .core import (Algebra, AlgebraError, OperationTable, UnionFind, _composed_values,
-                   argument_cells, cell_getter, check_budget, relabeling)
+                   argument_cells, cell_getter, check_budget, image_cells, relabeling)
 from .memo import per_algebra
 
 # The element ceiling of every closure `generate` runs: a guard on memory,
@@ -808,12 +809,25 @@ def _prefixes(coeffs, ints, size, fstart, nondecreasing, layout):
 
 
 def sg_closure(base: Algebra, subset) -> tuple:
-    """Sorted elements of the subuniverse Sg(subset) (power m = 1).
-
-    No budget: a closure in A^1 has at most n elements, and a cut-off one is
-    not a subuniverse."""
-    g = generate(base, 1, [(x,) for x in subset])
-    return tuple(sorted(e[0] for e in g.elements))
+    """Sorted elements of the subuniverse Sg(subset): the fixpoint of
+    S + f(S^k) over the operations f, each image f(S^k) read off f's table
+    through the cached value map `core.image_cells`.  No closure in a power
+    runs and there is no budget: the fixpoint is reached within n rounds.
+    An empty subset or an element outside the domain is an AlgebraError."""
+    subset = tuple(subset)
+    if not subset:
+        raise AlgebraError("no generators")
+    for x in subset:
+        if not 0 <= x < base.domain:
+            raise AlgebraError(f"generator entry {x} out of range")
+    closed = set(subset)
+    while True:
+        key = tuple(sorted(closed))
+        grown = closed.union(*(image_cells(base.domain, op.arity, key)(op.values)
+                               for op in base.operations))
+        if len(grown) == len(closed):
+            return key
+        closed = grown
 
 
 def term_closure(base: Algebra, k: int, cells, **budgets) -> GeneratedSet:

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 
@@ -25,6 +27,43 @@ from finalg.core import (
 )
 from finalg import catalog
 from finalg.subpower import clone_membership
+
+
+def test_operation_table_is_a_frozen_value():
+    t = OperationTable("f", 2, 2, (0, 1, 1, 0))
+    by_keyword = OperationTable(values=(0, 1, 1, 0), domain=2, arity=2, name="f")
+    assert t == by_keyword and hash(t) == hash(by_keyword)
+    assert t != OperationTable("g", 2, 2, (0, 1, 1, 0))
+    assert repr(t) == "OperationTable(name='f', arity=2, domain=2, values=(0, 1, 1, 0))"
+    assert [f.name for f in dataclasses.fields(t)] == ["name", "arity", "domain", "values"]
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and hash(copy) == hash(t)
+    renamed = dataclasses.replace(t, name="g")
+    assert (renamed.name, renamed.values) == ("g", t.values) and t.name == "f"
+    with pytest.raises(AlgebraError, match="value 2 out of range"):
+        dataclasses.replace(t, values=(0, 1, 1, 2))  # replace checks as construction does
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.values = (0, 0, 0, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del t.name
+
+
+@pytest.mark.parametrize("args, message", [
+    (("f", 0, 2, ()), "arity must be >= 1, got 0"),
+    (("f", 2, 0, ()), "domain must be >= 1, got 0"),
+    (("f", 2, 2, (0, 1, 1)), "operation f: expected 4 values, got 3"),
+    (("f", 1, 2, (0, 2)), "operation f: value 2 out of range"),
+    (("f", 1, 2, (-1, 0)), "operation f: value -1 out of range"),
+    (("f", 1, 300, tuple(range(299)) + (300,)), "operation f: value 300 out of range"),
+])
+def test_operation_table_checks_its_arguments(args, message):
+    with pytest.raises(AlgebraError) as exc:
+        OperationTable(*args)
+    assert str(exc.value) == message
+
+
+def test_operation_table_accepts_values_above_a_byte():
+    assert OperationTable("f", 1, 300, tuple(range(300))).values[-1] == 299
 
 
 def test_eval_t4n_meet(alg):

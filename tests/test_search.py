@@ -5,9 +5,10 @@ import random
 import re
 import tracemalloc
 import weakref
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from finalg.core import AlgebraError, OperationTable, ParseError
 from finalg.congruence import Partition
@@ -25,6 +26,7 @@ from finalg.search import (
     restriction,
     satisfies,
     search_ops,
+    solutions,
 )
 from finalg import catalog, search
 
@@ -221,6 +223,109 @@ def test_budgeted_search_streams_a_prefix_of_the_full_search(rnd, shape, cap):
             assert got == full[:cap] and res.truncated == (len(got) < len(full))
 
 
+def reference_walk(spec, budget, verdicts):
+    """A plain depth-first walk: the cells of one argument orbit (rotations
+    for Cyclic, all permutations for Symmetric) share a value, idempotence
+    and the pins fix their orbits, and the free orbits are tried one value
+    at a time in the order of their first cell, one step per value.  The
+    tables that satisfy every constraint, then None if a value was still to
+    try when `budget` steps were spent; (tables, steps of the whole walk).
+    `verdicts` keeps each table's verdict for the next walk of the spec."""
+    n, k = spec.domain, spec.arity
+    kinds = {type(c) for c in spec.constraints}
+    if Symmetric in kinds:
+        moves = list(itertools.permutations(range(k)))
+    elif Cyclic in kinds:
+        moves = [tuple((i + s) % k for i in range(k)) for s in range(k)]
+    else:
+        moves = [tuple(range(k))]
+    cells = list(itertools.product(range(n), repeat=k))
+    orbit = {}
+    for args in cells:
+        if args not in orbit:
+            group = len(set(orbit.values()))
+            for m in moves:
+                orbit[tuple(args[i] for i in m)] = group
+    value = [None] * len(set(orbit.values()))
+    pins = [((x,) * k, x) for x in range(n) if Idempotent in kinds]
+    pins += [item for c in spec.constraints if isinstance(c, AgreesOnTuples) for item in c.items]
+    for args, v in pins:
+        if value[orbit[args]] not in (None, v):
+            return [], 0
+        value[orbit[args]] = v
+    free = [o for o, v in enumerate(value) if v is None]
+    found, steps = [], 0
+
+    def walk(i):  # False once the budget stops the walk
+        nonlocal steps
+        if i == len(free):
+            values = tuple(value[orbit[args]] for args in cells)
+            if values not in verdicts:
+                table = OperationTable("f", k, n, values)
+                verdicts[values] = all(satisfies(table, c) for c in spec.constraints)
+            if verdicts[values]:
+                found.append(values)
+            return True
+        for v in range(n):
+            if steps == budget:
+                return False
+            steps += 1
+            value[free[i]] = v
+            if not walk(i + 1):
+                return False
+        return True
+
+    if not walk(0):
+        found.append(None)
+    return found, sum(n**i for i in range(1, len(free) + 1))
+
+
+@st.composite
+def block_specs(draw):
+    """Specs nothing propagates to: laws among idempotent, cyclic and
+    symmetric, and 0 to 2 cell pins."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    laws = draw(st.lists(st.sampled_from([Idempotent, Cyclic, Symmetric]), unique=True))
+    element = st.integers(0, n - 1)
+    pins = draw(st.lists(st.tuples(st.tuples(*[element] * k), element), max_size=2))
+    return SearchSpec(n, k, (*(law() for law in laws), *(AgreesOnTuples((p,)) for p in pins)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_specs(), st.sampled_from([1, 2, 9, search._BLOCK_LEAVES]))
+def test_block_walk_matches_a_plain_walk_at_every_budget(spec, block_leaves):
+    # the block's leaves, in order, and where a budget stops inside it or
+    # before it are those of the walk that tries one value per step; a
+    # smaller block size puts frames in front of the block
+    verdicts = {}
+    trials = reference_walk(spec, 0, verdicts)[1]  # stops before its first step
+    assume(trials <= 400)
+    full = reference_walk(spec, None, verdicts)[0]
+    with mock.patch.object(search, "_BLOCK_LEAVES", block_leaves):
+        assert list(solutions(spec)) == full
+        for budget in range(1, trials + 2):
+            want = reference_walk(spec, budget, verdicts)[0]
+            assert list(solutions(spec, budget)) == want, budget
+
+
+def test_relations_prune_at_the_step_that_decides_their_cells():
+    # every triple but (0, 1, 2): the pins of idempotence and the first
+    # orbits decided already leave the relation, so the walk stops long
+    # before the 9,840 steps of the unpruned walk
+    rel = tuple(t for t in itertools.product(range(3), repeat=3) if t != (0, 1, 2))
+    spec = SearchSpec(3, 3, (Idempotent(), Cyclic(), PreservesRelation(3, rel)))
+    assert count_ops(spec, max_steps=100) == (0, False)
+    assert list(solutions(spec, 100)) == []
+    # an orbit the permutation (1 2) decides is tested at the step that
+    # decided it: the walk ends after 9 steps (12 if only the orbit tried
+    # were tested)
+    spec = SearchSpec(3, 2, (Idempotent(), Symmetric(), CommutesWithPermutation((0, 2, 1)),
+                             PreservesRelation(2, ((0, 0), (2, 2)))))
+    assert count_ops(spec, max_steps=8) == (2, True)
+    assert count_ops(spec, max_steps=9) == (2, False)
+    assert [t.values for t in search_ops(spec).tables] == brute_force(spec)
+
+
 def test_search_leaves_no_reference_cycle():
     # with the collector off, the tables die with the last reference to them
     gc.disable()
@@ -314,6 +419,17 @@ def test_large_relation_check_holds_the_relation_alone():
         tracemalloc.stop()
     assert peak < 100_000
     assert not check((0,) * 5**4)  # (0, 0, 0) is not in the relation
+
+
+def test_a_relation_too_large_to_prune_on_stays_within_the_budget(monkeypatch):
+    # 120 tuples (60 twice) at arity 4: 207M combinations.  None is listed
+    # before the first step, so a small budget stops the search at once
+    rel = tuple(itertools.islice(
+        (t for t in itertools.product(range(5), repeat=3) if t != (0, 0, 0)), 60))
+    spec = SearchSpec(5, 4, (Idempotent(), Symmetric(), PreservesRelation(3, rel + rel)))
+    monkeypatch.setattr(search, "_relation_combos", None)  # a call would raise TypeError
+    assert count_ops(spec, max_steps=10) == (0, True)
+    assert count_ops(spec, max_steps=1000) == (0, True)
 
 
 def test_relation_walk_and_getter_agree(monkeypatch):

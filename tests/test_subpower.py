@@ -43,6 +43,28 @@ def test_generate_t47_pair(alg):
     assert t(3, 1) == 2 and t(3, 2) == 1 and t(1, 2) == 0
 
 
+def test_sg_closure_is_the_closure_in_the_first_power(entries):
+    # the fixpoint over value maps keeps exactly the elements the closure in A^1 reaches
+    for entry in entries.values():
+        a = entry.algebra
+        for size in (1, 2):
+            for subset in itertools.combinations(range(a.domain), size):
+                g = generate(a, 1, [(x,) for x in subset])
+                assert sg_closure(a, subset) == tuple(sorted(e[0] for e in g.elements))
+    succ = Algebra(4, [OperationTable("s", 1, 4, (1, 2, 3, 0))])
+    assert sg_closure(succ, (2,)) == (0, 1, 2, 3)  # one new element per round
+    assert sg_closure(Algebra(3, []), iter((2, 0, 2))) == (0, 2)
+
+
+def test_sg_closure_rejects_bad_generators(alg):
+    a = alg("T4N")
+    with pytest.raises(AlgebraError, match="^no generators$"):
+        sg_closure(a, ())
+    for bad in (4, -1, 300):
+        with pytest.raises(AlgebraError, match=f"^generator entry {bad} out of range$"):
+            sg_closure(a, (1, bad))
+
+
 def test_contains_generator(alg):
     g = generate(alg("T4N"), 1, [(1,), (2,)])
     assert g.contains((1,)) is True
