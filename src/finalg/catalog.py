@@ -33,7 +33,7 @@ from .core import (
 )
 from .congruence import Partition, all_congruences, quotient_algebra
 from .search import LAWS, AgreesOnTuples, Idempotent, SearchSpec, restriction, solutions
-from .memo import per_algebra
+from .memo import per_algebra, table_key
 from .subpower import free_algebra
 from .structure import all_subuniverses, decide_clone_membership, semilattice_edge
 
@@ -510,7 +510,11 @@ def invariant_fingerprint(alg: Algebra):
     (`_semilattice_edges`), so a semilattice test runs its own closure (in
     A^2, under no budget) only for a pair that a cut-short Clo_2 does not
     witness.  Every call returns the one stored, read-only mapping."""
-    f2 = free_algebra(alg, 2, max_steps=_FP_BUDGET)
+    return _fingerprint(alg, free_algebra(alg, 2, max_steps=_FP_BUDGET))
+
+
+def _fingerprint(alg: Algebra, f2):
+    """The fingerprint of `alg` whose Clo_2 is read off the closure `f2`."""
     return MappingProxyType({
         "subuniverses": frozenset(all_subuniverses(alg)),
         "congruences": frozenset(p.blocks for p in all_congruences(alg)),
@@ -576,6 +580,41 @@ def _fingerprint_shape(fp):
     }
 
 
+@per_algebra
+def cheap_shape(alg: Algebra) -> tuple:
+    """The sorted subuniverse sizes and the sorted block-size profiles of
+    the congruences: the first two entries of `_fingerprint_shape`, read
+    without Clo_2.  No relabeling and no term equivalence changes it."""
+    return (tuple(sorted(map(len, all_subuniverses(alg)))),
+            tuple(sorted(tuple(sorted(map(len, p.blocks))) for p in all_congruences(alg))))
+
+
+def _clo2_sizes_differ(a: Algebra, b: Algebra) -> bool:
+    """True when the two Clo_2s surely differ in size.  The side whose
+    fingerprint is stored (else a) gives its complete Clo_2; the other
+    side's closure is grown only until it holds one element more.  A stop
+    there, or a smaller complete closure, is a sound "differ"; a stop on
+    steps proves nothing, and neither does a first Clo_2 past its budget.
+    A complete closure of equal size is the other side's whole Clo_2, the
+    closure its fingerprint runs, so that fingerprint is stored from it."""
+    stored = [_fp_cache.get(table_key(x)) is not None for x in (a, b)]
+    if all(stored):
+        return False  # both fingerprints are compared whole
+    first, other = (b, a) if stored[1] else (a, b)
+    clo2 = invariant_fingerprint(first)["clo2"]
+    if clo2 is None or _fp_cache.get(table_key(other)) is not None:
+        return False  # the second: other has first's tables
+    count = itertools.count(1)
+    grown = free_algebra(other, 2, max_steps=_FP_BUDGET,
+                         stop_predicate=lambda e: next(count) > len(clo2))
+    if grown.truncated:
+        return grown.stop_reason == "predicate"
+    if len(grown) != len(clo2):
+        return True
+    _fp_cache.put(table_key(other), _fingerprint(other, grown))
+    return False
+
+
 def _fingerprints_differ(fa, fb):
     for key in fa:
         va, vb = fa[key], fb[key]
@@ -590,13 +629,21 @@ def equivalent_up_to_iso(a: Algebra, b: Algebra, max_steps=None):
     Returns (perm, conclusive): perm is None when no bijection works;
     conclusive=False when some candidate could not be settled within budget.
 
-    Fingerprints whose shapes differ (`_fingerprint_shape`) differ under
-    every bijection, so such a pair is answered before the scan; otherwise
-    each bijection whose transported fingerprint matches a's is tried.
+    The scan runs only if three stages, each cheaper than the next, find
+    nothing that no bijection changes and that differs.  First the cheap
+    shapes (`cheap_shape`: subuniverse sizes and congruence block profiles),
+    two memo reads.  Then the sizes of the Clo_2s (`_clo2_sizes_differ`):
+    algebras term-equivalent up to a relabeling have Clo_2s of one size, so
+    one side's complete Clo_2 bounds the other side's closure, which is
+    grown only one element past it.  Then the whole fingerprints' shapes
+    (`_fingerprint_shape`).  Otherwise each bijection whose transported
+    fingerprint matches a's is tried.
     """
     check_budget(max_steps)
     if a.domain != b.domain:
         raise AlgebraError("equivalent_up_to_iso requires equal domains")
+    if cheap_shape(a) != cheap_shape(b) or _clo2_sizes_differ(a, b):
+        return None, True
     fa = invariant_fingerprint(a)
     fb = invariant_fingerprint(b)
     if _fingerprints_differ(_fingerprint_shape(fa), _fingerprint_shape(fb)):

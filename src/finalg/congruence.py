@@ -6,6 +6,9 @@ has one text form, `{0,2}{1,3}`, read by `parse_blocks` and written by
 `format_blocks`.  Compatibility has one rule: with r(x) the least element
 of x's block, a partition is a congruence of a table f iff f(x) and
 f(r(x)) share a block for every cell x (blockwise-equal cells share r(x)).
+Congruence lattices are computed on label tuples, x labelled with r(x),
+from one table per algebra of the pairs each pair's basic translations
+reach (`translation_pairs`); `Partition`s are built for the results only.
 """
 
 from __future__ import annotations
@@ -171,29 +174,68 @@ def require_congruence(alg: Algebra, p: Partition):
         raise NotACongruenceError(f"not a congruence, violation: {violation}")
 
 
+@per_algebra
+def translation_pairs(alg: Algebra) -> tuple:
+    """For each pair u < v, at index u * n + v, the distinct pairs (p, q),
+    p < q, that the basic translations send {u, v} to, sorted; every other
+    index holds ().
+
+    A basic translation is a basic operation with one free argument and the
+    others frozen at constants; each is read once per element through
+    `core.translation_cells`.  Memoized by the operation tables
+    (`memo.per_algebra`): every call returns the one stored tuple."""
+    n = alg.domain
+    images = {(u, v): set() for u in range(n) for v in range(u + 1, n)}
+    for op in alg.operations:
+        for i in range(op.arity):
+            cols = [translation_cells(n, op.arity, i, x)(op.values) for x in range(n)]
+            for (u, v), found in images.items():
+                found.update((p, q) if p < q else (q, p)
+                             for p, q in zip(cols[u], cols[v]) if p != q)
+    return tuple(tuple(sorted(images.get((u, v), ()))) for u in range(n) for v in range(n))
+
+
+def _merge(label: list, p: int, q: int) -> bool:
+    """Joins the blocks of p and q in a label array (each element labelled
+    with the least element of its block); False if they were one block."""
+    lp, lq = label[p], label[q]
+    if lp == lq:
+        return False
+    if lp > lq:
+        lp, lq = lq, lp
+    for x in range(lq, len(label)):  # lq's block lies at lq and above
+        if label[x] == lq:
+            label[x] = lp
+    return True
+
+
+def _principal_labels(pairs: tuple, n: int, a: int, b: int) -> tuple:
+    """The label tuple of Cg(a, b): a worklist over the pair table."""
+    label = list(range(n))
+    work = [(min(a, b), max(a, b))] if _merge(label, a, b) else []
+    while work:
+        u, v = work.pop()
+        for p, q in pairs[u * n + v]:
+            if _merge(label, p, q):
+                work.append((p, q))
+    return tuple(label)
+
+
 def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
     """Smallest congruence identifying a and b.
 
-    Worklist closure (Freese, "Computing congruences efficiently", 2008):
-    each newly merged pair (u, v) is pushed through every basic operation
-    with one free coordinate and all others frozen at constants.  The cells
-    with u and with v in coordinate i are two reads of the table
-    (`core.translation_cells`), zipped pairwise into the union-find, which
-    supplies the reflexive-symmetric-transitive closure.
+    Worklist closure (Freese, "Computing congruences efficiently", 2008)
+    over the algebra's pair table (`translation_pairs`): each newly merged
+    pair (u, v) is replaced by the pairs its basic translations send it to,
+    and each of those whose blocks differ is merged and pushed.  The blocks
+    are a label array, each element labelled with its block's least
+    element; merging relabels the block with the larger label.  The
+    equivalence the pushed pairs generate is the result, and it is closed
+    under every basic translation since each pushed pair's images are in it.
     """
     alg.check_elements(a, b)
     n = alg.domain
-    uf = UnionFind(n)
-    work = [(a, b)] if uf.union(a, b) else []
-    while work:
-        u, v = work.pop()
-        for op in alg.operations:
-            for i in range(op.arity):
-                for pu, pv in zip(translation_cells(n, op.arity, i, u)(op.values),
-                                  translation_cells(n, op.arity, i, v)(op.values)):
-                    if uf.union(pu, pv):
-                        work.append((pu, pv))
-    return Partition(n, uf.blocks())
+    return Partition.from_representatives(n, _principal_labels(translation_pairs(alg), n, a, b))
 
 
 @per_algebra
@@ -202,27 +244,36 @@ def all_congruences(alg: Algebra) -> tuple:
 
     Computed as the join closure of the principal congruences; sound and
     complete for finite algebras since every congruence is a join of
-    principal ones.  Memoized by the operation tables
-    (`memo.per_algebra`): every call returns the one stored tuple.
+    principal ones.  The closure works on label tuples (x labelled with the
+    least element of its block): q refines p iff p[q[x]] = p[x] for every
+    x, one read that skips a join equal to p, and a join merges each x with
+    q[x] in a copy of p's labels.  `Partition`s are built for the result
+    only.  Memoized by the operation tables (`memo.per_algebra`): every call
+    returns the one stored tuple.
     """
     n = alg.domain
-    found = {Partition.identity(n)}
-    principals = set()
-    for a in range(n):
-        for b in range(a + 1, n):
-            principals.add(principal_congruence(alg, a, b))
-    found |= principals
+    pairs = translation_pairs(alg)
+    principals = {_principal_labels(pairs, n, a, b)
+                  for a in range(n) for b in range(a + 1, n)}
+    found = {tuple(range(n))} | principals
     frontier = set(found)
     while frontier:
         new = set()
         for p in frontier:
             for q in principals:
-                j = p.join(q)
+                if tuple(map(p.__getitem__, q)) == p:  # q refines p: the join is p
+                    continue
+                label = list(p)
+                for x, r in enumerate(q):
+                    if r != x:
+                        _merge(label, x, r)
+                j = tuple(label)
                 if j not in found:
                     new.add(j)
         found |= new
         frontier = new
-    return tuple(sorted(found, key=lambda p: (alg.domain - len(p.blocks), str(p))))
+    return tuple(sorted((Partition.from_representatives(n, label) for label in found),
+                        key=lambda p: (n - len(p.blocks), str(p))))
 
 
 def maximal_congruences(alg: Algebra):

@@ -138,18 +138,19 @@ def compose(outer: OperationTable, inners) -> OperationTable:
     for g in inners:
         if g.arity != l or g.domain != n:
             raise AlgebraError("compose: inner operations must share arity and domain")
-    return OperationTable(outer.name, l, n, _composed_values(outer, [g.values for g in inners]))
+    return OperationTable(outer.name, l, n, _composed_values(outer.values, n,
+                                                             [g.values for g in inners]))
 
 
-def _composed_values(outer: OperationTable, columns) -> tuple:
-    """outer(c1[j], ..., ck[j]) for each j, from one column of elements per
-    argument, all of one length: the row-major index of each argument
-    tuple, one column at a time (no range checks)."""
-    n = outer.domain
+def _composed_values(values, n: int, columns) -> tuple:
+    """values[c1[j], ..., ck[j]] for each j, the table `values` of a k-ary
+    operation on n elements read at one column of elements per argument,
+    all of one length: the row-major index of each argument tuple, one
+    column at a time (no range checks)."""
     index = columns[0]
     for column in columns[1:]:
         index = [i * n + v for i, v in zip(index, column)]
-    return tuple(map(outer.values.__getitem__, index))
+    return tuple(map(values.__getitem__, index))
 
 
 def cell_getter(indices):

@@ -29,8 +29,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import (Algebra, AlgebraError, OperationTable, UnionFind, compose, is_closed,
-                   is_malcev, projection, relabeling, restrict)
+from .core import (Algebra, AlgebraError, OperationTable, UnionFind, _composed_values,
+                   is_closed, is_malcev, relabeling, restrict)
 from .congruence import (
     all_congruences,
     format_blocks,
@@ -53,6 +53,7 @@ from .subpower import (
     sg_closure,
     substitute,
     term_closure,
+    term_values,
 )
 
 
@@ -563,24 +564,27 @@ def compose_malcev_term(alg: Algebra, max_steps=None):
     held, so a pair once met stays met.  Likewise s starts as z and, for
     each pair (a, b) in turn with f = s(a,b,b) not a, becomes
     w(x, s(x,y,y), s(x,y,z)), which keeps s(e,e,d) = d and every
-    s(x,y,y) = x that held.  So at most n^2 (n-1)^2 local closures run.  The
-    tables follow the terms through `compose`, and the term is returned only
-    if `eval_term_table` replays it as a Mal'cev operation.
+    s(x,y,y) = x that held.  So at most n^2 (n-1)^2 local closures run.
+    Each term is followed as its column of values over one list of the n^3
+    cells (`core._composed_values`; the projections are the cells' own
+    columns), and the term is returned only if `eval_term_table` replays it
+    as a Mal'cev operation.
     """
     if not alg.is_idempotent():
         raise NotIdempotentError("compose_malcev_term requires an idempotent algebra")
     n = alg.domain
     x, y, z = (TermTree.variable(i) for i in range(3))
-    px, py, pz = (projection(3, i, n) for i in range(3))
+    cells = list(itertools.product(range(n), repeat=3))
+    px, py, pz = zip(*cells)
     pairs = list(itertools.product(range(n), repeat=2))
-    local = {}  # (a, f, e, d) -> w and its table
-    t, t_table = x, px
+    local = {}  # (a, f, e, d) -> w and its column
+    t, t_col = x, px
     for c, d in pairs:
-        if (e := t_table(c, c, d)) == d:
+        if (e := t_col[(c * n + c) * n + d]) == d:
             continue
-        s, s_table = z, pz
+        s, s_col = z, pz
         for a, b in pairs:
-            if (f := s_table(a, b, b)) == a:
+            if (f := s_col[(a * n + b) * n + b]) == a:
                 continue
             if (a, f, e, d) not in local:
                 closure = term_closure(alg, 3, [(a, f, f), (e, e, d)], targets=[(a, d)],
@@ -588,12 +592,14 @@ def compose_malcev_term(alg: Algebra, max_steps=None):
                 if not closure.contains((a, d)):
                     return None if closure.truncated else (a, f, e, d)
                 w = closure.witness_term((a, d))
-                local[a, f, e, d] = w, eval_term_table(w, alg, 3)
-            w, w_table = local[a, f, e, d]
-            s, s_table = (substitute(w, (x, substitute(s, (x, y, y)), s)),
-                          compose(w_table, (px, compose(s_table, (px, py, py)), s_table)))
-        t, t_table = (substitute(s, (t, substitute(t, (y, y, z)), z)),
-                      compose(s_table, (t_table, compose(t_table, (py, py, pz)), pz)))
+                local[a, f, e, d] = w, term_values(w, alg, cells)
+            w, w_col = local[a, f, e, d]
+            s, s_col = (substitute(w, (x, substitute(s, (x, y, y)), s)),
+                        _composed_values(w_col, n, (px, _composed_values(s_col, n, (px, py, py)),
+                                                    s_col)))
+        t, t_col = (substitute(s, (t, substitute(t, (y, y, z)), z)),
+                    _composed_values(s_col, n, (t_col, _composed_values(t_col, n, (py, py, pz)),
+                                                pz)))
     return t if is_malcev(eval_term_table(t, alg, 3)) else None
 
 

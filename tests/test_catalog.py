@@ -280,6 +280,54 @@ def test_the_shape_screen_keeps_every_answer(entries):
     # relabeling are found
     assert len(pairs) == 469 + 47
     assert rejected == 451 and found == 1 + 47
+    # the Clo_2 sizes stage grows b's closure against a's Clo_2 when neither
+    # fingerprint is stored: T4,16 and T4,18, the one pair that only the
+    # Clo_2 sizes separate, in both argument orders (T4,16's closure
+    # completes below T4,18's 72 elements; T4,18's stops at 17)
+    t416, t418 = catalog.get("T4,16").algebra, catalog.get("T4,18").algebra
+    for a, b in ((t418, t416), (t416, t418)):
+        catalog._fp_cache.clear()
+        assert catalog.equivalent_up_to_iso(a, b, max_steps=_ISO_STEPS) == \
+            full_transport_screen(a, b, max_steps=_ISO_STEPS) == (None, True)
+
+
+# each relabeled control (the last bijection in lex order that changes the
+# tables) and the bijection the scan finds for it
+_ISO_CONTROLS = {"T1N": (2, 1, 0), "T3N": (2, 1, 0), "T1C": (2, 1, 0), "T2N": (2, 1, 0),
+                 "T4,3": (3, 2, 1, 0), "T4,9": (0, 1, 3, 2), "T4,13": (0, 1, 2, 3),
+                 "T4,15": (3, 1, 2, 0)}
+
+
+def test_the_isomorphism_screen_keeps_its_work(monkeypatch):
+    # criterion 5's 429 pairs from an empty fingerprint store, then the
+    # relabeled controls: no pair is equivalent or inconclusive, T4,18's
+    # Clo_2 is only ever grown one element past T4,16's, and 29 fingerprints
+    # are computed for the pairs (40 with the controls)
+    names = catalog.names()
+    t418 = catalog.get("T4,18").algebra
+    unbounded = []
+    free = catalog.free_algebra
+
+    def spy(alg, k, **kw):
+        if alg.operations == t418.operations and "stop_predicate" not in kw:
+            unbounded.append(kw)
+        return free(alg, k, **kw)
+
+    monkeypatch.setattr(catalog, "free_algebra", spy)
+    catalog._fp_cache.clear()
+    for family in (names[3:27], names[27:45]):
+        for a, b in itertools.combinations(family, 2):
+            got = catalog.equivalent_up_to_iso(catalog.get(a).algebra, catalog.get(b).algebra,
+                                               max_steps=_ISO_STEPS)
+            assert got == (None, True), (a, b, got)
+    assert unbounded == [] and len(catalog._fp_cache) == 29
+    for name, found in _ISO_CONTROLS.items():
+        a = catalog.get(name).algebra
+        perm = max(p for p in itertools.permutations(range(a.domain))
+                   if catalog.transport(a, p).operations != a.operations)
+        got = catalog.equivalent_up_to_iso(a, catalog.transport(a, perm), max_steps=_ISO_STEPS)
+        assert got == (found, True), name
+    assert len(catalog._fp_cache) == 40
 
 
 def test_the_shape_is_the_same_after_any_relabeling(entries):

@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finalg.core import AlgebraError
+from finalg.core import Algebra, AlgebraError, OperationTable, UnionFind, translation_cells
 from finalg.congruence import (
     NotACongruenceError,
     Partition,
@@ -15,8 +17,9 @@ from finalg.congruence import (
     principal_congruence,
     quotient_algebra,
     simplicity_witness,
+    translation_pairs,
 )
-from finalg import catalog
+from finalg import catalog, structure
 
 
 def test_partition_canonical_form():
@@ -242,3 +245,96 @@ def test_all_congruences_memo_returns_the_stored_tuple(alg):
     first = all_congruences(a)
     assert type(first) is tuple and all_congruences(a) is first
     assert first == all_congruences.__wrapped__(a)
+
+
+# ---------------------------------------------------------------------------
+# the lattice against a union-find reference: the principal congruence as a
+# worklist over translation cells merged one cell at a time, and the lattice
+# as the join closure of the principal congruences through `Partition.join`
+
+
+def reference_principal(alg, a, b):
+    n = alg.domain
+    uf = UnionFind(n)
+    work = [(a, b)] if uf.union(a, b) else []
+    while work:
+        u, v = work.pop()
+        for op in alg.operations:
+            for i in range(op.arity):
+                for pu, pv in zip(translation_cells(n, op.arity, i, u)(op.values),
+                                  translation_cells(n, op.arity, i, v)(op.values)):
+                    if uf.union(pu, pv):
+                        work.append((pu, pv))
+    return Partition(n, uf.blocks())
+
+
+def reference_lattice(alg):
+    n = alg.domain
+    principals = {reference_principal(alg, a, b) for a in range(n) for b in range(a + 1, n)}
+    found = {Partition.identity(n)} | principals
+    frontier = set(found)
+    while frontier:
+        new = {p.join(q) for p in frontier for q in principals} - found
+        found |= new
+        frontier = new
+    return tuple(sorted(found, key=lambda p: (n - len(p.blocks), str(p))))
+
+
+def assert_lattice_matches_the_reference(alg):
+    n = alg.domain
+    for a in range(n):
+        for b in range(n):
+            assert principal_congruence(alg, a, b) == reference_principal(alg, a, b), (a, b)
+    assert all_congruences.__wrapped__(alg) == reference_lattice(alg)
+
+
+@st.composite
+def small_algebras(draw):
+    """1-6 elements, 1-2 operations of arity 1-3, each table random or
+    idempotent (a value drawn for every cell off the diagonal)."""
+    n = draw(st.integers(1, 6))
+    ops = []
+    for i in range(draw(st.integers(1, 2))):
+        arity = draw(st.integers(1, 3))
+        idempotent = draw(st.booleans())
+        vals = tuple(args[0] if idempotent and len(set(args)) == 1 else draw(st.integers(0, n - 1))
+                     for args in itertools.product(range(n), repeat=arity))
+        ops.append(OperationTable(f"f{i}", arity, n, vals))
+    return Algebra(n, tuple(ops))
+
+
+@given(small_algebras())
+@settings(max_examples=150, deadline=None)
+def test_the_lattice_matches_the_union_find_reference(a):
+    assert_lattice_matches_the_reference(a)
+
+
+def test_every_entry_subalgebra_and_quotient_matches_the_reference(entries):
+    seen = set()
+    for entry in entries.values():
+        a = entry.algebra
+        related = [a] + [a.restrict(s) for s in structure.all_subuniverses(a)]
+        related += [quotient_algebra(a, p)[0] for p in all_congruences(a)]
+        for b in related:
+            key = (b.domain, tuple(op.values for op in b.operations))
+            if key not in seen:
+                seen.add(key)
+                assert_lattice_matches_the_reference(b)
+    assert len(seen) == 60  # distinct tables among the 47 entries and their relatives
+
+
+def test_translation_pairs_hold_each_pair_s_images(alg):
+    # T4,10: the pair table lists, for u < v, the pairs (p, q), p < q, that a
+    # basic translation sends {u, v} to; any other index holds ()
+    a = alg("T4,10")
+    n, op = a.domain, a.operations[0]
+    pairs = translation_pairs(a)
+    assert len(pairs) == n * n
+    for u, v in itertools.product(range(n), repeat=2):
+        want = set()
+        if u < v:
+            for i in range(op.arity):
+                want |= {tuple(sorted(pq)) for pq in zip(
+                    translation_cells(n, op.arity, i, u)(op.values),
+                    translation_cells(n, op.arity, i, v)(op.values)) if pq[0] != pq[1]}
+        assert pairs[u * n + v] == tuple(sorted(want)), (u, v)

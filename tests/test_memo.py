@@ -11,7 +11,9 @@ from finalg.memo import INVARIANT_LIMIT, Memo, per_algebra
 INVARIANTS = (
     (structure, "all_subuniverses"),
     (congruence, "all_congruences"),
+    (congruence, "translation_pairs"),
     (catalog, "invariant_fingerprint"),
+    (catalog, "cheap_shape"),
 )
 
 
