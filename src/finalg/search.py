@@ -21,7 +21,9 @@ through the combinations of its tuples that read an orbit the step
 decided, directly or by propagation (indexed by orbit once per search).
 If one relation has more than _RELATION_COMBOS combinations, none is
 pruned on: the leaf checks alone test them, and no walk over a
-relation's combinations runs outside the budget.
+relation's combinations runs outside the budget.  Such a relation's leaf
+walk tries its combinations one at a time, each a step, and the leaves
+then come through the frames alone (no block).
 
 The block.  When the spec has no invariant partition, no commuting
 permutation and no relation pruned on, nothing propagates: the undecided
@@ -157,9 +159,37 @@ def _symmetric(c, n, k):
 # A relation of at most this many k-tuple combinations is pruned on as cells
 # are decided, and its leaf check reads the cells of all the combinations
 # through one getter (at most this many times r indices).  A larger one is
-# checked one combination at a time, stopping at the first that fails, so
-# its check holds the relation alone.
+# checked one combination at a time (`_RelationWalk`), stopping at the first
+# that fails, so its check holds the relation alone.
 _RELATION_COMBOS = 20000
+
+
+class _RelationWalk:
+    """The check of a relation of more than _RELATION_COMBOS combinations:
+    its combinations one at a time, in `itertools.product` order, up to the
+    first whose columns the table maps outside the relation.  `solutions`
+    counts each combination tried as a step."""
+
+    __slots__ = ("tuples", "rel", "n", "k")
+
+    def __init__(self, tuples, n, k):
+        self.tuples, self.rel, self.n, self.k = tuples, set(tuples), n, k
+
+    def __call__(self, values) -> bool:
+        return self.walk(values)[0]
+
+    def walk(self, values, budget=None):
+        """(holds, combinations tried); holds is None when `budget`
+        combinations were tried and more are left."""
+        tried = 0
+        for combo in itertools.product(self.tuples, repeat=self.k):
+            if tried == budget:
+                return None, tried
+            tried += 1
+            if tuple(values[cell_index(column, self.n)] for column in zip(*combo)) \
+                    not in self.rel:
+                return False, tried
+        return True, tried
 
 
 def _preserves_relation(c, n, k):
@@ -167,14 +197,9 @@ def _preserves_relation(c, n, k):
         if len(t) != c.arity or not all(0 <= x < n for x in t):
             raise AlgebraError(f"relation tuple {t} malformed")
     tuples, r = tuple(dict.fromkeys(c.tuples)), c.arity
-    rel = set(tuples)
     if len(tuples) ** k > _RELATION_COMBOS:
-        def walk(values):
-            for combo in itertools.product(tuples, repeat=k):
-                if tuple(values[cell_index(column, n)] for column in zip(*combo)) not in rel:
-                    return False
-            return True
-        return walk
+        return _RelationWalk(tuples, n, k)
+    rel = set(tuples)
     # per combination of k tuples, the r cells its columns name, each a
     # reference to one shared int per cell
     cell = list(range(n**k))
@@ -346,8 +371,11 @@ def solutions(spec: SearchSpec, max_steps=None):
     forced = _forced_cells(spec)
     if forced is None:
         return
-    # the full check of every constraint, run at each leaf
+    # the full check of every constraint, run at each leaf; a large
+    # relation's walk runs last, each combination it tries a step
     checks = [_check(c, n, k) for c in spec.constraints]
+    walks = [check for check in checks if isinstance(check, _RelationWalk)]
+    checks = [check for check in checks if not isinstance(check, _RelationWalk)]
     partitions, perms, relations = _propagators(spec)
 
     orbit_val = [-1] * len(orbits)
@@ -409,11 +437,11 @@ def solutions(spec: SearchSpec, max_steps=None):
         return
 
     # The last j undecided orbits form the block when nothing propagates to
-    # them or prunes on them.  Otherwise j is 0: the block's one combination
-    # is empty and the frames reach every leaf.
+    # them or prunes on them, and no leaf walk spends steps.  Otherwise j is
+    # 0: the block's one combination is empty and the frames reach every leaf.
     free = [o for o, v in enumerate(orbit_val) if v == -1]
     j = 0
-    if not (partitions or perms or prune):
+    if not (partitions or perms or prune or walks):
         while j < len(free) and n ** (j + 1) <= _BLOCK_LEAVES:
             j += 1
     block = free[len(free) - j:]
@@ -442,7 +470,17 @@ def solutions(spec: SearchSpec, max_steps=None):
                     if not check(vals):
                         break
                 else:
-                    yield vals
+                    for walk in walks:  # j is 0 here, so `steps` is the leaf's
+                        holds, tried = walk.walk(
+                            vals, None if max_steps is None else max_steps - steps)
+                        steps += tried
+                        if holds is None:
+                            yield None
+                            return
+                        if not holds:
+                            break
+                    else:
+                        yield vals
             if reach < len(leaves):
                 yield None
                 return

@@ -93,7 +93,10 @@ needs them.  The kernel counts the applications it makes, per completed
 row, the same way for every operation (`GeneratedSet.applications`); the
 step budget (`max_steps`) reads that count.  No closure is kept between
 calls; a caller that needs several answers from one closure reads them off
-it (see `structure.edge_records`).
+it (see `structure.edge_records`).  The kernel (`_kernel`) is a generator
+that yields at each stop: inside one `decide_term` call, a probe stopped on
+steps stays paused at its row end, and the global closure goes on from there
+instead of repeating the probe's steps.
 """
 
 from __future__ import annotations
@@ -124,9 +127,15 @@ MAX_BYTES = 1 << 27
 MAX_CELLS = 65_536
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TermTree:
-    """Term over an algebra's basic operations; leaves are variable indices."""
+    """Term over an algebra's basic operations; leaves are variable indices.
+
+    Terms are equal when they spell the same tree, however their subterms
+    are shared, and equal terms hash alike.  Both visit each distinct node
+    once (`_distinct_nodes`), so a shared term costs time linear in its
+    nodes, not in its tree.  The generated `__repr__` still writes the
+    tree out."""
 
     op: str | None  # operation name, None for a variable leaf
     children: tuple = ()
@@ -142,6 +151,28 @@ class TermTree:
 
     def is_variable(self) -> bool:
         return self.op is None
+
+    def __eq__(self, other):
+        if not isinstance(other, TermTree):
+            return NotImplemented
+        shapes = {}  # (op, var, child shape numbers) -> number, over both terms
+        return self is other or _shape(self, shapes) == _shape(other, shapes)
+
+    def __hash__(self):
+        got = {}  # id(node) -> its hash
+        for t in _distinct_nodes(self):
+            got[id(t)] = hash((t.op, t.var, tuple(got[id(c)] for c in t.children)))
+        return got[id(self)]
+
+
+def _shape(tree: TermTree, shapes: dict) -> int:
+    """The number `shapes` gives the tree `tree` spells: one per distinct
+    (op, var, children's numbers), assigned as met."""
+    got = {}  # id(node) -> its number
+    for t in _distinct_nodes(tree):
+        key = (t.op, t.var, tuple(got[id(c)] for c in t.children))
+        got[id(t)] = shapes.setdefault(key, len(shapes))
+    return got[id(tree)]
 
 
 def render_term(tree: TermTree, names) -> str:
@@ -317,6 +348,7 @@ def generate(
     targets=None,
     stop_predicate=None,
     max_steps: int | None = None,
+    _resume: list | None = None,
 ) -> GeneratedSet:
     """Deterministic BFS closure of generator tuples in the power A^m.
 
@@ -333,14 +365,28 @@ def generate(
     bytes of elements (an exponent-0 closure at MAX_ELEMENTS), with reason
     "cap".
     Each call runs its own closure: nothing is kept between calls, so the
-    answer never depends on what ran earlier in the process.
+    answer never depends on what ran earlier in the process.  The one
+    exception is private to `decide_term`, which passes `_resume`, a list
+    it owns: a closure that stops on steps leaves its paused kernel there,
+    and the next call with that list continues it under its own (larger)
+    `max_steps` instead of starting over, with the same arguments.  The
+    closure order does not depend on the budget, so the continued closure
+    is the fresh one at that budget.  No kernel is kept on a GeneratedSet.
     """
     check_budget(max_steps)
-    gen_list = _generator_bytes(base, m, generators)
-    if targets is not None:
-        targets = [_checked_bytes(t, base.domain, "target") for t in targets]
-    cap = min(MAX_ELEMENTS, MAX_BYTES // m) if m else MAX_ELEMENTS
-    return _closure(base, m, gen_list, cap, _stop_test(targets, stop_predicate), max_steps)
+    if _resume:
+        kernel = _resume.pop()
+        gset = kernel.send(max_steps)
+    else:
+        gen_list = _generator_bytes(base, m, generators)
+        if targets is not None:
+            targets = [_checked_bytes(t, base.domain, "target") for t in targets]
+        cap = min(MAX_ELEMENTS, MAX_BYTES // m) if m else MAX_ELEMENTS
+        gset = _closure(base, m, gen_list, cap, _stop_test(targets, stop_predicate), max_steps)
+        kernel = vars(gset).pop("_paused", None)
+    if _resume is not None and gset.stop_reason == "steps":
+        _resume.append(kernel)
+    return gset
 
 
 def _generator_bytes(base: Algebra, m: int, generators) -> list:
@@ -404,9 +450,22 @@ def _orbit_kind(n: int, k: int, values: tuple):
 
 
 def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
-    """The breadth-first closure itself; see `generate`.  At most
-    `cap` elements are kept: the stop reason is "cap" once a further one
-    turns up."""
+    """The breadth-first closure itself, to its first stop; see `generate`
+    and `_kernel`.  One that stops on steps carries its paused kernel as
+    `_paused`, which `generate` takes off before it returns."""
+    kernel = _kernel(base, m, gen_list, cap, stop_for, max_steps)
+    gset = next(kernel)
+    if gset.stop_reason == "steps":
+        gset._paused = kernel
+    return gset
+
+
+def _kernel(base, m, gen_list, cap, stop_for, max_steps):
+    """The closure as a generator that yields its GeneratedSet at each
+    stop.  At most `cap` elements are kept: the stop reason is "cap" once a
+    further one turns up.  A stop on steps falls at a row end, where the
+    witnesses are made to name indices as at a round end; sent a budget no
+    smaller (or None), the kernel goes on from that row end."""
     gset = GeneratedSet(base=base, exponent=m, generators=list(gen_list))
     elements = gset.elements
     position = gset.position
@@ -446,9 +505,11 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
     switched = False
 
     applications = 0
+    limit = math.inf if max_steps is None else max_steps
     fstart = 0
     while fstart < len(elements) and not stop:
         size = len(elements)
+        named = size  # the witnesses from here on name positions in the layout
         gset.rounds += 1
         if layout is None:
             walked, walked_ints = keys, ints
@@ -502,17 +563,18 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
                 if stop:
                     break
                 applications += width
-                if max_steps is not None and applications >= max_steps:
-                    stop = "steps"
-                    break
+                while applications >= limit:  # a stop on steps, paused at this row end
+                    if layout is not None:
+                        named = layout.name_indices(witnesses, named, len(elements))
+                    gset.applications = applications
+                    gset.truncated, gset.stop_reason = True, "steps"
+                    budget = yield gset
+                    limit = math.inf if budget is None else budget
+                    gset.truncated, gset.stop_reason = False, None
         new = len(elements)
         fstart = size
         if layout is not None:
-            # the rows named positions in the layout; the witnesses name indices
-            order = layout.order
-            for i in range(size, new):
-                op_i, args = witnesses[i]
-                witnesses[i] = op_i, tuple(map(order.__getitem__, args))
+            layout.name_indices(witnesses, named, new)
         if not switched and new >= _ORBIT_MIN and new > size and not stop:
             # the walked keys or their order change from the next round on
             switched = True
@@ -548,15 +610,15 @@ def _closure(base, m, gen_list, cap, stop_for, max_steps) -> GeneratedSet:
                 orbits.append((i, [position[img] for img in images]))
             if not stop:
                 if layout is None:  # the walk starts over in the layout's order
-                    layout = _OrbitLayout()
-                layout.extend(orbits, size, elements, ints, position, var_maps)
+                    layout = _OrbitLayout(var_maps, m)
+                layout.extend(orbits, size, ints)
                 fstart = layout.fstart
 
     gset.applications = applications
     if stop:
         gset.truncated = True
         gset.stop_reason = stop
-    return gset
+    yield gset
 
 
 class _OrbitLayout:
@@ -570,15 +632,21 @@ class _OrbitLayout:
     position (`down`; within an orbit, positions follow indices) and, at a
     representative, the mask of the maps that fix it (`stabs`, else 0).
     `firsts` lists the representatives' positions; the frontier is the
-    suffix from `fstart`."""
+    suffix from `fstart`.  `after[t][s]` is the index of map s after map t
+    (-1 for the identity), read once off the maps' images of range(m), so
+    a member's `down` mask comes from its representative's image indices
+    alone."""
 
-    __slots__ = ("order", "ints", "down", "stabs", "firsts", "fstart")
+    __slots__ = ("order", "ints", "down", "stabs", "firsts", "fstart", "after")
 
-    def __init__(self):
+    def __init__(self, var_maps, m: int):
         self.order, self.ints, self.down, self.stabs, self.firsts = [], [], [], [], []
         self.fstart = 0
+        images = [perm(range(m)) for perm in var_maps]
+        index = {image: s for s, image in enumerate(images)}
+        self.after = [[index.get(perm(image), -1) for perm in var_maps] for image in images]
 
-    def extend(self, orbits, size, elements, ints, position, var_maps):
+    def extend(self, orbits, size, ints):
         """Appends the orbits met at a round end: (representative, image
         index per map), in the order met.  Those with every element below
         `size` (there are such only when the walk switches on) go first, so
@@ -594,10 +662,20 @@ class _OrbitLayout:
             stab = sum(1 << s for s, j in enumerate(images) if j == r)
             self.stabs.extend([stab] + [0] * (len(members) - 1))
             self.down.append(0)
+            at = images + [r]  # the image index of each map, the identity's (-1) last
             for j in members[1:]:
-                e = elements[j]
-                self.down.append(sum(1 << s for s, perm in enumerate(var_maps)
-                                     if position[bytes(perm(e))] < j))
+                # j is t.r: map s sends it to (s after t).r
+                after = self.after[images.index(j)]
+                self.down.append(sum(1 << s for s, u in enumerate(after) if at[u] < j))
+
+    def name_indices(self, witnesses, lo: int, hi: int) -> int:
+        """Rewrites the links of witnesses lo..hi-1, which the rows wrote as
+        positions in the layout, as element indices; returns hi."""
+        order = self.order
+        for i in range(lo, hi):
+            op_i, args = witnesses[i]
+            witnesses[i] = op_i, tuple(map(order.__getitem__, args))
+        return hi
 
 
 # Rows of 1-byte lanes shorter than this are evaluated one element at a time:
@@ -797,32 +875,41 @@ def _prefix_rows(coeffs, ints, size, fstart, orbit, layout):
     representatives only, and a second index y after a representative r
     fixed by some maps H is skipped unless y comes first among its images
     under H: h(r, y, z) = (r, hy, hz) gives h.op(r, y, z), which joins as an
-    image."""
-    rows = _prefixes(coeffs, ints, size, fstart, orbit is not None, layout)
-    if orbit == "symmetric":
-        return ((p, acc, max(p[-1], lo)) for p, acc, lo in rows)
-    if orbit == "cyclic":
-        return ((p, acc, max(p[0] + (p[1] > p[0]), lo)) for p, acc, lo in rows)
-    return rows
+    image.
 
-
-def _prefixes(coeffs, ints, size, fstart, nondecreasing, layout):
-    """(prefix, lane sum, lo) for the prefixes of `_prefix_rows`; lo is 0 if
-    the prefix uses the frontier, else fstart."""
+    One walk, without recursion: a stack of the shorter prefixes still to
+    extend, the next on top, each with its lane sum and lo (0 if it uses
+    the frontier, else fstart); a prefix one short of k-1 gives its rows in
+    a loop of its own."""
     if not coeffs:
         yield (), 0, fstart
         return
-    c = coeffs[-1]
-    for prefix, acc, lo in _prefixes(coeffs[:-1], ints, size, fstart, nondecreasing, layout):
-        if not prefix:
+    last = len(coeffs) - 1
+    stack = [((), 0, fstart)]
+    while stack:
+        prefix, acc, lo = stack.pop()
+        depth = len(prefix)
+        if not depth:
             indices = range(size) if layout is None else layout.firsts
         else:
-            indices = range(prefix[-1] if nondecreasing else 0, size)
-            if layout is not None and len(prefix) == 1 and (stab := layout.stabs[prefix[0]]):
+            indices = range(prefix[-1] if orbit else 0, size)
+            if depth == 1 and layout is not None and (stab := layout.stabs[prefix[0]]):
                 down = layout.down
                 indices = [y for y in indices if not down[y] & stab]
-        for i in indices:
-            yield prefix + (i,), acc + c * ints[i], lo if i < fstart else 0
+        c = coeffs[depth]
+        if depth < last:
+            stack.extend((prefix + (i,), acc + c * ints[i], lo if i < fstart else 0)
+                         for i in reversed(indices))
+        elif orbit == "symmetric":  # rows from the prefix's last index on
+            for i in indices:
+                yield prefix + (i,), acc + c * ints[i], i if i > lo else lo
+        elif orbit == "cyclic":  # a prefix (p, i) inside [0, fstart) starts at fstart
+            p = prefix[0]
+            for i in indices:
+                yield prefix + (i,), acc + c * ints[i], fstart if i < fstart else p + (i > p)
+        else:
+            for i in indices:
+                yield prefix + (i,), acc + c * ints[i], lo if i < fstart else 0
 
 
 def sg_closure(base: Algebra, subset) -> tuple:
@@ -895,7 +982,7 @@ def clone_membership(base: Algebra, op: OperationTable, max_steps=None):
 # steps to finish, and six do not finish within 150,000.  So a probe of
 # 1,000 steps keeps the cost of a "yes" and of a cheap "no", and a costly
 # "no" goes to the local test.  (A Mal'cev term of an idempotent algebra is
-# composed before any probe runs: in the global closure T4,17's needs 8,001
+# composed before any probe runs: in the global closure T4,17's needs 8,445
 # steps and T4,18's more than 150,000.)
 PROBE_STEPS = 1_000
 
@@ -939,12 +1026,18 @@ def decide_term(base: Algebra, k: int, cells, stages, max_steps=None, **exits) -
     PROBE_STEPS) steps; the closure order does not depend on the budget, so
     unless it stops on that budget its answer is the full closure's.  If no
     stage decides, the global closure under `max_steps` does (stage
-    "closure"), unless the probe had that budget.  Every closure runs
-    afresh, so the deciding stage depends only on the question and the
+    "closure"), unless the probe had that budget.  That closure continues
+    the probe's (`generate`'s `_resume`): the answer is that of a fresh
+    closure at the same budget.  The paused kernel lives only inside this
+    call, so the deciding stage depends only on the question and the
     budget.
     """
-    def answer(stage, steps):
-        gset = term_closure(base, k, cells, max_steps=steps, **exits)
+    cells = list(cells)
+    paused = []  # the probe's kernel while it is stopped on steps
+
+    def answer(stage, steps):  # `term_closure`, passing `paused` to `generate`
+        gset = generate(base, len(cells), term_generators(base, k, cells), max_steps=steps,
+                        _resume=paused, **exits)
         return Decision(None if gset.stop_reason in ("steps", "cap") else gset.truncated,
                         stage, gset)
 
@@ -1023,16 +1116,12 @@ def _cyclic_search(base: Algebra, k: int, limit, max_steps):
         raise AlgebraError(f"cyclic_terms limit must be at least 1, got {limit}")
     n = base.domain
     check_cells(n, k, "cyclic_terms")
-    rot = argument_cells(n, (*range(1, k), 0))(range(n**k))  # the cell each cell rotates to
-    rng = range(len(rot))
-    hits = {}  # the cyclic elements met, in closure order
-
-    def is_cyclic_elem(e):  # most elements fail at an early cell
-        return all(e[i] == e[rot[i]] for i in rng)
+    rotated = argument_cells(n, (*range(1, k), 0))  # an element's values at the rotated cells
+    hits = []  # the cyclic elements met, in closure order
 
     def predicate(e):  # collects every cyclic element; stops only at `limit`
-        if is_cyclic_elem(e):
-            hits[e] = None  # after a probe the full run meets its elements again
+        if rotated(e) == tuple(e):
+            hits.append(e)
             return limit is not None and len(hits) >= limit
         return False
 

@@ -138,6 +138,16 @@ def test_search_stops_on_the_step_budget(capsys, tmp_path):
     assert code == 3 and len(out.splitlines()) == 738
 
 
+def test_search_with_a_large_relation_stops_on_the_step_budget(capsys, tmp_path):
+    # all 125 triples over 5 elements at arity 4: a leaf's relation walk
+    # spends the budget one combination at a time
+    every = " ".join(f"{x},{y},{z}" for x in range(5) for y in range(5) for z in range(5))
+    spec = tmp_path / "rel.spec"
+    spec.write_text(f"domain 5\narity 4\nidempotent\nsymmetric\npreserves 3 : {every}\n")
+    code, out, _ = run(["--max-steps", "70", "search", "--spec", str(spec), "--count"], capsys)
+    assert (code, out) == (3, "0+\n")
+
+
 def test_catalog_show_and_export(capsys):
     code, out, _ = run(["catalog", "show", "T4,14"], capsys)
     assert code == 0

@@ -1,8 +1,10 @@
+import bisect
 import dataclasses
 import gc
 import itertools
 import random
 import re
+import time
 import tracemalloc
 import weakref
 from unittest import mock
@@ -430,6 +432,47 @@ def test_a_relation_too_large_to_prune_on_stays_within_the_budget(monkeypatch):
     monkeypatch.setattr(search, "_relation_combos", None)  # a call would raise TypeError
     assert count_ops(spec, max_steps=10) == (0, True)
     assert count_ops(spec, max_steps=1000) == (0, True)
+
+
+def test_a_large_relation_walk_spends_the_step_budget():
+    # all 125 triples at arity 4: every table passes, and a leaf's walk
+    # would try 125**4 = 244M combinations.  The first leaf is reached at
+    # step 65; each combination tried there is one more step
+    every = tuple(itertools.product(range(5), repeat=3))
+    spec = SearchSpec(5, 4, (Idempotent(), Symmetric(), PreservesRelation(3, every)))
+    start = time.perf_counter()
+    assert count_ops(spec, max_steps=70) == (0, True)
+    assert count_ops(spec, max_steps=65) == (0, True)
+    assert count_ops(spec, max_steps=2_000) == (0, True)
+    assert time.perf_counter() - start < 2
+
+
+def _least_complete_budget(spec):
+    """The smallest step budget under which the search ends untruncated."""
+    return bisect.bisect_left(range(1, 1 << 20), True,
+                              key=lambda b: not count_ops(spec, max_steps=b)[1]) + 1
+
+
+def test_a_large_relation_charges_each_combination_it_tries():
+    # 12 tuples at arity 4: 20,736 combinations, walked at each leaf.  The
+    # whole search costs the values it tries, as without the relation, plus
+    # every combination the leaf walks try
+    rel = tuple(t for t in itertools.product(range(2), repeat=4) if t[:2] != (0, 0))
+    laws = (Idempotent(), Cyclic())
+    spec = SearchSpec(2, 4, (*laws, PreservesRelation(4, rel)))
+    tried = []
+    walk = search._RelationWalk.walk
+
+    def spy(self, values, budget=None):
+        got = walk(self, values, budget)
+        tried.append(got[1])
+        return got
+
+    with mock.patch.object(search._RelationWalk, "walk", spy):
+        found = count_ops(spec)
+    assert found == (len(brute_force(spec)), False) and len(tried) > 1
+    values = _least_complete_budget(SearchSpec(2, 4, laws))
+    assert _least_complete_budget(spec) == values + sum(tried)
 
 
 def test_relation_walk_and_getter_agree(monkeypatch):

@@ -1,7 +1,10 @@
 import functools
+import gc
+import inspect
 import itertools
 import math
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -209,6 +212,32 @@ def test_a_term_deeper_than_the_recursion_limit_evaluates_and_renders(alg):
     assert [eval_term(t, a, c) for c in cells[:3]] == list(want[:3])
     text = render_term(t, ["x", "y"])
     assert text == "g(" * 3000 + "x" + ", y, y)" * 3000
+
+
+def test_shared_terms_compare_and_hash_in_time_linear_in_their_nodes():
+    # 40 levels of g(t, t, t) over one shared child: a tree of 3**40 leaves
+    def shared(levels, leaf):
+        t = leaf
+        for _ in range(levels):
+            t = TermTree.node("g", [t, t, t])
+        return t
+
+    def unshared(levels):  # the same tree with no node shared
+        if not levels:
+            return TermTree.variable(0)
+        return TermTree.node("g", [unshared(levels - 1) for _ in range(3)])
+
+    x = TermTree.variable(0)
+    start = time.perf_counter()
+    a, b = shared(40, x), shared(40, TermTree.variable(0))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != shared(40, TermTree.variable(1)) and a != shared(39, x)
+    assert time.perf_counter() - start < 0.1
+    # equal terms with different sharing compare equal and hash alike
+    mixed = TermTree.node("g", [shared(3, x), unshared(3), shared(3, TermTree.variable(0))])
+    assert unshared(4) == shared(4, x) == mixed
+    assert hash(unshared(4)) == hash(shared(4, x)) == hash(mixed)
+    assert TermTree.node("f", [x]) != TermTree.node("g", [x]) and x != 0
 
 
 def test_free_algebra_semilattice_binary(alg):
@@ -1375,16 +1404,16 @@ def test_local_obstructions_of_four_element_entries_replay(alg):
 
 
 def test_decide_term_runs_probe_local_test_full_closure_in_order(alg, monkeypatch):
-    # T4,17 has a Mal'cev term, found after 8,001 steps: the probe stops on
+    # T4,17 has a Mal'cev term, found after 8,445 steps: the probe stops on
     # its budget, the local test finds no failing quadruple, and the full
-    # closure finds the term
+    # closure, which continues the probe's paused kernel, finds the term
     a = alg("T4,17")
     pats, target = _malcev_cells(4)
     budgets = []
     inner = subpower.generate
 
     def spy(base, m, generators, **kw):
-        budgets.append((m, kw.get("max_steps")))
+        budgets.append((m, kw.get("max_steps"), bool(kw.get("_resume"))))
         return inner(base, m, generators, **kw)
 
     from finalg import structure
@@ -1400,14 +1429,120 @@ def test_decide_term_runs_probe_local_test_full_closure_in_order(alg, monkeypatc
 
     d = decide(150_000)
     assert (d.holds, d.stage, d.argument) == (True, "closure", None)
-    assert budgets[0] == (len(pats), subpower.PROBE_STEPS)
-    assert budgets[-1] == (len(pats), 150_000)
-    assert set(budgets[1:-1]) == {(2, 150_000)}
+    assert budgets[0] == (len(pats), subpower.PROBE_STEPS, False)
+    assert budgets[-1] == (len(pats), 150_000, True)  # the probe's closure, continued
+    assert set(budgets[1:-1]) == {(2, 150_000, False)}
     assert len(budgets) == 2 + 4 * 3 * 4 * 3
+    first = list(budgets)
+    assert _closure_fields(d.closure) == _closure_fields(
+        term_closure(a, 3, pats, max_steps=150_000, targets=[target]))
     got = eval_term_table(d.closure.witness_term(target), a, 3)
     assert tuple(got.values[got.index(p)] for p in pats) == target
     # a complete closure run before changes neither the stages nor the budgets
-    first = list(budgets)
     assert not generate(a, len(pats), subpower.term_generators(a, 3, pats)).truncated
     budgets.clear()
     assert decide(150_000).stage == "closure" and budgets == first
+
+
+# -- a decision's closure continues its probe ---------------------------------
+
+def _closure_fields(g):
+    return (g.exponent, g.generators, g.elements, g.witnesses, g.position, g.applications,
+            g.rounds, g.truncated, g.stop_reason)
+
+
+_DECISION_BUDGETS = (1, 999, 1_000, 1_001, 5_000, 150_000, None)
+
+
+def _decisions(afresh: bool) -> tuple:
+    """Every cyclic (`cyclic_terms`), Mal'cev and clone decision on the
+    catalog entries at each budget of _DECISION_BUDGETS, as {(kind, entry,
+    operation, budget): Decision}, and the number of closures continued.
+    The clone decisions ask for each operation of every other entry of the
+    same domain.  With `afresh`, every closure starts over, as before a
+    decision continued its probe (`generate` drops `_resume`).  No budget
+    (None) is asked only where the decision at 150,000 steps is conclusive:
+    an unbounded Clo_3 of T6C runs for minutes."""
+    from finalg import catalog, structure
+
+    decided, continued = [], []
+    decide, inner = subpower.decide_term, subpower.generate
+
+    def spy(*args, **kw):
+        decided.append(decide(*args, **kw))
+        return decided[-1]
+
+    def generate_spy(*args, _resume=None, **kw):
+        continued.append(bool(_resume))
+        return inner(*args, **kw) if afresh else inner(*args, _resume=_resume, **kw)
+
+    got = {}
+    names = catalog.names()
+    with mock.patch.object(subpower, "decide_term", spy), \
+            mock.patch.object(structure, "decide_term", spy), \
+            mock.patch.object(subpower, "generate", generate_spy):
+        for name in names:
+            a = catalog.get(name).algebra
+            questions = [("cyclic", None, lambda b: subpower.cyclic_terms(a, 3, max_steps=b)),
+                         ("malcev", None, lambda b: structure.has_malcev_term(a, max_steps=b))]
+            questions += [("clone", (other, op.name),
+                           lambda b, op=op: structure.decide_clone_membership(a, op, max_steps=b))
+                          for other in names if other != name
+                          for op in catalog.get(other).algebra.operations
+                          if catalog.get(other).algebra.domain == a.domain]
+            for kind, op, ask in questions:
+                for budget in _DECISION_BUDGETS:
+                    if budget is None and got[kind, name, op, 150_000].holds is None:
+                        continue
+                    decided.clear()
+                    ask(budget)
+                    got[kind, name, op, budget] = decided[-1]
+    return got, sum(continued)
+
+
+def test_a_decision_continues_its_probe_as_a_fresh_closure():
+    # the closure a decision answers from equals a fresh `term_closure` at
+    # the same budget, field by field, and every stage and answer is the one
+    # the decisions gave when each closure started over
+    got, continued = _decisions(afresh=False)
+    want, none = _decisions(afresh=True)
+    assert got.keys() == want.keys() and none == 0
+    for key, d in got.items():
+        w = want[key]
+        assert (d.stage, d.holds, d.argument) == (w.stage, w.holds, w.argument), key
+        assert (d.closure is None) == (w.closure is None), key
+        if d.closure is not None:
+            assert _closure_fields(d.closure) == _closure_fields(w.closure), key
+    stages = {(d.stage, d.closure is not None and d.closure.stop_reason) for d in got.values()}
+    assert {(subpower.PROBE, "steps"), ("closure", None), ("closure", "steps")} <= stages
+    assert continued == 75  # decisions whose probe stopped on steps and went on
+
+
+def test_no_returned_closure_keeps_a_paused_kernel(alg):
+    # a paused kernel lives only inside the decision that continues it: no
+    # GeneratedSet a caller gets back holds one, so nothing of a closure
+    # stopped on steps outlives the call (counted with the cyclic collector
+    # off, so no reference cycle may hold one either)
+    def kernels():
+        return [o for o in gc.get_objects()
+                if inspect.isgenerator(o) and o.gi_code is subpower._kernel.__code__]
+
+    a = alg("T4,17")
+    pats, target = _malcev_cells(4)
+    gc.collect()
+    gc.disable()
+    try:
+        assert kernels() == []
+        probe = decide_term(a, 3, pats, [(subpower.PROBE, None)], max_steps=1_000,
+                            targets=[target])
+        full = decide_term(a, 3, pats, [(subpower.PROBE, None)], max_steps=150_000,
+                           targets=[target])
+        cut = term_closure(a, 3, pats, max_steps=10, targets=[target])
+        assert (probe.stage, probe.holds, probe.closure.stop_reason) == (
+            subpower.PROBE, None, "steps")
+        assert (full.stage, full.holds) == ("closure", True)
+        assert cut.stop_reason == "steps"
+        assert kernels() == []
+        assert all("_paused" not in vars(g) for g in (probe.closure, full.closure, cut))
+    finally:
+        gc.enable()
