@@ -479,13 +479,22 @@ def term_equivalent(a: Algebra, b: Algebra, max_steps=None):
     Every basic operation of each algebra must be a term operation of the
     other (`structure.decide_clone_membership`, which tries the cheap
     exclusion certificates first, so a "no" rarely needs a full free algebra).
+    A k-ary table that is a basic operation of the other side is a member
+    without a decision if the budget covers the decision closure's first
+    round, sum k**arity(f) over that side's f, which applies it to the
+    projections; under a smaller budget it is decided as any other.
     """
     check_budget(max_steps)
     if a.domain != b.domain:
         raise AlgebraError("term_equivalent requires equal domains")
     inconclusive = False
     for src, dst in ((a, b), (b, a)):
+        basic = {(f.arity, f.values) for f in src.operations}
         for op in dst.operations:
+            if (op.arity, op.values) in basic and (
+                    max_steps is None
+                    or max_steps >= sum(op.arity ** f.arity for f in src.operations)):
+                continue
             member = decide_clone_membership(src, op, max_steps=max_steps).holds
             if member is False:
                 return False
@@ -545,26 +554,23 @@ def _semilattice_edges(alg: Algebra, f2):
 _fp_cache = invariant_fingerprint.memo
 
 
-def _transport_fingerprint(fp, perm, n):
-    """The fingerprint of transport(alg, perm), derived without recomputation."""
-    relabel = relabeling(n, 2, tuple(perm))
-
+def _transport_differs(fa, fb, perm, n) -> bool:
+    """Does some part of fb, relabeled along perm, differ from fa's?  The
+    parts are relabeled and compared one at a time, cheapest first, and the
+    first that differs ends the comparison; a Clo_2 past its budget (None)
+    on either side is skipped."""
     def tset(s):
         return tuple(sorted(perm[x] for x in s))
 
-    return {
-        "subuniverses": frozenset(tset(s) for s in fp["subuniverses"]),
-        "congruences": frozenset(
-            tuple(sorted((tset(b) for b in blocks), key=min))
-            for blocks in fp["congruences"]
-        ),
-        "semilattice_edges": frozenset(
-            (perm[x], perm[y]) for x, y in fp["semilattice_edges"]
-        ),
-        "clo2": None if fp["clo2"] is None else frozenset(
-            map(relabel, fp["clo2"])
-        ),
+    moved = {
+        "subuniverses": lambda part: frozenset(map(tset, part)),
+        "semilattice_edges": lambda part: frozenset((perm[x], perm[y]) for x, y in part),
+        "congruences": lambda part: frozenset(tuple(sorted(map(tset, blocks), key=min))
+                                              for blocks in part),
+        "clo2": lambda part: frozenset(map(relabeling(n, 2, tuple(perm)), part)),
     }
+    return any(fa[key] is not None and fb[key] is not None and move(fb[key]) != fa[key]
+               for key, move in moved.items())
 
 
 def _fingerprint_shape(fp):
@@ -626,8 +632,9 @@ def _fingerprints_differ(fa, fb):
 def equivalent_up_to_iso(a: Algebra, b: Algebra, max_steps=None):
     """First bijection (lexicographic) making b term-equivalent to a.
 
-    Returns (perm, conclusive): perm is None when no bijection works;
-    conclusive=False when some candidate could not be settled within budget.
+    Returns (perm, conclusive): perm is None when no bijection works, and
+    (None, True) when the domains differ; conclusive=False when some
+    candidate could not be settled within budget.
 
     The scan runs only if three stages, each cheaper than the next, find
     nothing that no bijection changes and that differs.  First the cheap
@@ -636,12 +643,14 @@ def equivalent_up_to_iso(a: Algebra, b: Algebra, max_steps=None):
     algebras term-equivalent up to a relabeling have Clo_2s of one size, so
     one side's complete Clo_2 bounds the other side's closure, which is
     grown only one element past it.  Then the whole fingerprints' shapes
-    (`_fingerprint_shape`).  Otherwise each bijection whose transported
-    fingerprint matches a's is tried.
+    (`_fingerprint_shape`).  Otherwise each bijection is tried whose
+    relabeling of b's fingerprint matches a's part by part, cheapest part
+    first (`_transport_differs`), and `term_equivalent` skips the
+    operations the two sides share.
     """
     check_budget(max_steps)
     if a.domain != b.domain:
-        raise AlgebraError("equivalent_up_to_iso requires equal domains")
+        return None, True
     if cheap_shape(a) != cheap_shape(b) or _clo2_sizes_differ(a, b):
         return None, True
     fa = invariant_fingerprint(a)
@@ -650,7 +659,7 @@ def equivalent_up_to_iso(a: Algebra, b: Algebra, max_steps=None):
         return None, True
     conclusive = True
     for perm in itertools.permutations(range(a.domain)):
-        if _fingerprints_differ(fa, _transport_fingerprint(fb, perm, a.domain)):
+        if _transport_differs(fa, fb, perm, a.domain):
             continue
         r = term_equivalent(a, transport(b, perm), max_steps=max_steps)
         if r is True:
@@ -661,13 +670,8 @@ def equivalent_up_to_iso(a: Algebra, b: Algebra, max_steps=None):
 
 
 def equivalent_to_entry(alg: Algebra, name: str, max_steps=None):
-    """`equivalent_up_to_iso(alg, entry)` for the catalog entry `name`:
-    (perm, conclusive), and (None, True) when the domains differ."""
-    check_budget(max_steps)
-    want = get(name).algebra
-    if alg.domain != want.domain:
-        return None, True
-    return equivalent_up_to_iso(alg, want, max_steps=max_steps)
+    """`equivalent_up_to_iso(alg, entry)` for the catalog entry `name`."""
+    return equivalent_up_to_iso(alg, get(name).algebra, max_steps=max_steps)
 
 
 def verify_subdirect(alg: Algebra, theta1: Partition, theta2: Partition,

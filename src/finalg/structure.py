@@ -417,10 +417,16 @@ def weak_edges(alg: Algebra, a: int, b: int, max_steps=None):
 def all_subuniverses(alg: Algebra) -> tuple:
     """All nonempty subuniverses Sg(S), deduplicated, sorted by (size, lex).
 
-    The end of a walk (`walk_subuniverses`).  Memoized by the operation
-    tables (`memo.per_algebra`): every call returns the one stored tuple,
-    which a finished walk may have stored first."""
-    return _by_size(_walk(alg.domain, functools.partial(sg_closure, alg)))
+    The end of a walk (`walk_subuniverses`), whose order it stores too.
+    Memoized by the operation tables (`memo.per_algebra`): every call
+    returns the one stored tuple, which a finished walk may have stored."""
+    return _by_size(_walk_order(alg))
+
+
+@per_algebra
+def _walk_order(alg: Algebra) -> tuple:
+    """The subuniverses in the order of `walk_subuniverses`, all of them."""
+    return tuple(_walk(alg.domain, functools.partial(sg_closure, alg)))
 
 
 def walk_subuniverses(alg: Algebra):
@@ -429,17 +435,23 @@ def walk_subuniverses(alg: Algebra):
     it, so fewer generators come first and the pairs' subuniverses come
     right after the singletons'.
 
-    A caller may stop at the first subuniverse it needs.  Every walk closes
-    its own generating sets, so the order never depends on what ran before;
-    a walk that finishes stores the lattice as `all_subuniverses`'s memo
-    entry if that entry is absent.  The walk keeps nothing else."""
-    found = []
-    for uni in _walk(alg.domain, functools.partial(sg_closure, alg)):
-        found.append(uni)
-        yield uni
+    A caller may stop at the first subuniverse it needs.  A walk that
+    finishes stores its order (`_walk_order`'s memo entry) and the lattice
+    (`all_subuniverses`'s, if absent); a walk that stops stores nothing.
+    A walk whose order is stored replays it without closing any set, so
+    warm and cold walks yield the same order."""
     key = table_key(alg)
+    order = _walk_order.memo.get(key)
+    if order is None:
+        order = []
+        for uni in _walk(alg.domain, functools.partial(sg_closure, alg)):
+            order.append(uni)
+            yield uni
+        _walk_order.memo.put(key, tuple(order))
+    else:
+        yield from order
     if all_subuniverses.memo.get(key) is None:
-        all_subuniverses.memo.put(key, _by_size(found))
+        all_subuniverses.memo.put(key, _by_size(order))
 
 
 def _walk(domain: int, close):

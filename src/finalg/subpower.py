@@ -389,8 +389,14 @@ def generate(
     return gset
 
 
-def _generator_bytes(base: Algebra, m: int, generators) -> list:
+class _Columns(tuple):
+    """Generator columns checked for `shape`, (domain, m), and taken as they are for it."""
+
+
+def _generator_bytes(base: Algebra, m: int, generators) -> _Columns:
     n = base.domain
+    if type(generators) is _Columns and generators.shape == (n, m):
+        return generators
     if n > 256:
         raise AlgebraError(
             f"closures hold one byte per coordinate: domain {n} is above the "
@@ -404,7 +410,9 @@ def _generator_bytes(base: Algebra, m: int, generators) -> list:
         gen_list.append(_checked_bytes(g, n, "generator"))
     if not gen_list:
         raise AlgebraError("no generators")
-    return gen_list
+    columns = _Columns(gen_list)
+    columns.shape = (n, m)
+    return columns
 
 
 def _checked_bytes(tup, n: int, what: str) -> bytes:
@@ -948,9 +956,10 @@ def term_closure(base: Algebra, k: int, cells, **budgets) -> GeneratedSet:
     return generate(base, len(cells), term_generators(base, k, cells), **budgets)
 
 
-def term_generators(base: Algebra, k: int, cells: list) -> list:
+def term_generators(base: Algebra, k: int, cells: list) -> tuple:
     """The generators of `term_closure(base, k, cells)`: the k columns of the
-    cells (a list of k-tuples), as checked bytes."""
+    cells (a list of k-tuples), as checked bytes that `generate` takes
+    without checking them again."""
     return _generator_bytes(base, len(cells), list(zip(*cells))[:k] if cells else [()] * k)
 
 

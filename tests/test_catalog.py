@@ -6,7 +6,7 @@ import random
 import pytest
 
 from finalg.core import (Algebra, AlgebraError, OperationTable, is_malcev, parse_algebra,
-                         product, serialize_algebra)
+                         product, relabeling, serialize_algebra)
 from finalg.congruence import Partition, all_congruences
 from finalg import catalog, structure
 
@@ -138,6 +138,30 @@ def test_equivalent_up_to_iso_t1n_t2n_absent(alg):
     assert conclusive and perm is None
 
 
+def reference_transport_fingerprint(fp, perm, n):
+    """The fingerprint of transport(alg, perm), all four parts relabeled
+    from alg's: the comparison the bijection scan made before it stopped
+    at the first part that differs."""
+    relabel = relabeling(n, 2, tuple(perm))
+
+    def tset(s):
+        return tuple(sorted(perm[x] for x in s))
+
+    return {
+        "subuniverses": frozenset(tset(s) for s in fp["subuniverses"]),
+        "congruences": frozenset(
+            tuple(sorted((tset(b) for b in blocks), key=min))
+            for blocks in fp["congruences"]
+        ),
+        "semilattice_edges": frozenset(
+            (perm[x], perm[y]) for x, y in fp["semilattice_edges"]
+        ),
+        "clo2": None if fp["clo2"] is None else frozenset(
+            map(relabel, fp["clo2"])
+        ),
+    }
+
+
 def test_transported_fingerprint_is_the_fingerprint_of_the_transport(entries):
     for entry in entries.values():
         a = entry.algebra
@@ -148,7 +172,12 @@ def test_transported_fingerprint_is_the_fingerprint_of_the_transport(entries):
         fp = catalog.invariant_fingerprint(a)
         for p in perms:
             want = catalog.invariant_fingerprint(catalog.transport(a, p))
-            assert catalog._transport_fingerprint(fp, p, n) == want, (entry.name, p)
+            assert reference_transport_fingerprint(fp, p, n) == want, (entry.name, p)
+            assert not catalog._transport_differs(want, fp, p, n), (entry.name, p)
+            for key in want:  # each part is compared, also where no other differs
+                mixed = {**want, key: fp[key]}
+                moved = mixed[key] != want[key] and None not in (mixed[key], want[key])
+                assert catalog._transport_differs(mixed, fp, p, n) == moved, (entry.name, p, key)
 
 
 def test_renamed_copy_hits_the_fingerprint_cache(alg, monkeypatch):
@@ -243,13 +272,14 @@ def test_screen_changes_no_answer(entries, alg):
 
 def full_transport_screen(a, b, max_steps=None):
     """equivalent_up_to_iso without the shape screen: every bijection
-    transports b's whole fingerprint before it is compared with a's."""
+    transports b's whole fingerprint before it is compared with a's, and
+    every basic operation is decided (`reference_term_equivalent`)."""
     fa, fb = catalog.invariant_fingerprint(a), catalog.invariant_fingerprint(b)
     conclusive = True
     for perm in itertools.permutations(range(a.domain)):
-        if catalog._fingerprints_differ(fa, catalog._transport_fingerprint(fb, perm, a.domain)):
+        if catalog._fingerprints_differ(fa, reference_transport_fingerprint(fb, perm, a.domain)):
             continue
-        r = catalog.term_equivalent(a, catalog.transport(b, perm), max_steps=max_steps)
+        r = reference_term_equivalent(a, catalog.transport(b, perm), max_steps=max_steps)
         if r is True:
             return perm, True
         if r is None:
@@ -298,12 +328,32 @@ _ISO_CONTROLS = {"T1N": (2, 1, 0), "T3N": (2, 1, 0), "T1C": (2, 1, 0), "T2N": (2
                  "T4,15": (3, 1, 2, 0)}
 
 
-def test_the_isomorphism_screen_keeps_its_work(monkeypatch):
-    # criterion 5's 429 pairs from an empty fingerprint store, then the
-    # relabeled controls: no pair is equivalent or inconclusive, T4,18's
-    # Clo_2 is only ever grown one element past T4,16's, and 29 fingerprints
-    # are computed for the pairs (40 with the controls)
+def criterion_5_pairs():
+    """Criterion 5's pairs (a, b): each two entries of the three-element
+    family, then each two of the T4,i."""
     names = catalog.names()
+    for family in (names[3:27], names[27:45]):
+        for a, b in itertools.combinations(family, 2):
+            yield catalog.get(a).algebra, catalog.get(b).algebra
+
+
+def relabeled_controls():
+    """(entry, its relabeling along the last bijection in lex order that
+    changes its tables), one per name of _ISO_CONTROLS."""
+    for name in _ISO_CONTROLS:
+        a = catalog.get(name).algebra
+        perm = max(p for p in itertools.permutations(range(a.domain))
+                   if catalog.transport(a, p).operations != a.operations)
+        yield a, catalog.transport(a, perm)
+
+
+def test_the_isomorphism_screen_keeps_its_work(monkeypatch):
+    # the tier-1 twin of the CI step "Isomorphism screen stays": criterion
+    # 5's 429 pairs from an empty fingerprint store, then the relabeled
+    # controls: no pair is equivalent or inconclusive, T4,18's Clo_2 is only
+    # ever grown one element past T4,16's, 29 fingerprints are computed for
+    # the pairs (40 with the controls), and each control is found along its
+    # bijection
     t418 = catalog.get("T4,18").algebra
     unbounded = []
     free = catalog.free_algebra
@@ -315,19 +365,96 @@ def test_the_isomorphism_screen_keeps_its_work(monkeypatch):
 
     monkeypatch.setattr(catalog, "free_algebra", spy)
     catalog._fp_cache.clear()
-    for family in (names[3:27], names[27:45]):
-        for a, b in itertools.combinations(family, 2):
-            got = catalog.equivalent_up_to_iso(catalog.get(a).algebra, catalog.get(b).algebra,
-                                               max_steps=_ISO_STEPS)
-            assert got == (None, True), (a, b, got)
-    assert unbounded == [] and len(catalog._fp_cache) == 29
-    for name, found in _ISO_CONTROLS.items():
-        a = catalog.get(name).algebra
-        perm = max(p for p in itertools.permutations(range(a.domain))
-                   if catalog.transport(a, p).operations != a.operations)
-        got = catalog.equivalent_up_to_iso(a, catalog.transport(a, perm), max_steps=_ISO_STEPS)
-        assert got == (found, True), name
+    pairs = 0
+    for a, b in criterion_5_pairs():
+        got = catalog.equivalent_up_to_iso(a, b, max_steps=_ISO_STEPS)
+        assert got == (None, True), (a.label, b.label, got)
+        pairs += 1
+    assert pairs == 429 and unbounded == [] and len(catalog._fp_cache) == 29
+    found = {a.label: catalog.equivalent_up_to_iso(a, b, max_steps=_ISO_STEPS)
+             for a, b in relabeled_controls()}
+    assert found == {name: (perm, True) for name, perm in _ISO_CONTROLS.items()}
     assert len(catalog._fp_cache) == 40
+
+
+def test_the_scan_stops_at_the_first_difference_with_the_full_comparisons_answers():
+    # on criterion 5's pairs and the relabeled controls, comparing the
+    # relabeled fingerprint part by part keeps or drops each bijection as
+    # the comparison of the whole relabeled fingerprint did, and the scan
+    # answers as that full comparison with a decision for every operation
+    for a, b in [*criterion_5_pairs(), *relabeled_controls()]:
+        fa, fb, n = catalog.invariant_fingerprint(a), catalog.invariant_fingerprint(b), a.domain
+        for perm in itertools.permutations(range(n)):
+            assert catalog._transport_differs(fa, fb, perm, n) == catalog._fingerprints_differ(
+                fa, reference_transport_fingerprint(fb, perm, n)), (a.label, b.label, perm)
+        assert catalog.equivalent_up_to_iso(a, b, max_steps=_ISO_STEPS) == \
+            full_transport_screen(a, b, max_steps=_ISO_STEPS), (a.label, b.label)
+
+
+def reference_term_equivalent(a, b, max_steps=None):
+    """term_equivalent with a clone decision for every basic operation, also
+    for one that the other side has as a basic operation."""
+    inconclusive = False
+    for src, dst in ((a, b), (b, a)):
+        for op in dst.operations:
+            member = structure.decide_clone_membership(src, op, max_steps=max_steps).holds
+            if member is False:
+                return False
+            inconclusive = inconclusive or member is None
+    return None if inconclusive else True
+
+
+def test_a_shared_basic_operation_is_skipped_only_where_the_decision_says_yes(entries):
+    # each entry against itself, a renamed copy, a copy with its operation
+    # twice and the algebra with no operations.  R1, the applications of the
+    # clone closure's first round, is sum k**arity(f) over src's operations
+    # f for an operation of arity k: at R1 and above the decision on a
+    # shared operation says "yes", and at 1, R1 - 1, R1, 1,000 steps and
+    # unbounded term_equivalent answers as with a decision for every one
+    for entry in entries.values():
+        a = entry.algebra
+        op, n = a.operations[0], a.domain
+        copy = OperationTable("h", op.arity, n, op.values)
+        for b in (a, Algebra(n, [copy], label="renamed"),
+                  Algebra(n, [op, copy], label="doubled"), Algebra(n, [], label="bare")):
+            budgets = {1, 1_000, None}
+            for src, dst in ((a, b), (b, a)):
+                shared = {(f.arity, f.values) for f in src.operations}
+                for g in dst.operations:
+                    if (g.arity, g.values) not in shared:
+                        continue
+                    r1 = sum(g.arity ** f.arity for f in src.operations)
+                    budgets |= {r1 - 1, r1} - {0}
+                    for steps in (r1, 1_000, None):
+                        d = structure.decide_clone_membership(src, g, max_steps=steps)
+                        assert d.holds is True, (entry.name, b.label, steps)
+            for steps in budgets:
+                assert catalog.term_equivalent(a, b, max_steps=steps) == \
+                    reference_term_equivalent(a, b, max_steps=steps), (entry.name, b.label, steps)
+
+
+def test_a_shared_basic_operation_runs_no_decision(alg, monkeypatch):
+    # a copy of T4,13 relabeled there and back has its tables: no decision
+    # runs at all, and below the first round (27 steps for one ternary
+    # operation) each operation is decided again
+    calls = []
+    inner = catalog.decide_clone_membership
+    monkeypatch.setattr(catalog, "decide_clone_membership",
+                        lambda *args, **kw: calls.append(args) or inner(*args, **kw))
+    a = alg("T4,13")
+    same = catalog.transport(catalog.transport(a, (1, 0, 3, 2)), (1, 0, 3, 2))
+    assert catalog.term_equivalent(a, same) is True and calls == []
+    assert catalog.term_equivalent(a, same, max_steps=27) is True and calls == []
+    assert catalog.term_equivalent(a, same, max_steps=26) is True and len(calls) == 2
+
+
+def test_algebras_of_different_sizes_are_not_isomorphic(alg):
+    # no bijection exists, so the answer is a conclusive "no"; the question
+    # of one clone on two domains stays malformed
+    assert catalog.equivalent_up_to_iso(alg("T4,13"), alg("T1N")) == (None, True)
+    assert catalog.equivalent_to_entry(alg("T4,13"), "T1N") == (None, True)
+    with pytest.raises(AlgebraError, match="requires equal domains"):
+        catalog.term_equivalent(alg("T4,13"), alg("T1N"))
 
 
 def test_the_shape_is_the_same_after_any_relabeling(entries):

@@ -97,6 +97,14 @@ def test_equiv(capsys):
     assert code == 0 and out.strip() == "not-term-equivalent"
 
 
+def test_equiv_iso_of_algebras_of_different_sizes(capsys):
+    # no bijection between a 4-element and a 3-element algebra: a
+    # conclusive "no", while one clone on two domains stays a usage error
+    assert run(["equiv", "--iso", "@T4,13", "@T1N"], capsys) == (0, "not-equivalent\n", "")
+    code, out, err = run(["equiv", "@T4,13", "@T1N"], capsys)
+    assert code == 2 and out == "" and "requires equal domains" in err
+
+
 def test_clone_member(capsys, tmp_path):
     path = tmp_path / "z4.alg"
     path.write_text(serialize_algebra(catalog.get("Z4aff").algebra))

@@ -10,6 +10,7 @@ from finalg.memo import INVARIANT_LIMIT, Memo, per_algebra
 
 INVARIANTS = (
     (structure, "all_subuniverses"),
+    (structure, "_walk_order"),
     (congruence, "all_congruences"),
     (congruence, "translation_pairs"),
     (catalog, "invariant_fingerprint"),

@@ -23,9 +23,10 @@ from finalg.congruence import (Partition, all_congruences, class_algebra, format
                                quotient_algebra)
 from finalg import subpower
 from finalg.subpower import eval_term, eval_term_table, generate, has_cyclic_term, sg_closure
-from finalg.structure import (absorbs, absorption_patterns, all_subuniverses, clone_excluded,
-                              compose_malcev_term, decide_clone_membership, has_malcev_term,
-                              malcev_obstruction, naive_absorbs, walk_subuniverses, weak_edges)
+from finalg.structure import (_walk_order, absorbs, absorption_patterns, all_subuniverses,
+                              clone_excluded, compose_malcev_term, decide_clone_membership,
+                              has_malcev_term, malcev_obstruction, naive_absorbs,
+                              walk_subuniverses, weak_edges)
 from finalg import catalog
 from finalg.certify import parse_certificate
 from finalg.search import (AgreesOnTuples, CommutesWithPermutation, Cyclic, Idempotent,
@@ -764,6 +765,7 @@ def test_lazy_absorption_matches_the_full_lattice_reference(case):
     # walk stores the lattice, a walk with the lattice stored keeps the
     # order, and a stored lattice is never replaced
     all_subuniverses.memo.clear()
+    _walk_order.memo.clear()  # the stored walk order too, so the walk below is cold
     walk = walk_subuniverses(a)
     next(walk)
     walk.close()

@@ -538,6 +538,7 @@ def test_a_stage_no_is_the_same_cold_and_warm(alg, monkeypatch):
         (lambda: cyclic_stage(t414), (False, "cyclic_obstruction", (0, 0, 1))),
     ]
     all_subuniverses.memo.clear()
+    structure._walk_order.memo.clear()  # the stored walk orders too, so the first runs are cold
     assert [run() for run, _ in cases] == [want for _, want in cases]
     for a in (t45, t414):
         assert not subpower.free_algebra(a, 3).truncated
@@ -637,7 +638,7 @@ def test_all_subuniverses_memo_returns_the_stored_tuple(alg):
 # ---------------------------------------------------------------------------
 # the edge walk against the walk that decides each affine table on its own
 
-from finalg import structure  # noqa: E402
+from finalg import catalog, structure  # noqa: E402
 from finalg.congruence import maximal_congruences, quotient_algebra  # noqa: E402
 from finalg.subpower import render_term, term_closure  # noqa: E402
 
@@ -776,3 +777,53 @@ def test_one_pair_closure_per_separating_congruence(entries, monkeypatch):
             pairs += 1
             separating += want
     assert separating > pairs  # some pairs are separated by several congruences
+
+
+def clear_walks():
+    """Forget every stored walk and lattice, so the next walk runs cold."""
+    structure._walk_order.memo.clear()
+    all_subuniverses.memo.clear()
+
+
+def test_a_finished_walk_is_replayed_without_a_closure(entries, monkeypatch):
+    # a walk that stops stores nothing; a finished walk stores its order,
+    # and a warm walk yields that order with no sg_closure call
+    calls = []
+    monkeypatch.setattr(structure, "sg_closure",
+                        lambda *args: calls.append(args) or sg_closure(*args))
+    algebras = [e.algebra for e in entries.values()]
+    algebras += [product([entries[x].algebra, entries[y].algebra]) for x, y in QUERY_PRODUCTS]
+    for a in algebras:
+        clear_walks()
+        walk = structure.walk_subuniverses(a)
+        next(walk)
+        walk.close()
+        assert len(structure._walk_order.memo) == len(all_subuniverses.memo) == 0
+        cold = list(structure.walk_subuniverses(a))
+        assert calls and all_subuniverses(a) == tuple(sorted(cold, key=lambda u: (len(u), u)))
+        calls.clear()
+        assert list(structure.walk_subuniverses(a)) == cold and calls == []
+        clear_walks()
+        all_subuniverses(a)  # a lattice computed alone stores the walk too
+        calls.clear()
+        assert list(structure.walk_subuniverses(a)) == cold and calls == []
+
+
+def test_clone_excluded_gives_the_cold_walks_reasons_on_a_warm_walk(entries):
+    # every entry's operation, and its reversal, against every entry of its
+    # size: the reason read on a replayed walk is the one a cold walk gives
+    cases = reasons = 0
+    for e in entries.values():
+        a = e.algebra
+        tables = [x.algebra.operations[0] for x in entries.values() if x.algebra.domain == a.domain]
+        tables += [catalog.transport(Algebra(a.domain, [t]), tuple(reversed(range(a.domain))))
+                   .operations[0] for t in tables]
+        cold = []
+        for t in tables:
+            clear_walks()
+            cold.append(clone_excluded(a, t))
+        list(structure.walk_subuniverses(a))
+        assert [clone_excluded(a, t) for t in tables] == cold, e.name
+        cases += len(tables)
+        reasons += sum(r is not None for r in cold)
+    assert reasons > cases // 2

@@ -548,6 +548,23 @@ def test_bad_generators_raise(alg):
             generate(a, m, bad)
 
 
+def test_term_closure_checks_its_generator_columns_once(alg, monkeypatch):
+    # the columns term_generators checked go into the kernel as they are;
+    # passed for another exponent or domain they are checked again
+    a, cells = alg("T4,10"), [(0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 3, 3)]
+    checked = []
+    inner = subpower._checked_bytes
+    monkeypatch.setattr(subpower, "_checked_bytes",
+                        lambda tup, n, what: checked.append(what) or inner(tup, n, what))
+    term_closure(a, 3, cells)
+    assert checked.count("generator") == 3
+    columns = subpower.term_generators(a, 3, cells)
+    with pytest.raises(AlgebraError, match="has length 4, expected 5"):
+        generate(a, 5, columns)
+    with pytest.raises(AlgebraError, match="entry 3 out of range"):
+        generate(alg("T1N"), 4, columns)
+
+
 def test_generate_keeps_no_closure_between_calls(alg, monkeypatch):
     # a second identical call runs its closure again, and its answer is a
     # new closure equal to the first
