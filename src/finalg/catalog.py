@@ -213,36 +213,6 @@ _T4_15_18 = {
     "T4,18": ("aff", (0, 3, 3, 0, 0, 3, 3, 3, 0, 3, 3, 0, 0, 3)),
 }
 
-# the two polynomial group tables attached to the Mal'cev presentation of
-# T4,13 (letters a..d as 0..3): x +_a y and x +_b y
-T413_PLUS_A = (
-    (0, 1, 2, 3),
-    (1, 2, 3, 0),
-    (2, 3, 0, 1),
-    (3, 0, 1, 2),
-)
-T413_PLUS_B = (
-    (1, 0, 3, 2),
-    (0, 1, 2, 3),
-    (3, 2, 1, 0),
-    (2, 3, 0, 1),
-)
-T413_SIGMA = (2, 1, 0, 3)  # swaps a and c
-T413_TAU = (0, 3, 2, 1)  # swaps b and d
-
-
-def t413_malcev_table() -> OperationTable:
-    """The Mal'cev operation p with p(x,a,z), p(x,b,z) the group tables above
-    and p commuting with the transpositions sigma=(a c), tau=(b d)."""
-    vals = [None] * 64
-    for x, z in itertools.product(range(4), repeat=2):
-        vals[x * 16 + 0 * 4 + z] = T413_PLUS_A[x][z]
-        vals[x * 16 + 1 * 4 + z] = T413_PLUS_B[x][z]
-        s, t = T413_SIGMA, T413_TAU
-        vals[x * 16 + 2 * 4 + z] = s[T413_PLUS_A[s[x]][s[z]]]
-        vals[x * 16 + 3 * 4 + z] = t[T413_PLUS_B[t[x]][t[z]]]
-    return OperationTable("p", 3, 4, tuple(vals))
-
 
 # ---------------------------------------------------------------------------
 # builders

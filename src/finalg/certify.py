@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
 
-from .core import Algebra, AlgebraError, OperationTable, ParseError, UnionFind, is_cyclic
+from .core import (Algebra, AlgebraError, OperationTable, ParseError, is_cyclic, label_blocks,
+                   merge)
 from .congruence import (
     Partition,
     class_algebra,
@@ -385,11 +386,11 @@ def _check_taylor(alg, args, max_steps):
     forest = []
     if verdict and args[0]:
         for uni, _, edges in reports:
-            joined = UnionFind(alg.domain)
+            joined = list(range(alg.domain))
             for r in edges:
                 if {r.a, r.b} <= set(uni):
-                    joined.union(r.a, r.b)
-            if len(joined.blocks(uni)) != 1:
+                    merge(joined, r.a, r.b)
+            if len(label_blocks(joined, uni)) != 1:
                 return "fail", "witness does not replay", ()
             forest += [(r.term, *r.term_condition()) for r in edges]
     return _reading(verdict, args[0], f"taylor={verdict}",

@@ -19,8 +19,9 @@ from .core import (
     NotClosedError,
     ParseError,
     TABLE_PROPERTIES,
-    UnionFind,
     check_budget,
+    label_blocks,
+    merge,
     parse_algebra,
     serialize_algebra,
 )
@@ -136,6 +137,8 @@ def cmd_cyclic(args):
 
 
 def cmd_cong(args):
+    if not (args.principal or args.all or args.simple):
+        raise AlgebraError("cong needs --principal A B, --all or --simple")
     alg = _load(args.file)
     if args.principal:
         a, b = args.principal
@@ -175,7 +178,7 @@ def cmd_edges(args):
         else [(a, b) for a in range(alg.domain) for b in range(a + 1, alg.domain)]
     )
     conclusive = True
-    components = UnionFind(alg.domain)
+    component = list(range(alg.domain))
     for a, b in pairs:
         recs, concl = structure.weak_edges(alg, a, b, max_steps=args.max_steps)
         conclusive = conclusive and concl
@@ -184,9 +187,9 @@ def cmd_edges(args):
                 if r.term is not None else "-"
             print(f"{r.render()} term={term}")
         if recs:
-            components.union(a, b)
+            merge(component, a, b)
     if args.graph:
-        print("components " + " ".join(format_blocks([c]) for c in components.blocks()))
+        print("components " + " ".join(format_blocks([c]) for c in label_blocks(component)))
     return EXIT_OK if conclusive else EXIT_INCONCLUSIVE
 
 

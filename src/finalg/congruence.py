@@ -13,9 +13,9 @@ reach (`translation_pairs`); `Partition`s are built for the results only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .core import (Algebra, AlgebraError, OperationTable, UnionFind, image_cells,
+from .core import (Algebra, AlgebraError, OperationTable, image_cells, label_blocks, merge,
                    translation_cells)
 from .memo import per_algebra
 
@@ -62,6 +62,8 @@ def format_blocks(blocks) -> str:
 class Partition:
     size: int
     blocks: tuple  # tuple of tuples, canonical form
+    # x -> the least element of x's block, so x ~ y iff labels[x] == labels[y]
+    labels: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         seen = set()
@@ -76,6 +78,11 @@ class Partition:
         canon = tuple(tuple(sorted(b)) for b in sorted(self.blocks, key=min))
         if canon != self.blocks:
             raise AlgebraError("blocks not in canonical form; use Partition.of()")
+        labels = [0] * self.size
+        for b in self.blocks:
+            for x in b:
+                labels[x] = b[0]
+        object.__setattr__(self, "labels", tuple(labels))
 
     @staticmethod
     def of(size: int, blocks) -> "Partition":
@@ -116,8 +123,7 @@ class Partition:
     def related(self, x: int, y: int) -> bool:
         if not (0 <= x < self.size and 0 <= y < self.size):
             raise AlgebraError(f"elements {x}, {y} not both in range({self.size})")
-        idx = self.block_index()
-        return idx[x] == idx[y]
+        return self.labels[x] == self.labels[y]
 
     def is_identity(self) -> bool:
         return len(self.blocks) == self.size
@@ -127,27 +133,23 @@ class Partition:
 
     def refines(self, other: "Partition") -> bool:
         """Every block of self is contained in a block of other."""
-        idx = other.block_index()
-        return all(len({idx[x] for x in b}) == 1 for b in self.blocks)
+        theirs = other.labels
+        return all(theirs[r] == theirs[x] for x, r in enumerate(self.labels))
 
     def join(self, other: "Partition") -> "Partition":
-        uf = UnionFind(self.size)
-        for part in (self, other):
-            for b in part.blocks:
-                for y in b[1:]:
-                    uf.union(b[0], y)
-        return Partition(self.size, uf.blocks())
+        label = list(self.labels)
+        for x, r in enumerate(other.labels):
+            if r != x:
+                merge(label, x, r)
+        return Partition(self.size, label_blocks(label))
 
     def meet(self, other: "Partition") -> "Partition":
-        mine, theirs = self.block_index(), other.block_index()
-        return Partition.from_representatives(
-            self.size, [(mine[x], theirs[x]) for x in range(self.size)]
-        )
+        return Partition.from_representatives(self.size, list(zip(self.labels, other.labels)))
 
 
 def at_representatives(p: Partition, k: int):
     """values -> a k-ary table's values at (r(x1), ..., r(xk)), row-major over every x."""
-    return image_cells(p.size, k, tuple(p.blocks[i][0] for i in p.block_index()))
+    return image_cells(p.size, k, p.labels)
 
 
 def is_congruence(alg: Algebra, p: Partition):
@@ -158,7 +160,7 @@ def is_congruence(alg: Algebra, p: Partition):
     """
     if p.size != alg.domain:
         raise AlgebraError("partition size does not match algebra domain")
-    r = [p.blocks[i][0] for i in p.block_index()]  # same block iff same r
+    r = p.labels  # same block iff same r
     for op in alg.operations:
         at_reps = at_representatives(p, op.arity)(op.values)
         for args, v, w in zip(op.all_args(), op.values, at_reps):
@@ -195,28 +197,14 @@ def translation_pairs(alg: Algebra) -> tuple:
     return tuple(tuple(sorted(images.get((u, v), ()))) for u in range(n) for v in range(n))
 
 
-def _merge(label: list, p: int, q: int) -> bool:
-    """Joins the blocks of p and q in a label array (each element labelled
-    with the least element of its block); False if they were one block."""
-    lp, lq = label[p], label[q]
-    if lp == lq:
-        return False
-    if lp > lq:
-        lp, lq = lq, lp
-    for x in range(lq, len(label)):  # lq's block lies at lq and above
-        if label[x] == lq:
-            label[x] = lp
-    return True
-
-
 def _principal_labels(pairs: tuple, n: int, a: int, b: int) -> tuple:
     """The label tuple of Cg(a, b): a worklist over the pair table."""
     label = list(range(n))
-    work = [(min(a, b), max(a, b))] if _merge(label, a, b) else []
+    work = [(min(a, b), max(a, b))] if merge(label, a, b) else []
     while work:
         u, v = work.pop()
         for p, q in pairs[u * n + v]:
-            if _merge(label, p, q):
+            if merge(label, p, q):
                 work.append((p, q))
     return tuple(label)
 
@@ -235,7 +223,7 @@ def principal_congruence(alg: Algebra, a: int, b: int) -> Partition:
     """
     alg.check_elements(a, b)
     n = alg.domain
-    return Partition.from_representatives(n, _principal_labels(translation_pairs(alg), n, a, b))
+    return Partition(n, label_blocks(_principal_labels(translation_pairs(alg), n, a, b)))
 
 
 @per_algebra
@@ -266,13 +254,13 @@ def all_congruences(alg: Algebra) -> tuple:
                 label = list(p)
                 for x, r in enumerate(q):
                     if r != x:
-                        _merge(label, x, r)
+                        merge(label, x, r)
                 j = tuple(label)
                 if j not in found:
                     new.add(j)
         found |= new
         frontier = new
-    return tuple(sorted((Partition.from_representatives(n, label) for label in found),
+    return tuple(sorted((Partition(n, label_blocks(label)) for label in found),
                         key=lambda p: (n - len(p.blocks), str(p))))
 
 

@@ -234,34 +234,28 @@ def is_closed(op: OperationTable, subset) -> bool:
         image_cells(op.domain, op.arity, tuple(sorted(subset)))(op.values))
 
 
-class UnionFind:
-    """Disjoint sets over range(size), with path halving."""
+def merge(label: list, p: int, q: int) -> bool:
+    """Joins the blocks of p and q in a label array (each element labelled
+    with the least element of its block); False if they were one block."""
+    lp, lq = label[p], label[q]
+    if lp == lq:
+        return False
+    if lp > lq:
+        lp, lq = lq, lp
+    for x in range(lq, len(label)):  # lq's block lies at lq and above
+        if label[x] == lq:
+            label[x] = lp
+    return True
 
-    def __init__(self, size: int):
-        self.parent = list(range(size))
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        """Merge the sets of x and y; False when they already were one set."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
-
-    def blocks(self, universe=None) -> tuple:
-        """The sets restricted to `universe` (default: all of range(size)) in
-        canonical form: elements ascending, blocks ordered by minimum."""
-        groups = {}
-        for x in sorted(universe) if universe is not None else range(len(self.parent)):
-            groups.setdefault(self.find(x), []).append(x)
-        return tuple(tuple(b) for b in groups.values())
+def label_blocks(label, universe=None) -> tuple:
+    """The blocks of a label array restricted to `universe` (default: every
+    element) in canonical form: elements ascending, blocks ordered by
+    minimum."""
+    groups = {}
+    for x in sorted(universe) if universe is not None else range(len(label)):
+        groups.setdefault(label[x], []).append(x)
+    return tuple(tuple(b) for b in groups.values())
 
 
 def is_idempotent(op: OperationTable) -> bool:

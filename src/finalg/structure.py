@@ -29,8 +29,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import (Algebra, AlgebraError, OperationTable, UnionFind, _composed_values,
-                   is_closed, is_malcev, relabeling, restrict)
+from .core import (Algebra, AlgebraError, OperationTable, _composed_values, is_closed,
+                   is_malcev, label_blocks, merge, relabeling, restrict)
 from .congruence import (
     all_congruences,
     format_blocks,
@@ -511,23 +511,23 @@ def is_taylor(alg: Algebra, max_steps=None):
     for uni in all_subuniverses(alg):
         if len(uni) < 2:
             continue
-        components = UnionFind(alg.domain)
+        component = list(range(alg.domain))  # labels, as `core.merge` keeps them
         edges = []
         unsettled = []  # pairs without a record whose walk hit its budget
         for a, b in itertools.combinations(uni, 2):
-            if components.find(a) == components.find(b):
+            if component[a] == component[b]:
                 continue
             if (a, b) not in decided:
                 decided[a, b] = first_edge(alg, a, b, max_steps=max_steps)
             record, conclusive = decided[a, b]
             if record is not None:
-                components.union(a, b)
+                merge(component, a, b)
                 edges.append(record)
             elif not conclusive:
                 unsettled.append((a, b))
-        connected = len(components.blocks(uni)) == 1
+        connected = len(label_blocks(component, uni)) == 1
         if not connected:
-            settled = all(components.find(a) == components.find(b) for a, b in unsettled)
+            settled = all(component[a] == component[b] for a, b in unsettled)
             verdict = False if settled else None
         reports.append((uni, connected, edges))
         if verdict is False:

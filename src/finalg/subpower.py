@@ -108,8 +108,8 @@ import operator
 import struct
 from dataclasses import dataclass, field
 
-from .core import (Algebra, AlgebraError, OperationTable, UnionFind, _composed_values,
-                   argument_cells, cell_getter, check_budget, image_cells, relabeling)
+from .core import (Algebra, AlgebraError, OperationTable, _composed_values, argument_cells,
+                   cell_getter, check_budget, image_cells, label_blocks, merge, relabeling)
 from .memo import per_algebra
 
 # The element ceiling of every closure `generate` runs: a guard on memory,
@@ -1182,11 +1182,11 @@ def rab_analyze(base: Algebra, a: int, b: int, max_steps=None) -> RabReport:
 
     def links(side):
         # the blocks joined by the pairs with a common neighbour
-        uf = UnionFind(base.domain)
+        label = list(range(base.domain))
         for x, y in itertools.product(side, repeat=2):
             if side[x] & side[y]:
-                uf.union(x, y)
-        return uf.blocks(side)
+                merge(label, x, y)
+        return label_blocks(label, side)
 
     blocks1, blocks2 = links(left), links(right)
     if rel.truncated:

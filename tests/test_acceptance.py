@@ -17,6 +17,8 @@ from finalg.search import search_ops
 from finalg.subpower import cyclic_terms, free_algebra, generate, rab_analyze
 from finalg import catalog, certify, structure
 
+from conftest import T413_SIGMA, T413_TAU, t413_malcev_table
+
 BUDGET = 40_000_000  # operation applications per closure
 
 THREE_ELEMENT = (
@@ -152,10 +154,10 @@ def test_criterion_6_structural_spot_checks():
     if not (conclusive and perm is not None):
         problems.append("T4,9 not equivalent to M x Z2aff")
 
-    p = catalog.t413_malcev_table()
+    p = t413_malcev_table()
     if not is_malcev(p):
         problems.append("derived T4,13 operation not Mal'cev")
-    for tag, perm2 in (("sigma", catalog.T413_SIGMA), ("tau", catalog.T413_TAU)):
+    for tag, perm2 in (("sigma", T413_SIGMA), ("tau", T413_TAU)):
         ok = all(
             p.eval(tuple(perm2[x] for x in args)) == perm2[p.eval(args)]
             for args in p.all_args()

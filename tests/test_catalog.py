@@ -10,6 +10,8 @@ from finalg.core import (Algebra, AlgebraError, OperationTable, is_malcev, parse
 from finalg.congruence import Partition, all_congruences
 from finalg import catalog, structure
 
+from conftest import T413_PLUS_A, T413_PLUS_B, T413_SIGMA, T413_TAU, t413_malcev_table
+
 
 def test_names_fixed_order_and_count():
     names = catalog.names()
@@ -80,14 +82,14 @@ def test_letter_maps():
 
 
 def test_t413_example_consistency(alg):
-    p = catalog.t413_malcev_table()
+    p = t413_malcev_table()
     assert is_malcev(p)
-    for perm in (catalog.T413_SIGMA, catalog.T413_TAU):
+    for perm in (T413_SIGMA, T413_TAU):
         for args in p.all_args():
             mapped = tuple(perm[x] for x in args)
             assert p.eval(mapped) == perm[p.eval(args)]
     # the group tables are abelian groups
-    for tbl in (catalog.T413_PLUS_A, catalog.T413_PLUS_B):
+    for tbl in (T413_PLUS_A, T413_PLUS_B):
         assert all(tbl[i][j] == tbl[j][i] for i in range(4) for j in range(4))
         assert all(
             tbl[tbl[i][j]][k] == tbl[i][tbl[j][k]]
@@ -348,12 +350,11 @@ def relabeled_controls():
 
 
 def test_the_isomorphism_screen_keeps_its_work(monkeypatch):
-    # the tier-1 twin of the CI step "Isomorphism screen stays": criterion
-    # 5's 429 pairs from an empty fingerprint store, then the relabeled
-    # controls: no pair is equivalent or inconclusive, T4,18's Clo_2 is only
-    # ever grown one element past T4,16's, 29 fingerprints are computed for
-    # the pairs (40 with the controls), and each control is found along its
-    # bijection
+    # criterion 5's 429 pairs from an empty fingerprint store, then the
+    # relabeled controls: no pair is equivalent or inconclusive, T4,18's
+    # Clo_2 is only ever grown one element past T4,16's, 29 fingerprints are
+    # computed for the pairs (40 with the controls), and each control is
+    # found along its bijection
     t418 = catalog.get("T4,18").algebra
     unbounded = []
     free = catalog.free_algebra

@@ -9,6 +9,8 @@ from finalg import catalog, certify, structure, subpower
 from finalg.certify import Assertion
 from finalg.congruence import Partition, is_congruence
 
+from conftest import run_capped
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -97,10 +99,23 @@ def test_an_edge_witness_outside_the_domain_is_an_error_record():
 
 
 def test_a_huge_arity_is_an_error_record():
-    # one budget step keeps a regression cheap; CI runs arity 40 under caps
+    # one budget step keeps a regression cheap
     cert = certify.parse_certificate("algebra T1N\ncyclic-count 11 == 1\nabsorbs 0,1 11 true\n")
     assert [(r.status, r.detail) for r in certify.check_certificate(cert, max_steps=1)] == [
         ("fail", f"error: {what} arity 11 gives 3**11 argument cells, above the 65536 limit")
+        for what in ("cyclic_terms", "absorption")
+    ]
+    # arity 40, with no budget: its cells would not fit in memory, so the
+    # replay runs under a memory cap and a timeout
+    code, out, err = run_capped(["-c", (
+        "from finalg import certify\n"
+        "cert = certify.parse_certificate("
+        "'algebra T1N\\ncyclic-count 40 == 1\\nabsorbs 0,1 40 true\\n')\n"
+        "for r in certify.check_certificate(cert):\n"
+        "    print(r.detail)\n")], timeout=10)
+    assert code == 0, err
+    assert out.splitlines() == [
+        f"error: {what} arity 40 gives 3**40 argument cells, above the 65536 limit"
         for what in ("cyclic_terms", "absorption")
     ]
 

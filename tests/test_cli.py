@@ -8,6 +8,8 @@ from finalg import catalog
 from finalg.core import serialize_algebra
 from finalg.cli import main
 
+from conftest import run_capped
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -28,6 +30,12 @@ def test_cong_simple_t414(capsys):
     lines = out.splitlines()
     assert lines[0] == "simple=false"
     assert lines[1] == "{0,3}{1}{2}"
+
+
+def test_cong_without_a_question_is_a_usage_error(capsys):
+    code, out, err = run(["cong", "@T4,14"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: cong needs --principal A B, --all or --simple\n"
 
 
 def test_cyclic_count_t1n(capsys):
@@ -90,11 +98,18 @@ def test_rab_obeys_max_steps(capsys):
     assert out.splitlines()[:2] == ["kind=inconclusive", "size=3"]
 
 
-def test_equiv(capsys):
+def test_equiv(capsys, tmp_path):
     code, out, _ = run(["equiv", "@T4,12", "@Z4aff"], capsys)
     assert code == 0 and out.strip() == "term-equivalent"
     code, out, _ = run(["equiv", "@S", "@M"], capsys)
     assert code == 0 and out.strip() == "not-term-equivalent"
+    # transport, the isomorphism scan and automorphisms all read one
+    # relabeling map: a relabeled T4,13 is found again along the same bijection
+    path = tmp_path / "t413_relabeled.alg"
+    path.write_text(serialize_algebra(catalog.transport(catalog.get("T4,13").algebra,
+                                                        (0, 2, 1, 3))))
+    assert run(["equiv", "--iso", "@T4,13", str(path)], capsys) == \
+        (0, "equivalent-up-to-iso 0,2,1,3\n", "")
 
 
 def test_equiv_iso_of_algebras_of_different_sizes(capsys):
@@ -134,14 +149,29 @@ def test_search_spec_file(capsys, tmp_path):
     assert out.strip() == "0 0 0 1 0 1 1 1"
     code, out, _ = run(["search", "--spec", str(spec), "--count"], capsys)
     assert code == 0 and out.strip() == "1"
+    # `restrict` and `value` pin cells and `commutative` folds each cell
+    # with its swap, so a change in how a directive reaches the search
+    # shows as another count
+    for text, count in (
+            ("domain 3\narity 2\nidempotent\ncommutative\nrestrict 0,1 := 0 0 0 1\n", 9),
+            ("domain 3\narity 3\nidempotent\ncyclic\nrestrict 0,2 := 0 0 0 1 0 1 1 1\n"
+             "value 0,1,2 := 1\n", 243),
+            ("domain 4\narity 2\nidempotent\ncommutative\n"
+             "restrict 0,1,2 := 0 2 1 2 1 0 1 0 2\nvalue 3,0 := 0\npartition {0,3}{1}{2}\n", 1),
+            ("domain 3\narity 3\nidempotent\ncyclic\n", 6561)):
+        spec.write_text(text)
+        assert run(["search", "--spec", str(spec), "--count"], capsys) == (0, f"{count}\n", "")
 
 
 def test_search_stops_on_the_step_budget(capsys, tmp_path):
-    # 4**20 candidate tables: unbudgeted, the walk would run for hours
+    # 4**20 candidate tables: unbudgeted, the walk would run for hours; a
+    # step is one value tried, so where the budget stops is exact
     spec = tmp_path / "big.spec"
     spec.write_text("domain 4\narity 3\nidempotent\ncyclic\n")
-    code, out, _ = run(["--max-steps", "1000", "search", "--spec", str(spec), "--count"], capsys)
-    assert (code, out) == (3, "738+\n")
+    for steps, count in ((100, "63+"), (1000, "738+"), (12_345, "9247+")):
+        code, out, _ = run(["--max-steps", str(steps), "search", "--spec", str(spec), "--count"],
+                           capsys)
+        assert (code, out) == (3, f"{count}\n")
     code, out, _ = run(["--max-steps", "1000", "search", "--spec", str(spec)], capsys)
     assert code == 3 and len(out.splitlines()) == 738
 
@@ -428,20 +458,38 @@ def test_cyclic_limit_below_one_is_an_error(capsys):
     (["cyclic", "@T1N", "--arity", "11", "--count"], "cyclic_terms"),
 ])
 def test_a_huge_arity_is_an_error(capsys, argv, what):
-    # one budget step keeps a regression cheap; CI runs arity 40 under caps
+    # one budget step keeps a regression cheap
     code, out, err = run(["--max-steps", "1", *argv], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {what} arity 11 gives 3**11 argument cells, above the 65536 limit\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["clone", "@T1N", "--arity", "40"],
+    ["cyclic", "@T1N", "--arity", "40"],
+    ["clone", "@T1N", "--arity", "11", "--list"],
+])
+def test_a_huge_arity_exits_2_at_once_under_a_memory_cap(argv):
+    # a huge arity is rejected before any cell is listed, with no budget; a
+    # regression would hang or exhaust the memory, so the run is capped
+    code, out, err = run_capped(["-m", "finalg.cli", *argv], timeout=10)
+    assert (code, out) == (2, ""), err
+    assert "argument cells, above the 65536 limit" in err
+
+
 def test_a_closure_past_its_byte_ceiling_is_truncated(capsys, monkeypatch):
-    # CI runs `clone @T1N --arity 10` under a memory cap: 2,272 elements of
-    # 59,049 bytes; here the ceiling is lowered to 10 of Clo_3's 13 elements
+    # the ceiling lowered to 10 of Clo_3's 13 elements
     from finalg import subpower
 
     monkeypatch.setattr(subpower, "MAX_BYTES", 27 * 10)
     code, out, _ = run(["clone", "@T1N", "--arity", "3"], capsys)
     assert (code, out) == (3, "count 10 (truncated)\n")
+    # Clo_10 of a 3-element algebra has 59,049-byte elements: under a memory
+    # cap the closure stops on subpower.MAX_BYTES, with 2,272 elements,
+    # instead of running out of memory
+    code, out, err = run_capped(["-m", "finalg.cli", "clone", "@T1N", "--arity", "10"],
+                                timeout=60)
+    assert (code, out) == (3, "count 2272 (truncated)\n"), err
 
 
 def test_absorb_bad_subset_text_is_an_error(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finalg.core import Algebra, AlgebraError, OperationTable, UnionFind, translation_cells
+from finalg.core import Algebra, AlgebraError, OperationTable, translation_cells
 from finalg.congruence import (
     NotACongruenceError,
     Partition,
@@ -20,6 +20,8 @@ from finalg.congruence import (
     translation_pairs,
 )
 from finalg import catalog, structure
+
+from conftest import UnionFind
 
 
 def test_partition_canonical_form():

@@ -296,12 +296,13 @@ def restrict_to_coordinate(op, coord, sizes):
     return tuple(vals)
 
 
-def test_union_find_blocks_are_canonical():
-    from finalg.core import UnionFind
+def test_merged_label_blocks_are_canonical():
+    from finalg.core import label_blocks, merge
 
-    uf = UnionFind(6)
-    assert uf.union(4, 1) and uf.union(5, 3) and uf.union(3, 1)
-    assert not uf.union(5, 4)
-    assert uf.find(1) == uf.find(5) != uf.find(0)
-    assert uf.blocks() == ((0,), (1, 3, 4, 5), (2,))
-    assert uf.blocks({5, 2, 0}) == ((0,), (2,), (5,))
+    label = list(range(6))
+    assert merge(label, 4, 1) and merge(label, 5, 3) and merge(label, 3, 1)
+    assert not merge(label, 5, 4)
+    # each element keeps the least element of its block as its label
+    assert label == [0, 1, 2, 1, 1, 1]
+    assert label_blocks(label) == ((0,), (1, 3, 4, 5), (2,))
+    assert label_blocks(label, {5, 2, 0}) == ((0,), (2,), (5,))

@@ -8,7 +8,6 @@ from finalg.core import (
     Algebra,
     AlgebraError,
     OperationTable,
-    UnionFind,
     argument_cells,
     image_cells,
     is_cyclic,
@@ -32,7 +31,7 @@ from finalg.certify import parse_certificate
 from finalg.search import (AgreesOnTuples, CommutesWithPermutation, Cyclic, Idempotent,
                            InvariantPartition, PreservesRelation, Symmetric,
                            parse_constraint_file, restriction, satisfies)
-from conftest import reference_relabel
+from conftest import UnionFind, reference_relabel
 from test_subpower import _replay_malcev_obstruction, kernel_and_reference, reference_closure
 
 

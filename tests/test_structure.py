@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from finalg.congruence import all_congruences
-from finalg.core import Algebra, AlgebraError, OperationTable, UnionFind, product, projection
+from finalg.core import Algebra, AlgebraError, OperationTable, product, projection
 from finalg.subpower import eval_term, free_algebra, rab_analyze, sg_closure
 from finalg.structure import (
     NotIdempotentError,
@@ -25,6 +25,8 @@ from finalg.structure import (
     two_generated,
     weak_edges,
 )
+
+from conftest import UnionFind
 
 
 def test_absorbs_t2n_pair_binary(alg):
@@ -291,13 +293,33 @@ def test_is_taylor_rejects_non_idempotent():
         is_taylor(Algebra(2, [neg]))
 
 
-def test_has_malcev(alg):
+def test_has_malcev(alg, monkeypatch):
+    from finalg.core import is_malcev
+    from finalg.subpower import eval_term_table
+
     assert has_malcev_term(alg("T5N"))[0] is True
     assert has_malcev_term(alg("T4N"))[0] is False
     member, witness = has_malcev_term(alg("Z4aff"))
     assert member is True
     # the global closure stops on this budget; a local obstruction decides
     assert has_malcev_term(alg("T4,16"), max_steps=150_000)[0] is False
+    # every entry gets a conclusive answer at the query budget: the ten
+    # "yes" answers carry a term that replays as a Mal'cev operation, and
+    # T4,18's, which the global closure in A^24 does not find within the
+    # budget, is composed from local terms in A^2
+    _, decisions, _ = _malcev_spies(monkeypatch)
+    yes, stages = set(), {}
+    for name in catalog.names():
+        a = alg(name)
+        holds, term = has_malcev_term(a, max_steps=150_000)
+        stages[name] = decisions[-1].stage
+        assert holds is not None, name
+        if holds:
+            assert is_malcev(eval_term_table(term, a, 3)), name
+            yes.add(name)
+    assert len(decisions) == len(stages) == 47 and stages["T4,18"] == "compose"
+    assert yes == {"Z2aff", "T5N", "T2P", "T13C", "T4,12", "T4,13", "T4,17", "T4,18",
+                   "Z4aff", "Z2xZ2aff"}
 
 
 def _malcev_spies(monkeypatch):

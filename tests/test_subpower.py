@@ -586,8 +586,8 @@ def test_generate_keeps_no_closure_between_calls(alg, monkeypatch):
 
 def test_huge_arities_are_rejected(alg):
     # arity 11, just above the limit, keeps a regression cheap: each call
-    # still lists its 3**11 cells but runs one budget step (CI runs arity 40,
-    # whose cells do not fit in memory, under a time and memory cap)
+    # still lists its 3**11 cells but runs one budget step (test_cli runs
+    # arity 40, whose cells do not fit in memory, under a time and memory cap)
     from finalg.structure import absorbs
 
     t1n = alg("T1N")
@@ -907,16 +907,21 @@ def test_kernel_matches_reference_on_clo4(alg):
 
 
 def test_variable_orbit_walk_cuts_the_applications_of_clo3(alg):
-    # the complete Clo_3 of T4,10 and T4,13: the elements of the plain walk
-    # with about 5.5x fewer kernel applications
-    for name, plain_steps, steps in (("T4,10", 357_760, 65_352),
-                                     ("T4,13", 357_760, 65_474)):
+    # the complete Clo_3 of T4,5, T4,10 and T4,13: the elements of the plain
+    # walk with about 5.5x fewer kernel applications; these applications are
+    # the kernel's deterministic work counters, so a change in how the
+    # kernel walks shows here as another count
+    for name, size, plain_steps, steps in (("T4,5", 175, 1_786_575, 310_995),
+                                           ("T4,10", 128, 357_760, 65_352),
+                                           ("T4,13", 128, 357_760, 65_474)):
         a = alg(name)
         got = fresh(a, *_clo3(a))
         with mock.patch.object(subpower, "_symmetries", lambda *args: (None, None)):
             plain = fresh(a, *_clo3(a))
         assert not got.truncated and set(got.elements) == set(plain.elements)
         assert (plain.applications, got.applications) == (plain_steps, steps)
+        clo3 = free_algebra(a, 3)
+        assert (len(clo3), clo3.applications, clo3.stop_reason) == (size, steps, None)
 
 
 def test_cell_list_symmetries_of_the_cyclic_count_algebras(alg):
@@ -952,6 +957,8 @@ def test_automorphisms_of_the_catalog_are_the_bijections_transport_keeps(entries
             # transport and automorphisms read the same relabeling; this reads every cell
             assert want == tuple(p for p in perms if all(
                 reference_relabel(op, p) == op.values for op in a.operations)), e.name
+    sizes = {"T4,5": 2, "T4,10": 4, "T4,12": 8, "T4,13": 4, "Z2xZ2aff": 24}
+    assert {name: len(subpower.automorphisms(entries[name].algebra)) for name in sizes} == sizes
     # above five elements, the identity alone
     big = Algebra(6, [_table("t", 6, 2, max)])
     assert subpower.automorphisms(big) == (tuple(range(6)),)
@@ -1451,8 +1458,17 @@ def test_decide_term_runs_probe_local_test_full_closure_in_order(alg, monkeypatc
     assert set(budgets[1:-1]) == {(2, 150_000, False)}
     assert len(budgets) == 2 + 4 * 3 * 4 * 3
     first = list(budgets)
-    assert _closure_fields(d.closure) == _closure_fields(
-        term_closure(a, 3, pats, max_steps=150_000, targets=[target]))
+    want = term_closure(a, 3, pats, max_steps=150_000, targets=[target])
+    assert _closure_fields(d.closure) == _closure_fields(want)
+    assert (len(want), want.applications, want.stop_reason) == (97, 8_445, "targets")
+    # with the probe as the only stage listed, the second closure is the
+    # probe's, continued
+    budgets.clear()
+    d = subpower.decide_term(a, 3, pats, [(subpower.PROBE, None)], max_steps=150_000,
+                             targets=[target])
+    assert (d.stage, d.holds) == ("closure", True)
+    assert budgets == [(len(pats), subpower.PROBE_STEPS, False), (len(pats), 150_000, True)]
+    assert _closure_fields(d.closure) == _closure_fields(want)
     got = eval_term_table(d.closure.witness_term(target), a, 3)
     assert tuple(got.values[got.index(p)] for p in pats) == target
     # a complete closure run before changes neither the stages nor the budgets
@@ -1533,6 +1549,34 @@ def test_a_decision_continues_its_probe_as_a_fresh_closure():
     stages = {(d.stage, d.closure is not None and d.closure.stop_reason) for d in got.values()}
     assert {(subpower.PROBE, "steps"), ("closure", None), ("closure", "steps")} <= stages
     assert continued == 75  # decisions whose probe stopped on steps and went on
+
+
+def test_a_cyclic_count_replay_continues_its_probe(monkeypatch):
+    # T4,5's `cyclic-count 3 == 4` exhausts Clo_3: the probe stops on its
+    # steps, and the closure the count is read from continues the probe's
+    # and equals a fresh closure at the same budget, field by field
+    from finalg import certify
+
+    decisions, continued = [], []
+    decide, inner = subpower.decide_term, subpower.generate
+
+    def spy(*args, **kw):
+        decisions.append((args, kw, decide(*args, **kw)))
+        return decisions[-1][2]
+
+    def generate_spy(*args, **kw):
+        continued.append(bool(kw.get("_resume")))
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(subpower, "decide_term", spy)
+    monkeypatch.setattr(subpower, "generate", generate_spy)
+    (record,) = certify.check_certificate(
+        certify.parse_certificate("algebra T4,5\ncyclic-count 3 == 4\n"))
+    args, kw, d = decisions[-1]
+    assert record.status == "pass" and d.stage == "closure" and continued == [False, True]
+    want = term_closure(args[0], 3, args[2], max_steps=kw["max_steps"])
+    assert _closure_fields(d.closure) == _closure_fields(want)
+    assert (len(want), want.applications, want.stop_reason) == (175, 310_995, None)
 
 
 def test_no_returned_closure_keeps_a_paused_kernel(alg):
