@@ -367,6 +367,28 @@ class Algebra:
         return Algebra(len(set(subset)), tuple(restrict(o, subset) for o in self.operations))
 
 
+def sg_closure(base: Algebra, subset) -> tuple:
+    """Sorted elements of the subuniverse Sg(subset): the fixpoint of
+    S + f(S^k) over the operations f, each image f(S^k) read off f's table
+    through the cached value map `image_cells`.  No closure in a power
+    runs and there is no budget: the fixpoint is reached within n rounds.
+    An empty subset or an element outside the domain is an AlgebraError."""
+    subset = tuple(subset)
+    if not subset:
+        raise AlgebraError("no generators")
+    for x in subset:
+        if not 0 <= x < base.domain:
+            raise AlgebraError(f"generator entry {x} out of range")
+    closed = set(subset)
+    while True:
+        key = tuple(sorted(closed))
+        grown = closed.union(*(image_cells(base.domain, op.arity, key)(op.values)
+                               for op in base.operations))
+        if len(grown) == len(closed):
+            return key
+        closed = grown
+
+
 def product(algebras, label=None) -> Algebra:
     """Direct product; elements encoded mixed-radix, first factor most significant."""
     algebras = list(algebras)

@@ -24,7 +24,8 @@ def table_key(alg) -> tuple:
 
 
 def per_algebra(fn):
-    """Memoizes `fn(alg)` by `table_key(alg)` in `.memo`.
+    """Memoizes `fn(alg, *args)` by `table_key(alg) + args` in `.memo`
+    (`table_key(alg)` alone for `fn(alg)`); `args` must be hashable.
 
     `fn` must return an immutable value that names no operation: every
     caller gets the stored value itself, a renamed copy of the algebra too.
@@ -33,11 +34,11 @@ def per_algebra(fn):
     memo = Memo(limit=INVARIANT_LIMIT)
 
     @functools.wraps(fn)
-    def memoized(alg):
-        key = table_key(alg)
+    def memoized(alg, *args):
+        key = table_key(alg) + args
         value = memo.get(key)
         if value is None:
-            value = fn(alg)
+            value = fn(alg, *args)
             memo.put(key, value)
         return value
 

@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (Algebra, AlgebraError, OperationTable, _composed_values, is_closed,
-                   is_malcev, label_blocks, merge, relabeling, restrict)
+                   is_malcev, label_blocks, merge, relabeling, restrict, sg_closure)
 from .congruence import (
     all_congruences,
     format_blocks,
@@ -50,7 +50,6 @@ from .subpower import (
     free_algebra,
     generate,  # not called here; perfbench/test_smoke.py checks the tracer rebinds it
     local_obstruction,
-    sg_closure,
     substitute,
     term_closure,
     term_values,

@@ -2,7 +2,8 @@
 
 This is the engine behind free algebras / clone membership, cyclic-term
 search and the binary relation Sg{(a,b),(b,a)}.  A subuniverse of A itself
-is a fixpoint read off the tables (`sg_closure`), with no closure in a power.
+is a fixpoint read off the tables (`core.sg_closure`), with no closure in a
+power.
 
 Power tuples are stored as `bytes`, one byte per coordinate (so a domain
 has at most 256 elements), and the closure order is canonical:
@@ -53,15 +54,16 @@ budget.  T4,5's Clo_3 takes 310,995 applications, against 1,786,575 for
 the plain walk and 297,809 orbits of argument tuples.
 
 At the same switch the closure reads a second symmetry off its cells, the
-coordinate view (`_View`).  An automorphism g of A that keeps the set of
-cells gives t(g.c) = g(t(c)) for every term t, and in an idempotent
-algebra t(a, ..., a) = a; so one cell per orbit of those automorphisms,
-constant cells aside, fixes a term's values on all m.  From then on the
-rows, their integers and the membership test work on those kept
-coordinates only, and each new element is expanded to all m by one getter,
-one lane offset and one `translate`.  The elements, their order,
-witnesses, stop tests and applications stay exactly as without the view:
-T4,5's Clo_3 keeps 30 of 64 bytes an element, T4,10's 15.
+coordinate view (`homomorphism.CoordinateView`).  A homomorphism h from
+the subalgebra that a cell c' generates into A, with h(c') = c, gives
+t(c) = h(t(c')) for every k-ary term t; so one cell per class of cells
+that are images of each other, the non-injective images aside, fixes a
+term's values on all m.  From then on the rows, their integers and the
+membership test work on those kept coordinates only, and each new element
+is expanded to all m by one getter, one lane offset and one `translate`.
+The elements, their order, witnesses, stop tests and applications stay
+exactly as without the view: T4,5's Clo_3 keeps 15 of 64 bytes an
+element, T4,10's 15 and T4,13's 12.
 
 Every operation is applied by one row kernel of lane arithmetic.  An
 operation with c = n**arity cells gets a lane width w: 1 byte when
@@ -109,8 +111,8 @@ import struct
 from dataclasses import dataclass, field
 
 from .core import (Algebra, AlgebraError, OperationTable, _composed_values, argument_cells,
-                   cell_getter, check_budget, image_cells, label_blocks, merge, relabeling)
-from .memo import per_algebra
+                   cell_getter, check_budget, label_blocks, merge)
+from .homomorphism import CoordinateView
 
 # The element ceiling of every closure `generate` runs: a guard on memory,
 # not a work budget.  A closure that meets it stops with reason "cap".
@@ -618,7 +620,7 @@ def _kernel(base, m, gen_list, cap, stop_for, max_steps):
                 orbits.append((i, [position[img] for img in images]))
             if not stop:
                 if layout is None:  # the walk starts over in the layout's order
-                    layout = _OrbitLayout(var_maps, m)
+                    layout = _OrbitLayout(var_maps)
                 layout.extend(orbits, size, ints)
                 fstart = layout.fstart
 
@@ -641,18 +643,18 @@ class _OrbitLayout:
     representative, the mask of the maps that fix it (`stabs`, else 0).
     `firsts` lists the representatives' positions; the frontier is the
     suffix from `fstart`.  `after[t][s]` is the index of map s after map t
-    (-1 for the identity), read once off the maps' images of range(m), so
-    a member's `down` mask comes from its representative's image indices
-    alone."""
+    (-1 for the identity), read off the variable permutations: map s after
+    map t is the map of the permutation i -> s(t(i)), one lookup in
+    `by_perm` (`_VarMaps`) per entry, so a member's `down` mask comes from
+    its representative's image indices alone."""
 
     __slots__ = ("order", "ints", "down", "stabs", "firsts", "fstart", "after")
 
-    def __init__(self, var_maps, m: int):
+    def __init__(self, var_maps: _VarMaps):
         self.order, self.ints, self.down, self.stabs, self.firsts = [], [], [], [], []
         self.fstart = 0
-        images = [perm(range(m)) for perm in var_maps]
-        index = {image: s for s, image in enumerate(images)}
-        self.after = [[index.get(perm(image), -1) for perm in var_maps] for image in images]
+        by_perm, perms = var_maps.by_perm, var_maps.perms
+        self.after = [[by_perm[tuple(map(s.__getitem__, t))] for s in perms] for t in perms]
 
     def extend(self, orbits, size, ints):
         """Appends the orbits met at a round end: (representative, image
@@ -706,23 +708,11 @@ _ORBIT_MIN = 32
 # for Clo_10 of a 3-element algebra, 3,628,800 x 59,049 indices.
 _ORBIT_MAX_INDICES = 1 << 20
 
-# Automorphisms are sought by trying every bijection of domains up to this
-# size; above it the view uses the trivial group (the diagonal alone).
-_AUT_MAX_DOMAIN = 5
-
-
-@per_algebra
-def automorphisms(alg: Algebra) -> tuple:
-    """The automorphisms of `alg` as tuples of images, in lex order (the
-    identity first): every bijection of the domain that commutes with each
-    operation (whose relabeling along it, `core.relabeling`, keeps every
-    table), tried one by one up to _AUT_MAX_DOMAIN elements; the identity
-    alone above.  Memoized by the operation tables (`memo.per_algebra`)."""
-    n = alg.domain
-    if n > _AUT_MAX_DOMAIN:
-        return (tuple(range(n)),)
-    return tuple(p for p in itertools.permutations(range(n)) if all(
-        relabeling(n, op.arity, p)(op.values) == op.values for op in alg.operations))
+class _VarMaps(tuple):
+    """A closure's variable maps, as getters, with the permutation of the
+    variables that gives each (`perms`) and the index of the map that every
+    permutation keeping the set of cells gives (`by_perm`, -1 for the
+    identity map)."""
 
 
 def _symmetries(base: Algebra, gen_list: list):
@@ -731,95 +721,43 @@ def _symmetries(base: Algebra, gen_list: list):
     the values t(cell) of a k-ary term t on the cells.  A list with a
     repeated cell, or with fewer than two, has neither.
 
-    The variable maps: for each permutation s of the k variables that keeps
-    the set of cells, in lex order, the map e -> s.e, (s.e)[c] =
-    e[c[s(0)], ..., c[s(k-1)]], as a getter (bytes -> tuple); the same map
-    once, and none that moves no coordinate.  s.e is the term t(x_s(0),
-    ..., x_s(k-1)) on the cells, so the map keeps the closure; it commutes
-    with every operation applied coordinatewise.  None where there is no
-    such map, where every operation is at most binary (a row there costs
-    less than the images it would spare: T4,14, one binary operation,
+    The variable maps (`_VarMaps`): for each permutation s of the k
+    variables that keeps the set of cells, in lex order, the map e -> s.e,
+    (s.e)[c] = e[c[s(0)], ..., c[s(k-1)]], as a getter (bytes -> tuple);
+    the same map once, and none that moves no coordinate.  s.e is the term
+    t(x_s(0), ..., x_s(k-1)) on the cells, so the map keeps the closure; it
+    commutes with every operation applied coordinatewise.  None where there
+    is no such map, where every operation is at most binary (a row there
+    costs less than the images it would spare: T4,14, one binary operation,
     answers has_cyclic_term in 1.5 ms without the walk and 3.5 ms with it)
     or where k! * m exceeds _ORBIT_MAX_INDICES.
 
-    The view (`_View`), or None where it would keep no coordinate or more
-    than half of them, or its relabel table would not fit in a byte: each
-    element it admits pays an expansion of all m coordinates, so on
-    closures that admit about one element per application views keeping
-    60 of 64 coordinates cost a quarter more time than none."""
+    The view (`homomorphism.CoordinateView`), read off the homomorphisms
+    from the subalgebras the cells generate, or None where it would keep no
+    coordinate or more than half of them: each element it admits pays an
+    expansion of all m coordinates, so on closures that admit about one
+    element per application views keeping 60 of 64 coordinates cost a
+    quarter more time than none."""
     m, k = len(gen_list[0]), len(gen_list)
     cells = list(zip(*gen_list))
     index = {c: j for j, c in enumerate(cells)}
     if m < 2 or len(index) < m:
         return None, None
-    var_maps = {}
+    images, perms, by_perm = {tuple(range(m)): -1}, [], {}  # image -> its map's index
     if any(op.arity >= 3 for op in base.operations) and math.factorial(k) * m <= \
             _ORBIT_MAX_INDICES:
         for s in itertools.permutations(range(k)):
-            image = tuple(index.get(tuple(map(c.__getitem__, s))) for c in cells)
+            image = tuple(map(index.get, zip(*map(gen_list.__getitem__, s))))
             if None not in image:
-                var_maps.setdefault(image)
-        var_maps.pop(tuple(range(m)), None)
-    group = [g for g in automorphisms(base)
-             if all(tuple(map(g.__getitem__, c)) in index for c in cells)]
-    view = _View.of(base, cells, index, group)
-    return tuple(map(cell_getter, var_maps)) or None, view
-
-
-class _View:
-    """The coordinates a closure keeps once its cell list has symmetries.
-
-    For an automorphism g of A that keeps the set of cells, a term t has
-    t(g.c) = g(t(c)) at every cell c; in an idempotent algebra, t(a, ...,
-    a) = a.  So one cell per orbit of those automorphisms (the first in the
-    list), the constant cells of an idempotent algebra aside, fixes the
-    values on all m cells: reading the kept cells (`reduce`) is one-to-one
-    on the closure, and it commutes with every operation applied
-    coordinatewise, so the rows run on the `coords` kept coordinates alone.
-    `expand` rebuilds an element from them: per cell, the kept value it is
-    an image of, offset into the row of its automorphism (or of its
-    constant) in a relabel table of (|G| + n) * n entries, which one
-    `translate` reads."""
-
-    __slots__ = ("m", "coords", "keep", "getter", "offset", "table")
-
-    @staticmethod
-    def of(base, cells, index, group):
-        n, m = base.domain, len(cells)
-        if (len(group) + n) * n > 256:
-            return None
-        idempotent = base.is_idempotent()
-        kept, codes = [], [None] * m  # per cell: (kept position, table row)
-        for j, c in enumerate(cells):
-            if codes[j] is not None:
-                continue
-            if idempotent and c.count(c[0]) == len(c):
-                codes[j] = 0, len(group) + c[0]
-                continue
-            for row, g in enumerate(group):
-                i = index[tuple(map(g.__getitem__, c))]
-                if codes[i] is None:
-                    codes[i] = len(kept), row
-            kept.append(j)
-        if not 0 < 2 * len(kept) <= m:
-            return None
-        view = _View()
-        view.m, view.coords, view.keep = m, len(kept), cell_getter(kept)
-        view.getter = cell_getter([p for p, _ in codes])
-        view.offset = int.from_bytes(bytes(row * n for _, row in codes), "big")
-        table = bytes(g[v] for g in group for v in range(n)) + bytes(
-            a for a in range(n) for _ in range(n))
-        view.table = table + bytes(256 - len(table))
-        return view
-
-    def reduce(self, e: bytes) -> bytes:
-        """The kept coordinates of element `e`."""
-        return bytes(self.keep(e))
-
-    def expand(self, key: bytes) -> bytes:
-        """The element whose kept coordinates are `key`."""
-        full = int.from_bytes(bytes(self.getter(key)), "big") + self.offset
-        return full.to_bytes(self.m, "big").translate(self.table)
+                if image not in images:
+                    images[image] = len(perms)
+                    perms.append(s)
+                by_perm[s] = images[image]
+    var_maps = None
+    if perms:
+        var_maps = _VarMaps(map(cell_getter, list(images)[1:]))
+        var_maps.perms, var_maps.by_perm = perms, by_perm
+    return var_maps, CoordinateView.of(base, gen_list, index)
 
 
 def _widen(data: bytes, w: int):
@@ -918,28 +856,6 @@ def _prefix_rows(coeffs, ints, size, fstart, orbit, layout):
         else:
             for i in indices:
                 yield prefix + (i,), acc + c * ints[i], lo if i < fstart else 0
-
-
-def sg_closure(base: Algebra, subset) -> tuple:
-    """Sorted elements of the subuniverse Sg(subset): the fixpoint of
-    S + f(S^k) over the operations f, each image f(S^k) read off f's table
-    through the cached value map `core.image_cells`.  No closure in a power
-    runs and there is no budget: the fixpoint is reached within n rounds.
-    An empty subset or an element outside the domain is an AlgebraError."""
-    subset = tuple(subset)
-    if not subset:
-        raise AlgebraError("no generators")
-    for x in subset:
-        if not 0 <= x < base.domain:
-            raise AlgebraError(f"generator entry {x} out of range")
-    closed = set(subset)
-    while True:
-        key = tuple(sorted(closed))
-        grown = closed.union(*(image_cells(base.domain, op.arity, key)(op.values)
-                               for op in base.operations))
-        if len(grown) == len(closed):
-            return key
-        closed = grown
 
 
 def term_closure(base: Algebra, k: int, cells, **budgets) -> GeneratedSet:

@@ -1,5 +1,7 @@
 import contextlib
 import io
+import json
+import pathlib
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,6 +11,8 @@ from finalg.core import serialize_algebra
 from finalg.cli import main
 
 from conftest import run_capped
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run(argv, capsys):
@@ -103,8 +107,8 @@ def test_equiv(capsys, tmp_path):
     assert code == 0 and out.strip() == "term-equivalent"
     code, out, _ = run(["equiv", "@S", "@M"], capsys)
     assert code == 0 and out.strip() == "not-term-equivalent"
-    # transport, the isomorphism scan and automorphisms all read one
-    # relabeling map: a relabeled T4,13 is found again along the same bijection
+    # transport and the isomorphism scan read one relabeling map: a
+    # relabeled T4,13 is found again along the same bijection
     path = tmp_path / "t413_relabeled.alg"
     path.write_text(serialize_algebra(catalog.transport(catalog.get("T4,13").algebra,
                                                         (0, 2, 1, 3))))
@@ -397,6 +401,20 @@ def test_search_spec_out_of_range_sizes_name_the_line(capsys, tmp_path):
             code, out, err = run(["search", "--spec", str(spec), *count], capsys)
             assert code == 2 and out == ""
             assert err == f"error: {why}\n"
+
+
+@pytest.mark.parametrize(("flags", "golden"), [
+    ([], "paper_suite_records.json"),
+    (["--max-steps", "1000"], "paper_suite_records_steps1000.json")])
+def test_verify_suite_paper_json_keeps_the_recorded_verdicts(capsys, flags, golden):
+    # `alg verify --suite paper --json`, unbudgeted and at 1,000 steps (where
+    # 11 records are inconclusive): the records, timings left out, are the
+    # recorded ones, and the exit code is 0
+    code, out, err = run([*flags, "verify", "--suite", "paper", "--json"], capsys)
+    want = json.loads((DATA / golden).read_text())
+    assert (code, err) == (0, "")
+    assert [{k: r[k] for k in ("id", "status", "detail")} for r in json.loads(out)] == want
+    assert len(want) == 317
 
 
 def test_verify_budget_defaults_to_the_assertion_steps(capsys, monkeypatch):

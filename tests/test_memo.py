@@ -5,8 +5,9 @@ import inspect
 import pytest
 
 from finalg import catalog, congruence, structure
+from finalg.homomorphism import homomorphisms
 from finalg.core import Algebra, OperationTable
-from finalg.memo import INVARIANT_LIMIT, Memo, per_algebra
+from finalg.memo import INVARIANT_LIMIT, Memo, per_algebra, table_key
 
 INVARIANTS = (
     (structure, "all_subuniverses"),
@@ -62,3 +63,14 @@ def test_per_algebra_computes_once_per_tables():
     assert calls == [a]
     domain_size(b)
     assert calls == [a, b] and len(domain_size.memo) == 2
+
+
+def test_per_algebra_keys_further_arguments_too(alg):
+    # `homomorphisms` is memoized by the tables and the subuniverse: a
+    # renamed copy gets the stored value, another subuniverse its own
+    a = alg("T4,7")
+    full = tuple(range(a.domain))
+    first = homomorphisms(a, full)
+    assert homomorphisms(a, full) is first and homomorphisms(_renamed(a), full) is first
+    assert homomorphisms(a, (0,)) == ((0,), (1,), (2,), (3,))
+    assert homomorphisms.memo.get(table_key(a) + (full,)) is first

@@ -16,12 +16,14 @@ from finalg.core import (
     parse_algebra,
     relabeling,
     serialize_algebra,
+    sg_closure,
 )
 from finalg.congruence import (Partition, all_congruences, class_algebra, format_blocks,
                                is_congruence, parse_blocks, principal_congruence,
                                quotient_algebra)
 from finalg import subpower
-from finalg.subpower import eval_term, eval_term_table, generate, has_cyclic_term, sg_closure
+from finalg.homomorphism import homomorphisms
+from finalg.subpower import eval_term, eval_term_table, generate, has_cyclic_term
 from finalg.structure import (_walk_order, absorbs, absorption_patterns, all_subuniverses,
                               clone_excluded, compose_malcev_term, decide_clone_membership,
                               has_malcev_term, malcev_obstruction, naive_absorbs,
@@ -32,7 +34,8 @@ from finalg.search import (AgreesOnTuples, CommutesWithPermutation, Cyclic, Idem
                            InvariantPartition, PreservesRelation, Symmetric,
                            parse_constraint_file, restriction, satisfies)
 from conftest import UnionFind, reference_relabel
-from test_subpower import _replay_malcev_obstruction, kernel_and_reference, reference_closure
+from test_subpower import (_replay_malcev_obstruction, automorphisms, brute_homomorphisms,
+                           kernel_and_reference, reference_closure)
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +541,38 @@ def test_automorphisms_are_the_bijections_transport_keeps(case):
     perms = list(itertools.permutations(range(a.domain)))
     want = tuple(p for p in perms
                  if [op.values for op in catalog.transport(a, p).operations] == tables)
-    assert subpower.automorphisms(a) == want
+    assert automorphisms(a) == want
     assert set(group) <= set(want)
-    # transport and automorphisms read the same relabeling; this reads every cell
+    # transport reads `core.relabeling`; this reads every cell
     assert want == tuple(p for p in perms
                          if [reference_relabel(op, p) for op in a.operations] == tables)
+
+
+@st.composite
+def small_algebras(draw):
+    """An algebra on 1-4 elements with one to three operations of arity
+    1-3, each idempotent or not."""
+    n = draw(st.integers(1, 4))
+    ops = []
+    for name in ("f", "g", "h")[:draw(st.integers(1, 3))]:
+        arity = draw(st.integers(1, 3))
+        cells = list(itertools.product(range(n), repeat=arity))
+        if draw(st.booleans()):
+            vals = [c[0] if len(set(c)) == 1 else draw(st.integers(0, n - 1)) for c in cells]
+        else:
+            vals = _random_table(draw, n, arity)
+        ops.append(OperationTable(name, arity, n, tuple(vals)))
+    return Algebra(n, tuple(ops))
+
+
+@given(small_algebras())
+# 2x+2y+3z-2w on Z5: 625 cells, above the 1-byte lanes
+@example(Algebra(5, (OperationTable("q", 4, 5, tuple(
+    (2 * x + 2 * y + 3 * z - 2 * w) % 5 for x, y, z, w in itertools.product(range(5), repeat=4))),)))
+@settings(max_examples=100, deadline=None)
+def test_homomorphisms_of_every_subuniverse_match_a_brute_force(a):
+    for sub in all_subuniverses(a):
+        assert homomorphisms(a, sub) == brute_homomorphisms(a, sub), sub
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import itertools
 import pytest
 
 from finalg.congruence import all_congruences
-from finalg.core import Algebra, AlgebraError, OperationTable, product, projection
-from finalg.subpower import eval_term, free_algebra, rab_analyze, sg_closure
+from finalg.core import Algebra, AlgebraError, OperationTable, product, projection, sg_closure
+from finalg.subpower import eval_term, free_algebra, rab_analyze
 from finalg.structure import (
     NotIdempotentError,
     absorbs,
@@ -422,8 +422,6 @@ def test_two_generated(alg):
     assert two_generated(alg("T4N")) == (1, 2)
     assert two_generated(alg("T1S")) is None  # conservative
     # the published construction's generating pair for T4,3
-    from finalg.subpower import sg_closure
-
     assert sg_closure(alg("T4,3"), (3, 2)) == (0, 1, 2, 3)
 
 

@@ -9,7 +9,8 @@ from unittest import mock
 
 import pytest
 
-from finalg.core import Algebra, AlgebraError, OperationTable
+from finalg.core import Algebra, AlgebraError, OperationTable, cell_index, sg_closure
+from finalg.homomorphism import homomorphisms
 from finalg.subpower import (
     TermTree,
     clone_membership,
@@ -22,11 +23,10 @@ from finalg.subpower import (
     has_cyclic_term,
     rab_analyze,
     render_term,
-    sg_closure,
     term_closure,
     term_values,
 )
-from finalg.structure import _majority_on_pair_positions, absorption_patterns
+from finalg.structure import _majority_on_pair_positions, absorption_patterns, all_subuniverses
 from conftest import naive_clone, reference_relabel
 
 
@@ -924,18 +924,26 @@ def test_variable_orbit_walk_cuts_the_applications_of_clo3(alg):
         assert (len(clo3), clo3.applications, clo3.stop_reason) == (size, steps, None)
 
 
+def automorphisms(a):
+    """The automorphisms of `a`, read from the homomorphism search: the
+    injective homomorphisms of the whole domain into it."""
+    n = a.domain
+    return tuple(h for h in homomorphisms(a, tuple(range(n))) if len(set(h)) == n)
+
+
 def test_cell_list_symmetries_of_the_cyclic_count_algebras(alg):
     # the view of each complete Clo_3 of `cyclic-count`: one coordinate per
-    # orbit of the automorphisms, the diagonal left out (T4,3 and T3N, with
-    # the diagonal alone, would keep more than half and have none); the
-    # elements and the applications are those of the walk without a view
-    for name, group, coords in (("T4,5", 2, 30), ("T4,8", 2, 30), ("T4,11", 2, 30),
-                                ("T4,10", 4, 15), ("T4,13", 4, 18), ("T4,3", 1, None),
-                                ("T3N", 1, None)):
+    # class of cells that are homomorphic images of each other, the
+    # non-injective images left out (T3N, with 15 of 27, would keep more
+    # than half and has none); the elements and the applications are those
+    # of the walk without a view
+    for name, group, coords in (("T4,5", 2, 15), ("T4,3", 1, 30), ("T4,4", 1, 21),
+                                ("T4,8", 2, 21), ("T4,13", 4, 12), ("T4,11", 2, 12),
+                                ("T4,10", 4, 15), ("T3N", 1, None)):
         a = alg(name)
         m, gens = _clo3(a)
         gen_list = subpower._generator_bytes(a, m, gens)
-        assert len(subpower.automorphisms(a)) == group
+        assert len(automorphisms(a)) == group
         var_maps, view = subpower._symmetries(a, gen_list)
         assert len(var_maps) == 5 and (view and view.coords) == coords
         got = fresh(a, m, gens)
@@ -953,15 +961,180 @@ def test_automorphisms_of_the_catalog_are_the_bijections_transport_keeps(entries
         if a.domain <= 4:
             perms = list(itertools.permutations(range(a.domain)))
             want = tuple(p for p in perms if catalog_transport(a, p).operations == a.operations)
-            assert subpower.automorphisms(a) == want, e.name
-            # transport and automorphisms read the same relabeling; this reads every cell
+            assert automorphisms(a) == want, e.name
+            # transport reads `core.relabeling`; this reads every cell
             assert want == tuple(p for p in perms if all(
                 reference_relabel(op, p) == op.values for op in a.operations)), e.name
     sizes = {"T4,5": 2, "T4,10": 4, "T4,12": 8, "T4,13": 4, "Z2xZ2aff": 24}
-    assert {name: len(subpower.automorphisms(entries[name].algebra)) for name in sizes} == sizes
+    assert {name: len(automorphisms(entries[name].algebra)) for name in sizes} == sizes
     # above five elements, the identity alone
     big = Algebra(6, [_table("t", 6, 2, max)])
-    assert subpower.automorphisms(big) == (tuple(range(6)),)
+    assert automorphisms(big) == (tuple(range(6)),)
+    assert homomorphisms(big, (0, 5)) == ((0, 5),)
+
+
+def brute_homomorphisms(a, sub):
+    """Every map from `sub` into `a` that commutes with each operation,
+    checked cell by cell, in lex order of its images."""
+    at = {x: i for i, x in enumerate(sub)}
+    return tuple(h for h in itertools.product(range(a.domain), repeat=len(sub)) if all(
+        h[at[op(*cell)]] == op(*(h[at[x]] for x in cell))
+        for op in a.operations for cell in itertools.product(sub, repeat=op.arity)))
+
+
+def test_homomorphisms_of_every_catalog_subuniverse_match_a_brute_force(entries):
+    for e in entries.values():
+        a = e.algebra
+        assert a.domain <= 4
+        for sub in all_subuniverses(a):
+            assert homomorphisms(a, sub) == brute_homomorphisms(a, sub), (e.name, sub)
+
+
+def test_homomorphisms_of_an_operation_with_625_cells():
+    # 2x+2y+3z-2w on Z5 (2-byte lanes): {0} and Z5 are its subuniverses, and
+    # the endomorphisms of Z5 are the five maps x -> ux
+    a = Algebra(5, [_table("q", 5, 4, lambda x, y, z, w: (2 * x + 2 * y + 3 * z - 2 * w) % 5)])
+    assert all_subuniverses(a) == ((0,), (0, 1, 2, 3, 4))
+    for sub in all_subuniverses(a):
+        assert homomorphisms(a, sub) == brute_homomorphisms(a, sub)
+    assert len(homomorphisms(a, tuple(range(5)))) == 5
+    with pytest.raises(AlgebraError, match="not a subuniverse"):
+        homomorphisms(a, (1,))
+
+
+def test_above_five_elements_the_view_drops_only_the_constant_cells():
+    # no homomorphism search above the domain limit: of the cells of x-y+z
+    # on Z6 below, the two non-constant ones are kept, and the closure is
+    # the reference's with the view on from its first round end
+    a = Algebra(6, [_table("m", 6, 3, lambda x, y, z: (x - y + z) % 6)])
+    gens = subpower.term_generators(a, 2, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 3)])
+    assert subpower._symmetries(a, gens)[1].coords == 2
+    with mock.patch.object(subpower, "_ORBIT_MIN", 1):
+        got = kernel_and_reference(a, 5, gens)
+    assert not got.truncated and len(got) == 6
+
+
+def _generates_a_graph(a, cj, ci):
+    """Do the pairs (cj[l], ci[l]) generate, in A^2, the graph of a
+    function?  A closure of the pairs, stopped at the first pair whose
+    first entry already has another second one."""
+    n, graph, pairs = a.domain, {}, []
+
+    def add(x, y):
+        if graph.setdefault(x, y) != y:
+            return False
+        if len(pairs) < len(graph):
+            pairs.append((x, y))
+        return True
+
+    if not all(add(x, y) for x, y in zip(cj, ci)):
+        return False
+    start = 0
+    while start < len(pairs):
+        size = len(pairs)
+        for op in a.operations:
+            for args in itertools.product(range(size), repeat=op.arity):
+                if max(args) >= start and not add(
+                        op.values[cell_index([pairs[t][0] for t in args], n)],
+                        op.values[cell_index([pairs[t][1] for t in args], n)]):
+                    return False
+        start = size
+    return True
+
+
+def source_class_count(a, cells):
+    """A test-only reference for the view's kept cells: the classes of the
+    preorder j -> i on the cells that no cell outside them reaches, where
+    j -> i iff the pairs (c_j[l], c_i[l]) generate in A^2 the graph of a
+    function, so every term's value at c_i is a function of its value at
+    c_j."""
+    m = len(cells)
+    reach = [[_generates_a_graph(a, cj, ci) for ci in cells] for cj in cells]
+    return sum(1 for i in range(m)
+               if min(j for j in range(m) if reach[i][j] and reach[j][i]) == i
+               and not any(reach[j][i] and not reach[i][j] for j in range(m)))
+
+
+# the entries whose `cyclic-count 3` replay exhausts Clo_3
+EXHAUSTED_CLO3 = ("T4,5", "T4,3", "T4,4", "T4,8", "T4,13", "T4,11", "T4,10", "T3N")
+
+
+def test_the_view_keeps_one_cell_per_source_class(entries):
+    # Clo_2 of every entry and Clo_3 of those the suite exhausts: the kept
+    # cells are the source classes, where the view keeps at most half
+    cases = [(e.algebra, 2) for e in entries.values()]
+    cases += [(entries[name].algebra, 3) for name in EXHAUSTED_CLO3]
+    kept = []
+    for a, k in cases:
+        m, gens = _free(a, k)
+        want = source_class_count(a, list(itertools.product(range(a.domain), repeat=k)))
+        view = subpower._symmetries(a, subpower._generator_bytes(a, m, gens))[1]
+        assert (view and view.coords) == (want if 2 * want <= m else None)
+        kept.append(want)
+    assert kept[-len(EXHAUSTED_CLO3):] == [15, 30, 21, 21, 12, 12, 15, 15]
+
+
+@pytest.mark.parametrize("name", ["T4,5", "T4,3", "T4,4", "T4,8", "T4,13", "T4,11"])
+def test_the_view_keeps_every_cut_of_clo3(alg, name):
+    # the entries whose kept cells changed when the view went from
+    # automorphisms to homomorphisms: at every budget, the closure with the
+    # view is the closure without it, field by field
+    a = alg(name)
+    m, gens = _clo3(a)
+    var_maps, view = subpower._symmetries(a, subpower._generator_bytes(a, m, gens))
+    assert view is not None
+    for budget in (1, 999, 1_000, 1_001, 5_000, None):
+        got = fresh(a, m, gens, max_steps=budget)
+        with mock.patch.object(subpower, "_symmetries", lambda *args: (var_maps, None)):
+            plain = fresh(a, m, gens, max_steps=budget)
+        assert (got.elements, got.witnesses, got.applications, got.rounds, got.stop_reason) == \
+            (plain.elements, plain.witnesses, plain.applications, plain.rounds,
+             plain.stop_reason), budget
+
+
+def reference_after(var_maps, m):
+    """The composition table of the variable maps read off their images of
+    range(m): map s after map t, -1 for the identity."""
+    images = [perm(range(m)) for perm in var_maps]
+    index = {image: s for s, image in enumerate(images)}
+    return [[index.get(perm(image), -1) for perm in var_maps] for image in images]
+
+
+@pytest.mark.parametrize(("name", "k", "budget"), [
+    ("T1N", 4, None), ("T1N", 5, 2_000), ("T1C", 4, 2_000), ("T1P", 5, 2_000),
+    ("M", 5, 2_000), ("T4,5", 3, None), ("T4,13", 4, 2_000)])
+def test_the_composition_table_is_the_one_read_off_the_images(alg, name, k, budget):
+    # the layout composes the variable permutations; the reference composes
+    # the maps' images of all m coordinates: the same table, down masks,
+    # elements and witnesses
+    a = alg(name)
+    m, gens = _free(a, k)
+    layout = subpower._OrbitLayout
+    built = {False: [], True: []}
+
+    def run(reference):
+        def make(var_maps):
+            got = layout(var_maps)
+            if reference:
+                got.after = reference_after(var_maps, m)
+            built[reference].append(got)
+            return got
+        with mock.patch.object(subpower, "_OrbitLayout", make):
+            return fresh(a, m, gens, max_steps=budget)
+
+    got, want = run(False), run(True)
+    assert len(built[False]) == len(built[True]) == 1
+    assert built[False][0].after == built[True][0].after
+    assert built[False][0].down == built[True][0].down
+    assert (got.elements, got.witnesses) == (want.elements, want.witnesses)
+
+
+def test_a_six_ary_cyclic_search_on_t1p_ends_within_its_bound(alg):
+    # 1.2 s of CPU on a shared 2-vCPU host (15 s when the composition table
+    # composed the maps' images of all 64 coordinates, one tuple per entry)
+    t = time.process_time()
+    assert cyclic_terms(alg("T1P"), 6, max_steps=2_000) == ([], True)
+    assert time.process_time() - t < 20
 
 
 def test_the_t410_majority_test_completes_within_the_query_budget(alg):
@@ -1217,11 +1390,12 @@ def test_kernel_four_byte_lanes():
 
 def test_kernel_view_on_two_byte_lanes():
     # 2x+2y+3z-2w on Z5: 625 cells (2-byte lanes), commuting with the four
-    # maps x -> ux, u a unit; from a switch at 8 elements Clo_2's rows keep
-    # 7 of its 25 coordinates
+    # maps x -> ux, u a unit, and with x -> 0, as its coefficients sum to 0:
+    # so cell (0, 0) always reads 0, and from a switch at 8 elements Clo_2's
+    # rows keep 6 of its 25 coordinates
     a = Algebra(5, [_table("q", 5, 4, lambda x, y, z, w: (2 * x + 2 * y + 3 * z - 2 * w) % 5)])
     m, gens = _free(a, 2)
-    assert subpower._symmetries(a, subpower._generator_bytes(a, m, gens))[1].coords == 7
+    assert subpower._symmetries(a, subpower._generator_bytes(a, m, gens))[1].coords == 6
     with mock.patch.object(subpower, "_ORBIT_MIN", 8):
         for max_steps in (1_000, 3_013, 20_000):
             got = kernel_and_reference(a, m, gens, max_steps=max_steps)
