@@ -118,15 +118,15 @@ def _apply_columns(op, columns) -> bytes:
 @per_algebra
 def _cell_homomorphisms(alg: Algebra, entries: tuple):
     """What the view reads off a cell whose distinct entries are `entries`
-    (sorted): None if they are a one-element subuniverse {a}, whose
-    constant cell reads a; else (rows, injective): each homomorphism from
+    (sorted): () if they are a one-element subuniverse {a}, whose constant
+    cell reads a; else (rows, injective): each homomorphism from
     Sg(entries) into `alg` but the inclusion and the constants, as its
     images of range(n) (the identity outside its domain), and whether each
     is injective.  Memoized by the operation tables and the entries; the
     homomorphisms come from `homomorphisms`, keyed by the subuniverse."""
     sub = sg_closure(alg, entries)
     if len(sub) == 1:
-        return None
+        return ()
     homs = [h for h in homomorphisms(alg, sub) if h != sub and h.count(h[0]) < len(h)]
     identity = bytes(range(alg.domain))
     return (tuple(identity.translate(bytes.maketrans(bytes(sub), bytes(h))) for h in homs),
@@ -156,8 +156,12 @@ class CoordinateView:
     def of(base, gen_list, index):
         """The view of the closure of the generator columns `gen_list`,
         whose cells `index` lists in order, each with its position; None
-        where it would keep no coordinate or more than half of them."""
+        where it would keep no coordinate or more than half of them, or
+        where the n constant rows and the identity row pass 256 entries
+        (from 16 elements on)."""
         n, m = base.domain, len(index)
+        if (n + 1) * n > 256:
+            return None
         groups = {}  # the distinct entries of a cell, sorted -> the cells with them
         if n <= _HOM_MAX_DOMAIN:  # per cell, the bit mask of its entries, as one byte
             bits, masks = bytes(1 << x for x in range(n)) + bytes(256 - n), 0
@@ -175,7 +179,7 @@ class CoordinateView:
         above = bytes(range(n, 256))  # a row's translate table goes on with the identity
         for entries, cells in groups.items():
             homs = _cell_homomorphisms(base, entries)
-            if homs is None:
+            if not homs:
                 for j in cells:
                     codes[j] = 0, entries[0]
                 continue

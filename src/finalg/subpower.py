@@ -588,7 +588,7 @@ def _kernel(base, m, gen_list, cap, stop_for, max_steps):
         if not switched and new >= _ORBIT_MIN and new > size and not stop:
             # the walked keys or their order change from the next round on
             switched = True
-            var_maps, view = _symmetries(base, gen_list)
+            var_maps, perms, by_perm, view = _symmetries(base, gen_list)
             for wints in wide.values():
                 wints.clear()
             if view is not None:  # the rows go on over the kept coordinates
@@ -620,7 +620,7 @@ def _kernel(base, m, gen_list, cap, stop_for, max_steps):
                 orbits.append((i, [position[img] for img in images]))
             if not stop:
                 if layout is None:  # the walk starts over in the layout's order
-                    layout = _OrbitLayout(var_maps)
+                    layout = _OrbitLayout(perms, by_perm)
                 layout.extend(orbits, size, ints)
                 fstart = layout.fstart
 
@@ -643,17 +643,16 @@ class _OrbitLayout:
     representative, the mask of the maps that fix it (`stabs`, else 0).
     `firsts` lists the representatives' positions; the frontier is the
     suffix from `fstart`.  `after[t][s]` is the index of map s after map t
-    (-1 for the identity), read off the variable permutations: map s after
-    map t is the map of the permutation i -> s(t(i)), one lookup in
-    `by_perm` (`_VarMaps`) per entry, so a member's `down` mask comes from
-    its representative's image indices alone."""
+    (-1 for the identity), read off the variable permutations that give
+    them (`_symmetries`): map s after map t is the map of the permutation
+    i -> s(t(i)), one lookup in `by_perm` per entry, so a member's `down`
+    mask comes from its representative's image indices alone."""
 
     __slots__ = ("order", "ints", "down", "stabs", "firsts", "fstart", "after")
 
-    def __init__(self, var_maps: _VarMaps):
+    def __init__(self, perms: list, by_perm: dict):
         self.order, self.ints, self.down, self.stabs, self.firsts = [], [], [], [], []
         self.fstart = 0
-        by_perm, perms = var_maps.by_perm, var_maps.perms
         self.after = [[by_perm[tuple(map(s.__getitem__, t))] for s in perms] for t in perms]
 
     def extend(self, orbits, size, ints):
@@ -708,20 +707,14 @@ _ORBIT_MIN = 32
 # for Clo_10 of a 3-element algebra, 3,628,800 x 59,049 indices.
 _ORBIT_MAX_INDICES = 1 << 20
 
-class _VarMaps(tuple):
-    """A closure's variable maps, as getters, with the permutation of the
-    variables that gives each (`perms`) and the index of the map that every
-    permutation keeping the set of cells gives (`by_perm`, -1 for the
-    identity map)."""
-
 
 def _symmetries(base: Algebra, gen_list: list):
-    """(variable maps, view) of a closure, read off its cell list: the m
-    cells (g_1[j], ..., g_k[j]) of its k generators.  Each element is then
-    the values t(cell) of a k-ary term t on the cells.  A list with a
-    repeated cell, or with fewer than two, has neither.
+    """(variable maps, perms, by_perm, view) of a closure, read off its
+    cell list: the m cells (g_1[j], ..., g_k[j]) of its k generators.  Each
+    element is then the values t(cell) of a k-ary term t on the cells.  A
+    list with a repeated cell, or with fewer than two, has none of them.
 
-    The variable maps (`_VarMaps`): for each permutation s of the k
+    The variable maps: for each permutation s of the k
     variables that keeps the set of cells, in lex order, the map e -> s.e,
     (s.e)[c] = e[c[s(0)], ..., c[s(k-1)]], as a getter (bytes -> tuple);
     the same map once, and none that moves no coordinate.  s.e is the term
@@ -730,7 +723,10 @@ def _symmetries(base: Algebra, gen_list: list):
     is no such map, where every operation is at most binary (a row there
     costs less than the images it would spare: T4,14, one binary operation,
     answers has_cyclic_term in 1.5 ms without the walk and 3.5 ms with it)
-    or where k! * m exceeds _ORBIT_MAX_INDICES.
+    or where k! * m exceeds _ORBIT_MAX_INDICES.  With them, for the
+    layout's composition table (`_OrbitLayout`): the permutation that gives
+    each map (`perms`), and the index of the map that every permutation
+    keeping the set of cells gives (`by_perm`, -1 for the identity map).
 
     The view (`homomorphism.CoordinateView`), read off the homomorphisms
     from the subalgebras the cells generate, or None where it would keep no
@@ -742,7 +738,7 @@ def _symmetries(base: Algebra, gen_list: list):
     cells = list(zip(*gen_list))
     index = {c: j for j, c in enumerate(cells)}
     if m < 2 or len(index) < m:
-        return None, None
+        return None, None, None, None
     images, perms, by_perm = {tuple(range(m)): -1}, [], {}  # image -> its map's index
     if any(op.arity >= 3 for op in base.operations) and math.factorial(k) * m <= \
             _ORBIT_MAX_INDICES:
@@ -753,11 +749,8 @@ def _symmetries(base: Algebra, gen_list: list):
                     images[image] = len(perms)
                     perms.append(s)
                 by_perm[s] = images[image]
-    var_maps = None
-    if perms:
-        var_maps = _VarMaps(map(cell_getter, list(images)[1:]))
-        var_maps.perms, var_maps.by_perm = perms, by_perm
-    return var_maps, CoordinateView.of(base, gen_list, index)
+    var_maps = tuple(map(cell_getter, list(images)[1:])) if perms else None
+    return var_maps, perms, by_perm, CoordinateView.of(base, gen_list, index)
 
 
 def _widen(data: bytes, w: int):

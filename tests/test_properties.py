@@ -416,7 +416,7 @@ def test_variable_orbit_walk_keeps_the_elements_of_clo_k(case):
                                  subpower._stop_test(None, None), max_steps)
 
     full = closure(CLO_K_STEPS)
-    with mock.patch.object(subpower, "_symmetries", lambda *args: (None, None)):
+    with mock.patch.object(subpower, "_symmetries", lambda *args: (None, None, None, None)):
         plain = closure(CLO_K_STEPS)
     if not (full.truncated or plain.truncated):
         assert set(full.elements) == set(plain.elements)

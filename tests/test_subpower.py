@@ -10,7 +10,9 @@ from unittest import mock
 import pytest
 
 from finalg.core import Algebra, AlgebraError, OperationTable, cell_index, sg_closure
+from finalg import homomorphism
 from finalg.homomorphism import homomorphisms
+from finalg.memo import table_key
 from finalg.subpower import (
     TermTree,
     clone_membership,
@@ -899,7 +901,7 @@ def test_kernel_matches_reference_on_clo4(alg):
     # by the budget
     t1n, t1c = alg("T1N"), alg("T1C")
     got = kernel_and_reference(t1n, *_free(t1n, 4))
-    with mock.patch.object(subpower, "_symmetries", lambda *args: (None, None)):
+    with mock.patch.object(subpower, "_symmetries", lambda *args: (None, None, None, None)):
         plain = fresh(t1n, *_free(t1n, 4))
     assert (len(got), got.truncated, got.rounds) == (44, False, 3)
     assert set(got.elements) == set(plain.elements)
@@ -916,7 +918,7 @@ def test_variable_orbit_walk_cuts_the_applications_of_clo3(alg):
                                            ("T4,13", 128, 357_760, 65_474)):
         a = alg(name)
         got = fresh(a, *_clo3(a))
-        with mock.patch.object(subpower, "_symmetries", lambda *args: (None, None)):
+        with mock.patch.object(subpower, "_symmetries", lambda *args: (None, None, None, None)):
             plain = fresh(a, *_clo3(a))
         assert not got.truncated and set(got.elements) == set(plain.elements)
         assert (plain.applications, got.applications) == (plain_steps, steps)
@@ -944,10 +946,11 @@ def test_cell_list_symmetries_of_the_cyclic_count_algebras(alg):
         m, gens = _clo3(a)
         gen_list = subpower._generator_bytes(a, m, gens)
         assert len(automorphisms(a)) == group
-        var_maps, view = subpower._symmetries(a, gen_list)
+        var_maps, perms, by_perm, view = subpower._symmetries(a, gen_list)
         assert len(var_maps) == 5 and (view and view.coords) == coords
         got = fresh(a, m, gens)
-        with mock.patch.object(subpower, "_symmetries", lambda *args: (var_maps, None)):
+        no_view = var_maps, perms, by_perm, None
+        with mock.patch.object(subpower, "_symmetries", lambda *args: no_view):
             full = fresh(a, m, gens)
         assert (got.elements, got.witnesses, got.applications, got.rounds) == \
             (full.elements, full.witnesses, full.applications, full.rounds)
@@ -1008,10 +1011,32 @@ def test_above_five_elements_the_view_drops_only_the_constant_cells():
     # the reference's with the view on from its first round end
     a = Algebra(6, [_table("m", 6, 3, lambda x, y, z: (x - y + z) % 6)])
     gens = subpower.term_generators(a, 2, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 3)])
-    assert subpower._symmetries(a, gens)[1].coords == 2
+    assert subpower._symmetries(a, gens)[3].coords == 2
     with mock.patch.object(subpower, "_ORBIT_MIN", 1):
         got = kernel_and_reference(a, 5, gens)
     assert not got.truncated and len(got) == 6
+
+
+def test_from_sixteen_elements_no_view_is_made():
+    # an idempotent binary operation on 16 elements and the cells (0, 0),
+    # (1, 1), (2, 3), (3, 2): the two constant cells read their value, but
+    # the 16 constant rows and the identity row would take 272 entries of
+    # the 256 a translate table has, so there is no view, and the closure
+    # switches at _ORBIT_MIN to the plain walk's rows
+    a = Algebra(16, [_table("f", 16, 2, lambda x, y: x if x == y else (5 * x + 3 * y + 1) % 16)])
+    gens = [(0, 1, 2, 3), (0, 1, 3, 2)]
+    assert subpower._symmetries(a, subpower._generator_bytes(a, 4, gens)) == \
+        (None, [], {}, None)
+    got = kernel_and_reference(a, 4, gens)
+    assert (len(got), got.rounds, got.truncated) == (256, 5, False)
+
+
+def test_a_constant_cell_is_served_from_the_memo(alg):
+    # a one-element subuniverse {a} gives (), not None, which the memo
+    # would take for a miss
+    a = alg("T4,5")
+    assert homomorphism._cell_homomorphisms(a, (0,)) == ()
+    assert homomorphism._cell_homomorphisms.memo.get(table_key(a) + ((0,),)) == ()
 
 
 def _generates_a_graph(a, cj, ci):
@@ -1068,7 +1093,7 @@ def test_the_view_keeps_one_cell_per_source_class(entries):
     for a, k in cases:
         m, gens = _free(a, k)
         want = source_class_count(a, list(itertools.product(range(a.domain), repeat=k)))
-        view = subpower._symmetries(a, subpower._generator_bytes(a, m, gens))[1]
+        view = subpower._symmetries(a, subpower._generator_bytes(a, m, gens))[3]
         assert (view and view.coords) == (want if 2 * want <= m else None)
         kept.append(want)
     assert kept[-len(EXHAUSTED_CLO3):] == [15, 30, 21, 21, 12, 12, 15, 15]
@@ -1081,11 +1106,13 @@ def test_the_view_keeps_every_cut_of_clo3(alg, name):
     # view is the closure without it, field by field
     a = alg(name)
     m, gens = _clo3(a)
-    var_maps, view = subpower._symmetries(a, subpower._generator_bytes(a, m, gens))
+    var_maps, perms, by_perm, view = subpower._symmetries(
+        a, subpower._generator_bytes(a, m, gens))
     assert view is not None
+    no_view = var_maps, perms, by_perm, None
     for budget in (1, 999, 1_000, 1_001, 5_000, None):
         got = fresh(a, m, gens, max_steps=budget)
-        with mock.patch.object(subpower, "_symmetries", lambda *args: (var_maps, None)):
+        with mock.patch.object(subpower, "_symmetries", lambda *args: no_view):
             plain = fresh(a, m, gens, max_steps=budget)
         assert (got.elements, got.witnesses, got.applications, got.rounds, got.stop_reason) == \
             (plain.elements, plain.witnesses, plain.applications, plain.rounds,
@@ -1109,12 +1136,13 @@ def test_the_composition_table_is_the_one_read_off_the_images(alg, name, k, budg
     # elements and witnesses
     a = alg(name)
     m, gens = _free(a, k)
+    var_maps = subpower._symmetries(a, subpower._generator_bytes(a, m, gens))[0]
     layout = subpower._OrbitLayout
     built = {False: [], True: []}
 
     def run(reference):
-        def make(var_maps):
-            got = layout(var_maps)
+        def make(perms, by_perm):
+            got = layout(perms, by_perm)
             if reference:
                 got.after = reference_after(var_maps, m)
             built[reference].append(got)
@@ -1395,7 +1423,7 @@ def test_kernel_view_on_two_byte_lanes():
     # rows keep 6 of its 25 coordinates
     a = Algebra(5, [_table("q", 5, 4, lambda x, y, z, w: (2 * x + 2 * y + 3 * z - 2 * w) % 5)])
     m, gens = _free(a, 2)
-    assert subpower._symmetries(a, subpower._generator_bytes(a, m, gens))[1].coords == 6
+    assert subpower._symmetries(a, subpower._generator_bytes(a, m, gens))[3].coords == 6
     with mock.patch.object(subpower, "_ORBIT_MIN", 8):
         for max_steps in (1_000, 3_013, 20_000):
             got = kernel_and_reference(a, m, gens, max_steps=max_steps)
